@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out-dir", default=".",
                         help="directory for CSVs and manifest.json")
         sp.add_argument("--workers", type=int, default=1,
-                        help="concurrent sweep points (output-invariant)")
+                        help="accepted for compatibility and ignored")
         for flag, kwargs in extra_flags.items():
             sp.add_argument(flag, **kwargs)
         return sp
@@ -278,8 +278,7 @@ def _cmd_epsilon_sweep(args, cfg, coeffs, grid, initial, seed):
     sec = _section(cfg, "epsilon_sweep")
     Ns = _populations(args.populations, sec.get("Ns"), "epsilon_sweep")
     reps = int(_required(args.reps, sec, "reps", "epsilon-sweep"))
-    tab = epsilon_sweep(coeffs, Ns, reps, seed, grid, initial,
-                        workers=max(1, args.workers))
+    tab = epsilon_sweep(coeffs, Ns, reps, seed, grid, initial)
     path = os.path.join(args.out_dir, "epsilon_sweep.csv")
     write_csv(path, tab.columns, tab.rows)
     return [path], _table_results(tab)
@@ -289,7 +288,7 @@ def _cmd_riccati_convergence(args, cfg, coeffs, grid, initial, seed):
     sec = _section(cfg, "riccati_convergence")
     Ns = _populations(args.populations, sec.get("Ns"),
                       "riccati_convergence", allow_inf=True)
-    tab = riccati_convergence(coeffs, Ns, grid, workers=max(1, args.workers))
+    tab = riccati_convergence(coeffs, Ns, grid)
     path = os.path.join(args.out_dir, "riccati_convergence.csv")
     write_csv(path, tab.columns, tab.rows)
     return [path], _table_results(tab)
@@ -300,6 +299,11 @@ def _cmd_nash_gap(args, cfg, coeffs, grid, initial, seed):
     N = int(_required(args.population, sec, "N", "nash-gap"))
     reps = int(_required(args.reps, sec, "reps", "nash-gap"))
     deviations = sec.get("deviations")
+    if deviations is not None and not (
+            isinstance(deviations, list)
+            and all(isinstance(label, str) for label in deviations)):
+        raise ModelConfigError("experiments.nash_gap.deviations must be a "
+                               f"list of deviation labels, got {deviations!r}")
     kwargs = {} if deviations is None else {"deviations": tuple(deviations)}
     tab = nash_gap(coeffs, N, reps, seed, grid, initial, **kwargs)
     path = os.path.join(args.out_dir, "nash_gap.csv")
@@ -311,8 +315,7 @@ def _cmd_figures(args, cfg, coeffs, grid, initial, seed):
     sec = _section(cfg, "epsilon_sweep")
     Ns = _populations(None, sec.get("Ns"), "epsilon_sweep")
     reps = int(_required(None, sec, "reps", "figures"))
-    sweep = epsilon_sweep(coeffs, Ns, reps, seed, grid, initial,
-                          workers=max(1, args.workers))
+    sweep = epsilon_sweep(coeffs, Ns, reps, seed, grid, initial)
     files = figure_data(coeffs, grid, sweep, args.out_dir)
     return files, _table_results(sweep)
 

@@ -3,15 +3,13 @@ deviation-gap (approximate equilibrium) study, and figure data emission.
 
 Each study returns an ExperimentTable whose metadata records everything
 needed to reproduce it bit for bit: master seed, grid, and a fingerprint of
-the coefficient set.  Sweep points are pure functions of (seed, parameter),
-so they may be computed concurrently without affecting output.
+the coefficient set.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +17,8 @@ import numpy as np
 from .errors import ModelConfigError
 from .model import CoefficientSet, InitialLaw, TimeGrid, canonical_fingerprint
 from .riccati import SolverOptions, gains, solve_finite_N, solve_limit
-from .sim import PopulationConfig, cost_of_agent, resimulate_agent, simulate_reps
+from .sim import (PopulationConfig, cost_of_agent, costs_all_agents,
+                  quadrature, replay_agent, simulate_reps)
 from .synthesis import make_law, solve_mean_field
 
 DEFAULT_DEVIATIONS = ("zero", "scaled(0.25)", "scaled(0.5)", "scaled(0.75)",
@@ -66,15 +65,9 @@ def loglog_slope(xs, ys):
     return slope, math.sqrt(s2 / sxx)
 
 
-def _trapz_sq(diff: np.ndarray, dt: float) -> float:
-    sq = diff * diff
-    return float(dt * (sq.sum() - 0.5 * (sq[0] + sq[-1])))
-
-
 def epsilon_sweep(coeffs: CoefficientSet, Ns, reps: int, master_seed: int,
                   grid: TimeGrid, initial: InitialLaw,
-                  opts: SolverOptions = SolverOptions(),
-                  workers: int = 1) -> ExperimentTable:
+                  opts: SolverOptions = SolverOptions()) -> ExperimentTable:
     """Mean-field approximation error against population size.
 
     For each N, all agents play the decentralized law and the metric is
@@ -95,7 +88,7 @@ def epsilon_sweep(coeffs: CoefficientSet, Ns, reps: int, master_seed: int,
     def point(N):
         cfg = PopulationConfig(N=N, reps=reps, master_seed=master_seed,
                                initial=initial)
-        sq = np.array([_trapz_sq(ps.mean - mf.values, dt)
+        sq = np.array([quadrature(dt, (ps.mean - mf.values) ** 2)
                        for ps in simulate_reps(coeffs, law, cfg, grid)])
         mean_sq = float(sq.mean())
         eps = math.sqrt(mean_sq)
@@ -105,12 +98,7 @@ def epsilon_sweep(coeffs: CoefficientSet, Ns, reps: int, master_seed: int,
             se = 0.0
         return (N, eps, se)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(point, Ns))
-    else:
-        rows = tuple(point(N) for N in Ns)
-
+    rows = tuple(point(N) for N in Ns)
     md = _base_metadata(coeffs, grid, master_seed)
     md["reps"] = reps
     md["initial"] = {"kind": initial.kind, "a": initial.a, "b": initial.b}
@@ -126,8 +114,7 @@ def epsilon_sweep(coeffs: CoefficientSet, Ns, reps: int, master_seed: int,
 
 
 def riccati_convergence(coeffs: CoefficientSet, Ns, grid: TimeGrid,
-                        opts: SolverOptions = SolverOptions(),
-                        workers: int = 1) -> ExperimentTable:
+                        opts: SolverOptions = SolverOptions()) -> ExperimentTable:
     """Sup-node distance between the population and limit backward solutions.
 
     Accepts math.inf as a sentinel population size; that row compares the
@@ -145,12 +132,7 @@ def riccati_convergence(coeffs: CoefficientSet, Ns, grid: TimeGrid,
                 float(np.max(np.abs(fin.K - lim.K))),
                 float(np.max(np.abs(fin.phi - lim.phi))))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(point, Ns))
-    else:
-        rows = tuple(point(N) for N in Ns)
-
+    rows = tuple(point(N) for N in Ns)
     md = _base_metadata(coeffs, grid)
     finite = [r for r in rows if math.isfinite(r[0])]
     # through-origin fit err ~ C/N gives the leading constant per column
@@ -204,20 +186,20 @@ def nash_gap(coeffs: CoefficientSet, N: int, reps: int, master_seed: int,
     dec = make_law("decentralized", gl, xbar=mf)
     fin = solve_finite_N(coeffs, N, grid, opts)
     gn = gains(fin, coeffs, opts)
-    laws = {label: _build_deviation(label, gl, gn, mf) for label in labels}
+    laws = [_build_deviation(label, gl, gn, mf) for label in labels]
 
-    diffs = {label: [] for label in labels}
     cfg = PopulationConfig(N=N, reps=reps, master_seed=master_seed,
                            initial=initial)
+    gaps = []
     for ps in simulate_reps(coeffs, dec, cfg, grid):
-        j_base = cost_of_agent(ps, 0, coeffs, grid)
-        for label, law in laws.items():
-            dev = resimulate_agent(ps, 0, law, coeffs, grid)
-            diffs[label].append(j_base - cost_of_agent(dev, 0, coeffs, grid))
+        j_dev = costs_all_agents(replay_agent(ps, 0, laws, coeffs, grid),
+                                 coeffs, grid)
+        gaps.append(cost_of_agent(ps, 0, coeffs, grid) - j_dev)
+    gaps = np.stack(gaps, axis=1)
 
     rows = []
     for label in sorted(labels):
-        d = np.array(diffs[label])
+        d = gaps[labels.index(label)]
         se = float(d.std(ddof=1)) / math.sqrt(reps) if reps > 1 else 0.0
         rows.append((label, float(d.mean()), se))
     md = _base_metadata(coeffs, grid, master_seed)

@@ -117,11 +117,6 @@ class TimeProfile:
             raise ModelConfigError("sampled profile is not aligned to the requested grid")
 
 
-def eval_profile(p: TimeProfile, t: float) -> float:
-    """Evaluate a time profile at t in [0, T]."""
-    return p.at(t)
-
-
 def half_interp(node_vals) -> np.ndarray:
     """Interleave node values with their cell midpoints (length 2M+1).
 
@@ -213,19 +208,6 @@ class CoefficientSet:
                               Q=c(Q), R=c(R), Gamma=c(Gamma), eta=c(eta),
                               H=float(H), Gamma0=float(Gamma0), eta0=float(eta0))
 
-    def replace_constant(self, **overrides) -> "CoefficientSet":
-        """Copy with some profiles replaced by constants (test convenience)."""
-        kwargs = {name: getattr(self, name) for name in _PROFILE_NAMES}
-        kwargs.update(H=self.H, Gamma0=self.Gamma0, eta0=self.eta0)
-        for name, v in overrides.items():
-            if name in _PROFILE_NAMES:
-                kwargs[name] = TimeProfile.constant(v)
-            elif name in ("H", "Gamma0", "eta0"):
-                kwargs[name] = float(v)
-            else:
-                raise ModelConfigError(f"unknown coefficient {name!r}")
-        return CoefficientSet(**kwargs)
-
     def to_dict(self) -> dict:
         """JSON-compatible representation, used for fingerprinting."""
         out = {}
@@ -299,23 +281,24 @@ def parse_grid(cfg: dict) -> TimeGrid:
 
 
 def parse_coefficients(cfg: dict, grid: TimeGrid) -> CoefficientSet:
-    try:
-        section = cfg["coefficients"]
-    except KeyError as exc:
-        raise ModelConfigError("missing 'coefficients' section") from exc
+    section = cfg.get("coefficients")
+    if not isinstance(section, dict):
+        raise ModelConfigError("missing or malformed 'coefficients' section")
     kwargs = {}
-    for name in _PROFILE_NAMES:
+    for name in _PROFILE_NAMES + ("H", "Gamma0", "eta0"):
         if name not in section:
             raise ModelConfigError(f"missing coefficient {name!r}")
         raw = section[name]
-        if isinstance(raw, (list, tuple)):
-            kwargs[name] = TimeProfile.sampled(raw, grid)
-        else:
-            kwargs[name] = TimeProfile.constant(raw)
-    for name in ("H", "Gamma0", "eta0"):
-        if name not in section:
-            raise ModelConfigError(f"missing terminal scalar {name!r}")
-        kwargs[name] = float(section[name])
+        try:
+            if name not in _PROFILE_NAMES:
+                kwargs[name] = float(raw)
+            elif isinstance(raw, (list, tuple)):
+                kwargs[name] = TimeProfile.sampled(raw, grid)
+            else:
+                kwargs[name] = TimeProfile.constant(raw)
+        except (TypeError, ValueError) as exc:
+            raise ModelConfigError(
+                f"coefficient {name!r} is not numeric: {raw!r}") from exc
     return CoefficientSet(**kwargs)
 
 

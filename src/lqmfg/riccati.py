@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonSolvableError, SingularGainError
+from .errors import ModelConfigError, NonSolvableError, SingularGainError
 from .model import CoefficientSet, TimeGrid, half_interp
 
 
@@ -173,7 +173,7 @@ def solve_finite_N(coeffs: CoefficientSet, N: int, grid: TimeGrid,
                    opts: SolverOptions = SolverOptions()) -> RiccatiSolution:
     """Solve the coupled population system (P_N, K_N, phi_N) for N agents."""
     if N < 1:
-        raise ValueError(f"population size must be >= 1, got {N}")
+        raise ModelConfigError(f"population size must be >= 1, got {N}")
     hc = _half_coeffs(coeffs, grid)
     M, dt = grid.M, grid.dt
     h = -dt
@@ -259,15 +259,3 @@ def gains(sol: RiccatiSolution, coeffs: CoefficientSet,
     return GainSchedule(variant=sol.variant, grid=grid, alpha=alpha,
                         beta=beta, gamma=gamma, delta=delta, N=sol.N)
 
-
-def half_gain_arrays(sol: RiccatiSolution, coeffs: CoefficientSet):
-    """Gain values on the half grid, for RK4 stages of forward ODEs.
-
-    P, K, phi are interpolated at half steps by the shared midpoint rule and
-    fed through the same gain formulas as `gains`.
-    """
-    grid = sol.grid
-    hc = _half_coeffs(coeffs, grid)
-    Ph, Kh, phih = half_interp(sol.P), half_interp(sol.K), half_interp(sol.phi)
-    return gain_arrays(Ph, Kh, phih, hc["B"], hc["C"], hc["D"],
-                       hc["R"], hc["g"], N=sol.N)

@@ -11,7 +11,7 @@ common random numbers for the N-sweep experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,7 +55,8 @@ class PopulationConfig:
 @dataclass(frozen=True)
 class PathSet:
     """One replication: states (N, M+1), controls and increments (N, M),
-    population average (M+1)."""
+    population average (M+1).  A replay_agent result instead holds one
+    agent's paths under several laws, each row with its own average."""
 
     rep: int
     states: np.ndarray
@@ -107,45 +108,61 @@ def _check_law_grid(law: StrategyLaw, grid: TimeGrid) -> None:
         raise ModelConfigError("law wants a precomputed mean but carries none")
 
 
+def _euler_maruyama(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
+                    ks, km, kc, mean, rep: int, agent: int | None = None):
+    """Euler-Maruyama paths of a batch of states started at x0, shape (n,).
+
+    dW and the feedback gains ks, km, kc are indexed [..., k]: one row per
+    path or one row shared by all.  mean(k, x) is the m(t_k) the feedback
+    sees.  Returns states (n, M+1) and controls (n, M).  A non-finite state
+    names `agent`, or else its row, in the SimulationDivergedError.
+    """
+    a, b, c, d, f, g = (nc[name] for name in ("A", "B", "C", "D", "f", "g"))
+    M = dW.shape[-1]
+    states = np.empty((x0.size, M + 1))
+    controls = np.empty((x0.size, M))
+    states[:, 0] = x0
+    x = x0
+    # overflow is an expected failure mode, reported as a typed error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(M):
+            u = ks[..., k] * x + km[..., k] * mean(k, x) + kc[..., k]
+            x = x + (a[k] * x + b[k] * u + f[k]) * dt \
+                  + (c[k] * x + d[k] * u + g[k]) * dW[..., k]
+            controls[:, k] = u
+            states[:, k + 1] = x
+    # a non-finite state stays non-finite, so checking the end state suffices
+    if not np.all(np.isfinite(x)):
+        bad = ~np.isfinite(states)
+        step = int(np.argmax(bad.any(axis=0)))
+        if agent is None:
+            agent = int(np.argmax(bad[:, step]))
+        raise SimulationDivergedError(
+            f"agent {agent} diverged at step {step} of replication {rep}",
+            rep=rep, agent=agent, step=step)
+    return states, controls
+
+
 def simulate_reps(coeffs: CoefficientSet, law: StrategyLaw,
                   cfg: PopulationConfig, grid: TimeGrid):
     """Yield one PathSet per replication, in replication order."""
     _check_law_grid(law, grid)
-    M, dt = grid.M, grid.dt
-    sqdt = math.sqrt(dt)
+    M = grid.M
+    sqdt = math.sqrt(grid.dt)
     nc = _node_coeffs(coeffs, grid)
-    a, b, c, d = nc["A"], nc["B"], nc["C"], nc["D"]
-    f, g = nc["f"], nc["g"]
-    ks, km, kc = law.k_self, law.k_mean, law.k_const
-    precomputed = law.mean_source == "precomputed"
-    xbar = law.xbar
-    N = cfg.N
+
+    def mean(k, x):
+        return law.xbar[k] if law.mean_source == "precomputed" else np.mean(x)
 
     for rep in range(cfg.reps):
-        x0 = np.empty(N)
-        dW = np.empty((N, M))
-        for agent in range(N):
+        x0 = np.empty(cfg.N)
+        dW = np.empty((cfg.N, M))
+        for agent in range(cfg.N):
             rng = stream(cfg.master_seed, _PURPOSE_AGENT, rep, agent)
             x0[agent] = cfg.initial.sample(rng)
             dW[agent] = rng.standard_normal(M) * sqdt
-        states = np.empty((N, M + 1))
-        controls = np.empty((N, M))
-        states[:, 0] = x0
-        x = x0.copy()
-        # overflow is an expected failure mode, reported as a typed error
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(M):
-                m = xbar[k] if precomputed else np.mean(x)
-                u = ks[k] * x + km[k] * m + kc[k]
-                x = x + (a[k] * x + b[k] * u + f[k]) * dt \
-                      + (c[k] * x + d[k] * u + g[k]) * dW[:, k]
-                if not np.all(np.isfinite(x)):
-                    bad = int(np.argmax(~np.isfinite(x)))
-                    raise SimulationDivergedError(
-                        f"agent {bad} diverged at step {k + 1} of replication {rep}",
-                        rep=rep, agent=bad, step=k + 1)
-                controls[:, k] = u
-                states[:, k + 1] = x
+        states, controls = _euler_maruyama(nc, grid.dt, x0, dW, law.k_self,
+                                           law.k_mean, law.k_const, mean, rep)
         yield PathSet(rep=rep, states=states, controls=controls,
                       increments=dW, mean=states.mean(axis=0))
 
@@ -154,6 +171,45 @@ def simulate(coeffs: CoefficientSet, law: StrategyLaw,
              cfg: PopulationConfig, grid: TimeGrid) -> list:
     """All replications as a list; see simulate_reps for the streaming form."""
     return list(simulate_reps(coeffs, law, cfg, grid))
+
+
+def replay_agent(base: PathSet, i: int, laws, coeffs: CoefficientSet,
+                 grid: TimeGrid) -> PathSet:
+    """Replay agent i under each of several laws against frozen co-players.
+
+    Every replay reuses agent i's recorded initial state and Brownian
+    increments.  Row l of the result is agent i under laws[l], with the
+    population average that path induces; it does not depend on the other
+    laws.
+    """
+    for law in laws:
+        _check_law_grid(law, grid)
+    N, n_nodes = base.states.shape
+    if n_nodes != grid.M + 1:
+        raise ModelConfigError("path set and grid disagree on node count")
+    if not 0 <= i < N:
+        raise IndexError(f"agent index {i} out of range for N={N}")
+    # population sum without agent i, for realized-mean laws
+    others = base.states.sum(axis=0) - base.states[i]
+    precomputed = np.array([law.mean_source == "precomputed" for law in laws])
+    xbar = np.stack([law.xbar if pre else others
+                     for law, pre in zip(laws, precomputed)])
+
+    def mean(k, x):
+        return np.where(precomputed, xbar[:, k], (others[k] + x) / N)
+
+    states, controls = _euler_maruyama(
+        _node_coeffs(coeffs, grid), grid.dt, np.full(len(laws), base.states[i, 0]),
+        base.increments[i], *(np.stack([getattr(law, name) for law in laws])
+                              for name in ("k_self", "k_mean", "k_const")),
+        mean, base.rep, i)
+    # NumPy sums axis 0 one row after another; the same order gives the
+    # replayed population's mean bit for bit without copying the population
+    total = states + base.states[:i].sum(axis=0)
+    for row in base.states[i + 1:]:
+        total += row
+    return PathSet(rep=base.rep, states=states, controls=controls,
+                   increments=base.increments[i], mean=total / N)
 
 
 def resimulate_agent(base: PathSet, i: int, law: StrategyLaw,
@@ -165,90 +221,42 @@ def resimulate_agent(base: PathSet, i: int, law: StrategyLaw,
     average.  Replaying the original law reproduces the base paths bit for
     bit, which calibrates deviation-gap estimates at exactly zero.
     """
-    _check_law_grid(law, grid)
-    N, n_nodes = base.states.shape
-    M, dt = grid.M, grid.dt
-    if n_nodes != M + 1:
-        raise ModelConfigError("path set and grid disagree on node count")
-    if not 0 <= i < N:
-        raise IndexError(f"agent index {i} out of range for N={N}")
-    nc = _node_coeffs(coeffs, grid)
-    a, b, c, d = nc["A"], nc["B"], nc["C"], nc["D"]
-    f, g = nc["f"], nc["g"]
-    ks, km, kc = law.k_self, law.k_mean, law.k_const
-    precomputed = law.mean_source == "precomputed"
-    xbar = law.xbar
-    dWi = base.increments[i]
-    # population sum without agent i, for realized-mean laws
-    others = base.states.sum(axis=0) - base.states[i]
-
+    replay = replay_agent(base, i, [law], coeffs, grid)
     states = base.states.copy()
     controls = base.controls.copy()
-    x = base.states[i, 0]
-    path = np.empty(M + 1)
-    ui = np.empty(M)
-    path[0] = x
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(M):
-            m = xbar[k] if precomputed else (others[k] + x) / N
-            u = ks[k] * x + km[k] * m + kc[k]
-            x = x + (a[k] * x + b[k] * u + f[k]) * dt \
-                  + (c[k] * x + d[k] * u + g[k]) * dWi[k]
-            if not math.isfinite(x):
-                raise SimulationDivergedError(
-                    f"agent {i} diverged at step {k + 1} of replication {base.rep}",
-                    rep=base.rep, agent=i, step=k + 1)
-            ui[k] = u
-            path[k + 1] = x
-    states[i] = path
-    controls[i] = ui
+    states[i] = replay.states[0]
+    controls[i] = replay.controls[0]
     return PathSet(rep=base.rep, states=states, controls=controls,
-                   increments=base.increments, mean=states.mean(axis=0))
+                   increments=base.increments, mean=replay.mean[0])
 
 
-def _trapz_weights_sum(vals: np.ndarray, dt: float) -> np.ndarray:
-    """Trapezoid rule along the last axis."""
-    return dt * (vals.sum(axis=-1) - 0.5 * (vals[..., 0] + vals[..., -1]))
+def quadrature(dt: float, nodes: np.ndarray, cells=None):
+    """Trapezoid rule over node values plus rectangle rule over cell values,
+    both along the last axis."""
+    out = dt * (nodes.sum(axis=-1) - 0.5 * (nodes[..., 0] + nodes[..., -1]))
+    return out if cells is None else out + dt * cells.sum(axis=-1)
 
 
 def costs_all_agents(ps: PathSet, coeffs: CoefficientSet,
                      grid: TimeGrid) -> np.ndarray:
-    """Cost of every agent on one replication, shape (N,).
+    """Cost of every path in ps, one per row.
 
     Half of: trapezoid of Q (x - Gamma x^(N) - eta)^2, rectangle sum of
     R u^2, plus terminal H (x(T) - Gamma0 x^(N)(T) - eta0)^2.
     """
     nc = _node_coeffs(coeffs, grid)
-    M, dt = grid.M, grid.dt
     dev = ps.states - nc["Gamma"] * ps.mean - nc["eta"]
-    state_int = _trapz_weights_sum(nc["Q"] * dev * dev, dt)
-    ctrl_int = dt * (nc["R"][:M] * ps.controls * ps.controls).sum(axis=1)
-    tdev = ps.states[:, -1] - coeffs.Gamma0 * ps.mean[-1] - coeffs.eta0
-    terminal = coeffs.H * tdev * tdev
-    return 0.5 * (state_int + ctrl_int + terminal)
+    tdev = ps.states[..., -1] - coeffs.Gamma0 * ps.mean[..., -1] - coeffs.eta0
+    return 0.5 * (quadrature(grid.dt, nc["Q"] * dev * dev,
+                             nc["R"][:grid.M] * ps.controls * ps.controls)
+                  + coeffs.H * tdev * tdev)
 
 
 def cost_of_agent(ps: PathSet, i: int, coeffs: CoefficientSet,
                   grid: TimeGrid) -> float:
-    """Cost of agent i on one replication; same quadrature as costs_all_agents."""
-    nc = _node_coeffs(coeffs, grid)
-    M, dt = grid.M, grid.dt
-    dev = ps.states[i] - nc["Gamma"] * ps.mean - nc["eta"]
-    state_int = _trapz_weights_sum(nc["Q"] * dev * dev, dt)
-    u = ps.controls[i]
-    ctrl_int = dt * (nc["R"][:M] * u * u).sum()
-    tdev = ps.states[i, -1] - coeffs.Gamma0 * ps.mean[-1] - coeffs.eta0
-    return float(0.5 * (state_int + ctrl_int + coeffs.H * tdev * tdev))
-
-
-def cost_per_replication(i: int, paths: list, coeffs: CoefficientSet,
-                         grid: TimeGrid) -> np.ndarray:
-    """Agent i's cost on each replication, shape (reps,)."""
-    if not paths:
-        raise ModelConfigError("empty path list")
-    if not 0 <= i < paths[0].states.shape[0]:
-        raise IndexError(f"agent index {i} out of range")
-    return np.array([cost_of_agent(ps, i, coeffs, grid) for ps in paths])
+    """Cost of agent i on one replication."""
+    return float(costs_all_agents(replace(ps, states=ps.states[i],
+                                          controls=ps.controls[i]), coeffs, grid))
 
 
 def evaluate_cost(i: int, paths: list, coeffs: CoefficientSet,
@@ -334,30 +342,23 @@ def convexity_probe(coeffs: CoefficientSet, N: int, grid: TimeGrid,
     sqdt = math.sqrt(dt)
     qeff = nc["Q"] * (1.0 - nc["Gamma"] / N) ** 2
     heff = coeffs.H * (1.0 - coeffs.Gamma0 / N) ** 2
-    a, b, c, d, r = nc["A"], nc["B"], nc["C"], nc["D"], nc["R"]
+    # the perturbation dynamics: no forcing, control u fed open loop
+    zero = np.zeros(M + 1)
+    homogeneous = dict(nc, f=zero, g=zero)
 
-    values = np.empty(samples)
-    stderrs = np.empty(samples)
+    vals = []
     for s in range(samples):
         u = stream(seed, _PURPOSE_PROBE_CONTROL, s, 0).standard_normal(M)
         dW = stream(seed, _PURPOSE_PROBE_NOISE, s, 0) \
             .standard_normal((inner_reps, M)) * sqdt
-        x = np.zeros(inner_reps)
-        acc = np.zeros(inner_reps)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(M):
-                w = 0.5 if k == 0 else 1.0
-                acc += w * qeff[k] * x * x
-                x = x + (a[k] * x + b[k] * u[k]) * dt \
-                      + (c[k] * x + d[k] * u[k]) * dW[:, k]
-                if not np.all(np.isfinite(x)):
-                    raise SimulationDivergedError(
-                        f"perturbation path diverged in probe sample {s} "
-                        f"at step {k + 1}", rep=s, step=k + 1)
-        acc += 0.5 * qeff[M] * x * x
-        vals = dt * acc + dt * float(np.dot(r[:M], u * u)) + heff * x * x
-        values[s] = vals.mean()
-        stderrs[s] = vals.std(ddof=1) / math.sqrt(inner_reps) if inner_reps > 1 else 0.0
+        x, _ = _euler_maruyama(homogeneous, dt, np.zeros(inner_reps), dW,
+                               zero, zero, u, lambda k, x: 0.0, s)
+        vals.append(quadrature(dt, qeff * x * x, nc["R"][:M] * u * u)
+                    + heff * x[:, -1] * x[:, -1])
+    vals = np.stack(vals)
+    values = vals.mean(axis=1)
+    stderrs = (vals.std(axis=1, ddof=1) / math.sqrt(inner_reps)
+               if inner_reps > 1 else np.zeros(samples))
     j = int(np.argmin(values))
     return ProbeReport(min_value=float(values[j]), min_stderr=float(stderrs[j]),
                        argmin=j, values=values, stderrs=stderrs,
@@ -403,33 +404,29 @@ def cost_decomposition(i: int, base_paths: list, dev_paths: list,
     N = base_paths[0].states.shape[0]
     if not 0 <= i < N:
         raise IndexError(f"agent index {i} out of range")
+    if any(bp.rep != dp.rep for bp, dp in zip(base_paths, dev_paths)):
+        raise ModelConfigError("replication order mismatch")
     nc = _node_coeffs(coeffs, grid)
     M, dt = grid.M, grid.dt
-    q, r, gam, eta = nc["Q"], nc["R"], nc["Gamma"], nc["eta"]
-    wq = q * (1.0 - gam / N) ** 2
-    cq = q * (1.0 - gam / N)
-    wh = coeffs.H * (1.0 - coeffs.Gamma0 / N) ** 2
-    ch = coeffs.H * (1.0 - coeffs.Gamma0 / N)
+    q, r, gam, eta = nc["Q"], nc["R"][:M], nc["Gamma"], nc["eta"]
 
-    j_dev, j_base, j_quad, i_cross = [], [], [], []
-    for bp, dp in zip(base_paths, dev_paths):
-        if bp.rep != dp.rep:
-            raise ModelConfigError("replication order mismatch")
-        j_dev.append(cost_of_agent(dp, i, coeffs, grid))
-        j_base.append(cost_of_agent(bp, i, coeffs, grid))
-        xt = dp.states[i] - bp.states[i]
-        ut = dp.controls[i] - bp.controls[i]
-        quad = 0.5 * (_trapz_weights_sum(wq * xt * xt, dt)
-                      + dt * np.dot(r[:M], ut * ut)
-                      + wh * xt[-1] * xt[-1])
-        hat_dev = bp.states[i] - gam * bp.mean - eta
-        cross = (_trapz_weights_sum(cq * xt * hat_dev, dt)
-                 + dt * np.dot(r[:M], ut * bp.controls[i])
-                 + ch * xt[-1] * (bp.states[i, -1]
-                                  - coeffs.Gamma0 * bp.mean[-1] - coeffs.eta0))
-        j_quad.append(quad)
-        i_cross.append(cross)
-    return DecompositionReport(agent=i, j_dev=np.array(j_dev),
-                               j_base=np.array(j_base),
-                               j_quad=np.array(j_quad),
-                               i_cross=np.array(i_cross))
+    xb = np.stack([ps.states[i] for ps in base_paths])
+    ub = np.stack([ps.controls[i] for ps in base_paths])
+    mb = np.stack([ps.mean for ps in base_paths])
+    xt = np.stack([ps.states[i] for ps in dev_paths]) - xb
+    ut = np.stack([ps.controls[i] for ps in dev_paths]) - ub
+    hat_dev = xb - gam * mb - eta
+    hat_end = xb[:, -1] - coeffs.Gamma0 * mb[:, -1] - coeffs.eta0
+    keep = 1.0 - gam / N
+    keep0 = 1.0 - coeffs.Gamma0 / N
+    j_quad = 0.5 * (quadrature(dt, q * keep ** 2 * xt * xt, r * ut * ut)
+                    + coeffs.H * keep0 ** 2 * xt[:, -1] * xt[:, -1])
+    i_cross = (quadrature(dt, q * keep * xt * hat_dev, r * ut * ub)
+               + coeffs.H * keep0 * xt[:, -1] * hat_end)
+
+    def costs(paths):
+        return np.array([cost_of_agent(ps, i, coeffs, grid) for ps in paths])
+
+    return DecompositionReport(agent=i, j_dev=costs(dev_paths),
+                               j_base=costs(base_paths), j_quad=j_quad,
+                               i_cross=i_cross)

@@ -4,6 +4,7 @@ Each test pins its fixture (model, grid, seeds) and its tolerance; the
 budgets in the comments are generous upper bounds on a single core.
 """
 
+import hashlib
 import json
 import math
 
@@ -172,25 +173,26 @@ def test_criterion_10_convexity_probe():
     assert report.min_value < 0.0
 
 
+CLI_CONFIG = {
+    "grid": {"T": 1.0, "M": 200},
+    "coefficients": {k: 1 for k in ("A", "B", "C", "D", "f", "g", "Q", "R",
+                                    "Gamma", "eta", "H", "Gamma0", "eta0")},
+    "initial": {"kind": "uniform", "a": 0.0, "b": 20.0},
+    "seed": 2024,
+    "experiments": {
+        "simulate": {"N": 8, "reps": 3, "law": "decentralized"},
+        "epsilon_sweep": {"Ns": [8, 16, 32], "reps": 5},
+        "riccati_convergence": {"Ns": [5, 10, "inf"]},
+        "nash_gap": {"N": 8, "reps": 5},
+    },
+}
+
+
 def test_criterion_11_cli_byte_determinism(tmp_path):
     # same config + seed twice (and more workers) gives byte-identical
     # CSVs for every subcommand that writes tables; < 1 min
-    cfg = {
-        "grid": {"T": 1.0, "M": 200},
-        "coefficients": {k: 1 for k in ("A", "B", "C", "D", "f", "g", "Q",
-                                        "R", "Gamma", "eta", "H", "Gamma0",
-                                        "eta0")},
-        "initial": {"kind": "uniform", "a": 0.0, "b": 20.0},
-        "seed": 2024,
-        "experiments": {
-            "simulate": {"N": 8, "reps": 3, "law": "decentralized"},
-            "epsilon_sweep": {"Ns": [8, 16, 32], "reps": 5},
-            "riccati_convergence": {"Ns": [5, 10, "inf"]},
-            "nash_gap": {"N": 8, "reps": 5},
-        },
-    }
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(json.dumps(CLI_CONFIG))
     jobs = (("solve-riccati", ["--population", "8"], "riccati_limit.csv"),
             ("mean-field", [], "mean_field.csv"),
             ("simulate", [], "summary.csv"),
@@ -213,3 +215,24 @@ def test_criterion_11_cli_byte_determinism(tmp_path):
                         "--out-dir", str(rerun)] + extra) == 0
             assert (rerun / table).read_bytes() == data
         seen[(sub, table)] = data
+
+
+def test_criterion_11_monte_carlo_csv_bytes_are_pinned(tmp_path):
+    # SHA-256 of the Monte Carlo tables on the criterion-11 config, captured
+    # before the simulation and cost code shared one Euler-Maruyama kernel
+    # and one quadrature; a change here is an output change, not roundoff
+    pinned = {
+        "simulate": ("summary.csv", "a7abe702fd9ed8cd77f721fa8bccbb4a"
+                                    "041e38ee67ad1b64446ca1bd330ea0af"),
+        "epsilon-sweep": ("epsilon_sweep.csv",
+                          "e5d094c956666c0f20d9d8cd9e7f0c6b"
+                          "b479978d0c94d780a3c5728ed4350ec5"),
+        "nash-gap": ("nash_gap.csv", "f29ce5e37824aeba52653a2e3ab9730a"
+                                     "4897e1af27bfe1d11460d056d96964ff"),
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(CLI_CONFIG))
+    for sub, (table, digest) in pinned.items():
+        out = tmp_path / sub
+        assert run([sub, "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        assert hashlib.sha256((out / table).read_bytes()).hexdigest() == digest

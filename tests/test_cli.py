@@ -251,3 +251,33 @@ def test_missing_experiment_section_exits_2(tmp_path, capsys):
     assert run(["epsilon-sweep", "--config", cfg,
                 "--out-dir", str(out)]) == 2
     capsys.readouterr()
+
+
+def test_population_below_one_exits_2_with_manifest(tmp_path, capsys):
+    cfg = make_config(tmp_path)
+    out = tmp_path / "out"
+    assert run(["riccati-convergence", "--config", cfg, "--out-dir", str(out),
+                "--populations", "0,10"]) == 2
+    assert "population size must be >= 1" in capsys.readouterr().err
+    assert read_manifest(out)["exit_code"] == 2
+
+
+def test_deviation_family_must_be_a_list(tmp_path, capsys):
+    cfg = make_config(tmp_path, experiments={
+        "nash_gap": {"N": 4, "reps": 2, "deviations": "zero"}})
+    out = tmp_path / "out"
+    assert run(["nash-gap", "--config", cfg, "--out-dir", str(out)]) == 2
+    assert "experiments.nash_gap.deviations" in capsys.readouterr().err
+    assert read_manifest(out)["exit_code"] == 2
+
+
+def test_non_numeric_coefficient_exits_2_with_manifest(tmp_path, capsys):
+    for name, raw in (("A", "x"), ("H", None), ("Gamma", [1, "x", 1])):
+        coeffs = dict(ALL_ONES)
+        coeffs[name] = raw
+        cfg = make_config(tmp_path, coefficients=coeffs,
+                          grid={"T": 1.0, "M": 2})
+        out = tmp_path / f"out_{name}"
+        assert run(["validate", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert f"coefficient {name!r} is not numeric" in capsys.readouterr().err
+        assert read_manifest(out)["exit_code"] == 2

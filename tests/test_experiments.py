@@ -74,15 +74,6 @@ def test_epsilon_sweep_slope_near_minus_half():
     assert -0.65 < tab.metadata["slope"] < -0.35
 
 
-def test_epsilon_sweep_reproducible_and_worker_invariant():
-    grid = TimeGrid(T=1.0, M=100)
-    a = epsilon_sweep(ALL_ONES, [4, 8], reps=3, master_seed=7, grid=grid,
-                      initial=UNIFORM)
-    b = epsilon_sweep(ALL_ONES, [4, 8], reps=3, master_seed=7, grid=grid,
-                      initial=UNIFORM, workers=3)
-    assert a.rows == b.rows
-
-
 def test_epsilon_sweep_doubling_reps_is_consistent():
     grid = TimeGrid(T=1.0, M=400)
     a = epsilon_sweep(ALL_ONES, [16], reps=8, master_seed=21, grid=grid,
@@ -103,13 +94,6 @@ def test_riccati_convergence_rows_shrink_like_one_over_N():
         # quadrupling N should cut the error by roughly four
         assert 2.0 < tab.rows[0][j] / tab.rows[1][j] < 8.0
     assert tab.metadata["rate_constant_P"] > 0
-
-
-def test_riccati_convergence_worker_invariant():
-    grid = TimeGrid(T=1.0, M=200)
-    a = riccati_convergence(ALL_ONES, [5, 20], grid)
-    b = riccati_convergence(ALL_ONES, [5, 20], grid, workers=2)
-    assert a.rows == b.rows
 
 
 def test_nash_gap_calibration_row_is_exactly_zero():

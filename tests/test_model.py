@@ -13,7 +13,6 @@ from lqmfg.model import (
     TimeProfile,
     ValidationReport,
     canonical_fingerprint,
-    eval_profile,
     parse_coefficients,
     parse_grid,
     parse_initial_law,
@@ -41,8 +40,8 @@ def test_grid_rejects_bad_parameters():
 
 def test_constant_profile_everywhere():
     p = TimeProfile.constant(3.5)
-    assert eval_profile(p, 0.0) == 3.5
-    assert eval_profile(p, 0.7231) == 3.5
+    assert p.at(0.0) == 3.5
+    assert p.at(0.7231) == 3.5
 
 
 def test_sampled_profile_exact_at_nodes_linear_between():
@@ -50,18 +49,18 @@ def test_sampled_profile_exact_at_nodes_linear_between():
     vals = [0.0, 1.0, 4.0, 9.0, 16.0]
     p = TimeProfile.sampled(vals, grid)
     for t, v in zip(grid.nodes, vals):
-        assert eval_profile(p, t) == v
+        assert p.at(t) == v
     # midpoint of [0.25, 0.5] is the average of the endpoints
-    assert eval_profile(p, 0.375) == pytest.approx(2.5, rel=1e-15)
+    assert p.at(0.375) == pytest.approx(2.5, rel=1e-15)
 
 
 def test_sampled_profile_rejects_out_of_range_time():
     grid = TimeGrid(T=1.0, M=4)
     p = TimeProfile.sampled(np.zeros(5), grid)
     with pytest.raises(ModelConfigError):
-        eval_profile(p, 1.5)
+        p.at(1.5)
     with pytest.raises(ModelConfigError):
-        eval_profile(p, -0.1)
+        p.at(-0.1)
 
 
 def test_sampled_profile_wrong_length():
@@ -156,7 +155,7 @@ def test_config_roundtrip(tmp_path):
     assert grid.T == 2.0 and grid.M == 8
     coeffs = parse_coefficients(cfg, grid)
     assert coeffs.Gamma.kind == "sampled"
-    assert eval_profile(coeffs.Gamma, 2.0) == 0.8
+    assert coeffs.Gamma.at(2.0) == 0.8
     law = parse_initial_law(cfg)
     assert law.mean == 10.0
 

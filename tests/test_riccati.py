@@ -12,7 +12,6 @@ from lqmfg.riccati import (
     RiccatiSolution,
     SolverOptions,
     gains,
-    half_gain_arrays,
     solve_finite_N,
     solve_limit,
 )
@@ -194,17 +193,6 @@ def test_gains_reject_small_alpha():
     with pytest.raises(SingularGainError) as exc:
         gains(sol, coeffs)
     assert "t=" in str(exc.value)
-
-
-def test_half_gain_arrays_agree_with_node_gains():
-    grid = TimeGrid(T=10.0, M=200)
-    sol = solve_limit(ALL_ONES, grid)
-    gs = gains(sol, ALL_ONES)
-    ah, bh, gh, dh = half_gain_arrays(sol, ALL_ONES)
-    np.testing.assert_array_equal(ah[0::2], gs.alpha)
-    np.testing.assert_array_equal(bh[0::2], gs.beta)
-    np.testing.assert_array_equal(gh[0::2], gs.gamma)
-    np.testing.assert_array_equal(dh[0::2], gs.delta)
 
 
 def test_solver_options_are_respected():

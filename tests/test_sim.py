@@ -17,9 +17,9 @@ from lqmfg.sim import (
     convexity_probe,
     cost_decomposition,
     cost_of_agent,
-    cost_per_replication,
     costs_all_agents,
     evaluate_cost,
+    replay_agent,
     resimulate_agent,
     simulate,
     simulate_reps,
@@ -179,7 +179,7 @@ def test_cost_report_structure():
                            initial=InitialLaw.uniform(0, 20))
     paths = simulate(ALL_ONES, law, cfg, grid)
     report = evaluate_cost(2, paths, ALL_ONES, grid)
-    per = cost_per_replication(2, paths, ALL_ONES, grid)
+    per = np.array([cost_of_agent(ps, 2, ALL_ONES, grid) for ps in paths])
     np.testing.assert_allclose(report.per_replication, per, rtol=1e-12)
     assert report.mean == pytest.approx(per.mean())
     assert report.stderr == pytest.approx(per.std(ddof=1) / math.sqrt(5))
@@ -270,6 +270,35 @@ def test_resimulate_realized_mean_consistency():
     replay = resimulate_agent(ps, 0, law, ALL_ONES, grid)
     np.testing.assert_allclose(replay.states[0], ps.states[0],
                                rtol=1e-9, atol=1e-9)
+
+
+def test_batched_replay_rows_match_single_law_replays():
+    # each row of one batched replay equals replaying that law alone, bit
+    # for bit, for precomputed-mean and realized-mean laws mixed together
+    grid = TimeGrid(T=10.0, M=300)
+    N = 8
+    gl, mf, law = decentralized_setup(grid)
+    gn = gains(solve_finite_N(ALL_ONES, N, grid), ALL_ONES)
+    laws = [make_law("scaled", gl, xbar=mf, theta=0.5),
+            make_law("centralized", gn),
+            make_law("meanfield-informed", gl),
+            law,
+            make_law("zero", gl)]
+    cfg = PopulationConfig(N=N, reps=2, master_seed=55,
+                           initial=InitialLaw.uniform(0, 20))
+    for ps in simulate(ALL_ONES, law, cfg, grid):
+        for i in (0, 5):
+            batch = replay_agent(ps, i, laws, ALL_ONES, grid)
+            costs = costs_all_agents(batch, ALL_ONES, grid)
+            for row, one_law in enumerate(laws):
+                alone = resimulate_agent(ps, i, one_law, ALL_ONES, grid)
+                np.testing.assert_array_equal(batch.states[row], alone.states[i])
+                np.testing.assert_array_equal(batch.controls[row],
+                                              alone.controls[i])
+                np.testing.assert_array_equal(batch.mean[row], alone.mean)
+                np.testing.assert_array_equal(alone.mean,
+                                              alone.states.mean(axis=0))
+                assert costs[row] == cost_of_agent(alone, i, ALL_ONES, grid)
 
 
 def test_cost_decomposition_identity():
