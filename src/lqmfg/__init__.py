@@ -9,31 +9,28 @@ from .model import (CoefficientSet, InitialLaw, TimeGrid, TimeProfile,
                     ValidationReport, canonical_fingerprint, load_config,
                     parse_coefficients, parse_grid, parse_initial_law,
                     validate)
-from .riccati import (GainSchedule, RiccatiSolution, SolverOptions,
-                      gain_arrays, gains, solve_finite_N, solve_limit)
-from .sim import (AdjointCheckReport, CostReport, DecompositionReport,
-                  PathSet, PopulationConfig, ProbeReport, convexity_probe,
+from .riccati import (GainSchedule, RiccatiSolution, gain_arrays, gains,
+                      solve_finite_N, solve_limit)
+from .sim import (AdjointCheckReport, DecompositionReport, PathSet,
+                  PopulationConfig, ProbeReport, convexity_probe,
                   cost_decomposition, cost_of_agent, costs_all_agents,
-                  evaluate_cost, resimulate_agent, simulate, simulate_reps,
-                  stationarity_residual, stream)
+                  simulate, simulate_reps, stationarity_residual, stream)
 from .synthesis import (LAW_KINDS, MeanFieldPath, StrategyLaw, make_law,
                         solve_mean_field)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjointCheckReport", "CoefficientSet", "CostReport",
-    "DecompositionReport", "ExperimentTable", "GainSchedule", "InitialLaw",
-    "LAW_KINDS", "LqmfgError", "MeanFieldPath", "ModelConfigError",
-    "NonSolvableError", "PathSet", "PopulationConfig", "ProbeReport",
-    "RiccatiSolution", "SimulationDivergedError", "SingularGainError",
-    "SolverOptions", "StrategyLaw", "TimeGrid", "TimeProfile",
-    "ValidationReport", "canonical_fingerprint", "convexity_probe",
-    "cost_decomposition", "cost_of_agent", "costs_all_agents",
-    "epsilon_sweep", "evaluate_cost", "figure_data", "gain_arrays", "gains",
-    "load_config", "make_law", "nash_gap", "parse_coefficients",
-    "parse_grid", "parse_initial_law", "resimulate_agent",
-    "riccati_convergence", "simulate", "simulate_reps", "solve_finite_N",
-    "solve_limit", "solve_mean_field", "stationarity_residual", "stream",
-    "validate",
+    "AdjointCheckReport", "CoefficientSet", "DecompositionReport",
+    "ExperimentTable", "GainSchedule", "InitialLaw", "LAW_KINDS",
+    "LqmfgError", "MeanFieldPath", "ModelConfigError", "NonSolvableError",
+    "PathSet", "PopulationConfig", "ProbeReport", "RiccatiSolution",
+    "SimulationDivergedError", "SingularGainError", "StrategyLaw",
+    "TimeGrid", "TimeProfile", "ValidationReport", "canonical_fingerprint",
+    "convexity_probe", "cost_decomposition", "cost_of_agent",
+    "costs_all_agents", "epsilon_sweep", "figure_data", "gain_arrays",
+    "gains", "load_config", "make_law", "nash_gap", "parse_coefficients",
+    "parse_grid", "parse_initial_law", "riccati_convergence", "simulate",
+    "simulate_reps", "solve_finite_N", "solve_limit", "solve_mean_field",
+    "stationarity_residual", "stream", "validate",
 ]

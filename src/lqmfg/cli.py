@@ -30,8 +30,9 @@ from .errors import (ModelConfigError, NonSolvableError,
                      SimulationDivergedError, SingularGainError)
 from .experiments import (epsilon_sweep, figure_data, nash_gap,
                           riccati_convergence, write_csv)
-from .model import (canonical_fingerprint, load_config, parse_coefficients,
-                    parse_grid, parse_initial_law, validate)
+from .model import (_as_int, canonical_fingerprint, load_config,
+                    parse_coefficients, parse_grid, parse_initial_law,
+                    validate)
 from .riccati import gains, solve_finite_N, solve_limit
 from .sim import PopulationConfig, costs_all_agents, simulate
 from .synthesis import make_law, solve_mean_field
@@ -111,8 +112,10 @@ def _load_context(args):
     coeffs = parse_coefficients(cfg, grid)
     initial = parse_initial_law(cfg)
     seed = cfg.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ModelConfigError("seed must be an integer")
+    if isinstance(seed, bool) or not isinstance(seed, int) \
+            or not 0 <= seed < 2 ** 64:
+        raise ModelConfigError(f"seed must be an integer in [0, 2^64), "
+                               f"got {seed!r}")
     return cfg, coeffs, grid, initial, seed
 
 
@@ -131,25 +134,25 @@ def _populations(flag_value, config_value, what, allow_inf=False):
                                f"--populations or experiments.{what}.Ns")
     if isinstance(raw, str):
         raw = [tok.strip() for tok in raw.split(",") if tok.strip()]
+    if not isinstance(raw, list):
+        raise ModelConfigError(f"population sizes for {what} must be a list, "
+                               f"got {raw!r}")
     out = []
     for v in raw:
         if isinstance(v, str) and v.lower() in ("inf", "infinity"):
             out.append(math.inf)
             continue
-        try:
-            out.append(int(v))
-        except (TypeError, ValueError) as exc:
-            raise ModelConfigError(f"bad population size {v!r}") from exc
+        out.append(_as_int(v, "population size"))
     if not allow_inf and any(math.isinf(v) for v in out):
         raise ModelConfigError(f"{what} needs finite population sizes")
     return out
 
 
-def _required(flag_value, sec, key, what):
+def _required_int(flag_value, sec, key, what):
     if flag_value is not None:
         return flag_value
     if key in sec:
-        return sec[key]
+        return _as_int(sec[key], f"{what} {key}")
     raise ModelConfigError(f"{what} needs {key!r}: pass the flag or set it "
                            f"in the config experiments section")
 
@@ -199,11 +202,12 @@ def _cmd_solve_riccati(args, cfg, coeffs, grid, initial, seed):
     if population is None:
         population = _section(cfg, "solve_riccati").get("N")
     if population is not None:
-        fin = solve_finite_N(coeffs, int(population), grid)
+        population = _as_int(population, "solve_riccati N")
+        fin = solve_finite_N(coeffs, population, grid)
         gn = gains(fin, coeffs)
         path = os.path.join(args.out_dir, "riccati_finite.csv")
         write_csv(path, _RICCATI_COLUMNS, _riccati_rows(fin, gn, grid),
-                  comments=(f"N = {int(population)}",))
+                  comments=(f"N = {population}",))
         outputs.append(path)
     return outputs, {"population": population}
 
@@ -227,8 +231,8 @@ def _write_law(path, law, grid):
 
 def _cmd_simulate(args, cfg, coeffs, grid, initial, seed):
     sec = _section(cfg, "simulate")
-    N = int(_required(args.population, sec, "N", "simulate"))
-    reps = int(_required(args.reps, sec, "reps", "simulate"))
+    N = _required_int(args.population, sec, "N", "simulate")
+    reps = _required_int(args.reps, sec, "reps", "simulate")
     kind = args.law if args.law is not None else sec.get("law",
                                                          "decentralized")
     theta = args.theta if args.theta is not None else sec.get("theta")
@@ -277,7 +281,7 @@ def _table_results(tab):
 def _cmd_epsilon_sweep(args, cfg, coeffs, grid, initial, seed):
     sec = _section(cfg, "epsilon_sweep")
     Ns = _populations(args.populations, sec.get("Ns"), "epsilon_sweep")
-    reps = int(_required(args.reps, sec, "reps", "epsilon-sweep"))
+    reps = _required_int(args.reps, sec, "reps", "epsilon-sweep")
     tab = epsilon_sweep(coeffs, Ns, reps, seed, grid, initial)
     path = os.path.join(args.out_dir, "epsilon_sweep.csv")
     write_csv(path, tab.columns, tab.rows)
@@ -296,8 +300,8 @@ def _cmd_riccati_convergence(args, cfg, coeffs, grid, initial, seed):
 
 def _cmd_nash_gap(args, cfg, coeffs, grid, initial, seed):
     sec = _section(cfg, "nash_gap")
-    N = int(_required(args.population, sec, "N", "nash-gap"))
-    reps = int(_required(args.reps, sec, "reps", "nash-gap"))
+    N = _required_int(args.population, sec, "N", "nash-gap")
+    reps = _required_int(args.reps, sec, "reps", "nash-gap")
     deviations = sec.get("deviations")
     if deviations is not None and not (
             isinstance(deviations, list)
@@ -314,7 +318,7 @@ def _cmd_nash_gap(args, cfg, coeffs, grid, initial, seed):
 def _cmd_figures(args, cfg, coeffs, grid, initial, seed):
     sec = _section(cfg, "epsilon_sweep")
     Ns = _populations(None, sec.get("Ns"), "epsilon_sweep")
-    reps = int(_required(None, sec, "reps", "figures"))
+    reps = _required_int(None, sec, "reps", "figures")
     sweep = epsilon_sweep(coeffs, Ns, reps, seed, grid, initial)
     files = figure_data(coeffs, grid, sweep, args.out_dir)
     return files, _table_results(sweep)

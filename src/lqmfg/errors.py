@@ -10,7 +10,7 @@ class ModelConfigError(LqmfgError):
 
 
 class SingularGainError(LqmfgError):
-    """Effective control weight alpha fell below the configured threshold."""
+    """Effective control weight alpha fell below the fixed threshold."""
 
     def __init__(self, message: str, t: float | None = None):
         super().__init__(message)

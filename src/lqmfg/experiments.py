@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ModelConfigError
 from .model import CoefficientSet, InitialLaw, TimeGrid, canonical_fingerprint
-from .riccati import SolverOptions, gains, solve_finite_N, solve_limit
+from .riccati import gains, solve_finite_N, solve_limit
 from .sim import (PopulationConfig, cost_of_agent, costs_all_agents,
                   quadrature, replay_agent, simulate_reps)
 from .synthesis import make_law, solve_mean_field
@@ -66,8 +66,7 @@ def loglog_slope(xs, ys):
 
 
 def epsilon_sweep(coeffs: CoefficientSet, Ns, reps: int, master_seed: int,
-                  grid: TimeGrid, initial: InitialLaw,
-                  opts: SolverOptions = SolverOptions()) -> ExperimentTable:
+                  grid: TimeGrid, initial: InitialLaw) -> ExperimentTable:
     """Mean-field approximation error against population size.
 
     For each N, all agents play the decentralized law and the metric is
@@ -79,8 +78,8 @@ def epsilon_sweep(coeffs: CoefficientSet, Ns, reps: int, master_seed: int,
     Ns = list(Ns)
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ModelConfigError("population sizes must be strictly increasing")
-    lim = solve_limit(coeffs, grid, opts)
-    gl = gains(lim, coeffs, opts)
+    lim = solve_limit(coeffs, grid)
+    gl = gains(lim, coeffs)
     mf = solve_mean_field(coeffs, gl, initial.mean, grid)
     law = make_law("decentralized", gl, xbar=mf)
     dt = grid.dt
@@ -113,20 +112,20 @@ def epsilon_sweep(coeffs: CoefficientSet, Ns, reps: int, master_seed: int,
                            rows=rows, metadata=md)
 
 
-def riccati_convergence(coeffs: CoefficientSet, Ns, grid: TimeGrid,
-                        opts: SolverOptions = SolverOptions()) -> ExperimentTable:
+def riccati_convergence(coeffs: CoefficientSet, Ns,
+                        grid: TimeGrid) -> ExperimentTable:
     """Sup-node distance between the population and limit backward solutions.
 
     Accepts math.inf as a sentinel population size; that row compares the
     limit solution with itself and is exactly zero.
     """
     Ns = sorted(Ns)
-    lim = solve_limit(coeffs, grid, opts)
+    lim = solve_limit(coeffs, grid)
 
     def point(N):
         if math.isinf(N):
             return (float("inf"), 0.0, 0.0, 0.0)
-        fin = solve_finite_N(coeffs, int(N), grid, opts)
+        fin = solve_finite_N(coeffs, int(N), grid)
         return (int(N),
                 float(np.max(np.abs(fin.P - lim.P))),
                 float(np.max(np.abs(fin.K - lim.K))),
@@ -165,8 +164,7 @@ def _build_deviation(label: str, gl, gn, mf):
 
 def nash_gap(coeffs: CoefficientSet, N: int, reps: int, master_seed: int,
              grid: TimeGrid, initial: InitialLaw,
-             deviations=DEFAULT_DEVIATIONS,
-             opts: SolverOptions = SolverOptions()) -> ExperimentTable:
+             deviations=DEFAULT_DEVIATIONS) -> ExperimentTable:
     """Paired deviation study for the first agent.
 
     All agents play the decentralized law; for each deviation the first
@@ -180,12 +178,12 @@ def nash_gap(coeffs: CoefficientSet, N: int, reps: int, master_seed: int,
     labels = list(deviations)
     if "scaled(1)" not in labels:
         labels.append("scaled(1)")
-    lim = solve_limit(coeffs, grid, opts)
-    gl = gains(lim, coeffs, opts)
+    lim = solve_limit(coeffs, grid)
+    gl = gains(lim, coeffs)
     mf = solve_mean_field(coeffs, gl, initial.mean, grid)
     dec = make_law("decentralized", gl, xbar=mf)
-    fin = solve_finite_N(coeffs, N, grid, opts)
-    gn = gains(fin, coeffs, opts)
+    fin = solve_finite_N(coeffs, N, grid)
+    gn = gains(fin, coeffs)
     laws = [_build_deviation(label, gl, gn, mf) for label in labels]
 
     cfg = PopulationConfig(N=N, reps=reps, master_seed=master_seed,
@@ -265,15 +263,15 @@ plot 'fig2.csv' skip 1 using 1:2:3 with yerrorlines lw 2 title 'epsilon(N)'
 """
 
 
-def figure_data(coeffs: CoefficientSet, grid: TimeGrid, sweep, out_dir,
-                opts: SolverOptions = SolverOptions()) -> list:
+def figure_data(coeffs: CoefficientSet, grid: TimeGrid, sweep,
+                out_dir) -> list:
     """Write fig1.csv (t, P, K), fig2.csv (N, epsilon, stderr) and one
     gnuplot script per figure into out_dir; returns the written paths."""
     import os
 
     if sweep is None or not getattr(sweep, "rows", ()):
         raise ModelConfigError("figure emission needs a nonempty sweep table")
-    lim = solve_limit(coeffs, grid, opts)
+    lim = solve_limit(coeffs, grid)
     written = []
 
     # the gnuplot scripts skip exactly one line, so these two files carry a

@@ -106,11 +106,7 @@ class TimeProfile:
         if self.is_constant:
             return np.full(2 * grid.M + 1, self.value)
         self._check_alignment(grid)
-        v = np.asarray(self.values, dtype=float)
-        out = np.empty(2 * grid.M + 1)
-        out[0::2] = v
-        out[1::2] = 0.5 * (v[:-1] + v[1:])
-        return out
+        return half_interp(self.values)
 
     def _check_alignment(self, grid: TimeGrid) -> None:
         if self.grid is None or self.grid.M != grid.M or self.grid.T != grid.T:
@@ -140,7 +136,8 @@ class InitialLaw:
 
     @staticmethod
     def uniform(a: float, b: float) -> "InitialLaw":
-        if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+        # b - a must be finite too: the sampler draws a + (b - a) u
+        if not (math.isfinite(b - a) and a <= b):
             raise ModelConfigError(f"bad uniform support [{a}, {b}]")
         return InitialLaw(kind="uniform", a=float(a), b=float(b))
 
@@ -272,10 +269,25 @@ def canonical_fingerprint(data) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _as_int(value, what: str) -> int:
+    """value as an int: integral numbers and integer strings pass; a bool, a
+    fraction or anything else is a ModelConfigError."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or isinstance(value, bool) or (
+            not isinstance(value, str) and n != value):
+        raise ModelConfigError(f"{what} must be an integer, got {value!r}")
+    return n
+
+
 def parse_grid(cfg: dict) -> TimeGrid:
     try:
         g = cfg["grid"]
-        return TimeGrid(T=float(g["T"]), M=int(g["M"]))
+        if isinstance(g["T"], bool):
+            raise TypeError(f"T must be a number, got {g['T']!r}")
+        return TimeGrid(T=float(g["T"]), M=_as_int(g["M"], "grid M"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelConfigError(f"bad or missing grid section: {exc}") from exc
 

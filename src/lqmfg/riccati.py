@@ -11,12 +11,12 @@ fixed-step fourth-order Runge-Kutta running backward from t = T:
 
 Stage evaluations at half steps use piecewise-linear interpolation of both
 the model coefficients and the already-computed solution components, the
-same rule the rest of the package uses for time profiles.
+same rule the rest of the package uses for time profiles.  The scalar
+stepper also runs forward, for the mean-field ODE.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +25,9 @@ from .errors import ModelConfigError, NonSolvableError, SingularGainError
 from .model import CoefficientSet, TimeGrid, half_interp
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Numerical guards: minimum effective control weight and blow-up bound."""
-
-    alpha_min: float = 1e-10
-    blow_up_bound: float = 1e8
+# fixed guards: least |effective control weight|, largest |solution|
+_ALPHA_MIN = 1e-10
+_BLOW_UP_BOUND = 1e8
 
 
 @dataclass(frozen=True)
@@ -79,22 +76,29 @@ def _half_coeffs(coeffs: CoefficientSet, grid: TimeGrid):
             for name in ("A", "B", "C", "D", "f", "g", "Q", "R", "Gamma", "eta")}
 
 
-def _rk4_backward_scalar(f, terminal: float, grid: TimeGrid,
-                         bound: float, name: str) -> np.ndarray:
-    """Integrate y' = f(j, y) backward from t=T; j indexes the half grid."""
+def _rk4_scalar(f, y0: float, grid: TimeGrid, name: str,
+                bound: float = _BLOW_UP_BOUND, backward: bool = True) -> np.ndarray:
+    """Integrate y' = f(j, y) from y0 at t=T (backward) or t=0 (forward);
+    j indexes the half grid.  Raises NonSolvableError once y leaves
+    (-bound, bound), which with an infinite bound means non-finite."""
     M, dt = grid.M, grid.dt
-    h = -dt
+    if backward:
+        h, o, nodes = -dt, 1, range(M - 1, -1, -1)
+    else:
+        h, o, nodes = dt, -1, range(1, M + 1)
+    o2, hh, h6, lo = 2 * o, 0.5 * h, h / 6.0, -bound
     out = [0.0] * (M + 1)
-    y = float(terminal)
-    out[M] = y
-    for k in range(M - 1, -1, -1):
+    y = float(y0)
+    out[nodes[0] + o] = y
+    for k in nodes:
         j = 2 * k
-        k1 = f(j + 2, y)
-        k2 = f(j + 1, y + 0.5 * h * k1)
-        k3 = f(j + 1, y + 0.5 * h * k2)
+        jm = j + o
+        k1 = f(j + o2, y)
+        k2 = f(jm, y + hh * k1)
+        k3 = f(jm, y + hh * k2)
         k4 = f(j, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if not (-bound < y < bound):
+        y = y + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+        if not lo < y < bound:
             raise NonSolvableError(
                 f"{name} left [-{bound:g}, {bound:g}] near t={k * dt:.6g}",
                 t=k * dt)
@@ -102,19 +106,17 @@ def _rk4_backward_scalar(f, terminal: float, grid: TimeGrid,
     return np.asarray(out)
 
 
-def solve_limit(coeffs: CoefficientSet, grid: TimeGrid,
-                opts: SolverOptions = SolverOptions()) -> RiccatiSolution:
+def solve_limit(coeffs: CoefficientSet, grid: TimeGrid) -> RiccatiSolution:
     """Solve the limiting backward system (P, K, phi) on the grid.
 
     P first (rational autonomous form), then K (quadratic, coefficients from
     P), then phi (linear, coefficients from P and K).  Raises
     SingularGainError if the effective weight R + D^2 P falls below
-    opts.alpha_min in magnitude, NonSolvableError on blow-up.
+    _ALPHA_MIN in magnitude, NonSolvableError on blow-up.
     """
     hc = _half_coeffs(coeffs, grid)
     dt = grid.dt
-    amin = opts.alpha_min
-    bound = opts.blow_up_bound
+    amin = _ALPHA_MIN
 
     # P' = -(2A + C^2) P - Q + (B + C D)^2 P^2 / (R + D^2 P)
     lin = (2.0 * hc["A"] + hc["C"] ** 2).tolist()
@@ -131,7 +133,7 @@ def solve_limit(coeffs: CoefficientSet, grid: TimeGrid,
                 f"at t={j * dt / 2:.6g}", t=j * dt / 2)
         return -lin[j] * y - src[j] + num[j] * y * y / den
 
-    P = _rk4_backward_scalar(f_p, coeffs.H, grid, bound, "P")
+    P = _rk4_scalar(f_p, coeffs.H, grid, "P")
 
     # alpha and beta on the half grid, from P interpolated at half steps
     Ph = half_interp(P)
@@ -151,7 +153,7 @@ def solve_limit(coeffs: CoefficientSet, grid: TimeGrid,
     def f_k(j, y):
         return k0[j] + (k1c[j] + k2c[j] * y) * y
 
-    K = _rk4_backward_scalar(f_k, -coeffs.H * coeffs.Gamma0, grid, bound, "K")
+    K = _rk4_scalar(f_k, -coeffs.H * coeffs.Gamma0, grid, "K")
 
     # phi' = [(KB + beta) alpha^-1 B - A] phi
     #        + (KB + beta) alpha^-1 P g D - f (P + K) - C P g + Q eta
@@ -164,21 +166,21 @@ def solve_limit(coeffs: CoefficientSet, grid: TimeGrid,
     def f_phi(j, y):
         return p0[j] + p1[j] * y
 
-    phi = _rk4_backward_scalar(f_phi, -coeffs.H * coeffs.eta0, grid, bound, "phi")
+    phi = _rk4_scalar(f_phi, -coeffs.H * coeffs.eta0, grid, "phi")
 
     return RiccatiSolution(variant="limit", grid=grid, P=P, K=K, phi=phi)
 
 
-def solve_finite_N(coeffs: CoefficientSet, N: int, grid: TimeGrid,
-                   opts: SolverOptions = SolverOptions()) -> RiccatiSolution:
+def solve_finite_N(coeffs: CoefficientSet, N: int,
+                   grid: TimeGrid) -> RiccatiSolution:
     """Solve the coupled population system (P_N, K_N, phi_N) for N agents."""
     if N < 1:
         raise ModelConfigError(f"population size must be >= 1, got {N}")
     hc = _half_coeffs(coeffs, grid)
     M, dt = grid.M, grid.dt
     h = -dt
-    amin = opts.alpha_min
-    bound = opts.blow_up_bound
+    amin = _ALPHA_MIN
+    bound = _BLOW_UP_BOUND
     inv_n = 1.0 / N
 
     av = hc["A"].tolist()
@@ -238,8 +240,7 @@ def solve_finite_N(coeffs: CoefficientSet, N: int, grid: TimeGrid,
                            phi=np.asarray(PHI), N=N)
 
 
-def gains(sol: RiccatiSolution, coeffs: CoefficientSet,
-          opts: SolverOptions = SolverOptions()) -> GainSchedule:
+def gains(sol: RiccatiSolution, coeffs: CoefficientSet) -> GainSchedule:
     """Gain schedule at the grid nodes for either solution variant."""
     grid = sol.grid
     B = coeffs.B.node_values(grid)
@@ -249,12 +250,12 @@ def gains(sol: RiccatiSolution, coeffs: CoefficientSet,
     g = coeffs.g.node_values(grid)
     alpha, beta, gamma, delta = gain_arrays(
         sol.P, sol.K, sol.phi, B, C, D, R, g, N=sol.N)
-    small = np.abs(alpha) < opts.alpha_min
+    small = np.abs(alpha) < _ALPHA_MIN
     if np.any(small):
         k = int(np.flatnonzero(small)[-1])
         t_k = grid.nodes[k]
         raise SingularGainError(
-            f"effective control weight |alpha(t)| < {opts.alpha_min:g} "
+            f"effective control weight |alpha(t)| < {_ALPHA_MIN:g} "
             f"at t={t_k:.6g}", t=float(t_k))
     return GainSchedule(variant=sol.variant, grid=grid, alpha=alpha,
                         beta=beta, gamma=gamma, delta=delta, N=sol.N)

@@ -24,7 +24,6 @@ _PURPOSE_AGENT = 0
 _PURPOSE_PROBE_CONTROL = 1
 _PURPOSE_PROBE_NOISE = 2
 
-_MASK64 = (1 << 64) - 1
 _MAX_INDEX = 1 << 24
 
 
@@ -33,7 +32,8 @@ def stream(master_seed: int, purpose: int, rep: int, agent: int) -> np.random.Ge
     if not (0 <= rep < _MAX_INDEX and 0 <= agent < _MAX_INDEX):
         raise ModelConfigError("replication and agent indices must be < 2^24")
     key = (purpose << 48) | (rep << 24) | agent
-    return np.random.Generator(np.random.Philox(key=[master_seed & _MASK64, key]))
+    return np.random.Generator(np.random.Philox(
+        key=np.array([master_seed, key], dtype=np.uint64)))
 
 
 @dataclass(frozen=True)
@@ -63,17 +63,6 @@ class PathSet:
     controls: np.ndarray
     increments: np.ndarray
     mean: np.ndarray
-
-
-@dataclass(frozen=True)
-class CostReport:
-    """Cost of one agent averaged over replications, plus the population mean."""
-
-    agent: int
-    mean: float
-    stderr: float
-    population_mean: float
-    per_replication: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -212,24 +201,6 @@ def replay_agent(base: PathSet, i: int, laws, coeffs: CoefficientSet,
                    increments=base.increments[i], mean=total / N)
 
 
-def resimulate_agent(base: PathSet, i: int, law: StrategyLaw,
-                     coeffs: CoefficientSet, grid: TimeGrid) -> PathSet:
-    """Replay agent i under a different law against frozen co-players.
-
-    Reuses agent i's recorded initial state and Brownian increments, leaves
-    every other agent's path untouched, and recomputes the population
-    average.  Replaying the original law reproduces the base paths bit for
-    bit, which calibrates deviation-gap estimates at exactly zero.
-    """
-    replay = replay_agent(base, i, [law], coeffs, grid)
-    states = base.states.copy()
-    controls = base.controls.copy()
-    states[i] = replay.states[0]
-    controls[i] = replay.controls[0]
-    return PathSet(rep=base.rep, states=states, controls=controls,
-                   increments=base.increments, mean=replay.mean[0])
-
-
 def quadrature(dt: float, nodes: np.ndarray, cells=None):
     """Trapezoid rule over node values plus rectangle rule over cell values,
     both along the last axis."""
@@ -257,22 +228,6 @@ def cost_of_agent(ps: PathSet, i: int, coeffs: CoefficientSet,
     """Cost of agent i on one replication."""
     return float(costs_all_agents(replace(ps, states=ps.states[i],
                                           controls=ps.controls[i]), coeffs, grid))
-
-
-def evaluate_cost(i: int, paths: list, coeffs: CoefficientSet,
-                  grid: TimeGrid) -> CostReport:
-    """Replication-averaged cost of agent i plus the population average."""
-    if not paths:
-        raise ModelConfigError("empty path list")
-    if not 0 <= i < paths[0].states.shape[0]:
-        raise IndexError(f"agent index {i} out of range")
-    per_agent = np.stack([costs_all_agents(ps, coeffs, grid) for ps in paths])
-    per_rep = per_agent[:, i]
-    reps = per_rep.size
-    stderr = float(per_rep.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return CostReport(agent=i, mean=float(per_rep.mean()), stderr=stderr,
-                      population_mean=float(per_agent.mean()),
-                      per_replication=per_rep)
 
 
 def stationarity_residual(paths: list, finN: RiccatiSolution,
@@ -389,23 +344,19 @@ class DecompositionReport:
         return float(self.residuals.max())
 
 
-def cost_decomposition(i: int, base_paths: list, dev_paths: list,
+def cost_decomposition(i: int, base_paths: list, law: StrategyLaw,
                        coeffs: CoefficientSet, grid: TimeGrid) -> DecompositionReport:
-    """Split agent i's deviated cost against frozen co-players.
+    """Split agent i's cost under a deviation law against frozen co-players.
 
-    base_paths hold the undeviated population, dev_paths the same
-    replications with agent i replayed (resimulate_agent) on the same noise.
-    The quadratic and cross pieces use the deviation increments
-    x_tilde = x_dev - x_base, u_tilde = u_dev - u_base and the undeviated
-    paths; the identity holds pathwise per replication.
+    Agent i of each base replication is replayed under `law` (replay_agent)
+    on the same noise.  The quadratic and cross pieces use the deviation
+    increments x_tilde = x_dev - x_base, u_tilde = u_dev - u_base and the
+    undeviated paths; the identity holds pathwise per replication.
     """
-    if len(base_paths) != len(dev_paths) or not base_paths:
-        raise ModelConfigError("base and deviated path lists must align")
+    if not base_paths:
+        raise ModelConfigError("empty path list")
     N = base_paths[0].states.shape[0]
-    if not 0 <= i < N:
-        raise IndexError(f"agent index {i} out of range")
-    if any(bp.rep != dp.rep for bp, dp in zip(base_paths, dev_paths)):
-        raise ModelConfigError("replication order mismatch")
+    dev_paths = [replay_agent(ps, i, [law], coeffs, grid) for ps in base_paths]
     nc = _node_coeffs(coeffs, grid)
     M, dt = grid.M, grid.dt
     q, r, gam, eta = nc["Q"], nc["R"][:M], nc["Gamma"], nc["eta"]
@@ -413,8 +364,8 @@ def cost_decomposition(i: int, base_paths: list, dev_paths: list,
     xb = np.stack([ps.states[i] for ps in base_paths])
     ub = np.stack([ps.controls[i] for ps in base_paths])
     mb = np.stack([ps.mean for ps in base_paths])
-    xt = np.stack([ps.states[i] for ps in dev_paths]) - xb
-    ut = np.stack([ps.controls[i] for ps in dev_paths]) - ub
+    xt = np.stack([ps.states[0] for ps in dev_paths]) - xb
+    ut = np.stack([ps.controls[0] for ps in dev_paths]) - ub
     hat_dev = xb - gam * mb - eta
     hat_end = xb[:, -1] - coeffs.Gamma0 * mb[:, -1] - coeffs.eta0
     keep = 1.0 - gam / N
@@ -423,10 +374,7 @@ def cost_decomposition(i: int, base_paths: list, dev_paths: list,
                     + coeffs.H * keep0 ** 2 * xt[:, -1] * xt[:, -1])
     i_cross = (quadrature(dt, q * keep * xt * hat_dev, r * ut * ub)
                + coeffs.H * keep0 * xt[:, -1] * hat_end)
-
-    def costs(paths):
-        return np.array([cost_of_agent(ps, i, coeffs, grid) for ps in paths])
-
-    return DecompositionReport(agent=i, j_dev=costs(dev_paths),
-                               j_base=costs(base_paths), j_quad=j_quad,
-                               i_cross=i_cross)
+    j_dev = np.array([costs_all_agents(ps, coeffs, grid)[0] for ps in dev_paths])
+    j_base = np.array([cost_of_agent(ps, i, coeffs, grid) for ps in base_paths])
+    return DecompositionReport(agent=i, j_dev=j_dev, j_base=j_base,
+                               j_quad=j_quad, i_cross=i_cross)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ModelConfigError, NonSolvableError
 from .model import CoefficientSet, TimeGrid, half_interp
-from .riccati import GainSchedule
+from .riccati import GainSchedule, _rk4_scalar
 
 LAW_KINDS = ("decentralized", "centralized", "zero", "scaled",
              "meanfield-informed")
@@ -76,29 +76,13 @@ def solve_mean_field(coeffs: CoefficientSet, gains: GainSchedule,
     cst = -Bh * dh / ah + fh
     if not (np.all(np.isfinite(lin)) and np.all(np.isfinite(cst))):
         raise NonSolvableError("mean-field drift is non-finite")
-    lin = lin.tolist()
-    cst = cst.tolist()
+    # default arguments make the lists fast locals in this hot callback
+    def f(j, y, lin=lin.tolist(), cst=cst.tolist()):
+        return lin[j] * y + cst[j]
 
-    M, dt = grid.M, grid.dt
-    out = [0.0] * (M + 1)
-    y = float(xi_bar)
-    out[0] = y
-    for k in range(M):
-        j = 2 * k
-        k1 = lin[j] * y + cst[j]
-        yh = y + 0.5 * dt * k1
-        k2 = lin[j + 1] * yh + cst[j + 1]
-        yh = y + 0.5 * dt * k2
-        k3 = lin[j + 1] * yh + cst[j + 1]
-        yf = y + dt * k3
-        k4 = lin[j + 2] * yf + cst[j + 2]
-        y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if not math.isfinite(y):
-            raise NonSolvableError(
-                f"mean-field trajectory became non-finite near t={(k + 1) * dt:.6g}",
-                t=(k + 1) * dt)
-        out[k + 1] = y
-    return MeanFieldPath(grid=grid, values=np.asarray(out), initial=float(xi_bar))
+    values = _rk4_scalar(f, xi_bar, grid, "mean-field trajectory", math.inf,
+                         backward=False)
+    return MeanFieldPath(grid=grid, values=values, initial=float(xi_bar))
 
 
 def make_law(kind: str, gains: GainSchedule,
@@ -143,9 +127,11 @@ def make_law(kind: str, gains: GainSchedule,
     if xbar.values.size != n_nodes:
         raise ModelConfigError("mean-field path and gains use different grids")
     if kind == "scaled":
-        if theta is None:
-            raise ModelConfigError("scaled law needs a scaling factor")
-        th = float(theta)
+        try:
+            th = float(theta)
+        except (TypeError, ValueError) as exc:
+            raise ModelConfigError("scaled law needs a numeric scaling factor, "
+                                   f"got {theta!r}") from exc
         return StrategyLaw(kind=kind, grid=grid, k_self=th * k_self,
                            k_mean=th * k_mean, k_const=th * k_const,
                            mean_source="precomputed", xbar=xbar.values,

@@ -281,3 +281,47 @@ def test_non_numeric_coefficient_exits_2_with_manifest(tmp_path, capsys):
         assert run(["validate", "--config", cfg, "--out-dir", str(out)]) == 2
         assert f"coefficient {name!r} is not numeric" in capsys.readouterr().err
         assert read_manifest(out)["exit_code"] == 2
+
+
+def test_bad_seed_exits_2_with_manifest(tmp_path, capsys):
+    # a seed must key a 64-bit Philox stream: no bools, no wrap-around
+    cases = [(seed, []) for seed in (True, -1, 2**64)]
+    cases += [(11, ["--seed=-1"]), (11, ["--seed", str(2**64)])]
+    for k, (seed, flags) in enumerate(cases):
+        cfg = make_config(tmp_path, name=f"cfg{k}.json", seed=seed)
+        out = tmp_path / f"out{k}"
+        assert run(["solve-riccati", "--config", cfg, "--out-dir", str(out)]
+                   + flags) == 2
+        assert "seed must be an integer in [0, 2^64)" in capsys.readouterr().err
+        assert read_manifest(out)["exit_code"] == 2
+    out = tmp_path / "largest"
+    assert run(["solve-riccati", "--config", make_config(tmp_path),
+                "--out-dir", str(out), "--seed", str(2**64 - 1)]) == 0
+    assert read_manifest(out)["master_seed"] == 2**64 - 1
+
+
+def test_malformed_values_exit_2_with_manifest(tmp_path, capsys):
+    simulate = {"N": 3, "reps": 2}
+    cases = (
+        ("riccati-convergence", {"experiments": {
+            "riccati_convergence": {"Ns": [2.5, 10]}}}, "integer"),
+        ("riccati-convergence", {"experiments": {
+            "riccati_convergence": {"Ns": 10}}}, "must be a list"),
+        ("mean-field", {"grid": {"T": 1.0, "M": 50.7}}, "integer"),
+        ("mean-field", {"grid": {"T": True, "M": 50}}, "T must be a number"),
+        ("simulate", {"experiments": {"simulate": dict(simulate, N=2.5)}},
+         "integer"),
+        ("simulate", {"experiments": {"simulate": dict(simulate, reps=1.5)}},
+         "integer"),
+        ("simulate", {"experiments": {"simulate": dict(
+            simulate, law="scaled", theta="x")}}, "scaling factor"),
+        ("simulate", {"experiments": {"simulate": simulate},
+                      "initial": {"kind": "uniform", "a": -1e308, "b": 1e308}},
+         "uniform support"),
+    )
+    for k, (sub, override, message) in enumerate(cases):
+        cfg = make_config(tmp_path, name=f"cfg{k}.json", **override)
+        out = tmp_path / f"out{k}"
+        assert run([sub, "--config", cfg, "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert read_manifest(out)["exit_code"] == 2

@@ -10,7 +10,6 @@ from lqmfg.model import CoefficientSet, TimeGrid
 from lqmfg.riccati import (
     GainSchedule,
     RiccatiSolution,
-    SolverOptions,
     gains,
     solve_finite_N,
     solve_limit,
@@ -193,15 +192,3 @@ def test_gains_reject_small_alpha():
     with pytest.raises(SingularGainError) as exc:
         gains(sol, coeffs)
     assert "t=" in str(exc.value)
-
-
-def test_solver_options_are_respected():
-    grid = TimeGrid(T=2.0, M=2000)
-    coeffs = CoefficientSet.from_constants(B=1.0, Q=1.0, R=-1.0, H=1.0)
-    # a tiny blow-up bound turns a fine solve into a reported failure
-    tame = CoefficientSet.from_constants(B=1.0, Q=1.0, R=1.0, H=1.0)
-    with pytest.raises(NonSolvableError):
-        solve_limit(tame, grid, SolverOptions(blow_up_bound=1e-3))
-    # a generous alpha_min turns a healthy weight into a singular one
-    with pytest.raises(SingularGainError):
-        solve_limit(tame, grid, SolverOptions(alpha_min=10.0))

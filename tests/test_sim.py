@@ -18,9 +18,7 @@ from lqmfg.sim import (
     cost_decomposition,
     cost_of_agent,
     costs_all_agents,
-    evaluate_cost,
     replay_agent,
-    resimulate_agent,
     simulate,
     simulate_reps,
     stationarity_residual,
@@ -48,6 +46,9 @@ def test_streams_reproducible_and_distinct():
     assert not np.array_equal(a1, c)
     with pytest.raises(ModelConfigError):
         stream(99, 0, 1 << 24, 0)
+    # seeds above 2^63 keep all 64 bits
+    top = [stream(s, 0, 0, 0).standard_normal(4) for s in (2**63, 2**63 + 1)]
+    assert not np.array_equal(*top)
 
 
 def test_population_config_validation():
@@ -78,9 +79,8 @@ def test_zero_weights_give_zero_cost():
     law = make_law("zero", gains(solve_limit(helper, grid), helper))
     cfg = PopulationConfig(N=4, reps=3, master_seed=5, initial=InitialLaw.uniform(0, 1))
     paths = simulate(coeffs, law, cfg, grid)
-    report = evaluate_cost(2, paths, coeffs, grid)
-    assert np.all(report.per_replication == 0.0)
-    assert report.mean == 0.0 and report.population_mean == 0.0
+    assert all(np.all(costs_all_agents(ps, coeffs, grid) == 0.0)
+               for ps in paths)
 
 
 def test_pathset_invariants():
@@ -167,27 +167,8 @@ def test_cost_quadrature_oracle():
     x = np.exp(grid.nodes)[None, :]
     ps = PathSet(rep=0, states=x, controls=np.zeros((1, 1000)),
                  increments=np.zeros((1, 1000)), mean=x[0])
-    report = evaluate_cost(0, [ps], coeffs, grid)
-    assert abs(report.mean - (math.e**2 - 1.0) / 4.0) <= 1e-5
-    assert report.stderr == 0.0
-
-
-def test_cost_report_structure():
-    grid = TimeGrid(T=10.0, M=200)
-    _, _, law = decentralized_setup(grid)
-    cfg = PopulationConfig(N=6, reps=5, master_seed=31,
-                           initial=InitialLaw.uniform(0, 20))
-    paths = simulate(ALL_ONES, law, cfg, grid)
-    report = evaluate_cost(2, paths, ALL_ONES, grid)
-    per = np.array([cost_of_agent(ps, 2, ALL_ONES, grid) for ps in paths])
-    np.testing.assert_allclose(report.per_replication, per, rtol=1e-12)
-    assert report.mean == pytest.approx(per.mean())
-    assert report.stderr == pytest.approx(per.std(ddof=1) / math.sqrt(5))
-    assert costs_all_agents(paths[0], ALL_ONES, grid)[2] == pytest.approx(per[0])
-    with pytest.raises(IndexError):
-        evaluate_cost(17, paths, ALL_ONES, grid)
-    with pytest.raises(ModelConfigError):
-        evaluate_cost(0, [], ALL_ONES, grid)
+    assert abs(cost_of_agent(ps, 0, coeffs, grid)
+               - (math.e**2 - 1.0) / 4.0) <= 1e-5
 
 
 def test_stationarity_identity_and_negative_control():
@@ -250,10 +231,10 @@ def test_resimulate_same_law_is_bit_identical():
     paths = simulate(ALL_ONES, law, cfg, grid)
     replay_law = make_law("scaled", gl, xbar=mf, theta=1.0)
     for ps in paths:
-        replay = resimulate_agent(ps, 3, replay_law, ALL_ONES, grid)
-        np.testing.assert_array_equal(replay.states, ps.states)
-        np.testing.assert_array_equal(replay.controls, ps.controls)
-        np.testing.assert_array_equal(replay.mean, ps.mean)
+        replay = replay_agent(ps, 3, [replay_law], ALL_ONES, grid)
+        np.testing.assert_array_equal(replay.states[0], ps.states[3])
+        np.testing.assert_array_equal(replay.controls[0], ps.controls[3])
+        np.testing.assert_array_equal(replay.mean[0], ps.mean)
 
 
 def test_resimulate_realized_mean_consistency():
@@ -267,7 +248,7 @@ def test_resimulate_realized_mean_consistency():
     cfg = PopulationConfig(N=N, reps=1, master_seed=4,
                            initial=InitialLaw.uniform(0, 20))
     ps = simulate(ALL_ONES, law, cfg, grid)[0]
-    replay = resimulate_agent(ps, 0, law, ALL_ONES, grid)
+    replay = replay_agent(ps, 0, [law], ALL_ONES, grid)
     np.testing.assert_allclose(replay.states[0], ps.states[0],
                                rtol=1e-9, atol=1e-9)
 
@@ -291,14 +272,16 @@ def test_batched_replay_rows_match_single_law_replays():
             batch = replay_agent(ps, i, laws, ALL_ONES, grid)
             costs = costs_all_agents(batch, ALL_ONES, grid)
             for row, one_law in enumerate(laws):
-                alone = resimulate_agent(ps, i, one_law, ALL_ONES, grid)
-                np.testing.assert_array_equal(batch.states[row], alone.states[i])
+                alone = replay_agent(ps, i, [one_law], ALL_ONES, grid)
+                np.testing.assert_array_equal(batch.states[row], alone.states[0])
                 np.testing.assert_array_equal(batch.controls[row],
-                                              alone.controls[i])
-                np.testing.assert_array_equal(batch.mean[row], alone.mean)
-                np.testing.assert_array_equal(alone.mean,
-                                              alone.states.mean(axis=0))
-                assert costs[row] == cost_of_agent(alone, i, ALL_ONES, grid)
+                                              alone.controls[0])
+                np.testing.assert_array_equal(batch.mean[row], alone.mean[0])
+                population = ps.states.copy()
+                population[i] = alone.states[0]
+                np.testing.assert_array_equal(alone.mean[0],
+                                              population.mean(axis=0))
+                assert costs[row] == costs_all_agents(alone, ALL_ONES, grid)[0]
 
 
 def test_cost_decomposition_identity():
@@ -309,14 +292,12 @@ def test_cost_decomposition_identity():
     base = simulate(ALL_ONES, law, cfg, grid)
     for theta in (0.5, 1.3):
         dev_law = make_law("scaled", gl, xbar=mf, theta=theta)
-        dev = [resimulate_agent(ps, 0, dev_law, ALL_ONES, grid) for ps in base]
-        report = cost_decomposition(0, base, dev, ALL_ONES, grid)
+        report = cost_decomposition(0, base, dev_law, ALL_ONES, grid)
         assert report.max_residual <= 1e-8
         assert np.all(report.j_quad >= 0.0)  # here Q,R,H >= 0
 
     same = make_law("scaled", gl, xbar=mf, theta=1.0)
-    dev = [resimulate_agent(ps, 0, same, ALL_ONES, grid) for ps in base]
-    report = cost_decomposition(0, base, dev, ALL_ONES, grid)
+    report = cost_decomposition(0, base, same, ALL_ONES, grid)
     assert report.max_residual == 0.0
     assert np.all(report.j_quad == 0.0)
     assert np.all(report.i_cross == 0.0)
@@ -330,11 +311,12 @@ def test_decentralized_and_centralized_costs_close():
     cen = make_law("centralized", gains(fin, ALL_ONES))
     cfg = PopulationConfig(N=N, reps=10, master_seed=11,
                            initial=InitialLaw.uniform(0, 20))
-    cd = evaluate_cost(0, simulate(ALL_ONES, dec, cfg, grid), ALL_ONES, grid)
-    cc = evaluate_cost(0, simulate(ALL_ONES, cen, cfg, grid), ALL_ONES, grid)
+    cd, cc = (np.mean([cost_of_agent(ps, 0, ALL_ONES, grid)
+                       for ps in simulate(ALL_ONES, law, cfg, grid)])
+              for law in (dec, cen))
     # common random numbers pair the two runs, so the gap is O(1/sqrt(N))
     # rather than Monte Carlo noise sized
-    assert abs(cd.mean - cc.mean) <= 2.0
+    assert abs(cd - cc) <= 2.0
 
 
 def test_probe_nonnegative_for_convex_data():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lqmfg.errors import ModelConfigError
+from lqmfg.errors import ModelConfigError, NonSolvableError
 from lqmfg.model import CoefficientSet, TimeGrid
 from lqmfg.riccati import gains, solve_finite_N, solve_limit
 from lqmfg.synthesis import MeanFieldPath, StrategyLaw, make_law, solve_mean_field
@@ -54,6 +54,16 @@ def test_mean_field_refinement():
     d1 = np.max(np.abs(x1 - x2[::2]))
     d2 = np.max(np.abs(x2 - x4[::2]))
     assert 3.2 <= d1 / d2 <= 20.0
+
+
+def test_mean_field_blow_up_is_reported_with_time():
+    # xbar' = 100 xbar + 1 from 1 overflows the forward RK4 steps at t = 7.07
+    grid = TimeGrid(T=10.0, M=1000)
+    coeffs = CoefficientSet.from_constants(A=100, R=1, f=1)
+    with pytest.raises(NonSolvableError) as exc:
+        solve_mean_field(coeffs, limit_gains(coeffs, grid), 1.0, grid)
+    assert exc.value.t == 7.07
+    assert "mean-field trajectory" in str(exc.value)
 
 
 def test_mean_field_requires_limit_gains():
