@@ -46,8 +46,21 @@ EXIT_IO = 5
 _RICCATI_COLUMNS = ("t", "P", "K", "phi", "alpha", "beta", "gamma", "delta")
 
 
+class _UsageError(Exception):
+    """argparse rejected the command line; the message is argparse's."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser (and subparsers) that raises _UsageError instead of
+    exiting, so that a rejected command line still gets a manifest."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lqmfg",
         description="Solvers, simulators, and experiments for scalar "
                     "linear-quadratic mean field games.")
@@ -137,6 +150,8 @@ def _populations(flag_value, config_value, what, allow_inf=False):
     if not isinstance(raw, list):
         raise ModelConfigError(f"population sizes for {what} must be a list, "
                                f"got {raw!r}")
+    if not raw:
+        raise ModelConfigError(f"population sizes for {what} are empty")
     out = []
     for v in raw:
         if isinstance(v, str) and v.lower() in ("inf", "infinity"):
@@ -336,23 +351,20 @@ _DISPATCH = {
 }
 
 
-def run(argv=None) -> int:
-    """Execute one subcommand; returns the process exit code."""
-    try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
+def _argv_out_dir(argv):
+    """The value of the last --out-dir X or --out-dir=X in argv, or None."""
+    out_dir = None
+    for flag, value in zip(argv, argv[1:] + [None]):
+        if flag == "--out-dir" and value is not None:
+            out_dir = value
+        elif flag.startswith("--out-dir="):
+            out_dir = flag[len("--out-dir="):]
+    return out_dir
 
-    started = time.monotonic()
-    manifest = {
-        "tool_version": __version__,
-        "subcommand": args.command,
-        "config_fingerprint": None,
-        "master_seed": None,
-        "grid": None,
-        "outputs": [],
-        "results": {},
-    }
+
+def _execute(args, manifest) -> int:
+    """Run the parsed subcommand, filling in the manifest; returns the exit
+    code."""
     code = EXIT_OK
     try:
         os.makedirs(args.out_dir, exist_ok=True)
@@ -372,16 +384,46 @@ def run(argv=None) -> int:
         code, manifest["error"] = EXIT_DIVERGED, str(exc)
     except OSError as exc:
         code, manifest["error"] = EXIT_IO, str(exc)
+    return code
+
+
+def run(argv=None) -> int:
+    """Execute one subcommand; returns the process exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    started = time.monotonic()
+    manifest = {
+        "tool_version": __version__,
+        "subcommand": argv[0] if argv and argv[0] in _DISPATCH else None,
+        "config_fingerprint": None,
+        "master_seed": None,
+        "grid": None,
+        "outputs": [],
+        "results": {},
+    }
+    try:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as exc:
+        # without an output directory in argv there is nowhere to write
+        out_dir = _argv_out_dir(argv)
+        code, manifest["error"] = EXIT_CONFIG, str(exc)
+    except SystemExit as exc:  # --help
+        return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
+    else:
+        out_dir = args.out_dir
+        code = _execute(args, manifest)
     manifest["exit_code"] = code
     manifest["duration_seconds"] = time.monotonic() - started
-    try:
-        with open(os.path.join(args.out_dir, "manifest.json"), "w",
-                  encoding="utf-8", newline="") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        print(f"error: could not write manifest: {exc}", file=sys.stderr)
-        return EXIT_IO
+    if out_dir is not None:
+        try:
+            if out_dir:  # a usage error comes before _execute makes it
+                os.makedirs(out_dir, exist_ok=True)
+            with open(os.path.join(out_dir, "manifest.json"), "w",
+                      encoding="utf-8", newline="") as fh:
+                json.dump(manifest, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: could not write manifest: {exc}", file=sys.stderr)
+            return EXIT_IO
     if code != EXIT_OK:
         print(f"error: {manifest['error']}", file=sys.stderr)
     return code

@@ -24,6 +24,14 @@ import numpy as np
 from .errors import ModelConfigError
 
 
+def _reject_bools(what: str, *values) -> None:
+    """JSON true and false are not the numbers 1 and 0: a bool among values
+    is a ModelConfigError."""
+    for v in values:
+        if isinstance(v, bool):
+            raise ModelConfigError(f"{what} must be a number, got {v!r}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_k = k*dt on [0, T] with dt = T/M."""
@@ -69,6 +77,8 @@ class TimeProfile:
 
     @staticmethod
     def sampled(values, grid: TimeGrid) -> "TimeProfile":
+        if isinstance(values, (list, tuple)):
+            _reject_bools("sampled profile value", *values)
         arr = np.asarray(values, dtype=float)
         if arr.ndim != 1 or arr.size != grid.M + 1:
             raise ModelConfigError(
@@ -136,6 +146,7 @@ class InitialLaw:
 
     @staticmethod
     def uniform(a: float, b: float) -> "InitialLaw":
+        _reject_bools("uniform support bound", a, b)
         # b - a must be finite too: the sampler draws a + (b - a) u
         if not (math.isfinite(b - a) and a <= b):
             raise ModelConfigError(f"bad uniform support [{a}, {b}]")
@@ -143,12 +154,14 @@ class InitialLaw:
 
     @staticmethod
     def gaussian(mean: float, var: float) -> "InitialLaw":
+        _reject_bools("gaussian parameter", mean, var)
         if not (math.isfinite(mean) and math.isfinite(var) and var >= 0.0):
             raise ModelConfigError(f"bad gaussian parameters mean={mean}, var={var}")
         return InitialLaw(kind="gaussian", a=float(mean), b=float(var))
 
     @staticmethod
     def point(c: float) -> "InitialLaw":
+        _reject_bools("point mass", c)
         if not math.isfinite(c):
             raise ModelConfigError(f"bad point mass at {c}")
         return InitialLaw(kind="point", a=float(c))
@@ -301,6 +314,8 @@ def parse_coefficients(cfg: dict, grid: TimeGrid) -> CoefficientSet:
         if name not in section:
             raise ModelConfigError(f"missing coefficient {name!r}")
         raw = section[name]
+        _reject_bools(f"coefficient {name!r}",
+                      *(raw if isinstance(raw, (list, tuple)) else [raw]))
         try:
             if name not in _PROFILE_NAMES:
                 kwargs[name] = float(raw)

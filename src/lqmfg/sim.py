@@ -26,14 +26,38 @@ _PURPOSE_PROBE_NOISE = 2
 
 _MAX_INDEX = 1 << 24
 
+_TILE = 64     # kernel time steps per tile
+_BLOCK = 128   # paths per block of a tile transpose
+
+
+def _key(master_seed: int, purpose: int, rep: int, agent: int) -> np.ndarray:
+    """Philox key of the (purpose, replication, agent) stream."""
+    if not (0 <= rep < _MAX_INDEX and 0 <= agent < _MAX_INDEX):
+        raise ModelConfigError("replication and agent indices must be < 2^24")
+    return np.array([master_seed, (purpose << 48) | (rep << 24) | agent],
+                    dtype=np.uint64)
+
 
 def stream(master_seed: int, purpose: int, rep: int, agent: int) -> np.random.Generator:
     """Counter-based stream for one (purpose, replication, agent) triple."""
-    if not (0 <= rep < _MAX_INDEX and 0 <= agent < _MAX_INDEX):
-        raise ModelConfigError("replication and agent indices must be < 2^24")
-    key = (purpose << 48) | (rep << 24) | agent
     return np.random.Generator(np.random.Philox(
-        key=np.array([master_seed, key], dtype=np.uint64)))
+        key=_key(master_seed, purpose, rep, agent)))
+
+
+# a fresh Philox: counter 0 and an empty output buffer, whatever its key
+_FRESH_PHILOX = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64),
+                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+_ZERO_COUNTER = np.zeros(4, np.uint64)
+
+
+def _rekey(bit_gen: np.random.Philox, key: np.ndarray) -> None:
+    """Restart bit_gen as a fresh Philox with this key.
+
+    Philox is counter-based, so the draws that follow are those of a new
+    generator built with the key, without its SeedSequence set-up cost.
+    """
+    bit_gen.state = dict(_FRESH_PHILOX,
+                         state={"counter": _ZERO_COUNTER, "key": key})
 
 
 @dataclass(frozen=True)
@@ -105,23 +129,57 @@ def _euler_maruyama(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
     path or one row shared by all.  mean(k, x) is the m(t_k) the feedback
     sees.  Returns states (n, M+1) and controls (n, M).  A non-finite state
     names `agent`, or else its row, in the SimulationDivergedError.
+
+    Each step computes, in this order,
+        u  = (ks x + km m) + kc
+        x' = (x + ((a x + b u) + f) dt) + ((c x + d u) + g) dW.
+    Time is walked in tiles of _TILE steps on time-major buffers, so every
+    step reads and writes contiguous rows; the increments come in, and the
+    states and controls go out, transposed in blocks of _BLOCK paths.
     """
     a, b, c, d, f, g = (nc[name] for name in ("A", "B", "C", "D", "f", "g"))
-    M = dW.shape[-1]
-    states = np.empty((x0.size, M + 1))
-    controls = np.empty((x0.size, M))
+    n, M = x0.size, dW.shape[-1]
+    increments = dW.reshape(-1, M)
+    states = np.empty((n, M + 1))
+    controls = np.empty((n, M))
     states[:, 0] = x0
-    x = x0
+    xs = np.empty((_TILE + 1, n))
+    us = np.empty((_TILE, n))
+    ws = np.empty((_TILE, increments.shape[0]))
+    drift = np.empty(n)
+    noise = np.empty(n)
+    part = np.empty(n)
+    xs[0] = x0
     # overflow is an expected failure mode, reported as a typed error
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(M):
-            u = ks[..., k] * x + km[..., k] * mean(k, x) + kc[..., k]
-            x = x + (a[k] * x + b[k] * u + f[k]) * dt \
-                  + (c[k] * x + d[k] * u + g[k]) * dW[..., k]
-            controls[:, k] = u
-            states[:, k + 1] = x
+        for k0 in range(0, M, _TILE):
+            w = min(_TILE, M - k0)
+            for j in range(0, increments.shape[0], _BLOCK):
+                ws[:w, j:j + _BLOCK] = increments[j:j + _BLOCK, k0:k0 + w].T
+            for s in range(w):
+                k = k0 + s
+                x, u, x_next = xs[s], us[s], xs[s + 1]
+                np.multiply(ks[..., k], x, out=u)
+                np.add(u, km[..., k] * mean(k, x), out=u)
+                np.add(u, kc[..., k], out=u)
+                np.multiply(a[k], x, out=drift)
+                np.multiply(b[k], u, out=part)
+                np.add(drift, part, out=drift)
+                np.add(drift, f[k], out=drift)
+                np.multiply(drift, dt, out=drift)
+                np.multiply(c[k], x, out=noise)
+                np.multiply(d[k], u, out=part)
+                np.add(noise, part, out=noise)
+                np.add(noise, g[k], out=noise)
+                np.multiply(noise, ws[s], out=noise)
+                np.add(x, drift, out=x_next)
+                np.add(x_next, noise, out=x_next)
+            for j in range(0, n, _BLOCK):
+                states[j:j + _BLOCK, k0 + 1:k0 + w + 1] = xs[1:w + 1, j:j + _BLOCK].T
+                controls[j:j + _BLOCK, k0:k0 + w] = us[:w, j:j + _BLOCK].T
+            xs[0] = xs[w]
     # a non-finite state stays non-finite, so checking the end state suffices
-    if not np.all(np.isfinite(x)):
+    if not np.all(np.isfinite(xs[0])):
         bad = ~np.isfinite(states)
         step = int(np.argmax(bad.any(axis=0)))
         if agent is None:
@@ -143,13 +201,17 @@ def simulate_reps(coeffs: CoefficientSet, law: StrategyLaw,
     def mean(k, x):
         return law.xbar[k] if law.mean_source == "precomputed" else np.mean(x)
 
+    # one generator, restarted on each agent's stream
+    rng = np.random.Generator(np.random.Philox())
     for rep in range(cfg.reps):
         x0 = np.empty(cfg.N)
         dW = np.empty((cfg.N, M))
         for agent in range(cfg.N):
-            rng = stream(cfg.master_seed, _PURPOSE_AGENT, rep, agent)
+            _rekey(rng.bit_generator,
+                   _key(cfg.master_seed, _PURPOSE_AGENT, rep, agent))
             x0[agent] = cfg.initial.sample(rng)
-            dW[agent] = rng.standard_normal(M) * sqdt
+            rng.standard_normal(out=dW[agent])
+        dW *= sqdt
         states, controls = _euler_maruyama(nc, grid.dt, x0, dW, law.k_self,
                                            law.k_mean, law.k_const, mean, rep)
         yield PathSet(rep=rep, states=states, controls=controls,

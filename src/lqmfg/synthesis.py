@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelConfigError, NonSolvableError
-from .model import CoefficientSet, TimeGrid, half_interp
+from .model import CoefficientSet, TimeGrid, _reject_bools, half_interp
 from .riccati import GainSchedule, _rk4_scalar
 
 LAW_KINDS = ("decentralized", "centralized", "zero", "scaled",
@@ -127,6 +127,7 @@ def make_law(kind: str, gains: GainSchedule,
     if xbar.values.size != n_nodes:
         raise ModelConfigError("mean-field path and gains use different grids")
     if kind == "scaled":
+        _reject_bools("scaling factor theta", theta)
         try:
             th = float(theta)
         except (TypeError, ValueError) as exc:

@@ -318,6 +318,28 @@ def test_malformed_values_exit_2_with_manifest(tmp_path, capsys):
         ("simulate", {"experiments": {"simulate": simulate},
                       "initial": {"kind": "uniform", "a": -1e308, "b": 1e308}},
          "uniform support"),
+        # JSON true and false are not the numbers 1 and 0
+        ("validate", {"coefficients": dict(ALL_ONES, A=True)},
+         "coefficient 'A' must be a number, got True"),
+        ("validate", {"coefficients": dict(ALL_ONES, Gamma=[1, True, 1]),
+                      "grid": {"T": 1.0, "M": 2}},
+         "coefficient 'Gamma' must be a number, got True"),
+        ("validate", {"coefficients": dict(ALL_ONES, H=True)},
+         "coefficient 'H' must be a number"),
+        ("validate", {"coefficients": dict(ALL_ONES, Gamma0=False)},
+         "coefficient 'Gamma0' must be a number, got False"),
+        ("validate", {"coefficients": dict(ALL_ONES, eta0=True)},
+         "coefficient 'eta0' must be a number"),
+        ("validate", {"initial": {"kind": "uniform", "a": False, "b": 20}},
+         "uniform support bound must be a number"),
+        ("validate", {"initial": {"kind": "gaussian", "mean": 1.0,
+                                  "var": True}},
+         "gaussian parameter must be a number"),
+        ("validate", {"initial": {"kind": "point", "value": True}},
+         "point mass must be a number"),
+        ("simulate", {"experiments": {"simulate": dict(
+            simulate, law="scaled", theta=True)}},
+         "scaling factor theta must be a number"),
     )
     for k, (sub, override, message) in enumerate(cases):
         cfg = make_config(tmp_path, name=f"cfg{k}.json", **override)
@@ -325,3 +347,47 @@ def test_malformed_values_exit_2_with_manifest(tmp_path, capsys):
         assert run([sub, "--config", cfg, "--out-dir", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert read_manifest(out)["exit_code"] == 2
+
+
+def test_empty_population_list_exits_2_with_manifest(tmp_path, capsys):
+    sections = {name: {"Ns": [], "reps": 2}
+                for name in ("epsilon_sweep", "riccati_convergence")}
+    cfg = make_config(tmp_path, experiments=sections)
+    cases = [(sub, []) for sub in ("epsilon-sweep", "riccati-convergence",
+                                   "figures")]
+    cases += [("epsilon-sweep", ["--populations", ","]),
+              ("riccati-convergence", ["--populations", " , "])]
+    for k, (sub, flags) in enumerate(cases):
+        out = tmp_path / f"out{k}"
+        assert run([sub, "--config", cfg, "--out-dir", str(out)] + flags) == 2
+        assert "are empty" in capsys.readouterr().err
+        manifest = read_manifest(out)
+        assert manifest["exit_code"] == 2
+        assert manifest["outputs"] == []
+        assert not list(out.glob("*.csv"))
+
+
+def test_usage_error_writes_manifest_when_out_dir_is_given(tmp_path, capsys,
+                                                          monkeypatch):
+    cfg = make_config(tmp_path)
+    cases = (
+        (["simulate", "--config", cfg, "--seed", "abc", "--out-dir", "a"],
+         "a", "simulate", "invalid int value: 'abc'"),
+        (["frobnicate", "--out-dir=b"], "b", None, "invalid choice"),
+        (["mean-field", "--config", cfg, "--out-dir", "c", "--bogus"], "c",
+         "mean-field", "unrecognized arguments: --bogus"),
+        (["solve-riccati", "--out-dir", "d/e"], "d/e", "solve-riccati",
+         "the following arguments are required: --config"),
+    )
+    monkeypatch.chdir(tmp_path)
+    for argv, out, sub, message in cases:
+        assert run(argv) == 2
+        assert message in capsys.readouterr().err
+        manifest = read_manifest(tmp_path / out)
+        assert manifest["exit_code"] == 2
+        assert manifest["subcommand"] == sub
+        assert message in manifest["error"]
+    # with no --out-dir there is nowhere to write; the exit code stays 2
+    assert run(["simulate", "--config", cfg, "--seed", "abc"]) == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()

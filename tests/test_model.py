@@ -69,6 +69,12 @@ def test_sampled_profile_wrong_length():
         TimeProfile.sampled([1.0, 2.0], grid)
 
 
+def test_sampled_profile_rejects_bools():
+    grid = TimeGrid(T=1.0, M=2)
+    with pytest.raises(ModelConfigError, match="must be a number, got True"):
+        TimeProfile.sampled([1.0, True, 1.0], grid)
+
+
 def test_half_values_interleave_nodes_and_midpoints():
     grid = TimeGrid(T=2.0, M=4)
     vals = np.array([1.0, 3.0, -1.0, 0.0, 5.0])

@@ -11,6 +11,8 @@ from lqmfg.model import CoefficientSet, InitialLaw, TimeGrid
 from lqmfg.riccati import gains, solve_finite_N, solve_limit
 from lqmfg.synthesis import make_law, solve_mean_field
 from lqmfg.sim import (
+    _PURPOSE_AGENT,
+    _TILE,
     AdjointCheckReport,
     PathSet,
     PopulationConfig,
@@ -23,6 +25,10 @@ from lqmfg.sim import (
     simulate_reps,
     stationarity_residual,
     stream,
+    _euler_maruyama,
+    _key,
+    _node_coeffs,
+    _rekey,
 )
 
 ALL_ONES = CoefficientSet.from_constants(A=1, B=1, C=1, D=1, f=1, g=1,
@@ -34,6 +40,146 @@ def decentralized_setup(grid, coeffs=ALL_ONES, xi=10.0):
     gl = gains(solve_limit(coeffs, grid), coeffs)
     mf = solve_mean_field(coeffs, gl, xi, grid)
     return gl, mf, make_law("decentralized", gl, xbar=mf)
+
+
+def reference_paths(nc, dt, x0, dW, ks, km, kc, mean):
+    """Plain per-step Euler-Maruyama: the oracle for the tiled kernel.
+
+    Same arguments as sim._euler_maruyama, one whole time step per
+    iteration, written straight into the agent-major results."""
+    a, b, c, d, f, g = (nc[name] for name in ("A", "B", "C", "D", "f", "g"))
+    M = dW.shape[-1]
+    states = np.empty((x0.size, M + 1))
+    controls = np.empty((x0.size, M))
+    states[:, 0] = x0
+    x = x0
+    for k in range(M):
+        u = ks[..., k] * x + km[..., k] * mean(k, x) + kc[..., k]
+        x = x + (a[k] * x + b[k] * u + f[k]) * dt \
+              + (c[k] * x + d[k] * u + g[k]) * dW[..., k]
+        controls[:, k] = u
+        states[:, k + 1] = x
+    return states, controls
+
+
+def law_mean(law):
+    """The m(t_k) rule simulate_reps feeds the kernel for this law."""
+    if law.mean_source == "precomputed":
+        return lambda k, x: law.xbar[k]
+    return lambda k, x: np.mean(x)
+
+
+INITIAL_LAWS = (InitialLaw.uniform(0, 20), InitialLaw.gaussian(5.0, 2.0),
+                InitialLaw.point(3.0))
+
+
+@pytest.mark.parametrize("M", [2, _TILE - 1, _TILE, _TILE + 1, 200])
+@pytest.mark.parametrize("kind", ["decentralized", "meanfield-informed"])
+def test_simulate_matches_reference_loop_bit_for_bit(M, kind):
+    # decentralized feeds back the precomputed mean, meanfield-informed the
+    # realized one; the draws come from freshly built streams
+    grid = TimeGrid(T=1.0, M=M)
+    gl, mf, law = decentralized_setup(grid)
+    if kind != "decentralized":
+        law = make_law(kind, gl)
+    nc = _node_coeffs(ALL_ONES, grid)
+    for N in (1, 5, 129, 300):
+        for initial in INITIAL_LAWS:
+            cfg = PopulationConfig(N=N, reps=2, master_seed=2**64 - 1,
+                                   initial=initial)
+            for ps in simulate_reps(ALL_ONES, law, cfg, grid):
+                rngs = [stream(cfg.master_seed, _PURPOSE_AGENT, ps.rep, j)
+                        for j in range(N)]
+                x0 = np.array([initial.sample(rng) for rng in rngs])
+                dW = np.stack([rng.standard_normal(M) * math.sqrt(grid.dt)
+                               for rng in rngs])
+                states, controls = reference_paths(
+                    nc, grid.dt, x0, dW, law.k_self, law.k_mean,
+                    law.k_const, law_mean(law))
+                np.testing.assert_array_equal(ps.increments, dW)
+                np.testing.assert_array_equal(ps.states, states)
+                np.testing.assert_array_equal(ps.controls, controls)
+                np.testing.assert_array_equal(ps.mean, states.mean(axis=0))
+
+
+@pytest.mark.parametrize("M", [1, _TILE - 1, _TILE + 1, 3 * _TILE])
+def test_kernel_matches_reference_loop_on_probe_shapes(M):
+    # one step, and the convexity probe's use: zero feedback gains, an open
+    # loop control in k_const, no forcing and a zero mean
+    grid = TimeGrid(T=1.0, M=max(M, 2))
+    rng = np.random.default_rng(M)
+    nc = {name: rng.standard_normal(grid.M + 1)
+          for name in ("A", "B", "C", "D", "f", "g")}
+    x0 = rng.standard_normal(129)
+    dW = rng.standard_normal((129, M)) * 0.1
+    feedback = [rng.standard_normal(grid.M + 1) for _ in range(3)]
+    xbar = rng.standard_normal(grid.M + 1)
+    zero = np.zeros(grid.M + 1)
+    homogeneous = dict(nc, f=zero, g=zero)
+    for coeffs, ks, km, kc, mean in (
+            (nc, *feedback, lambda k, x: xbar[k]),
+            (nc, *feedback, lambda k, x: np.mean(x)),
+            (homogeneous, zero, zero, rng.standard_normal(M),
+             lambda k, x: 0.0)):
+        got = _euler_maruyama(coeffs, grid.dt, x0, dW, ks, km, kc, mean, 0)
+        want = reference_paths(coeffs, grid.dt, x0, dW, ks, km, kc, mean)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("M", [_TILE - 1, _TILE, _TILE + 1, 200])
+def test_replay_rows_match_reference_loop_bit_for_bit(M):
+    grid = TimeGrid(T=1.0, M=M)
+    gl, mf, law = decentralized_setup(grid)
+    laws = [law, make_law("meanfield-informed", gl),
+            make_law("scaled", gl, xbar=mf, theta=0.5), make_law("zero", gl)]
+    nc = _node_coeffs(ALL_ONES, grid)
+    for N in (5, 129):
+        cfg = PopulationConfig(N=N, reps=1, master_seed=17,
+                               initial=InitialLaw.gaussian(5.0, 2.0))
+        ps = simulate(ALL_ONES, law, cfg, grid)[0]
+        for i in (0, N - 1):
+            batch = replay_agent(ps, i, laws, ALL_ONES, grid)
+            others = ps.states.sum(axis=0) - ps.states[i]
+            for row, one_law in enumerate(laws):
+                mean = law_mean(one_law)
+                if one_law.mean_source == "realized":
+                    mean = lambda k, x: (others[k] + x) / N  # noqa: E731
+                states, controls = reference_paths(
+                    nc, grid.dt, ps.states[i, :1], ps.increments[i],
+                    one_law.k_self, one_law.k_mean, one_law.k_const, mean)
+                np.testing.assert_array_equal(batch.states[row], states[0])
+                np.testing.assert_array_equal(batch.controls[row],
+                                              controls[0])
+
+
+def test_rekeyed_generator_draws_equal_fresh_streams():
+    bit_gen = np.random.Philox()
+    rng = np.random.Generator(bit_gen)
+    for seed in (0, 2**63, 2**64 - 1):
+        for purpose, rep, agent in ((0, 0, 0), (0, 3, 7),
+                                    (2, (1 << 24) - 1, (1 << 24) - 1)):
+            # leave the last stream mid-block: words of Philox's four-word
+            # buffer spent, and half of one held back for a 32-bit draw
+            rng.random()
+            if not bit_gen.state["has_uint32"]:
+                rng.integers(0, 2**32, dtype=np.uint32)
+            assert bit_gen.state["has_uint32"] == 1
+            key = _key(seed, purpose, rep, agent)
+            _rekey(bit_gen, key)
+            fresh = stream(seed, purpose, rep, agent)
+            state, want = bit_gen.state, fresh.bit_generator.state
+            np.testing.assert_array_equal(state["state"]["key"],
+                                          want["state"]["key"])
+            np.testing.assert_array_equal(state["state"]["counter"],
+                                          want["state"]["counter"])
+            assert (state["buffer_pos"], state["has_uint32"]) == \
+                (want["buffer_pos"], want["has_uint32"])
+            assert rng.integers(0, 2**32, dtype=np.uint32) == \
+                fresh.integers(0, 2**32, dtype=np.uint32)
+            np.testing.assert_array_equal(rng.standard_normal(9),
+                                          fresh.standard_normal(9))
+            np.testing.assert_array_equal(rng.random(5), fresh.random(5))
 
 
 def test_streams_reproducible_and_distinct():
@@ -147,17 +293,26 @@ def test_increment_sample_means_are_martingale_small():
 
 
 def test_divergence_reports_location():
+    # the first non-finite state is named by its step and agent.  With A = 6
+    # the states grow about 1.5-fold a step from starts spread over many
+    # decades, so agents overflow at different steps; 104 and 99 lie past
+    # the kernel's first tile of time steps
     grid = TimeGrid(T=10.0, M=120)
-    blow = CoefficientSet.from_constants(A=1e4, Q=1.0, R=1.0)
     helper = CoefficientSet.from_constants(Q=1.0, R=1.0)
     law = make_law("zero", gains(solve_limit(helper, grid), helper))
-    cfg = PopulationConfig(N=2, reps=1, master_seed=1,
-                           initial=InitialLaw.point(1e6))
-    with pytest.raises(SimulationDivergedError) as exc:
-        simulate(blow, law, cfg, grid)
-    assert exc.value.rep == 0
-    assert exc.value.agent in (0, 1)
-    assert exc.value.step is not None
+    fast = CoefficientSet.from_constants(A=1e4, Q=1.0, R=1.0)
+    slow = CoefficientSet.from_constants(A=6.0, C=1.0, Q=1.0, R=1.0)
+    cases = ((fast, 2, 1, InitialLaw.point(1e6), 0, 104),
+             (slow, 5, 3, InitialLaw.uniform(0.0, 1e300), 3, 41),
+             (slow, 5, 3, InitialLaw.uniform(0.0, 1e290), 1, 99))
+    for blow, N, seed, initial, agent, step in cases:
+        cfg = PopulationConfig(N=N, reps=2, master_seed=seed, initial=initial)
+        with pytest.raises(SimulationDivergedError) as exc:
+            simulate(blow, law, cfg, grid)
+        assert (exc.value.rep, exc.value.agent, exc.value.step) == \
+            (0, agent, step)
+        assert str(exc.value) == \
+            f"agent {agent} diverged at step {step} of replication 0"
 
 
 def test_cost_quadrature_oracle():
