@@ -28,14 +28,14 @@ import numpy as np
 from . import __version__
 from .errors import (ModelConfigError, NonSolvableError,
                      SimulationDivergedError, SingularGainError)
-from .experiments import (epsilon_sweep, figure_data, nash_gap,
+from .experiments import (_build_laws, epsilon_sweep, figure_data, nash_gap,
                           riccati_convergence, write_csv)
 from .model import (_as_int, canonical_fingerprint, load_config,
                     parse_coefficients, parse_grid, parse_initial_law,
                     validate)
 from .riccati import gains, solve_finite_N, solve_limit
 from .sim import PopulationConfig, costs_all_agents, simulate
-from .synthesis import make_law, solve_mean_field
+from .synthesis import solve_mean_field
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -172,15 +172,6 @@ def _required_int(flag_value, sec, key, what):
                            f"in the config experiments section")
 
 
-def _limit_law(kind, coeffs, grid, initial, theta=None):
-    lim = solve_limit(coeffs, grid)
-    gl = gains(lim, coeffs)
-    if kind in ("decentralized", "scaled"):
-        mf = solve_mean_field(coeffs, gl, initial.mean, grid)
-        return make_law(kind, gl, xbar=mf, theta=theta)
-    return make_law(kind, gl, theta=theta)
-
-
 # --------------------------------------------------------------------------
 # subcommand handlers: each returns (written file paths, results metadata)
 # --------------------------------------------------------------------------
@@ -201,29 +192,25 @@ def _cmd_validate(args, cfg, coeffs, grid, initial, seed):
     return [], results
 
 
-def _riccati_rows(sol, sched, grid):
-    return list(zip(grid.nodes, sol.P, sol.K, sol.phi, sched.alpha,
-                    sched.beta, sched.gamma, sched.delta))
-
-
 def _cmd_solve_riccati(args, cfg, coeffs, grid, initial, seed):
     outputs = []
-    lim = solve_limit(coeffs, grid)
-    gl = gains(lim, coeffs)
-    path = os.path.join(args.out_dir, "riccati_limit.csv")
-    write_csv(path, _RICCATI_COLUMNS, _riccati_rows(lim, gl, grid))
-    outputs.append(path)
+
+    def write(name, sol, comments=()):
+        sched = gains(sol, coeffs)
+        path = os.path.join(args.out_dir, name)
+        write_csv(path, _RICCATI_COLUMNS,
+                  (grid.nodes, sol.P, sol.K, sol.phi, sched.alpha,
+                   sched.beta, sched.gamma, sched.delta), comments)
+        outputs.append(path)
+
+    write("riccati_limit.csv", solve_limit(coeffs, grid))
     population = args.population
     if population is None:
         population = _section(cfg, "solve_riccati").get("N")
     if population is not None:
         population = _as_int(population, "solve_riccati N")
-        fin = solve_finite_N(coeffs, population, grid)
-        gn = gains(fin, coeffs)
-        path = os.path.join(args.out_dir, "riccati_finite.csv")
-        write_csv(path, _RICCATI_COLUMNS, _riccati_rows(fin, gn, grid),
-                  comments=(f"N = {population}",))
-        outputs.append(path)
+        write("riccati_finite.csv", solve_finite_N(coeffs, population, grid),
+              (f"N = {population}",))
     return outputs, {"population": population}
 
 
@@ -232,14 +219,14 @@ def _cmd_mean_field(args, cfg, coeffs, grid, initial, seed):
     gl = gains(lim, coeffs)
     mf = solve_mean_field(coeffs, gl, initial.mean, grid)
     path = os.path.join(args.out_dir, "mean_field.csv")
-    write_csv(path, ("t", "xbar"), list(zip(grid.nodes, mf.values)))
+    write_csv(path, ("t", "xbar"), (grid.nodes, mf.values))
     return [path], {"initial_mean": initial.mean,
                     "terminal_mean": float(mf.values[-1])}
 
 
 def _write_law(path, law, grid):
-    rows = list(zip(grid.nodes, law.k_self, law.k_mean, law.k_const))
-    write_csv(path, ("t", "k_self", "k_mean", "k_const"), rows,
+    write_csv(path, ("t", "k_self", "k_mean", "k_const"),
+              (grid.nodes, law.k_self, law.k_mean, law.k_const),
               comments=(f"kind = {law.label}",
                         f"mean_source = {law.mean_source}"))
 
@@ -251,11 +238,7 @@ def _cmd_simulate(args, cfg, coeffs, grid, initial, seed):
     kind = args.law if args.law is not None else sec.get("law",
                                                          "decentralized")
     theta = args.theta if args.theta is not None else sec.get("theta")
-    if kind == "centralized":
-        fin = solve_finite_N(coeffs, N, grid)
-        law = make_law("centralized", gains(fin, coeffs))
-    else:
-        law = _limit_law(kind, coeffs, grid, initial, theta)
+    law, = _build_laws([(kind, theta)], coeffs, grid, initial, N)
 
     outputs = []
     law_path = os.path.join(args.out_dir, "law.csv")
@@ -272,7 +255,7 @@ def _cmd_simulate(args, cfg, coeffs, grid, initial, seed):
         ses = np.zeros(N)
     summary = os.path.join(args.out_dir, "summary.csv")
     write_csv(summary, ("agent", "mean_cost", "stderr"),
-              [(i, float(means[i]), float(ses[i])) for i in range(N)])
+              (range(N), means, ses))
     outputs.append(summary)
 
     if args.paths:
@@ -281,9 +264,7 @@ def _cmd_simulate(args, cfg, coeffs, grid, initial, seed):
             path = os.path.join(args.out_dir,
                                 f"paths_rep{ps.rep:0{width}d}.csv")
             cols = ("t",) + tuple(f"agent{i}" for i in range(N))
-            rows = [(grid.nodes[k], *ps.states[:, k])
-                    for k in range(grid.M + 1)]
-            write_csv(path, cols, rows)
+            write_csv(path, cols, (grid.nodes, *ps.states))
             outputs.append(path)
     return outputs, {"N": N, "reps": reps, "law": law.label,
                      "population_mean_cost": float(per_agent.mean())}
@@ -299,7 +280,7 @@ def _cmd_epsilon_sweep(args, cfg, coeffs, grid, initial, seed):
     reps = _required_int(args.reps, sec, "reps", "epsilon-sweep")
     tab = epsilon_sweep(coeffs, Ns, reps, seed, grid, initial)
     path = os.path.join(args.out_dir, "epsilon_sweep.csv")
-    write_csv(path, tab.columns, tab.rows)
+    write_csv(path, tab.columns, zip(*tab.rows))
     return [path], _table_results(tab)
 
 
@@ -309,7 +290,7 @@ def _cmd_riccati_convergence(args, cfg, coeffs, grid, initial, seed):
                       "riccati_convergence", allow_inf=True)
     tab = riccati_convergence(coeffs, Ns, grid)
     path = os.path.join(args.out_dir, "riccati_convergence.csv")
-    write_csv(path, tab.columns, tab.rows)
+    write_csv(path, tab.columns, zip(*tab.rows))
     return [path], _table_results(tab)
 
 
@@ -326,7 +307,7 @@ def _cmd_nash_gap(args, cfg, coeffs, grid, initial, seed):
     kwargs = {} if deviations is None else {"deviations": tuple(deviations)}
     tab = nash_gap(coeffs, N, reps, seed, grid, initial, **kwargs)
     path = os.path.join(args.out_dir, "nash_gap.csv")
-    write_csv(path, tab.columns, tab.rows)
+    write_csv(path, tab.columns, zip(*tab.rows))
     return [path], _table_results(tab)
 
 

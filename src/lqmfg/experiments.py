@@ -19,7 +19,7 @@ from .model import CoefficientSet, InitialLaw, TimeGrid, canonical_fingerprint
 from .riccati import gains, solve_finite_N, solve_limit
 from .sim import (PopulationConfig, cost_of_agent, costs_all_agents,
                   quadrature, replay_agent, simulate_reps)
-from .synthesis import make_law, solve_mean_field
+from .synthesis import LAW_KINDS, make_law, solve_mean_field
 
 DEFAULT_DEVIATIONS = ("zero", "scaled(0.25)", "scaled(0.5)", "scaled(0.75)",
                       "scaled(1.25)", "scaled(1.5)", "meanfield-informed",
@@ -65,6 +65,40 @@ def loglog_slope(xs, ys):
     return slope, math.sqrt(s2 / sxx)
 
 
+def _build_laws(specs, coeffs: CoefficientSet, grid: TimeGrid,
+                initial: InitialLaw, N=None) -> list:
+    """One StrategyLaw per (kind, theta) spec.
+
+    The limit gains, the mean-field path and the N-player gains are each
+    solved once, and only if some requested kind needs them.
+    """
+    kinds = {kind for kind, _ in specs}
+    gl = mf = gn = None
+    if kinds - {"centralized"}:
+        gl = gains(solve_limit(coeffs, grid), coeffs)
+    if kinds & {"decentralized", "scaled"}:
+        mf = solve_mean_field(coeffs, gl, initial.mean, grid)
+    if "centralized" in kinds:
+        gn = gains(solve_finite_N(coeffs, N, grid), coeffs)
+    return [make_law(kind, gn if kind == "centralized" else gl, xbar=mf,
+                     theta=theta) for kind, theta in specs]
+
+
+def _parse_label(label: str):
+    """A deviation label is a law kind or scaled(theta), theta a decimal
+    number; returns its (kind, theta) spec."""
+    m = re.fullmatch(r"scaled\((-?[0-9.]*)\)", label)
+    if m:
+        try:
+            return "scaled", float(m.group(1))
+        except ValueError:
+            raise ModelConfigError("scaling factor theta must be a number, "
+                                   f"got {label!r}") from None
+    if label in LAW_KINDS:
+        return label, None
+    raise ModelConfigError(f"unknown deviation label {label!r}")
+
+
 def epsilon_sweep(coeffs: CoefficientSet, Ns, reps: int, master_seed: int,
                   grid: TimeGrid, initial: InitialLaw) -> ExperimentTable:
     """Mean-field approximation error against population size.
@@ -72,32 +106,35 @@ def epsilon_sweep(coeffs: CoefficientSet, Ns, reps: int, master_seed: int,
     For each N, all agents play the decentralized law and the metric is
     eps(N) = sqrt(E int (x^(N) - xbar)^2 dt), with the expectation taken
     over `reps` replications.  Agent randomness depends only on the agent
-    index, so consecutive N share their first agents' noise (common random
-    numbers) and the fitted log-log slope is compared cleanly across N.
+    index and the mean is precomputed, so the N-agent population is the
+    first N agents of the largest one (common random numbers): one
+    population at max(Ns) is simulated and every N reads its prefix.
     """
     Ns = list(Ns)
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ModelConfigError("population sizes must be strictly increasing")
-    lim = solve_limit(coeffs, grid)
-    gl = gains(lim, coeffs)
-    mf = solve_mean_field(coeffs, gl, initial.mean, grid)
-    law = make_law("decentralized", gl, xbar=mf)
-    dt = grid.dt
+    if not Ns or Ns[0] < 1:
+        raise ModelConfigError(f"population sizes must be >= 1, got {Ns!r}")
+    law, = _build_laws([("decentralized", None)], coeffs, grid, initial)
+    # states[:N].mean sums the same rows in the same order as the mean of a
+    # fresh N-agent run, so every N's bytes match a separate simulation
+    cfg = PopulationConfig(N=Ns[-1], reps=reps, master_seed=master_seed,
+                           initial=initial)
+    sq = np.array([[quadrature(grid.dt,
+                               (ps.states[:N].mean(axis=0) - law.xbar) ** 2)
+                    for N in Ns]
+                   for ps in simulate_reps(coeffs, law, cfg, grid)])
 
-    def point(N):
-        cfg = PopulationConfig(N=N, reps=reps, master_seed=master_seed,
-                               initial=initial)
-        sq = np.array([quadrature(dt, (ps.mean - mf.values) ** 2)
-                       for ps in simulate_reps(coeffs, law, cfg, grid)])
-        mean_sq = float(sq.mean())
+    def point(N, col):
+        mean_sq = float(col.mean())
         eps = math.sqrt(mean_sq)
         if reps > 1 and mean_sq > 0.0:
-            se = float(sq.std(ddof=1)) / math.sqrt(reps) / (2.0 * eps)
+            se = float(col.std(ddof=1)) / math.sqrt(reps) / (2.0 * eps)
         else:
             se = 0.0
         return (N, eps, se)
 
-    rows = tuple(point(N) for N in Ns)
+    rows = tuple(point(N, col) for N, col in zip(Ns, sq.T))
     md = _base_metadata(coeffs, grid, master_seed)
     md["reps"] = reps
     md["initial"] = {"kind": initial.kind, "a": initial.a, "b": initial.b}
@@ -120,6 +157,8 @@ def riccati_convergence(coeffs: CoefficientSet, Ns,
     limit solution with itself and is exactly zero.
     """
     Ns = sorted(Ns)
+    if len(set(Ns)) < len(Ns):
+        raise ModelConfigError(f"population sizes repeat: {Ns!r}")
     lim = solve_limit(coeffs, grid)
 
     def point(N):
@@ -146,22 +185,6 @@ def riccati_convergence(coeffs: CoefficientSet, Ns,
                            rows=rows, metadata=md)
 
 
-_SCALED = re.compile(r"^scaled\((-?[0-9.]+)\)$")
-
-
-def _build_deviation(label: str, gl, gn, mf):
-    if label == "zero":
-        return make_law("zero", gl)
-    if label == "centralized":
-        return make_law("centralized", gn)
-    if label == "meanfield-informed":
-        return make_law("meanfield-informed", gl)
-    m = _SCALED.match(label)
-    if m:
-        return make_law("scaled", gl, xbar=mf, theta=float(m.group(1)))
-    raise ModelConfigError(f"unknown deviation label {label!r}")
-
-
 def nash_gap(coeffs: CoefficientSet, N: int, reps: int, master_seed: int,
              grid: TimeGrid, initial: InitialLaw,
              deviations=DEFAULT_DEVIATIONS) -> ExperimentTable:
@@ -169,22 +192,27 @@ def nash_gap(coeffs: CoefficientSet, N: int, reps: int, master_seed: int,
 
     All agents play the decentralized law; for each deviation the first
     agent is replayed on the same noise and gap = J(base) - J(deviation) is
-    averaged with its paired standard error.  scaled(1) is always included:
-    it replays the base law bit for bit, so its row is exactly zero and
-    calibrates the pairing.
+    averaged with its paired standard error.  scaled(1) replays the base
+    law bit for bit, so its row is exactly zero and calibrates the pairing;
+    it is added unless the family already holds it (as scaled(theta) with
+    theta = 1, or as decentralized).  Two labels for one deviation, such as
+    scaled(.5) and scaled(0.5), are a ModelConfigError.
     """
     if not deviations:
         raise ModelConfigError("deviation family must be nonempty")
     labels = list(deviations)
-    if "scaled(1)" not in labels:
+    specs = [_parse_label(label) for label in labels]
+    # a scaled law is its theta; decentralized is scaled(1)
+    same = [1.0 if kind == "decentralized" else theta if kind == "scaled"
+            else kind for kind, theta in specs]
+    if len(set(same)) < len(same):
+        raise ModelConfigError(f"deviation labels repeat a deviation: "
+                               f"{labels!r}")
+    if 1.0 not in same:
         labels.append("scaled(1)")
-    lim = solve_limit(coeffs, grid)
-    gl = gains(lim, coeffs)
-    mf = solve_mean_field(coeffs, gl, initial.mean, grid)
-    dec = make_law("decentralized", gl, xbar=mf)
-    fin = solve_finite_N(coeffs, N, grid)
-    gn = gains(fin, coeffs)
-    laws = [_build_deviation(label, gl, gn, mf) for label in labels]
+        specs.append(("scaled", 1.0))
+    dec, *laws = _build_laws([("decentralized", None)] + specs,
+                             coeffs, grid, initial, N)
 
     cfg = PopulationConfig(N=N, reps=reps, master_seed=master_seed,
                            initial=initial)
@@ -226,22 +254,19 @@ def _cell(v) -> str:
     return str(v)
 
 
-def write_csv(path, columns, rows, comments=()) -> None:
-    """Write a CSV with '#'-prefixed comment lines; floats use the shortest
-    round-trip representation so identical data gives identical bytes."""
+def write_csv(path, header, columns, comments=()) -> None:
+    """Write a CSV with '#'-prefixed comment lines and one column per entry
+    of columns; floats use the shortest round-trip representation so
+    identical data gives identical bytes."""
+    cells = [map(repr, col.tolist())
+             if isinstance(col, np.ndarray) and col.dtype == np.float64
+             else map(_cell, col) for col in columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for comment in comments:
             fh.write(f"# {comment}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
-
-
-def write_table(path, table: ExperimentTable) -> None:
-    comments = [f"experiment = {table.experiment}"]
-    comments += [f"{k} = {_cell(v)}" for k, v in sorted(table.metadata.items())
-                 if not isinstance(v, dict)]
-    write_csv(path, table.columns, table.rows, comments)
+        fh.write(",".join(header) + "\n")
+        for row in zip(*cells):
+            fh.write(",".join(row) + "\n")
 
 
 _FIG1_SCRIPT = """set datafile separator comma
@@ -277,13 +302,11 @@ def figure_data(coeffs: CoefficientSet, grid: TimeGrid, sweep,
     # the gnuplot scripts skip exactly one line, so these two files carry a
     # bare column header and no comment lines
     p1 = os.path.join(out_dir, "fig1.csv")
-    rows1 = [(float(t), float(p), float(k))
-             for t, p, k in zip(grid.nodes, lim.P, lim.K)]
-    write_csv(p1, ("t", "P", "K"), rows1)
+    write_csv(p1, ("t", "P", "K"), (grid.nodes, lim.P, lim.K))
     written.append(p1)
 
     p2 = os.path.join(out_dir, "fig2.csv")
-    write_csv(p2, sweep.columns, sweep.rows)
+    write_csv(p2, sweep.columns, zip(*sweep.rows))
     written.append(p2)
 
     for name, script in (("fig1.gp", _FIG1_SCRIPT), ("fig2.gp", _FIG2_SCRIPT)):

@@ -354,6 +354,9 @@ def convexity_probe(coeffs: CoefficientSet, N: int, grid: TimeGrid,
     """
     if samples < 1:
         raise ModelConfigError(f"need at least one sample, got {samples}")
+    if N < 1 or inner_reps < 1:
+        raise ModelConfigError(f"population size and inner_reps must be "
+                               f">= 1, got N={N}, inner_reps={inner_reps}")
     nc = _node_coeffs(coeffs, grid)
     M, dt = grid.M, grid.dt
     sqdt = math.sqrt(dt)

@@ -234,3 +234,72 @@ def test_criterion_11_monte_carlo_csv_bytes_are_pinned(tmp_path):
         out = tmp_path / sub
         assert run([sub, "--config", str(cfg_path), "--out-dir", str(out)]) == 0
         assert hashlib.sha256((out / table).read_bytes()).hexdigest() == digest
+
+
+MIXED_CONFIG = {
+    "grid": {"T": 1.0, "M": 40},
+    # sampled A, indefinite R, gaussian initial law
+    "coefficients": {"A": [(k % 7 - 3) / 4 for k in range(41)], "B": 1,
+                     "C": 0.3, "D": 2, "f": 0.2, "g": 0.5, "Q": 1, "R": -0.2,
+                     "Gamma": 0.8, "eta": 1, "H": 1, "Gamma0": 0.6,
+                     "eta0": 0.5},
+    "initial": {"kind": "gaussian", "mean": 2.0, "var": 3.0},
+    "seed": 2024,
+    "experiments": {"simulate": {"N": 6, "reps": 2},
+                    "epsilon_sweep": {"Ns": [4, 8, 16], "reps": 3},
+                    "riccati_convergence": {"Ns": [5, 10, "inf"]}},
+}
+
+
+def test_criterion_11_table_writer_bytes_are_pinned(tmp_path):
+    # SHA-256 of every gain, path, law and figure table on a mixed config,
+    # captured before the CSV writer took columns instead of rows
+    jobs = (
+        ("solve-riccati", ["--population", "6"], {
+            "riccati_limit.csv": "f936353784e3700a446e6caae4b549b3"
+                                 "3f275f362d3a926de5b301c68c2b46ff",
+            "riccati_finite.csv": "6ea6e81a9671c0b1d5bdd3d0b2528fee"
+                                  "c8a9f681dd25dc69a828a6efb5189437"}),
+        ("mean-field", [], {
+            "mean_field.csv": "a410a04ee79732cd4da715d6fc9b6785"
+                              "6e91a2b4897a788d95c414be4bf7e8e5"}),
+        ("simulate", ["--law", "scaled", "--theta", "0.3", "--paths"], {
+            "law.csv": "ff33f997107dd2ebb292959bfac6f194"
+                       "426e3836b4ee8a512ebe8ec49d07e919",
+            "summary.csv": "9f4e245e09f61be8d451b9ae02eb79f6"
+                           "def73f7441cc4bd8ac0a860461969620",
+            "paths_rep000.csv": "a3c72968c6082955524af234a9013838"
+                                "4cb4a2cc37731438877ad07385f3f38c",
+            "paths_rep001.csv": "00e0bd259b07fb1babf3cbd68591cf8d"
+                                "f047f7c22c73d3d5e1fc70e9a3c5818a"}),
+        ("simulate", ["--law", "centralized", "--paths"], {
+            "law.csv": "b13aec5d5cbb5b231252720fa5577d54"
+                       "5e0541b6ccab54e7f0dace932468ae8b",
+            "summary.csv": "38e55750670cb0654f249bbdb548fa01"
+                           "76af0a6978a6a0381e6f371fe2dc62e5",
+            "paths_rep000.csv": "007a29097fea392cd6dd868c8d2b34aa"
+                                "7f89acbe4da6d6e979be52510f5cf002",
+            "paths_rep001.csv": "96b291de92394b1944ddf455fc70ad73"
+                                "30753572ceed6854c7def1b2ed652f8b"}),
+        ("riccati-convergence", [], {
+            "riccati_convergence.csv": "c01f54761e8102b3dda22e7e6af1228c"
+                                       "35915ac7cf260203c30eb78d8c9dca4d"}),
+        ("figures", [], {
+            "fig1.csv": "1312e25a6c437f2bdaeafd63d1b209401"
+                        "dd935c57c3c345ec7a374b13e91d999",
+            "fig2.csv": "60a65c6b97382af7067f4516d81071df"
+                        "0b4a87c4dc543e4e15fda990466eae7a"}),
+    )
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(MIXED_CONFIG))
+    for k, (sub, extra, pinned) in enumerate(jobs):
+        out = tmp_path / f"run{k}"
+        assert run([sub, "--config", str(cfg_path),
+                    "--out-dir", str(out)] + extra) == 0
+        assert sorted(p.name for p in out.glob("*.csv")) == sorted(pinned)
+        for table, digest in pinned.items():
+            data = (out / table).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, table
+    # the convergence table carries the inf sentinel row
+    conv = (tmp_path / "run4" / "riccati_convergence.csv").read_text()
+    assert conv.splitlines()[-1] == "inf,0.0,0.0,0.0"

@@ -2,6 +2,7 @@ import json
 import math
 import os
 
+import lqmfg.experiments as experiments
 from lqmfg.cli import run
 
 ALL_ONES = {name: 1 for name in
@@ -340,6 +341,21 @@ def test_malformed_values_exit_2_with_manifest(tmp_path, capsys):
         ("simulate", {"experiments": {"simulate": dict(
             simulate, law="scaled", theta=True)}},
          "scaling factor theta must be a number"),
+        # deviation labels: a theta that does not parse, a repeated label
+        *(("nash-gap", {"experiments": {"nash_gap": dict(
+            simulate, deviations=[label])}}, "scaling factor")
+          for label in ("scaled(1.2.3)", "scaled(.)", "scaled()")),
+        ("nash-gap", {"experiments": {"nash_gap": dict(
+            simulate, deviations=["zero", "scaled(0.5)", "zero"])}},
+         "deviation labels repeat"),
+        ("riccati-convergence", {"experiments": {"riccati_convergence": {
+            "Ns": [10, 10, "inf", "inf"]}}}, "population sizes repeat"),
+        *(("epsilon-sweep", {"experiments": {"epsilon_sweep": {
+            "Ns": Ns, "reps": 2}}}, "population sizes must be >= 1")
+          for Ns in ([-2, 8], [0, 8])),
+        ("nash-gap", {"experiments": {"nash_gap": dict(
+            simulate, deviations=["scaled(.5)", "scaled(0.5)"])}},
+         "deviation labels repeat"),
     )
     for k, (sub, override, message) in enumerate(cases):
         cfg = make_config(tmp_path, name=f"cfg{k}.json", **override)
@@ -347,6 +363,27 @@ def test_malformed_values_exit_2_with_manifest(tmp_path, capsys):
         assert run([sub, "--config", cfg, "--out-dir", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert read_manifest(out)["exit_code"] == 2
+
+
+def test_laws_solve_only_the_systems_they_need(tmp_path, monkeypatch):
+    def unneeded(*args, **kwargs):
+        raise AssertionError("solved a system that no requested law needs")
+
+    cfg = make_config(tmp_path, experiments={
+        "simulate": {"N": 3, "reps": 1},
+        "nash_gap": {"N": 3, "reps": 2, "deviations": ["zero", "scaled(.5)"]}})
+    cases = (
+        ("solve_mean_field", ["simulate", "--law", "zero"]),
+        ("solve_mean_field", ["simulate", "--law", "meanfield-informed"]),
+        ("solve_limit", ["simulate", "--law", "centralized"]),
+        ("solve_finite_N", ["simulate", "--law", "scaled", "--theta", "2"]),
+        ("solve_finite_N", ["nash-gap"]),
+    )
+    for k, (name, argv) in enumerate(cases):
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, name, unneeded)
+            assert run(argv + ["--config", cfg,
+                               "--out-dir", str(tmp_path / f"out{k}")]) == 0
 
 
 def test_empty_population_list_exits_2_with_manifest(tmp_path, capsys):

@@ -32,6 +32,13 @@ small_junk = st.one_of(st.integers(-2, 40), st.floats(-2.0, 40.0),
                        junk.filter(lambda v: not isinstance(v, float)))
 small_junk = st.one_of(small_junk, st.lists(small_junk, max_size=3))
 SIZE_KEYS = {"M", "N", "reps", "Ns"}
+# deviation labels: valid ones, near misses, and scaled(...) around short
+# strings of '-', '.' and '1', many of which are no number
+label = st.one_of(
+    st.sampled_from(["zero", "centralized", "meanfield-informed",
+                     "decentralized", "scaled", "scaled(0.5)", "scaled(-1)",
+                     "scaled(.5)", "scaled(1.)", "hedged"]),
+    st.text("-.1", max_size=5).map("scaled({})".format))
 # the experiments section each subcommand reads
 SECTIONS = {"validate": None, "mean-field": None,
             "solve-riccati": "solve_riccati", "simulate": "simulate",
@@ -76,7 +83,7 @@ def cases(draw):
         "epsilon_sweep": {"Ns": [2, 4, 8], "reps": draw(st.integers(1, 3))},
         "riccati_convergence": {"Ns": [2, 4, "inf"]},
         "nash_gap": {"N": draw(st.integers(1, 8)), "reps": draw(st.integers(1, 3)),
-                     "deviations": ["zero", "scaled(0.5)", "centralized"]},
+                     "deviations": draw(st.lists(label, max_size=4))},
         "solve_riccati": {"N": draw(st.integers(1, 8))},
     }
     cfg = {

@@ -7,8 +7,11 @@ import pytest
 from lqmfg.errors import ModelConfigError
 from lqmfg.experiments import (DEFAULT_DEVIATIONS, epsilon_sweep, figure_data,
                                loglog_slope, nash_gap, riccati_convergence,
-                               write_csv, write_table)
+                               write_csv)
 from lqmfg.model import CoefficientSet, InitialLaw, TimeGrid
+from lqmfg.riccati import gains, solve_limit
+from lqmfg.sim import PopulationConfig, quadrature, simulate_reps
+from lqmfg.synthesis import make_law, solve_mean_field
 
 ALL_ONES = CoefficientSet.from_constants(A=1, B=1, C=1, D=1, f=1, g=1, Q=1,
                                          R=1, Gamma=1, eta=1, H=1, Gamma0=1,
@@ -37,11 +40,46 @@ def test_epsilon_sweep_rows_and_metadata():
     assert "slope" in tab.metadata
 
 
+def test_epsilon_sweep_rows_match_separate_populations():
+    # every N read from the prefix of one largest population gives the
+    # rows that a separate N-agent simulation per N gives, bit for bit
+    coeffs = CoefficientSet.from_constants(A=0.4, B=1, C=0.3, D=0.5, f=0.2,
+                                           g=0.5, Q=1, R=0.7, Gamma=0.8, eta=1,
+                                           H=1, Gamma0=0.6, eta0=0.5)
+    grid = TimeGrid(T=1.0, M=130)
+    initial = InitialLaw.gaussian(2.0, 3.0)
+    Ns, reps = [1, 5, 64, 300], 9
+    tab = epsilon_sweep(coeffs, Ns, reps=reps, master_seed=31, grid=grid,
+                        initial=initial)
+    gl = gains(solve_limit(coeffs, grid), coeffs)
+    mf = solve_mean_field(coeffs, gl, initial.mean, grid)
+    law = make_law("decentralized", gl, xbar=mf)
+    expected = []
+    for N in Ns:
+        cfg = PopulationConfig(N=N, reps=reps, master_seed=31,
+                               initial=initial)
+        sq = np.array([quadrature(grid.dt, (ps.mean - mf.values) ** 2)
+                       for ps in simulate_reps(coeffs, law, cfg, grid)])
+        eps = math.sqrt(float(sq.mean()))
+        se = float(sq.std(ddof=1)) / math.sqrt(reps) / (2.0 * eps)
+        expected.append((N, eps, se))
+    assert tab.rows == tuple(expected)
+
+
 def test_epsilon_sweep_requires_increasing_population_sizes():
     grid = TimeGrid(T=1.0, M=50)
     with pytest.raises(ModelConfigError):
         epsilon_sweep(ALL_ONES, [8, 8, 16], reps=2, master_seed=0,
                       grid=grid, initial=UNIFORM)
+
+
+def test_epsilon_sweep_rejects_empty_and_nonpositive_population_sizes():
+    # only the largest N is simulated, so the smaller ones are checked here
+    grid = TimeGrid(T=1.0, M=50)
+    for Ns in ([], [0, 8], [-2, 8]):
+        with pytest.raises(ModelConfigError, match=">= 1"):
+            epsilon_sweep(ALL_ONES, Ns, reps=2, master_seed=0, grid=grid,
+                          initial=UNIFORM)
 
 
 def test_epsilon_sweep_deterministic_population_tracks_mean_field():
@@ -96,6 +134,13 @@ def test_riccati_convergence_rows_shrink_like_one_over_N():
     assert tab.metadata["rate_constant_P"] > 0
 
 
+def test_riccati_convergence_rejects_repeated_population_sizes():
+    grid = TimeGrid(T=1.0, M=50)
+    for Ns in ([10, 10, 20], [10, math.inf, math.inf]):
+        with pytest.raises(ModelConfigError, match="repeat"):
+            riccati_convergence(ALL_ONES, Ns, grid)
+
+
 def test_nash_gap_calibration_row_is_exactly_zero():
     grid = TimeGrid(T=1.0, M=200)
     tab = nash_gap(ALL_ONES, N=20, reps=4, master_seed=4, grid=grid,
@@ -137,27 +182,45 @@ def test_nash_gap_rejects_bad_family():
     with pytest.raises(ModelConfigError):
         nash_gap(ALL_ONES, N=4, reps=2, master_seed=1, grid=grid,
                  initial=UNIFORM, deviations=("hedged",))
+    for bad in ("scaled(1.2.3)", "scaled(.)", "scaled()", "scaled"):
+        with pytest.raises(ModelConfigError, match="scaling factor"):
+            nash_gap(ALL_ONES, N=4, reps=2, master_seed=1, grid=grid,
+                     initial=UNIFORM, deviations=("zero", bad))
+    # repeats are compared by deviation, not by label text
+    for family in (("zero", "scaled(0.5)", "zero"),
+                   ("scaled(.5)", "scaled(0.5)"),
+                   ("scaled(1)", "scaled(1.0)"),
+                   ("decentralized", "scaled(1.)")):
+        with pytest.raises(ModelConfigError, match="repeat"):
+            nash_gap(ALL_ONES, N=4, reps=2, master_seed=1, grid=grid,
+                     initial=UNIFORM, deviations=family)
+
+
+def test_nash_gap_adds_no_second_calibration_row():
+    grid = TimeGrid(T=1.0, M=50)
+    for cal in ("scaled(1.0)", "decentralized"):
+        tab = nash_gap(ALL_ONES, N=4, reps=3, master_seed=1, grid=grid,
+                       initial=UNIFORM, deviations=("zero", cal))
+        assert [r[0] for r in tab.rows] == sorted(["zero", cal])
+        assert {r[0]: r for r in tab.rows}[cal][1:] == (0.0, 0.0)
 
 
 def test_write_csv_round_trips_floats(tmp_path):
     path = tmp_path / "vals.csv"
-    rows = [(1, 0.1 + 0.2), (2, 1.0 / 3.0)]
-    write_csv(path, ("k", "v"), rows, comments=("hello",))
+    values = np.array([0.1 + 0.2, 1.0 / 3.0, math.inf])
+    # a float64 array, a tuple of Python floats, ints, bools and labels
+    write_csv(path, ("k", "v", "w", "b", "s"),
+              ([1, 2, math.inf], values, tuple(values.tolist()),
+               (True, False, True), ("a", "b", "c")), comments=("hello",))
     lines = path.read_text().splitlines()
     assert lines[0] == "# hello"
-    assert lines[1] == "k,v"
-    for line, (_, v) in zip(lines[2:], rows):
+    assert lines[1] == "k,v,w,b,s"
+    assert [line.split(",")[0] for line in lines[2:]] == ["1", "2", "inf"]
+    assert [line.split(",")[3:] for line in lines[2:]] == [
+        ["true", "a"], ["false", "b"], ["true", "c"]]
+    for line, v in zip(lines[2:], values):
         assert float(line.split(",")[1]) == v
-
-
-def test_write_table_embeds_metadata(tmp_path):
-    grid = TimeGrid(T=1.0, M=100)
-    tab = riccati_convergence(ALL_ONES, [5, 10], grid)
-    path = tmp_path / "conv.csv"
-    write_table(path, tab)
-    text = path.read_text()
-    assert "# experiment = riccati-convergence" in text
-    assert "N,err_P,err_K,err_phi" in text
+        assert line.split(",")[1] == line.split(",")[2]
 
 
 def test_figure_data_writes_expected_files(tmp_path):

@@ -243,17 +243,23 @@ def test_pathset_invariants():
 
 
 def test_common_random_numbers_across_population_sizes():
-    grid = TimeGrid(T=1.0, M=50)
+    # under a precomputed mean a population is the prefix of any larger
+    # one, bit for bit: past a 64-step tile (M = 130) and a 128-path
+    # transpose block (N = 300), and in its population average
+    grid = TimeGrid(T=1.0, M=130)
     _, _, law = decentralized_setup(grid)
-    small = PopulationConfig(N=4, reps=2, master_seed=77,
-                             initial=InitialLaw.uniform(0, 20))
-    large = PopulationConfig(N=8, reps=2, master_seed=77,
-                             initial=InitialLaw.uniform(0, 20))
-    ps_small = simulate(ALL_ONES, law, small, grid)
-    ps_large = simulate(ALL_ONES, law, large, grid)
-    for s, l in zip(ps_small, ps_large):
-        np.testing.assert_array_equal(s.increments, l.increments[:4])
-        np.testing.assert_array_equal(s.states[:, 0], l.states[:4, 0])
+    for initial in (InitialLaw.uniform(0, 20), InitialLaw.gaussian(2.0, 3.0)):
+        small = PopulationConfig(N=5, reps=2, master_seed=77, initial=initial)
+        large = PopulationConfig(N=300, reps=2, master_seed=77,
+                                 initial=initial)
+        ps_small = simulate(ALL_ONES, law, small, grid)
+        ps_large = simulate(ALL_ONES, law, large, grid)
+        for s, l in zip(ps_small, ps_large):
+            np.testing.assert_array_equal(s.increments, l.increments[:5])
+            np.testing.assert_array_equal(s.states, l.states[:5])
+            np.testing.assert_array_equal(s.controls, l.controls[:5])
+            np.testing.assert_array_equal(s.mean,
+                                          l.states[:5].mean(axis=0))
 
 
 def test_simulation_is_bit_deterministic():
@@ -482,6 +488,14 @@ def test_probe_nonnegative_for_convex_data():
     again = convexity_probe(ALL_ONES, 32, grid, samples=8, seed=5,
                             inner_reps=64)
     np.testing.assert_array_equal(report.values, again.values)
+
+
+def test_probe_rejects_empty_population_and_inner_reps():
+    grid = TimeGrid(T=1.0, M=20)
+    for N, inner_reps in ((0, 4), (-1, 4), (4, 0)):
+        with pytest.raises(ModelConfigError, match="inner_reps"):
+            convexity_probe(ALL_ONES, N, grid, samples=2, seed=5,
+                            inner_reps=inner_reps)
 
 
 def test_probe_detects_indefinite_form():
