@@ -9,8 +9,8 @@ from .model import (CoefficientSet, InitialLaw, TimeGrid, TimeProfile,
                     ValidationReport, canonical_fingerprint, load_config,
                     parse_coefficients, parse_grid, parse_initial_law,
                     validate)
-from .riccati import (GainSchedule, RiccatiSolution, gain_arrays, gains,
-                      solve_finite_N, solve_limit)
+from .riccati import (GainSchedule, RiccatiSolution, gains, solve_finite_N,
+                      solve_limit)
 from .sim import (AdjointCheckReport, DecompositionReport, PathSet,
                   PopulationConfig, ProbeReport, convexity_probe,
                   cost_decomposition, cost_of_agent, costs_all_agents,
@@ -28,8 +28,8 @@ __all__ = [
     "SimulationDivergedError", "SingularGainError", "StrategyLaw",
     "TimeGrid", "TimeProfile", "ValidationReport", "canonical_fingerprint",
     "convexity_probe", "cost_decomposition", "cost_of_agent",
-    "costs_all_agents", "epsilon_sweep", "figure_data", "gain_arrays",
-    "gains", "load_config", "make_law", "nash_gap", "parse_coefficients",
+    "costs_all_agents", "epsilon_sweep", "figure_data", "gains",
+    "load_config", "make_law", "nash_gap", "parse_coefficients",
     "parse_grid", "parse_initial_law", "riccati_convergence", "simulate",
     "simulate_reps", "solve_finite_N", "solve_limit", "solve_mean_field",
     "stationarity_residual", "stream", "validate",

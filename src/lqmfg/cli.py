@@ -237,6 +237,9 @@ def _cmd_simulate(args, cfg, coeffs, grid, initial, seed):
     reps = _required_int(args.reps, sec, "reps", "simulate")
     kind = args.law if args.law is not None else sec.get("law",
                                                          "decentralized")
+    if not isinstance(kind, str):
+        raise ModelConfigError("experiments.simulate.law must be a law kind, "
+                               f"got {kind!r}")
     theta = args.theta if args.theta is not None else sec.get("theta")
     law, = _build_laws([(kind, theta)], coeffs, grid, initial, N)
 
@@ -270,10 +273,6 @@ def _cmd_simulate(args, cfg, coeffs, grid, initial, seed):
                      "population_mean_cost": float(per_agent.mean())}
 
 
-def _table_results(tab):
-    return {k: v for k, v in tab.metadata.items()}
-
-
 def _cmd_epsilon_sweep(args, cfg, coeffs, grid, initial, seed):
     sec = _section(cfg, "epsilon_sweep")
     Ns = _populations(args.populations, sec.get("Ns"), "epsilon_sweep")
@@ -281,7 +280,7 @@ def _cmd_epsilon_sweep(args, cfg, coeffs, grid, initial, seed):
     tab = epsilon_sweep(coeffs, Ns, reps, seed, grid, initial)
     path = os.path.join(args.out_dir, "epsilon_sweep.csv")
     write_csv(path, tab.columns, zip(*tab.rows))
-    return [path], _table_results(tab)
+    return [path], dict(tab.metadata)
 
 
 def _cmd_riccati_convergence(args, cfg, coeffs, grid, initial, seed):
@@ -291,7 +290,7 @@ def _cmd_riccati_convergence(args, cfg, coeffs, grid, initial, seed):
     tab = riccati_convergence(coeffs, Ns, grid)
     path = os.path.join(args.out_dir, "riccati_convergence.csv")
     write_csv(path, tab.columns, zip(*tab.rows))
-    return [path], _table_results(tab)
+    return [path], dict(tab.metadata)
 
 
 def _cmd_nash_gap(args, cfg, coeffs, grid, initial, seed):
@@ -308,7 +307,7 @@ def _cmd_nash_gap(args, cfg, coeffs, grid, initial, seed):
     tab = nash_gap(coeffs, N, reps, seed, grid, initial, **kwargs)
     path = os.path.join(args.out_dir, "nash_gap.csv")
     write_csv(path, tab.columns, zip(*tab.rows))
-    return [path], _table_results(tab)
+    return [path], dict(tab.metadata)
 
 
 def _cmd_figures(args, cfg, coeffs, grid, initial, seed):
@@ -317,7 +316,7 @@ def _cmd_figures(args, cfg, coeffs, grid, initial, seed):
     reps = _required_int(None, sec, "reps", "figures")
     sweep = epsilon_sweep(coeffs, Ns, reps, seed, grid, initial)
     files = figure_data(coeffs, grid, sweep, args.out_dir)
-    return files, _table_results(sweep)
+    return files, dict(sweep.metadata)
 
 
 _DISPATCH = {

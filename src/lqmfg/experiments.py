@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelConfigError
+from .errors import ModelConfigError, SimulationDivergedError
 from .model import CoefficientSet, InitialLaw, TimeGrid, canonical_fingerprint
 from .riccati import gains, solve_finite_N, solve_limit
 from .sim import (PopulationConfig, cost_of_agent, costs_all_agents,
@@ -50,7 +50,8 @@ def _base_metadata(coeffs, grid, master_seed=None) -> dict:
 
 
 def loglog_slope(xs, ys):
-    """OLS slope of log y against log x, with its standard error."""
+    """OLS slope of log y against log x, with its standard error (None
+    for two points or fewer, which leave no residual degree of freedom)."""
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
     n = lx.size
@@ -59,7 +60,7 @@ def loglog_slope(xs, ys):
     slope = float(np.dot(xc, ly) / sxx)
     intercept = float(ly.mean() - slope * lx.mean())
     if n <= 2:
-        return slope, float("nan")
+        return slope, None
     resid = ly - (slope * lx + intercept)
     s2 = float(np.dot(resid, resid)) / (n - 2)
     return slope, math.sqrt(s2 / sxx)
@@ -120,10 +121,15 @@ def epsilon_sweep(coeffs: CoefficientSet, Ns, reps: int, master_seed: int,
     # fresh N-agent run, so every N's bytes match a separate simulation
     cfg = PopulationConfig(N=Ns[-1], reps=reps, master_seed=master_seed,
                            initial=initial)
-    sq = np.array([[quadrature(grid.dt,
-                               (ps.states[:N].mean(axis=0) - law.xbar) ** 2)
-                    for N in Ns]
-                   for ps in simulate_reps(coeffs, law, cfg, grid)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.array([[quadrature(grid.dt,
+                                   (ps.states[:N].mean(axis=0) - law.xbar) ** 2)
+                        for N in Ns]
+                       for ps in simulate_reps(coeffs, law, cfg, grid)])
+    if not np.all(np.isfinite(sq)):
+        rep = int(np.argmin(np.isfinite(sq).all(axis=1)))
+        raise SimulationDivergedError(
+            f"the mean-field gap overflowed in replication {rep}", rep=rep)
 
     def point(N, col):
         mean_sq = float(col.mean())

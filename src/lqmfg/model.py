@@ -63,17 +63,16 @@ class TimeProfile:
     stored values exactly at the nodes.
     """
 
-    kind: str                        # "constant" | "sampled"
-    value: float = 0.0               # constant kind
-    values: tuple = ()               # sampled kind, length M+1
-    grid: TimeGrid | None = None     # sampled kind
+    value: float = 0.0               # constant profile
+    values: tuple = ()               # sampled profile, length M+1
+    grid: TimeGrid | None = None     # sampled profile; None when constant
 
     @staticmethod
     def constant(value: float) -> "TimeProfile":
         v = float(value)
         if not math.isfinite(v):
             raise ModelConfigError(f"non-finite constant coefficient: {value}")
-        return TimeProfile(kind="constant", value=v)
+        return TimeProfile(value=v)
 
     @staticmethod
     def sampled(values, grid: TimeGrid) -> "TimeProfile":
@@ -85,11 +84,11 @@ class TimeProfile:
                 f"sampled profile needs M+1={grid.M + 1} values, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ModelConfigError("sampled profile contains non-finite values")
-        return TimeProfile(kind="sampled", values=tuple(arr.tolist()), grid=grid)
+        return TimeProfile(values=tuple(arr.tolist()), grid=grid)
 
     @property
     def is_constant(self) -> bool:
-        return self.kind == "constant"
+        return self.grid is None
 
     def at(self, t: float) -> float:
         """Evaluate at time t; exact at nodes, linear between them."""
@@ -119,7 +118,7 @@ class TimeProfile:
         return half_interp(self.values)
 
     def _check_alignment(self, grid: TimeGrid) -> None:
-        if self.grid is None or self.grid.M != grid.M or self.grid.T != grid.T:
+        if self.grid != grid:
             raise ModelConfigError("sampled profile is not aligned to the requested grid")
 
 
@@ -229,6 +228,16 @@ class CoefficientSet:
         out["eta0"] = self.eta0
         return out
 
+    def node_values(self, grid: TimeGrid) -> dict:
+        """{name: values at the M+1 nodes} for the ten time profiles."""
+        return {name: getattr(self, name).node_values(grid)
+                for name in _PROFILE_NAMES}
+
+    def half_values(self, grid: TimeGrid) -> dict:
+        """{name: values at the 2M+1 half-grid points} for the ten profiles."""
+        return {name: getattr(self, name).half_values(grid)
+                for name in _PROFILE_NAMES}
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -252,15 +261,13 @@ def validate(coeffs: CoefficientSet, grid: TimeGrid) -> ValidationReport:
     negative R is permitted and only flagged.
     """
     messages = []
-    for name in _PROFILE_NAMES:
-        vals = getattr(coeffs, name).node_values(grid)
+    nv = coeffs.node_values(grid)
+    for name, vals in nv.items():
         if not np.all(np.isfinite(vals)):
             raise ModelConfigError(f"coefficient {name} has non-finite values")
-    q = coeffs.Q.node_values(grid)
-    r = coeffs.R.node_values(grid)
-    q_ok = bool(np.all(q >= 0.0))
+    q_ok = bool(np.all(nv["Q"] >= 0.0))
     h_ok = coeffs.H >= 0.0
-    r_indef = bool(np.any(r < 0.0))
+    r_indef = bool(np.any(nv["R"] < 0.0))
     if not q_ok:
         messages.append("state weight Q is negative at some node")
     if not h_ok:

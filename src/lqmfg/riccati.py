@@ -1,6 +1,6 @@
 """Backward solvers for the feedback Riccati system and its gain schedules.
 
-Two variants are solved on the same uniform grid, both by classical
+Two systems are solved on the same uniform grid, both by classical
 fixed-step fourth-order Runge-Kutta running backward from t = T:
 
 * the limiting system (P, K, phi), integrated sequentially: P satisfies an
@@ -32,9 +32,9 @@ _BLOW_UP_BOUND = 1e8
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Node samples of (P, K, phi); variant 'limit' or 'finiteN' (then N is set)."""
+    """Node samples of (P, K, phi): the limit system when N is None, else
+    the population system for N agents."""
 
-    variant: str
     grid: TimeGrid
     P: np.ndarray
     K: np.ndarray
@@ -44,36 +44,15 @@ class RiccatiSolution:
 
 @dataclass(frozen=True)
 class GainSchedule:
-    """Node samples of the feedback gains alpha, beta, gamma, delta."""
+    """Node samples of the feedback gains alpha, beta, gamma, delta; N as
+    in the RiccatiSolution they come from."""
 
-    variant: str
     grid: TimeGrid
     alpha: np.ndarray
     beta: np.ndarray
     gamma: np.ndarray
     delta: np.ndarray
     N: int | None = None
-
-
-def gain_arrays(P, K, phi, B, C, D, R, g, N=None):
-    """Evaluate the gain formulas on aligned arrays.
-
-    The population variant replaces the weight P by P + K/N inside the
-    effective-weight, cross, and offset terms; the limit formulas are the
-    N -> infinity case of the same expressions.
-    """
-    S = P if N is None else P + K / N
-    alpha = R + S * D * D
-    beta = B * P + S * C * D
-    gamma = B * K
-    delta = B * phi + S * g * D
-    return alpha, beta, gamma, delta
-
-
-def _half_coeffs(coeffs: CoefficientSet, grid: TimeGrid):
-    """Model coefficient values at the 2M+1 half-grid points."""
-    return {name: getattr(coeffs, name).half_values(grid)
-            for name in ("A", "B", "C", "D", "f", "g", "Q", "R", "Gamma", "eta")}
 
 
 def _rk4_scalar(f, y0: float, grid: TimeGrid, name: str,
@@ -114,7 +93,7 @@ def solve_limit(coeffs: CoefficientSet, grid: TimeGrid) -> RiccatiSolution:
     SingularGainError if the effective weight R + D^2 P falls below
     _ALPHA_MIN in magnitude, NonSolvableError on blow-up.
     """
-    hc = _half_coeffs(coeffs, grid)
+    hc = coeffs.half_values(grid)
     dt = grid.dt
     amin = _ALPHA_MIN
 
@@ -168,7 +147,7 @@ def solve_limit(coeffs: CoefficientSet, grid: TimeGrid) -> RiccatiSolution:
 
     phi = _rk4_scalar(f_phi, -coeffs.H * coeffs.eta0, grid, "phi")
 
-    return RiccatiSolution(variant="limit", grid=grid, P=P, K=K, phi=phi)
+    return RiccatiSolution(grid=grid, P=P, K=K, phi=phi)
 
 
 def solve_finite_N(coeffs: CoefficientSet, N: int,
@@ -176,7 +155,7 @@ def solve_finite_N(coeffs: CoefficientSet, N: int,
     """Solve the coupled population system (P_N, K_N, phi_N) for N agents."""
     if N < 1:
         raise ModelConfigError(f"population size must be >= 1, got {N}")
-    hc = _half_coeffs(coeffs, grid)
+    hc = coeffs.half_values(grid)
     M, dt = grid.M, grid.dt
     h = -dt
     amin = _ALPHA_MIN
@@ -235,21 +214,25 @@ def solve_finite_N(coeffs: CoefficientSet, N: int,
                 f"(P_N, K_N, phi_N) left [-{bound:g}, {bound:g}] "
                 f"near t={step * dt:.6g}", t=step * dt)
         P[step], K[step], PHI[step] = p, k, ph
-    return RiccatiSolution(variant="finiteN", grid=grid,
-                           P=np.asarray(P), K=np.asarray(K),
+    return RiccatiSolution(grid=grid, P=np.asarray(P), K=np.asarray(K),
                            phi=np.asarray(PHI), N=N)
 
 
 def gains(sol: RiccatiSolution, coeffs: CoefficientSet) -> GainSchedule:
-    """Gain schedule at the grid nodes for either solution variant."""
+    """Gain schedule at the grid nodes for either solution.
+
+    The population system replaces the weight P by P + K/N inside the
+    effective-weight, cross, and offset terms; the limit formulas are the
+    N -> infinity case of the same expressions.
+    """
     grid = sol.grid
-    B = coeffs.B.node_values(grid)
-    C = coeffs.C.node_values(grid)
-    D = coeffs.D.node_values(grid)
-    R = coeffs.R.node_values(grid)
-    g = coeffs.g.node_values(grid)
-    alpha, beta, gamma, delta = gain_arrays(
-        sol.P, sol.K, sol.phi, B, C, D, R, g, N=sol.N)
+    nv = coeffs.node_values(grid)
+    B, D = nv["B"], nv["D"]
+    S = sol.P if sol.N is None else sol.P + sol.K / sol.N
+    alpha = nv["R"] + S * D * D
+    beta = B * sol.P + S * nv["C"] * D
+    gamma = B * sol.K
+    delta = B * sol.phi + S * nv["g"] * D
     small = np.abs(alpha) < _ALPHA_MIN
     if np.any(small):
         k = int(np.flatnonzero(small)[-1])
@@ -257,6 +240,5 @@ def gains(sol: RiccatiSolution, coeffs: CoefficientSet) -> GainSchedule:
         raise SingularGainError(
             f"effective control weight |alpha(t)| < {_ALPHA_MIN:g} "
             f"at t={t_k:.6g}", t=float(t_k))
-    return GainSchedule(variant=sol.variant, grid=grid, alpha=alpha,
-                        beta=beta, gamma=gamma, delta=delta, N=sol.N)
-
+    return GainSchedule(grid=grid, alpha=alpha, beta=beta, gamma=gamma,
+                        delta=delta, N=sol.N)

@@ -109,16 +109,10 @@ class ProbeReport:
     inner_reps: int
 
 
-def _node_coeffs(coeffs: CoefficientSet, grid: TimeGrid) -> dict:
-    return {name: getattr(coeffs, name).node_values(grid)
-            for name in ("A", "B", "C", "D", "f", "g", "Q", "R", "Gamma", "eta")}
-
-
 def _check_law_grid(law: StrategyLaw, grid: TimeGrid) -> None:
-    if law.k_self.size != grid.M + 1:
-        raise ModelConfigError("strategy law and grid disagree on node count")
-    if law.mean_source == "precomputed" and law.xbar is None:
-        raise ModelConfigError("law wants a precomputed mean but carries none")
+    if law.grid != grid:
+        raise ModelConfigError(f"strategy law on {law.grid} does not match "
+                               f"the simulation grid {grid}")
 
 
 def _euler_maruyama(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
@@ -196,10 +190,10 @@ def simulate_reps(coeffs: CoefficientSet, law: StrategyLaw,
     _check_law_grid(law, grid)
     M = grid.M
     sqdt = math.sqrt(grid.dt)
-    nc = _node_coeffs(coeffs, grid)
+    nc = coeffs.node_values(grid)
 
     def mean(k, x):
-        return law.xbar[k] if law.mean_source == "precomputed" else np.mean(x)
+        return np.mean(x) if law.xbar is None else law.xbar[k]
 
     # one generator, restarted on each agent's stream
     rng = np.random.Generator(np.random.Philox())
@@ -242,7 +236,7 @@ def replay_agent(base: PathSet, i: int, laws, coeffs: CoefficientSet,
         raise IndexError(f"agent index {i} out of range for N={N}")
     # population sum without agent i, for realized-mean laws
     others = base.states.sum(axis=0) - base.states[i]
-    precomputed = np.array([law.mean_source == "precomputed" for law in laws])
+    precomputed = np.array([law.xbar is not None for law in laws])
     xbar = np.stack([law.xbar if pre else others
                      for law, pre in zip(laws, precomputed)])
 
@@ -250,7 +244,7 @@ def replay_agent(base: PathSet, i: int, laws, coeffs: CoefficientSet,
         return np.where(precomputed, xbar[:, k], (others[k] + x) / N)
 
     states, controls = _euler_maruyama(
-        _node_coeffs(coeffs, grid), grid.dt, np.full(len(laws), base.states[i, 0]),
+        coeffs.node_values(grid), grid.dt, np.full(len(laws), base.states[i, 0]),
         base.increments[i], *(np.stack([getattr(law, name) for law in laws])
                               for name in ("k_self", "k_mean", "k_const")),
         mean, base.rep, i)
@@ -275,14 +269,20 @@ def costs_all_agents(ps: PathSet, coeffs: CoefficientSet,
     """Cost of every path in ps, one per row.
 
     Half of: trapezoid of Q (x - Gamma x^(N) - eta)^2, rectangle sum of
-    R u^2, plus terminal H (x(T) - Gamma0 x^(N)(T) - eta0)^2.
+    R u^2, plus terminal H (x(T) - Gamma0 x^(N)(T) - eta0)^2.  Finite paths
+    whose cost overflows raise SimulationDivergedError.
     """
-    nc = _node_coeffs(coeffs, grid)
+    nc = coeffs.node_values(grid)
     dev = ps.states - nc["Gamma"] * ps.mean - nc["eta"]
     tdev = ps.states[..., -1] - coeffs.Gamma0 * ps.mean[..., -1] - coeffs.eta0
-    return 0.5 * (quadrature(grid.dt, nc["Q"] * dev * dev,
-                             nc["R"][:grid.M] * ps.controls * ps.controls)
-                  + coeffs.H * tdev * tdev)
+    with np.errstate(over="ignore", invalid="ignore"):
+        costs = 0.5 * (quadrature(grid.dt, nc["Q"] * dev * dev,
+                                  nc["R"][:grid.M] * ps.controls * ps.controls)
+                       + coeffs.H * tdev * tdev)
+    if not np.all(np.isfinite(costs)):
+        raise SimulationDivergedError(
+            f"a cost overflowed in replication {ps.rep}", rep=ps.rep)
+    return costs
 
 
 def cost_of_agent(ps: PathSet, i: int, coeffs: CoefficientSet,
@@ -301,11 +301,9 @@ def stationarity_residual(paths: list, finN: RiccatiSolution,
     for correctly derived gains the residual is a floating-point zero, and a
     perturbed gain shows up as a residual proportional to the perturbation.
     """
-    if finN.variant != "finiteN" or gains_N.variant != "finiteN":
-        raise ModelConfigError("stationarity check needs finite-population "
-                               "solution and gains")
-    if finN.N != gains_N.N:
-        raise ModelConfigError("solution and gains disagree on N")
+    if finN.N is None or finN.N != gains_N.N:
+        raise ModelConfigError("stationarity check needs a finite-population "
+                               "solution and gains for the same N")
     if not paths:
         raise ModelConfigError("empty path list")
     grid = finN.grid
@@ -316,7 +314,7 @@ def stationarity_residual(paths: list, finN: RiccatiSolution,
     if paths[0].states.shape[1] != M + 1:
         raise ModelConfigError("paths and solution use different grids")
 
-    nc = _node_coeffs(coeffs, grid)
+    nc = coeffs.node_values(grid)
     B, C, D, R, g = (nc[n][:M] for n in ("B", "C", "D", "R", "g"))
     P = finN.P[:M]
     K = finN.K[:M]
@@ -357,7 +355,7 @@ def convexity_probe(coeffs: CoefficientSet, N: int, grid: TimeGrid,
     if N < 1 or inner_reps < 1:
         raise ModelConfigError(f"population size and inner_reps must be "
                                f">= 1, got N={N}, inner_reps={inner_reps}")
-    nc = _node_coeffs(coeffs, grid)
+    nc = coeffs.node_values(grid)
     M, dt = grid.M, grid.dt
     sqdt = math.sqrt(dt)
     qeff = nc["Q"] * (1.0 - nc["Gamma"] / N) ** 2
@@ -422,7 +420,7 @@ def cost_decomposition(i: int, base_paths: list, law: StrategyLaw,
         raise ModelConfigError("empty path list")
     N = base_paths[0].states.shape[0]
     dev_paths = [replay_agent(ps, i, [law], coeffs, grid) for ps in base_paths]
-    nc = _node_coeffs(coeffs, grid)
+    nc = coeffs.node_values(grid)
     M, dt = grid.M, grid.dt
     q, r, gam, eta = nc["Q"], nc["R"][:M], nc["Gamma"], nc["eta"]
 

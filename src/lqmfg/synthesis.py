@@ -30,21 +30,24 @@ class MeanFieldPath:
 
     grid: TimeGrid
     values: np.ndarray
-    initial: float
 
 
 @dataclass(frozen=True)
 class StrategyLaw:
-    """Sampled feedback law; mean_source picks what m(t_k) is at run time."""
+    """Sampled feedback law; m(t_k) is xbar[k], or the realized population
+    average when xbar is None."""
 
     kind: str
     grid: TimeGrid
     k_self: np.ndarray
     k_mean: np.ndarray
     k_const: np.ndarray
-    mean_source: str                  # "precomputed" | "realized"
-    xbar: np.ndarray | None = None    # required when mean_source == "precomputed"
+    xbar: np.ndarray | None = None    # the precomputed mean-field path
     theta: float | None = None        # scaled kind only
+
+    @property
+    def mean_source(self) -> str:
+        return "realized" if self.xbar is None else "precomputed"
 
     @property
     def label(self) -> str:
@@ -58,22 +61,23 @@ def solve_mean_field(coeffs: CoefficientSet, gains: GainSchedule,
     """Forward RK4 for the deterministic mean-field ODE.
 
     dxbar/dt = [A - B(beta+gamma)/alpha] xbar - B delta/alpha + f,
-    started from the analytic initial mean xi_bar.  Gains must come from the
-    limit variant; half-step values are linear interpolants of the node
+    started from the analytic initial mean xi_bar.  Gains must be the limit
+    gains on `grid`; half-step values are linear interpolants of the node
     schedules, consistent with the profile rule used everywhere else.
     """
-    if gains.variant != "limit":
-        raise ModelConfigError("mean-field ODE needs limit-variant gains, "
-                               f"got {gains.variant!r}")
+    if gains.N is not None:
+        raise ModelConfigError("mean-field ODE needs limit gains, "
+                               f"got gains for N={gains.N}")
+    if gains.grid != grid:
+        raise ModelConfigError(f"gains on {gains.grid} do not match the "
+                               f"mean-field grid {grid}")
     ah = half_interp(gains.alpha)
     bh = half_interp(gains.beta)
     gh = half_interp(gains.gamma)
     dh = half_interp(gains.delta)
-    Ah = coeffs.A.half_values(grid)
-    Bh = coeffs.B.half_values(grid)
-    fh = coeffs.f.half_values(grid)
-    lin = Ah - Bh * (bh + gh) / ah
-    cst = -Bh * dh / ah + fh
+    hc = coeffs.half_values(grid)
+    lin = hc["A"] - hc["B"] * (bh + gh) / ah
+    cst = -hc["B"] * dh / ah + hc["f"]
     if not (np.all(np.isfinite(lin)) and np.all(np.isfinite(cst))):
         raise NonSolvableError("mean-field drift is non-finite")
     # default arguments make the lists fast locals in this hot callback
@@ -82,7 +86,7 @@ def solve_mean_field(coeffs: CoefficientSet, gains: GainSchedule,
 
     values = _rk4_scalar(f, xi_bar, grid, "mean-field trajectory", math.inf,
                          backward=False)
-    return MeanFieldPath(grid=grid, values=values, initial=float(xi_bar))
+    return MeanFieldPath(grid=grid, values=values)
 
 
 def make_law(kind: str, gains: GainSchedule,
@@ -90,42 +94,43 @@ def make_law(kind: str, gains: GainSchedule,
              theta: float | None = None) -> StrategyLaw:
     """Build a strategy law from a gain schedule.
 
-    decentralized / scaled(theta) need limit gains plus a mean-field path;
-    centralized needs population gains; zero and meanfield-informed need no
-    mean-field path.  Mismatches raise ModelConfigError.
+    decentralized / scaled(theta) need limit gains plus a mean-field path on
+    the gains' grid, and scaled a finite theta; centralized needs population
+    gains; zero and meanfield-informed need no mean-field path.  Mismatches
+    raise ModelConfigError.
     """
     if kind not in LAW_KINDS:
         raise ModelConfigError(f"unknown strategy kind {kind!r}")
     grid = gains.grid
-    n_nodes = gains.alpha.size
 
     if kind == "zero":
-        z = np.zeros(n_nodes)
+        z = np.zeros(gains.alpha.size)
         return StrategyLaw(kind=kind, grid=grid, k_self=z, k_mean=z.copy(),
-                           k_const=z.copy(), mean_source="realized")
+                           k_const=z.copy())
 
     k_self = -gains.beta / gains.alpha
     k_mean = -gains.gamma / gains.alpha
     k_const = -gains.delta / gains.alpha
 
     if kind == "centralized":
-        if gains.variant != "finiteN":
+        if gains.N is None:
             raise ModelConfigError("centralized law needs finite-population gains")
         return StrategyLaw(kind=kind, grid=grid, k_self=k_self, k_mean=k_mean,
-                           k_const=k_const, mean_source="realized")
+                           k_const=k_const)
 
-    if gains.variant != "limit":
-        raise ModelConfigError(f"{kind} law needs limit-variant gains")
+    if gains.N is not None:
+        raise ModelConfigError(f"{kind} law needs limit gains")
 
     if kind == "meanfield-informed":
         return StrategyLaw(kind=kind, grid=grid, k_self=k_self, k_mean=k_mean,
-                           k_const=k_const, mean_source="realized")
+                           k_const=k_const)
 
     # decentralized and scaled both track the precomputed mean-field path
     if xbar is None:
         raise ModelConfigError(f"{kind} law needs a mean-field path")
-    if xbar.values.size != n_nodes:
-        raise ModelConfigError("mean-field path and gains use different grids")
+    if xbar.grid != grid:
+        raise ModelConfigError(f"mean-field path on {xbar.grid} does not "
+                               f"match the gains' grid {grid}")
     if kind == "scaled":
         _reject_bools("scaling factor theta", theta)
         try:
@@ -133,10 +138,11 @@ def make_law(kind: str, gains: GainSchedule,
         except (TypeError, ValueError) as exc:
             raise ModelConfigError("scaled law needs a numeric scaling factor, "
                                    f"got {theta!r}") from exc
+        if not math.isfinite(th):
+            raise ModelConfigError("scaling factor theta must be finite, "
+                                   f"got {th!r}")
         return StrategyLaw(kind=kind, grid=grid, k_self=th * k_self,
                            k_mean=th * k_mean, k_const=th * k_const,
-                           mean_source="precomputed", xbar=xbar.values,
-                           theta=th)
+                           xbar=xbar.values, theta=th)
     return StrategyLaw(kind="decentralized", grid=grid, k_self=k_self,
-                       k_mean=k_mean, k_const=k_const,
-                       mean_source="precomputed", xbar=xbar.values)
+                       k_mean=k_mean, k_const=k_const, xbar=xbar.values)

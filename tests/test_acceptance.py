@@ -12,7 +12,8 @@ import numpy as np
 
 from lqmfg.cli import run
 from lqmfg.experiments import epsilon_sweep, nash_gap
-from lqmfg.model import CoefficientSet, InitialLaw, TimeGrid
+from lqmfg.model import (CoefficientSet, InitialLaw, TimeGrid,
+                         canonical_fingerprint)
 from lqmfg.riccati import gains, solve_finite_N, solve_limit
 from lqmfg.sim import (PopulationConfig, convexity_probe, cost_decomposition,
                        simulate, stationarity_residual)
@@ -101,7 +102,7 @@ def test_criterion_06_stationarity_identity():
 
     perturbed = StrategyLaw(kind=law.kind, grid=grid,
                             k_self=law.k_self + 1e-3, k_mean=law.k_mean,
-                            k_const=law.k_const, mean_source="realized")
+                            k_const=law.k_const)
     paths_p = simulate(ALL_ONES, perturbed, cfg, grid)
     assert stationarity_residual(paths_p, fin, gn,
                                  ALL_ONES).max_rel >= 1e-4
@@ -303,3 +304,43 @@ def test_criterion_11_table_writer_bytes_are_pinned(tmp_path):
     # the convergence table carries the inf sentinel row
     conv = (tmp_path / "run4" / "riccati_convergence.csv").read_text()
     assert conv.splitlines()[-1] == "inf,0.0,0.0,0.0"
+
+
+def test_criterion_11_manifests_are_pinned(tmp_path):
+    # SHA-256 of the canonical JSON of each manifest the two pin tests above
+    # write, less duration_seconds, plus validate on both configs: the
+    # results, study metadata, config fingerprints and assumption flags
+    jobs = (
+        (CLI_CONFIG, "validate", [], "71207bb98491fbc28a841cf20d833d6e"
+                                     "a82a4d2026043d1bf880a491fc75625e"),
+        (CLI_CONFIG, "simulate", [], "73924deb55d4df00bf3f670d86b073d3"
+                                     "003a8f6045059752bb7cd523808ae842"),
+        (CLI_CONFIG, "epsilon-sweep", [], "f9bc4a638129dd4ed99541e18b0be1f8"
+                                          "8377afd5522844b89df76343636bd46e"),
+        (CLI_CONFIG, "nash-gap", [], "c070f66201b2e7517c75cbe718553f51"
+                                     "fbb3d3f7320dcfce159373de84f61f18"),
+        (MIXED_CONFIG, "validate", [], "636f961932f12b47dbd3381cabdd41ab"
+                                       "601dac7760693a8d70596c27f56d4736"),
+        (MIXED_CONFIG, "solve-riccati", ["--population", "6"],
+         "59774d93b24e8d2aeb15b54b3de82243e421f194b0d4ead11fb79715aae0e01d"),
+        (MIXED_CONFIG, "mean-field", [], "f29a8486f42828837fe5176e601e2b57"
+                                         "2d7907b3328ebf7966da0677269375b5"),
+        (MIXED_CONFIG, "simulate",
+         ["--law", "scaled", "--theta", "0.3", "--paths"],
+         "f359b93a553a997313ff0a0332249aabedc68a7b444c6d1e431e5f21688f3868"),
+        (MIXED_CONFIG, "simulate", ["--law", "centralized", "--paths"],
+         "294e9d2e68fd7ab35eb276351e0736139e3b83125c93083742f898016938faf8"),
+        (MIXED_CONFIG, "riccati-convergence", [],
+         "c8d501c49e682fb67522623f8e7f7e854abccd7ba5d0107b2970f74824b121d7"),
+        (MIXED_CONFIG, "figures", [], "1b4e180a73602839fc0b042c0e16077b"
+                                      "767d913aecff2c2f4ced06c1eaa462ba"),
+    )
+    for k, (cfg, sub, extra, digest) in enumerate(jobs):
+        cfg_path = tmp_path / f"cfg{k}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / f"run{k}"
+        assert run([sub, "--config", str(cfg_path),
+                    "--out-dir", str(out)] + extra) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest.pop("duration_seconds")
+        assert canonical_fingerprint(manifest) == digest, (sub, extra)

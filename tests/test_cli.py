@@ -356,6 +356,9 @@ def test_malformed_values_exit_2_with_manifest(tmp_path, capsys):
         ("nash-gap", {"experiments": {"nash_gap": dict(
             simulate, deviations=["scaled(.5)", "scaled(0.5)"])}},
          "deviation labels repeat"),
+        *(("simulate", {"experiments": {"simulate": dict(simulate, law=law)}},
+           "experiments.simulate.law must be a law kind")
+          for law in (["decentralized"], {"k": 1})),
     )
     for k, (sub, override, message) in enumerate(cases):
         cfg = make_config(tmp_path, name=f"cfg{k}.json", **override)
@@ -363,6 +366,51 @@ def test_malformed_values_exit_2_with_manifest(tmp_path, capsys):
         assert run([sub, "--config", cfg, "--out-dir", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert read_manifest(out)["exit_code"] == 2
+
+
+def test_non_finite_theta_exits_2_with_manifest(tmp_path, capsys):
+    # from the flag, and from the config, whose JSON reader accepts NaN
+    cases = [({}, [f"--theta={text}"]) for text in ("nan", "inf", "-inf")]
+    cases += [({"theta": value}, []) for value in (math.nan, math.inf)]
+    for k, (extra, flags) in enumerate(cases):
+        cfg = make_config(tmp_path, name=f"cfg{k}.json", experiments={
+            "simulate": dict({"N": 3, "reps": 2, "law": "scaled"}, **extra)})
+        out = tmp_path / f"out{k}"
+        assert run(["simulate", "--config", cfg, "--out-dir", str(out)]
+                   + flags) == 2
+        assert "scaling factor theta must be finite" in capsys.readouterr().err
+        assert read_manifest(out)["exit_code"] == 2
+        assert not list(out.glob("*.csv"))
+
+
+def _no_constants(name):
+    raise ValueError(f"manifest holds {name}, which is not JSON")
+
+
+def test_manifest_is_strict_json_with_two_population_sizes(tmp_path):
+    cfg = make_config(tmp_path, experiments={"epsilon_sweep": {"reps": 3}})
+    out = tmp_path / "out"
+    assert run(["epsilon-sweep", "--config", cfg, "--out-dir", str(out),
+                "--populations", "2,4"]) == 0
+    text = (out / "manifest.json").read_text()
+    results = json.loads(text, parse_constant=_no_constants)["results"]
+    assert math.isfinite(results["slope"])
+    assert results["slope_stderr"] is None
+
+
+def test_cost_overflow_exits_4_with_manifest(tmp_path, capsys):
+    # finite states near 1e200 whose squared deviations overflow
+    cfg = make_config(tmp_path, initial={"kind": "point", "value": 1e200},
+                      experiments={
+                          "simulate": {"N": 3, "reps": 2, "law": "zero"},
+                          "nash_gap": {"N": 3, "reps": 2},
+                          "epsilon_sweep": {"Ns": [2, 4], "reps": 2}})
+    for sub in ("simulate", "nash-gap", "epsilon-sweep"):
+        out = tmp_path / sub
+        assert run([sub, "--config", cfg, "--out-dir", str(out)]) == 4
+        assert "overflowed in replication 0" in capsys.readouterr().err
+        text = (out / "manifest.json").read_text()
+        assert json.loads(text, parse_constant=_no_constants)["exit_code"] == 4
 
 
 def test_laws_solve_only_the_systems_they_need(tmp_path, monkeypatch):

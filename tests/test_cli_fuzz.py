@@ -1,10 +1,11 @@
 """Property test of the CLI contract on malformed configs and flags.
 
 Whatever the config holds, a run ends with an exit code in {0, 2, 3, 4, 5},
-writes manifest.json with that exit code, and never raises.  Sizes (M, N,
-reps, population lists) are bounded so that every example runs in
-milliseconds; other keys may take null, booleans, any float, strings, lists
-or objects.  Raise `max_examples` for a longer campaign.
+writes manifest.json with that exit code as strict JSON (no NaN or
+Infinity), and never raises.  Sizes (M, N, reps, population lists) are
+bounded so that every example runs in milliseconds; other keys may take
+null, booleans, any float, strings, lists or objects.  Raise `max_examples`
+for a longer campaign.
 """
 
 import contextlib
@@ -57,6 +58,11 @@ FLAGS = {
                                 ["4,inf", "2.5", "x", ""])},
     "nash-gap": {"--population": st.integers(-2, 12), "--reps": st.integers(-2, 3)},
 }
+
+
+def not_json(name):
+    """parse_constant hook: NaN and Infinity are not JSON."""
+    raise ValueError(f"manifest holds {name}")
 
 
 def key_paths(tree, prefix=()):
@@ -145,5 +151,5 @@ def test_cli_exits_with_a_documented_code_and_a_manifest(case):
             code = run(argv + ["--config", path, "--out-dir", out])
         assert code in EXIT_CODES
         with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
-            assert json.load(fh)["exit_code"] == code
+            assert json.load(fh, parse_constant=not_json)["exit_code"] == code
         assert "Traceback" not in err.getvalue()

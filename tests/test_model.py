@@ -160,7 +160,7 @@ def test_config_roundtrip(tmp_path):
     grid = parse_grid(cfg)
     assert grid.T == 2.0 and grid.M == 8
     coeffs = parse_coefficients(cfg, grid)
-    assert coeffs.Gamma.kind == "sampled"
+    assert not coeffs.Gamma.is_constant
     assert coeffs.Gamma.at(2.0) == 0.8
     law = parse_initial_law(cfg)
     assert law.mean == 10.0

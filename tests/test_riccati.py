@@ -158,7 +158,7 @@ def test_gain_formulas_match_direct_evaluation():
                                            H=1.7, Gamma0=0.6, eta0=0.4)
     sol = solve_limit(coeffs, grid)
     gs = gains(sol, coeffs)
-    assert isinstance(gs, GainSchedule) and gs.variant == "limit"
+    assert isinstance(gs, GainSchedule) and gs.N is None
     tight = dict(rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(gs.alpha, 0.9 + sol.P * 0.3**2, **tight)
     np.testing.assert_allclose(gs.beta, 0.7 * sol.P + sol.P * 0.1 * 0.3, **tight)
@@ -168,7 +168,7 @@ def test_gain_formulas_match_direct_evaluation():
     N = 1
     fin = solve_finite_N(coeffs, N, grid)
     gf = gains(fin, coeffs)
-    assert gf.variant == "finiteN" and gf.N == 1
+    assert gf.N == 1
     np.testing.assert_allclose(gf.alpha, 0.9 + (fin.P + fin.K) * 0.3**2, **tight)
 
 
@@ -188,7 +188,7 @@ def test_gains_reject_small_alpha():
     grid = TimeGrid(T=1.0, M=10)
     coeffs = CoefficientSet.from_constants(B=1.0, D=1.0, R=0.0, Q=0.0, H=0.0)
     z = np.zeros(11)
-    sol = RiccatiSolution(variant="limit", grid=grid, P=z, K=z, phi=z)
+    sol = RiccatiSolution(grid=grid, P=z, K=z, phi=z)
     with pytest.raises(SingularGainError) as exc:
         gains(sol, coeffs)
     assert "t=" in str(exc.value)

@@ -27,7 +27,6 @@ from lqmfg.sim import (
     stream,
     _euler_maruyama,
     _key,
-    _node_coeffs,
     _rekey,
 )
 
@@ -82,7 +81,7 @@ def test_simulate_matches_reference_loop_bit_for_bit(M, kind):
     gl, mf, law = decentralized_setup(grid)
     if kind != "decentralized":
         law = make_law(kind, gl)
-    nc = _node_coeffs(ALL_ONES, grid)
+    nc = ALL_ONES.node_values(grid)
     for N in (1, 5, 129, 300):
         for initial in INITIAL_LAWS:
             cfg = PopulationConfig(N=N, reps=2, master_seed=2**64 - 1,
@@ -133,7 +132,7 @@ def test_replay_rows_match_reference_loop_bit_for_bit(M):
     gl, mf, law = decentralized_setup(grid)
     laws = [law, make_law("meanfield-informed", gl),
             make_law("scaled", gl, xbar=mf, theta=0.5), make_law("zero", gl)]
-    nc = _node_coeffs(ALL_ONES, grid)
+    nc = ALL_ONES.node_values(grid)
     for N in (5, 129):
         cfg = PopulationConfig(N=N, reps=1, master_seed=17,
                                initial=InitialLaw.gaussian(5.0, 2.0))
@@ -203,6 +202,19 @@ def test_population_config_validation():
         PopulationConfig(N=0, reps=1, master_seed=1, initial=law)
     with pytest.raises(ModelConfigError):
         PopulationConfig(N=1, reps=0, master_seed=1, initial=law)
+
+
+def test_simulate_and_replay_compare_grids_not_lengths():
+    # the law's grid has the simulation grid's M but another horizon
+    law = decentralized_setup(TimeGrid(T=10.0, M=100))[2]
+    grid = TimeGrid(T=1.0, M=100)
+    cfg = PopulationConfig(N=2, reps=1, master_seed=1,
+                           initial=InitialLaw.point(1.0))
+    with pytest.raises(ModelConfigError, match="does not match"):
+        simulate(ALL_ONES, law, cfg, grid)
+    ps = simulate(ALL_ONES, law, cfg, law.grid)[0]
+    with pytest.raises(ModelConfigError, match="does not match"):
+        replay_agent(ps, 0, [law], ALL_ONES, grid)
 
 
 def test_noise_free_single_agent_is_euler():

@@ -38,7 +38,6 @@ def test_initial_value_is_exact():
     grid = TimeGrid(T=10.0, M=500)
     mf = solve_mean_field(ALL_ONES, limit_gains(ALL_ONES, grid), 10.0, grid)
     assert mf.values[0] == 10.0
-    assert mf.initial == 10.0
     assert np.all(np.isfinite(mf.values))
 
 
@@ -136,6 +135,9 @@ def test_law_construction_errors():
         make_law("decentralized", gs)  # no mean-field path
     with pytest.raises(ModelConfigError):
         make_law("scaled", gs, xbar=mf)  # no theta
+    for theta in (float("nan"), float("inf")):
+        with pytest.raises(ModelConfigError, match="must be finite"):
+            make_law("scaled", gs, xbar=mf, theta=theta)
     fin_gains = gains(solve_finite_N(ALL_ONES, 5, grid), ALL_ONES)
     with pytest.raises(ModelConfigError):
         make_law("decentralized", fin_gains, xbar=mf)
@@ -179,3 +181,19 @@ def test_all_ones_mean_starts_at_population_mean():
     gs = limit_gains(ALL_ONES, grid)
     mf = solve_mean_field(ALL_ONES, gs, law.mean, grid)
     assert mf.values[0] == 10.0
+
+
+def test_make_law_compares_grids_not_lengths():
+    # same M, another horizon: the node counts agree but the grids do not
+    gs = limit_gains(ALL_ONES, TimeGrid(T=10.0, M=100))
+    short = TimeGrid(T=1.0, M=100)
+    mf = solve_mean_field(ALL_ONES, limit_gains(ALL_ONES, short), 10.0, short)
+    with pytest.raises(ModelConfigError, match="does not match"):
+        make_law("decentralized", gs, xbar=mf)
+
+
+def test_mean_field_compares_gain_grid_with_its_own():
+    gs = limit_gains(ALL_ONES, TimeGrid(T=10.0, M=100))
+    for grid in (TimeGrid(T=1.0, M=100), TimeGrid(T=10.0, M=50)):
+        with pytest.raises(ModelConfigError, match="do not match"):
+            solve_mean_field(ALL_ONES, gs, 10.0, grid)
