@@ -17,8 +17,8 @@ import numpy as np
 from .errors import ModelConfigError, SimulationDivergedError
 from .model import CoefficientSet, InitialLaw, TimeGrid, canonical_fingerprint
 from .riccati import gains, solve_finite_N, solve_limit
-from .sim import (PopulationConfig, cost_of_agent, costs_all_agents,
-                  quadrature, replay_agent, simulate_reps)
+from .sim import (PopulationConfig, _costs, _replay_lanes, quadrature,
+                  simulate_reps)
 from .synthesis import LAW_KINDS, make_law, solve_mean_field
 
 DEFAULT_DEVIATIONS = ("zero", "scaled(0.25)", "scaled(0.5)", "scaled(0.75)",
@@ -198,9 +198,12 @@ def nash_gap(coeffs: CoefficientSet, N: int, reps: int, master_seed: int,
 
     All agents play the decentralized law; for each deviation the first
     agent is replayed on the same noise and gap = J(base) - J(deviation) is
-    averaged with its paired standard error.  scaled(1) replays the base
-    law bit for bit, so its row is exactly zero and calibrates the pairing;
-    it is added unless the family already holds it (as scaled(theta) with
+    averaged with its paired standard error.  After every population has
+    run, one kernel call replays all replications under all laws; each
+    replay is costed against the mean (x + others) / N, others the sum of
+    its co-players.  scaled(1) replays the base law bit for bit and J(base)
+    is its cost, so its row is exactly zero and calibrates the pairing; it
+    is added unless the family already holds it (as scaled(theta) with
     theta = 1, or as decentralized).  Two labels for one deviation, such as
     scaled(.5) and scaled(0.5), are a ModelConfigError.
     """
@@ -217,18 +220,28 @@ def nash_gap(coeffs: CoefficientSet, N: int, reps: int, master_seed: int,
     if 1.0 not in same:
         labels.append("scaled(1)")
         specs.append(("scaled", 1.0))
+        same.append(1.0)
     dec, *laws = _build_laws([("decentralized", None)] + specs,
                              coeffs, grid, initial, N)
 
     cfg = PopulationConfig(N=N, reps=reps, master_seed=master_seed,
                            initial=initial)
-    gaps = []
+    # per replication, copies of what agent 0's replays read, so that no
+    # population outlives its iteration
+    x0 = np.empty(reps)
+    dW = np.empty((reps, grid.M))
+    others = np.empty((reps, grid.M + 1))
     for ps in simulate_reps(coeffs, dec, cfg, grid):
-        j_dev = costs_all_agents(replay_agent(ps, 0, laws, coeffs, grid),
-                                 coeffs, grid)
-        gaps.append(cost_of_agent(ps, 0, coeffs, grid) - j_dev)
-    gaps = np.stack(gaps, axis=1)
-
+        x0[ps.rep] = ps.states[0, 0]
+        dW[ps.rep] = ps.increments[0]
+        others[ps.rep] = ps.states.sum(axis=0) - ps.states[0]
+    del ps
+    states, controls = _replay_lanes(0, np.arange(reps), x0, dW, others, N,
+                                     laws, coeffs, grid)
+    # J(base) is the cost of the scaled(1) lane
+    costs = _costs(states, controls, (states + others[:, None]) / N,
+                   np.arange(reps)[:, None], coeffs, grid)
+    gaps = costs[:, same.index(1.0)] - costs.T
     rows = []
     for label in sorted(labels):
         d = gaps[labels.index(label)]

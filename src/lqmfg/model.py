@@ -146,10 +146,12 @@ class InitialLaw:
     @staticmethod
     def uniform(a: float, b: float) -> "InitialLaw":
         _reject_bools("uniform support bound", a, b)
-        # b - a must be finite too: the sampler draws a + (b - a) u
-        if not (math.isfinite(b - a) and a <= b):
+        law = InitialLaw(kind="uniform", a=float(a), b=float(b))
+        # b - a and the mean must be finite too: the sampler draws
+        # a + (b - a) u, and the mean-field path starts at the mean
+        if not (math.isfinite(b - a) and a <= b and math.isfinite(law.mean)):
             raise ModelConfigError(f"bad uniform support [{a}, {b}]")
-        return InitialLaw(kind="uniform", a=float(a), b=float(b))
+        return law
 
     @staticmethod
     def gaussian(mean: float, var: float) -> "InitialLaw":

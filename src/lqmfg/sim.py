@@ -78,15 +78,18 @@ class PopulationConfig:
 
 @dataclass(frozen=True)
 class PathSet:
-    """One replication: states (N, M+1), controls and increments (N, M),
-    population average (M+1).  A replay_agent result instead holds one
-    agent's paths under several laws, each row with its own average."""
+    """One replication on `grid`: states (N, M+1), controls and increments
+    (N, M), population average (M+1).  A replay_agent result instead holds
+    one agent's paths under several laws, each row with its own average.
+    A hand-built path set may leave grid None; it is then checked against
+    a grid by node count only."""
 
     rep: int
     states: np.ndarray
     controls: np.ndarray
     increments: np.ndarray
     mean: np.ndarray
+    grid: TimeGrid | None = None
 
 
 @dataclass(frozen=True)
@@ -115,14 +118,22 @@ def _check_law_grid(law: StrategyLaw, grid: TimeGrid) -> None:
                                f"the simulation grid {grid}")
 
 
-def _euler_maruyama(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
-                    ks, km, kc, mean, rep: int, agent: int | None = None):
-    """Euler-Maruyama paths of a batch of states started at x0, shape (n,).
+def _check_paths_grid(ps: PathSet, grid: TimeGrid) -> None:
+    if ps.grid not in (None, grid) or ps.states.shape[-1] != grid.M + 1:
+        raise ModelConfigError(f"path set on {ps.grid} with "
+                               f"{ps.states.shape[-1]} nodes does not match "
+                               f"the grid {grid}")
 
-    dW and the feedback gains ks, km, kc are indexed [..., k]: one row per
-    path or one row shared by all.  mean(k, x) is the m(t_k) the feedback
-    sees.  Returns states (n, M+1) and controls (n, M).  A non-finite state
-    names `agent`, or else its row, in the SimulationDivergedError.
+
+def _euler_maruyama(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
+                    ks, km, kc, mean, rep, agent: int | None = None):
+    """Euler-Maruyama paths of a batch of states started at x0, of shape S.
+
+    dW (..., M) and the feedback gains ks, km, kc (..., M+1) broadcast to S
+    at each step k; mean(k, x) is the m(t_k) the feedback sees.  Returns
+    states (S, M+1) and controls (S, M).  A non-finite state names its
+    replication (rep, broadcast to S) and `agent`, or else its index in
+    x0.ravel(), in the SimulationDivergedError.
 
     Each step computes, in this order,
         u  = (ks x + km m) + kc
@@ -136,14 +147,16 @@ def _euler_maruyama(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
     increments = dW.reshape(-1, M)
     states = np.empty((n, M + 1))
     controls = np.empty((n, M))
-    states[:, 0] = x0
     xs = np.empty((_TILE + 1, n))
     us = np.empty((_TILE, n))
     ws = np.empty((_TILE, increments.shape[0]))
-    drift = np.empty(n)
-    noise = np.empty(n)
-    part = np.empty(n)
-    xs[0] = x0
+    xv, uv = xs.reshape(-1, *x0.shape), us.reshape(-1, *x0.shape)
+    wv = ws.reshape(-1, *dW.shape[:-1])
+    drift = np.empty(x0.shape)
+    noise = np.empty(x0.shape)
+    part = np.empty(x0.shape)
+    xv[0] = x0
+    states[:, 0] = xs[0]
     # overflow is an expected failure mode, reported as a typed error
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, M, _TILE):
@@ -152,7 +165,7 @@ def _euler_maruyama(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
                 ws[:w, j:j + _BLOCK] = increments[j:j + _BLOCK, k0:k0 + w].T
             for s in range(w):
                 k = k0 + s
-                x, u, x_next = xs[s], us[s], xs[s + 1]
+                x, u, x_next = xv[s], uv[s], xv[s + 1]
                 np.multiply(ks[..., k], x, out=u)
                 np.add(u, km[..., k] * mean(k, x), out=u)
                 np.add(u, kc[..., k], out=u)
@@ -165,7 +178,7 @@ def _euler_maruyama(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
                 np.multiply(d[k], u, out=part)
                 np.add(noise, part, out=noise)
                 np.add(noise, g[k], out=noise)
-                np.multiply(noise, ws[s], out=noise)
+                np.multiply(noise, wv[s], out=noise)
                 np.add(x, drift, out=x_next)
                 np.add(x_next, noise, out=x_next)
             for j in range(0, n, _BLOCK):
@@ -176,12 +189,13 @@ def _euler_maruyama(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
     if not np.all(np.isfinite(xs[0])):
         bad = ~np.isfinite(states)
         step = int(np.argmax(bad.any(axis=0)))
-        if agent is None:
-            agent = int(np.argmax(bad[:, step]))
+        row = int(np.argmax(bad[:, step]))
+        rep = int(np.broadcast_to(rep, x0.shape).flat[row])
+        agent = row if agent is None else agent
         raise SimulationDivergedError(
             f"agent {agent} diverged at step {step} of replication {rep}",
             rep=rep, agent=agent, step=step)
-    return states, controls
+    return states.reshape(*x0.shape, M + 1), controls.reshape(*x0.shape, M)
 
 
 def simulate_reps(coeffs: CoefficientSet, law: StrategyLaw,
@@ -209,13 +223,36 @@ def simulate_reps(coeffs: CoefficientSet, law: StrategyLaw,
         states, controls = _euler_maruyama(nc, grid.dt, x0, dW, law.k_self,
                                            law.k_mean, law.k_const, mean, rep)
         yield PathSet(rep=rep, states=states, controls=controls,
-                      increments=dW, mean=states.mean(axis=0))
+                      increments=dW, mean=states.mean(axis=0), grid=grid)
 
 
 def simulate(coeffs: CoefficientSet, law: StrategyLaw,
              cfg: PopulationConfig, grid: TimeGrid) -> list:
     """All replications as a list; see simulate_reps for the streaming form."""
     return list(simulate_reps(coeffs, law, cfg, grid))
+
+
+def _replay_lanes(agent: int, reps, x0, dW, others, N: int, laws,
+                  coeffs: CoefficientSet, grid: TimeGrid):
+    """Replay `agent` of replications reps (initial states x0, increments
+    dW, co-player state sums others) under every law in one kernel call.
+    Lane [r, l] is replication reps[r] under laws[l]; a realized-mean lane
+    sees (others[r, k] + x) / N.  Returns states (R, L, M+1), controls
+    (R, L, M)."""
+    precomputed = np.array([law.xbar is not None for law in laws])
+    # a realized-mean law's row of xbar is a placeholder, never selected
+    xbar = np.stack([others[0] if law.xbar is None else law.xbar
+                     for law in laws])
+
+    def mean(k, x):
+        return np.where(precomputed, xbar[:, k], (others[:, k, None] + x) / N)
+
+    return _euler_maruyama(
+        coeffs.node_values(grid), grid.dt,
+        np.repeat(x0[:, None], len(laws), axis=1), dW[:, None],
+        *(np.stack([getattr(law, name) for law in laws])
+          for name in ("k_self", "k_mean", "k_const")),
+        mean, np.reshape(reps, (-1, 1)), agent)
 
 
 def replay_agent(base: PathSet, i: int, laws, coeffs: CoefficientSet,
@@ -229,32 +266,21 @@ def replay_agent(base: PathSet, i: int, laws, coeffs: CoefficientSet,
     """
     for law in laws:
         _check_law_grid(law, grid)
-    N, n_nodes = base.states.shape
-    if n_nodes != grid.M + 1:
-        raise ModelConfigError("path set and grid disagree on node count")
+    _check_paths_grid(base, grid)
+    N = base.states.shape[0]
     if not 0 <= i < N:
         raise IndexError(f"agent index {i} out of range for N={N}")
-    # population sum without agent i, for realized-mean laws
     others = base.states.sum(axis=0) - base.states[i]
-    precomputed = np.array([law.xbar is not None for law in laws])
-    xbar = np.stack([law.xbar if pre else others
-                     for law, pre in zip(laws, precomputed)])
-
-    def mean(k, x):
-        return np.where(precomputed, xbar[:, k], (others[k] + x) / N)
-
-    states, controls = _euler_maruyama(
-        coeffs.node_values(grid), grid.dt, np.full(len(laws), base.states[i, 0]),
-        base.increments[i], *(np.stack([getattr(law, name) for law in laws])
-                              for name in ("k_self", "k_mean", "k_const")),
-        mean, base.rep, i)
+    (states,), (controls,) = _replay_lanes(
+        i, [base.rep], base.states[i, :1], base.increments[i, None],
+        others[None], N, laws, coeffs, grid)
     # NumPy sums axis 0 one row after another; the same order gives the
     # replayed population's mean bit for bit without copying the population
     total = states + base.states[:i].sum(axis=0)
     for row in base.states[i + 1:]:
         total += row
     return PathSet(rep=base.rep, states=states, controls=controls,
-                   increments=base.increments[i], mean=total / N)
+                   increments=base.increments[i], mean=total / N, grid=grid)
 
 
 def quadrature(dt: float, nodes: np.ndarray, cells=None):
@@ -262,6 +288,25 @@ def quadrature(dt: float, nodes: np.ndarray, cells=None):
     both along the last axis."""
     out = dt * (nodes.sum(axis=-1) - 0.5 * (nodes[..., 0] + nodes[..., -1]))
     return out if cells is None else out + dt * cells.sum(axis=-1)
+
+
+def _costs(states, controls, mean, rep, coeffs: CoefficientSet,
+           grid: TimeGrid) -> np.ndarray:
+    """costs_all_agents on bare arrays; an overflow names the replication
+    of the first such path (rep, broadcast to the paths)."""
+    nc = coeffs.node_values(grid)
+    dev = states - nc["Gamma"] * mean - nc["eta"]
+    tdev = states[..., -1] - coeffs.Gamma0 * mean[..., -1] - coeffs.eta0
+    with np.errstate(over="ignore", invalid="ignore"):
+        costs = 0.5 * (quadrature(grid.dt, nc["Q"] * dev * dev,
+                                  nc["R"][:grid.M] * controls * controls)
+                       + coeffs.H * tdev * tdev)
+    if not np.all(np.isfinite(costs)):
+        rep = int(np.broadcast_to(rep, costs.shape)
+                  .flat[np.argmin(np.isfinite(costs))])
+        raise SimulationDivergedError(
+            f"a cost overflowed in replication {rep}", rep=rep)
+    return costs
 
 
 def costs_all_agents(ps: PathSet, coeffs: CoefficientSet,
@@ -272,17 +317,8 @@ def costs_all_agents(ps: PathSet, coeffs: CoefficientSet,
     R u^2, plus terminal H (x(T) - Gamma0 x^(N)(T) - eta0)^2.  Finite paths
     whose cost overflows raise SimulationDivergedError.
     """
-    nc = coeffs.node_values(grid)
-    dev = ps.states - nc["Gamma"] * ps.mean - nc["eta"]
-    tdev = ps.states[..., -1] - coeffs.Gamma0 * ps.mean[..., -1] - coeffs.eta0
-    with np.errstate(over="ignore", invalid="ignore"):
-        costs = 0.5 * (quadrature(grid.dt, nc["Q"] * dev * dev,
-                                  nc["R"][:grid.M] * ps.controls * ps.controls)
-                       + coeffs.H * tdev * tdev)
-    if not np.all(np.isfinite(costs)):
-        raise SimulationDivergedError(
-            f"a cost overflowed in replication {ps.rep}", rep=ps.rep)
-    return costs
+    _check_paths_grid(ps, grid)
+    return _costs(ps.states, ps.controls, ps.mean, ps.rep, coeffs, grid)
 
 
 def cost_of_agent(ps: PathSet, i: int, coeffs: CoefficientSet,
@@ -311,8 +347,7 @@ def stationarity_residual(paths: list, finN: RiccatiSolution,
     N = paths[0].states.shape[0]
     if N != finN.N:
         raise ModelConfigError(f"paths have {N} agents but solution is for N={finN.N}")
-    if paths[0].states.shape[1] != M + 1:
-        raise ModelConfigError("paths and solution use different grids")
+    _check_paths_grid(paths[0], grid)
 
     nc = coeffs.node_values(grid)
     B, C, D, R, g = (nc[n][:M] for n in ("B", "C", "D", "R", "g"))

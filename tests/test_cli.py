@@ -319,6 +319,9 @@ def test_malformed_values_exit_2_with_manifest(tmp_path, capsys):
         ("simulate", {"experiments": {"simulate": simulate},
                       "initial": {"kind": "uniform", "a": -1e308, "b": 1e308}},
          "uniform support"),
+        # each bound is finite, but the mean (a + b) / 2 overflows
+        ("mean-field", {"initial": {"kind": "uniform", "a": 1e308,
+                                    "b": 1.7e308}}, "uniform support"),
         # JSON true and false are not the numbers 1 and 0
         ("validate", {"coefficients": dict(ALL_ONES, A=True)},
          "coefficient 'A' must be a number, got True"),

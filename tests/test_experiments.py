@@ -4,14 +4,17 @@ import os
 import numpy as np
 import pytest
 
-from lqmfg.errors import ModelConfigError
-from lqmfg.experiments import (DEFAULT_DEVIATIONS, epsilon_sweep, figure_data,
-                               loglog_slope, nash_gap, riccati_convergence,
-                               write_csv)
-from lqmfg.model import CoefficientSet, InitialLaw, TimeGrid
+from lqmfg.errors import ModelConfigError, SimulationDivergedError
+from lqmfg.experiments import (DEFAULT_DEVIATIONS, _build_laws, _parse_label,
+                               epsilon_sweep, figure_data, loglog_slope,
+                               nash_gap, riccati_convergence, write_csv)
+from lqmfg.model import (CoefficientSet, InitialLaw, TimeGrid,
+                         parse_coefficients, parse_grid, parse_initial_law)
 from lqmfg.riccati import gains, solve_limit
-from lqmfg.sim import PopulationConfig, quadrature, simulate_reps
+from lqmfg.sim import (PopulationConfig, cost_of_agent, costs_all_agents,
+                       quadrature, replay_agent, simulate, simulate_reps)
 from lqmfg.synthesis import make_law, solve_mean_field
+from test_acceptance import CLI_CONFIG, MIXED_CONFIG
 
 ALL_ONES = CoefficientSet.from_constants(A=1, B=1, C=1, D=1, f=1, g=1, Q=1,
                                          R=1, Gamma=1, eta=1, H=1, Gamma0=1,
@@ -203,6 +206,71 @@ def test_nash_gap_adds_no_second_calibration_row():
                        initial=UNIFORM, deviations=("zero", cal))
         assert [r[0] for r in tab.rows] == sorted(["zero", cal])
         assert {r[0]: r for r in tab.rows}[cal][1:] == (0.0, 0.0)
+
+
+def reference_nash_gap(coeffs, N, reps, master_seed, grid, initial):
+    """The study one replication at a time: agent 0 replayed under every
+    law by replay_agent, J(base) from the population's own cost."""
+    labels = list(DEFAULT_DEVIATIONS) + ["scaled(1)"]
+    dec, *laws = _build_laws([("decentralized", None)]
+                             + [_parse_label(label) for label in labels],
+                             coeffs, grid, initial, N)
+    cfg = PopulationConfig(N=N, reps=reps, master_seed=master_seed,
+                           initial=initial)
+    gaps = np.array([cost_of_agent(ps, 0, coeffs, grid)
+                     - costs_all_agents(replay_agent(ps, 0, laws, coeffs, grid),
+                                        coeffs, grid)
+                     for ps in simulate_reps(coeffs, dec, cfg, grid)]).T
+    return {label: (d.mean(), d.std(ddof=1) / math.sqrt(reps))
+            for label, d in zip(labels, gaps)}
+
+
+@pytest.mark.parametrize("cfg, N, reps", [
+    ({"grid": {"T": 10.0, "M": 1000}, "coefficients": CLI_CONFIG["coefficients"],
+      "initial": CLI_CONFIG["initial"]}, 16, 6),
+    (CLI_CONFIG, 8, 5),
+    (MIXED_CONFIG, 6, 4)], ids=["allones", "criterion-11", "mixed"])
+def test_nash_gap_matches_per_replication_replays(cfg, N, reps):
+    # one batched replay costed against (x + others) / N moves the gaps of
+    # the per-replication study at roundoff only
+    grid = parse_grid(cfg)
+    coeffs = parse_coefficients(cfg, grid)
+    initial = parse_initial_law(cfg)
+    tab = nash_gap(coeffs, N, reps, 2024, grid, initial)
+    want = reference_nash_gap(coeffs, N, reps, 2024, grid, initial)
+    assert sorted(want) == [row[0] for row in tab.rows]
+    for label, gap, se in tab.rows:
+        np.testing.assert_allclose((gap, se), want[label], rtol=1e-12, atol=0)
+    assert {r[0]: r for r in tab.rows}["scaled(1)"][1:] == (0.0, 0.0)
+
+
+def test_nash_gap_names_the_replication_that_fails():
+    # under the zero law the first agent roughly doubles each step
+    # (A dt = 1) and replication 1 grows fastest at this seed.  At M = 511
+    # only its cost overflows.  At M = 1016 only its path overflows, and the
+    # other costs overflow: every replay runs before any cost, so the path
+    # is named
+    coeffs = CoefficientSet.from_constants(A=100.0, B=1.0, C=1.0, Q=1.0,
+                                           R=1.0)
+    initial = InitialLaw.uniform(1.0, 2.0)
+    cfg = PopulationConfig(N=2, reps=3, master_seed=9, initial=initial)
+    for M, step, failures in ((511, None, [(1, None)]),
+                              (1016, 1014, [(0, None), (1, 1014), (2, None)])):
+        grid = TimeGrid(T=M / 100, M=M)
+        dec, zero = _build_laws([("decentralized", None), ("zero", None)],
+                                coeffs, grid, initial, 2)
+        seen = []
+        for ps in simulate(coeffs, dec, cfg, grid):
+            try:
+                costs_all_agents(replay_agent(ps, 0, [zero], coeffs, grid),
+                                 coeffs, grid)
+            except SimulationDivergedError as exc:
+                seen.append((exc.rep, exc.step))
+        assert seen == failures
+        with pytest.raises(SimulationDivergedError) as exc:
+            nash_gap(coeffs, 2, 3, 9, grid, initial, deviations=["zero"])
+        assert (exc.value.rep, exc.value.step) == (1, step)
+        assert exc.value.agent == (None if step is None else 0)
 
 
 def test_write_csv_round_trips_floats(tmp_path):

@@ -217,6 +217,27 @@ def test_simulate_and_replay_compare_grids_not_lengths():
         replay_agent(ps, 0, [law], ALL_ONES, grid)
 
 
+@pytest.mark.parametrize("other", [TimeGrid(T=1.0, M=100),
+                                   TimeGrid(T=10.0, M=50)], ids=["T", "M"])
+def test_path_sets_are_checked_against_their_grid(other):
+    # a population on one grid, replayed or costed on another: another
+    # horizon with the same M, or another M, is a typed configuration error
+    grid = TimeGrid(T=10.0, M=100)
+    cfg = PopulationConfig(N=3, reps=1, master_seed=1,
+                           initial=InitialLaw.point(1.0))
+    own = decentralized_setup(grid)[2]
+    ps = simulate(ALL_ONES, own, cfg, grid)[0]
+    assert ps.grid == grid
+    assert replay_agent(ps, 0, [own], ALL_ONES, grid).grid == grid
+    law = decentralized_setup(other)[2]
+    for check in (lambda: replay_agent(ps, 0, [law], ALL_ONES, other),
+                  lambda: costs_all_agents(ps, ALL_ONES, other),
+                  lambda: cost_of_agent(ps, 0, ALL_ONES, other),
+                  lambda: cost_decomposition(0, [ps], law, ALL_ONES, other)):
+        with pytest.raises(ModelConfigError, match="path set on"):
+            check()
+
+
 def test_noise_free_single_agent_is_euler():
     # C=D=g=0 removes all noise; the zero law leaves dx = x dt
     grid = TimeGrid(T=1.0, M=100)
