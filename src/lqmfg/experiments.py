@@ -17,8 +17,8 @@ import numpy as np
 from .errors import ModelConfigError, SimulationDivergedError
 from .model import CoefficientSet, InitialLaw, TimeGrid, canonical_fingerprint
 from .riccati import gains, solve_finite_N, solve_limit
-from .sim import (PopulationConfig, _costs, _replay_lanes, quadrature,
-                  simulate_reps)
+from .sim import (PopulationConfig, _costs, _population_sums, _replay_lanes,
+                  quadrature)
 from .synthesis import LAW_KINDS, make_law, solve_mean_field
 
 DEFAULT_DEVIATIONS = ("zero", "scaled(0.25)", "scaled(0.5)", "scaled(0.75)",
@@ -109,7 +109,8 @@ def epsilon_sweep(coeffs: CoefficientSet, Ns, reps: int, master_seed: int,
     over `reps` replications.  Agent randomness depends only on the agent
     index and the mean is precomputed, so the N-agent population is the
     first N agents of the largest one (common random numbers): one
-    population at max(Ns) is simulated and every N reads its prefix.
+    population at max(Ns) is simulated, keeping only the sums of its first
+    N states for every N.
     """
     Ns = list(Ns)
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
@@ -117,15 +118,15 @@ def epsilon_sweep(coeffs: CoefficientSet, Ns, reps: int, master_seed: int,
     if not Ns or Ns[0] < 1:
         raise ModelConfigError(f"population sizes must be >= 1, got {Ns!r}")
     law, = _build_laws([("decentralized", None)], coeffs, grid, initial)
-    # states[:N].mean sums the same rows in the same order as the mean of a
+    # the prefix sums add the same rows in the same order as the mean of a
     # fresh N-agent run, so every N's bytes match a separate simulation
     cfg = PopulationConfig(N=Ns[-1], reps=reps, master_seed=master_seed,
                            initial=initial)
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.array([[quadrature(grid.dt,
-                                   (ps.states[:N].mean(axis=0) - law.xbar) ** 2)
-                        for N in Ns]
-                       for ps in simulate_reps(coeffs, law, cfg, grid)])
+        sq = np.array([[quadrature(grid.dt, (total / N - law.xbar) ** 2)
+                        for N, total in zip(Ns, sums)]
+                       for _, _, _, sums in _population_sums(coeffs, law, cfg,
+                                                             grid, Ns)])
     if not np.all(np.isfinite(sq)):
         rep = int(np.argmin(np.isfinite(sq).all(axis=1)))
         raise SimulationDivergedError(
@@ -226,16 +227,16 @@ def nash_gap(coeffs: CoefficientSet, N: int, reps: int, master_seed: int,
 
     cfg = PopulationConfig(N=N, reps=reps, master_seed=master_seed,
                            initial=initial)
-    # per replication, copies of what agent 0's replays read, so that no
-    # population outlives its iteration
+    # per replication, copies of what agent 0's replays read: its initial
+    # state and increments, and the sum of its co-players' states
     x0 = np.empty(reps)
     dW = np.empty((reps, grid.M))
     others = np.empty((reps, grid.M + 1))
-    for ps in simulate_reps(coeffs, dec, cfg, grid):
-        x0[ps.rep] = ps.states[0, 0]
-        dW[ps.rep] = ps.increments[0]
-        others[ps.rep] = ps.states.sum(axis=0) - ps.states[0]
-    del ps
+    for rep, x0_rep, dW_rep, (own, total) in _population_sums(
+            coeffs, dec, cfg, grid, (1, N)):
+        x0[rep] = x0_rep[0]
+        dW[rep] = dW_rep[0]
+        others[rep] = total - own
     states, controls = _replay_lanes(0, np.arange(reps), x0, dW, others, N,
                                      laws, coeffs, grid)
     # J(base) is the cost of the scaled(1) lane

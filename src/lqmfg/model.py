@@ -32,6 +32,15 @@ def _reject_bools(what: str, *values) -> None:
             raise ModelConfigError(f"{what} must be a number, got {v!r}")
 
 
+def _as_float(value, what: str) -> float:
+    """float(value), where an integer too large for a float (a JSON number
+    written out in digits) is a ModelConfigError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ModelConfigError(f"{what} is too large for a float") from None
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_k = k*dt on [0, T] with dt = T/M."""
@@ -78,7 +87,11 @@ class TimeProfile:
     def sampled(values, grid: TimeGrid) -> "TimeProfile":
         if isinstance(values, (list, tuple)):
             _reject_bools("sampled profile value", *values)
-        arr = np.asarray(values, dtype=float)
+        try:
+            arr = np.asarray(values, dtype=float)
+        except OverflowError:
+            raise ModelConfigError("sampled profile value is too large for "
+                                   "a float") from None
         if arr.ndim != 1 or arr.size != grid.M + 1:
             raise ModelConfigError(
                 f"sampled profile needs M+1={grid.M + 1} values, got shape {arr.shape}")
@@ -146,7 +159,8 @@ class InitialLaw:
     @staticmethod
     def uniform(a: float, b: float) -> "InitialLaw":
         _reject_bools("uniform support bound", a, b)
-        law = InitialLaw(kind="uniform", a=float(a), b=float(b))
+        a, b = (_as_float(v, "uniform support bound") for v in (a, b))
+        law = InitialLaw(kind="uniform", a=a, b=b)
         # b - a and the mean must be finite too: the sampler draws
         # a + (b - a) u, and the mean-field path starts at the mean
         if not (math.isfinite(b - a) and a <= b and math.isfinite(law.mean)):
@@ -156,16 +170,18 @@ class InitialLaw:
     @staticmethod
     def gaussian(mean: float, var: float) -> "InitialLaw":
         _reject_bools("gaussian parameter", mean, var)
+        mean, var = (_as_float(v, "gaussian parameter") for v in (mean, var))
         if not (math.isfinite(mean) and math.isfinite(var) and var >= 0.0):
             raise ModelConfigError(f"bad gaussian parameters mean={mean}, var={var}")
-        return InitialLaw(kind="gaussian", a=float(mean), b=float(var))
+        return InitialLaw(kind="gaussian", a=mean, b=var)
 
     @staticmethod
     def point(c: float) -> "InitialLaw":
         _reject_bools("point mass", c)
+        c = _as_float(c, "point mass")
         if not math.isfinite(c):
             raise ModelConfigError(f"bad point mass at {c}")
-        return InitialLaw(kind="point", a=float(c))
+        return InitialLaw(kind="point", a=c)
 
     @property
     def mean(self) -> float:
@@ -309,7 +325,8 @@ def parse_grid(cfg: dict) -> TimeGrid:
         g = cfg["grid"]
         if isinstance(g["T"], bool):
             raise TypeError(f"T must be a number, got {g['T']!r}")
-        return TimeGrid(T=float(g["T"]), M=_as_int(g["M"], "grid M"))
+        return TimeGrid(T=_as_float(g["T"], "horizon T"),
+                        M=_as_int(g["M"], "grid M"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelConfigError(f"bad or missing grid section: {exc}") from exc
 
@@ -327,11 +344,12 @@ def parse_coefficients(cfg: dict, grid: TimeGrid) -> CoefficientSet:
                       *(raw if isinstance(raw, (list, tuple)) else [raw]))
         try:
             if name not in _PROFILE_NAMES:
-                kwargs[name] = float(raw)
+                kwargs[name] = _as_float(raw, f"coefficient {name!r}")
             elif isinstance(raw, (list, tuple)):
                 kwargs[name] = TimeProfile.sampled(raw, grid)
             else:
-                kwargs[name] = TimeProfile.constant(raw)
+                kwargs[name] = TimeProfile.constant(
+                    _as_float(raw, f"coefficient {name!r}"))
         except (TypeError, ValueError) as exc:
             raise ModelConfigError(
                 f"coefficient {name!r} is not numeric: {raw!r}") from exc

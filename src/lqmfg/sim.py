@@ -28,6 +28,7 @@ _MAX_INDEX = 1 << 24
 
 _TILE = 64     # kernel time steps per tile
 _BLOCK = 128   # paths per block of a tile transpose
+_LANES = 2048  # paths per kernel call of the mean-only population path
 
 
 def _key(master_seed: int, purpose: int, rep: int, agent: int) -> np.ndarray:
@@ -125,28 +126,27 @@ def _check_paths_grid(ps: PathSet, grid: TimeGrid) -> None:
                                f"the grid {grid}")
 
 
-def _euler_maruyama(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
-                    ks, km, kc, mean, rep, agent: int | None = None):
-    """Euler-Maruyama paths of a batch of states started at x0, of shape S.
+def _step_tiles(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
+                ks, km, kc, mean, sink) -> np.ndarray:
+    """Euler-Maruyama steps of a batch of states started at x0, of shape S.
 
     dW (..., M) and the feedback gains ks, km, kc (..., M+1) broadcast to S
     at each step k; mean(k, x) is the m(t_k) the feedback sees.  Returns
-    states (S, M+1) and controls (S, M).  A non-finite state names its
-    replication (rep, broadcast to S) and `agent`, or else its index in
-    x0.ravel(), in the SimulationDivergedError.
+    the end states, flat.
 
     Each step computes, in this order,
         u  = (ks x + km m) + kc
         x' = (x + ((a x + b u) + f) dt) + ((c x + d u) + g) dW.
     Time is walked in tiles of _TILE steps on time-major buffers, so every
-    step reads and writes contiguous rows; the increments come in, and the
-    states and controls go out, transposed in blocks of _BLOCK paths.
+    step reads and writes contiguous rows; the increments come in
+    transposed in blocks of _BLOCK paths.  After a tile of w steps from
+    node k0, sink(k0, w, xs, us) reads it: rows 0..w of xs (_TILE+1, n)
+    are the states at nodes k0..k0+w and rows 0..w-1 of us (_TILE, n) the
+    controls, one column per path of x0.ravel().
     """
     a, b, c, d, f, g = (nc[name] for name in ("A", "B", "C", "D", "f", "g"))
     n, M = x0.size, dW.shape[-1]
     increments = dW.reshape(-1, M)
-    states = np.empty((n, M + 1))
-    controls = np.empty((n, M))
     xs = np.empty((_TILE + 1, n))
     us = np.empty((_TILE, n))
     ws = np.empty((_TILE, increments.shape[0]))
@@ -156,7 +156,6 @@ def _euler_maruyama(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
     noise = np.empty(x0.shape)
     part = np.empty(x0.shape)
     xv[0] = x0
-    states[:, 0] = xs[0]
     # overflow is an expected failure mode, reported as a typed error
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, M, _TILE):
@@ -181,12 +180,34 @@ def _euler_maruyama(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
                 np.multiply(noise, wv[s], out=noise)
                 np.add(x, drift, out=x_next)
                 np.add(x_next, noise, out=x_next)
-            for j in range(0, n, _BLOCK):
-                states[j:j + _BLOCK, k0 + 1:k0 + w + 1] = xs[1:w + 1, j:j + _BLOCK].T
-                controls[j:j + _BLOCK, k0:k0 + w] = us[:w, j:j + _BLOCK].T
+            sink(k0, w, xs, us)
             xs[0] = xs[w]
+    return xs[0]
+
+
+def _euler_maruyama(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
+                    ks, km, kc, mean, rep, agent: int | None = None):
+    """Euler-Maruyama paths of a batch of states started at x0, of shape S:
+    states (S, M+1) and controls (S, M), stepped by _step_tiles.
+
+    A non-finite state names its replication (rep, broadcast to S) and
+    `agent`, or else its index in x0.ravel(), in the
+    SimulationDivergedError.  The tiles go out transposed in blocks of
+    _BLOCK paths.
+    """
+    n, M = x0.size, dW.shape[-1]
+    states = np.empty((n, M + 1))
+    controls = np.empty((n, M))
+    states[:, 0] = x0.ravel()
+
+    def sink(k0, w, xs, us):
+        for j in range(0, n, _BLOCK):
+            states[j:j + _BLOCK, k0 + 1:k0 + w + 1] = xs[1:w + 1, j:j + _BLOCK].T
+            controls[j:j + _BLOCK, k0:k0 + w] = us[:w, j:j + _BLOCK].T
+
+    end = _step_tiles(nc, dt, x0, dW, ks, km, kc, mean, sink)
     # a non-finite state stays non-finite, so checking the end state suffices
-    if not np.all(np.isfinite(xs[0])):
+    if not np.all(np.isfinite(end)):
         bad = ~np.isfinite(states)
         step = int(np.argmax(bad.any(axis=0)))
         row = int(np.argmax(bad[:, step]))
@@ -198,11 +219,23 @@ def _euler_maruyama(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
     return states.reshape(*x0.shape, M + 1), controls.reshape(*x0.shape, M)
 
 
+def _draw(rng: np.random.Generator, cfg: PopulationConfig, rep: int,
+          sqdt: float, x0: np.ndarray, dW: np.ndarray) -> None:
+    """Fill x0 (N,) and dW (N, M) with replication rep's initial states
+    and Brownian increments; agent j's come from its own stream, on which
+    rng is restarted."""
+    for agent in range(cfg.N):
+        _rekey(rng.bit_generator,
+               _key(cfg.master_seed, _PURPOSE_AGENT, rep, agent))
+        x0[agent] = cfg.initial.sample(rng)
+        rng.standard_normal(out=dW[agent])
+    dW *= sqdt
+
+
 def simulate_reps(coeffs: CoefficientSet, law: StrategyLaw,
                   cfg: PopulationConfig, grid: TimeGrid):
     """Yield one PathSet per replication, in replication order."""
     _check_law_grid(law, grid)
-    M = grid.M
     sqdt = math.sqrt(grid.dt)
     nc = coeffs.node_values(grid)
 
@@ -213,17 +246,68 @@ def simulate_reps(coeffs: CoefficientSet, law: StrategyLaw,
     rng = np.random.Generator(np.random.Philox())
     for rep in range(cfg.reps):
         x0 = np.empty(cfg.N)
-        dW = np.empty((cfg.N, M))
-        for agent in range(cfg.N):
-            _rekey(rng.bit_generator,
-                   _key(cfg.master_seed, _PURPOSE_AGENT, rep, agent))
-            x0[agent] = cfg.initial.sample(rng)
-            rng.standard_normal(out=dW[agent])
-        dW *= sqdt
+        dW = np.empty((cfg.N, grid.M))
+        _draw(rng, cfg, rep, sqdt, x0, dW)
         states, controls = _euler_maruyama(nc, grid.dt, x0, dW, law.k_self,
                                            law.k_mean, law.k_const, mean, rep)
         yield PathSet(rep=rep, states=states, controls=controls,
                       increments=dW, mean=states.mean(axis=0), grid=grid)
+
+
+def _population_sums(coeffs: CoefficientSet, law: StrategyLaw,
+                     cfg: PopulationConfig, grid: TimeGrid, sizes):
+    """Yield (rep, x0, dW, sums) per replication, in replication order:
+    the initial states (N,) and increments (N, M) simulate_reps would draw,
+    and sums (len(sizes), M+1), whose row i is the sum of the first
+    sizes[i] agents' states in agent order, the bits of
+    states[:sizes[i]].sum(axis=0).  The arrays are views of buffers that
+    the next replications reuse.
+
+    No (N, M+1) path array is built: the law's mean must be precomputed,
+    so that agents do not interact, and max(1, _LANES // N) replications
+    run as the lanes of one kernel call.  A divergence is reported as
+    simulate_reps reports it.
+    """
+    _check_law_grid(law, grid)
+    if law.xbar is None:
+        raise ModelConfigError("mean-only simulation needs a law with a "
+                               "precomputed mean")
+    N, M = cfg.N, grid.M
+    sqdt = math.sqrt(grid.dt)
+    nc = coeffs.node_values(grid)
+    per_call = min(cfg.reps, max(1, _LANES // N))
+    x0 = np.empty((per_call, N))
+    dW = np.empty((per_call, N, M))
+    sums = np.empty((per_call, len(sizes), M + 1))
+    partial = np.empty((_TILE + 1, per_call, N))
+    last = np.asarray(sizes) - 1
+
+    def sink(k0, w, xs, us):
+        tile = xs[:w + 1].reshape(w + 1, -1, N)
+        R = tile.shape[1]
+        # accumulate adds agents in order: acc[j] = acc[j-1] + tile[j]
+        acc = np.add.accumulate(tile, axis=2, out=partial[:w + 1, :R])
+        sums[:R, :, k0:k0 + w + 1] = acc[..., last].transpose(1, 2, 0)
+
+    def mean(k, x):
+        return law.xbar[k]
+
+    rng = np.random.Generator(np.random.Philox())
+    for first in range(0, cfg.reps, per_call):
+        R = min(per_call, cfg.reps - first)
+        for r in range(R):
+            _draw(rng, cfg, first + r, sqdt, x0[r], dW[r])
+        end = _step_tiles(nc, grid.dt, x0[:R], dW[:R], law.k_self,
+                          law.k_mean, law.k_const, mean, sink)
+        if not np.all(np.isfinite(end)):
+            # rerun the first failing replication alone on full paths: the
+            # same inputs give the same bits, so it raises, naming the
+            # agent and step as simulate_reps does
+            r = int(np.argmin(np.isfinite(end).reshape(R, N).all(axis=1)))
+            _euler_maruyama(nc, grid.dt, x0[r], dW[r], law.k_self,
+                            law.k_mean, law.k_const, mean, first + r)
+        for r in range(R):
+            yield first + r, x0[r], dW[r], sums[r]
 
 
 def simulate(coeffs: CoefficientSet, law: StrategyLaw,

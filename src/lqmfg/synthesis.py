@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelConfigError, NonSolvableError
-from .model import CoefficientSet, TimeGrid, _reject_bools, half_interp
+from .model import (CoefficientSet, TimeGrid, _as_float, _reject_bools,
+                    half_interp)
 from .riccati import GainSchedule, _rk4_scalar
 
 LAW_KINDS = ("decentralized", "centralized", "zero", "scaled",
@@ -134,7 +135,7 @@ def make_law(kind: str, gains: GainSchedule,
     if kind == "scaled":
         _reject_bools("scaling factor theta", theta)
         try:
-            th = float(theta)
+            th = _as_float(theta, "scaling factor theta")
         except (TypeError, ValueError) as exc:
             raise ModelConfigError("scaled law needs a numeric scaling factor, "
                                    f"got {theta!r}") from exc

@@ -362,6 +362,17 @@ def test_malformed_values_exit_2_with_manifest(tmp_path, capsys):
         *(("simulate", {"experiments": {"simulate": dict(simulate, law=law)}},
            "experiments.simulate.law must be a law kind")
           for law in (["decentralized"], {"k": 1})),
+        # JSON integers written out in digits, too large for a float
+        ("validate", {"coefficients": dict(ALL_ONES, A=10 ** 400)},
+         "coefficient 'A' is too large for a float"),
+        ("validate", {"grid": {"T": 10 ** 400, "M": 50}},
+         "horizon T is too large for a float"),
+        ("mean-field", {"initial": {"kind": "uniform", "a": 0,
+                                    "b": 10 ** 400}},
+         "uniform support bound is too large for a float"),
+        ("simulate", {"experiments": {"simulate": dict(
+            simulate, law="scaled", theta=10 ** 400)}},
+         "scaling factor theta is too large for a float"),
     )
     for k, (sub, override, message) in enumerate(cases):
         cfg = make_config(tmp_path, name=f"cfg{k}.json", **override)

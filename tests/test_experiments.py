@@ -1,9 +1,11 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from lqmfg import sim
 from lqmfg.errors import ModelConfigError, SimulationDivergedError
 from lqmfg.experiments import (DEFAULT_DEVIATIONS, _build_laws, _parse_label,
                                epsilon_sweep, figure_data, loglog_slope,
@@ -11,8 +13,9 @@ from lqmfg.experiments import (DEFAULT_DEVIATIONS, _build_laws, _parse_label,
 from lqmfg.model import (CoefficientSet, InitialLaw, TimeGrid,
                          parse_coefficients, parse_grid, parse_initial_law)
 from lqmfg.riccati import gains, solve_limit
-from lqmfg.sim import (PopulationConfig, cost_of_agent, costs_all_agents,
-                       quadrature, replay_agent, simulate, simulate_reps)
+from lqmfg.sim import (_TILE, PopulationConfig, cost_of_agent,
+                       costs_all_agents, quadrature, replay_agent, simulate,
+                       simulate_reps)
 from lqmfg.synthesis import make_law, solve_mean_field
 from test_acceptance import CLI_CONFIG, MIXED_CONFIG
 
@@ -271,6 +274,123 @@ def test_nash_gap_names_the_replication_that_fails():
             nash_gap(coeffs, 2, 3, 9, grid, initial, deviations=["zero"])
         assert (exc.value.rep, exc.value.step) == (1, step)
         assert exc.value.agent == (None if step is None else 0)
+
+
+def sampled_config(M):
+    # the mixed config with its sampled A laid on an M-step grid
+    cfg = dict(MIXED_CONFIG, grid={"T": 1.0, "M": M})
+    cfg["coefficients"] = dict(MIXED_CONFIG["coefficients"],
+                               A=[(k % 7 - 3) / 4 for k in range(M + 1)])
+    return cfg
+
+
+@pytest.mark.parametrize("fixture", [
+    lambda M: {"grid": {"T": M / 100, "M": M},
+               "coefficients": CLI_CONFIG["coefficients"],
+               "initial": CLI_CONFIG["initial"]},
+    lambda M: dict(CLI_CONFIG, grid={"T": 1.0, "M": M}),
+    sampled_config], ids=["allones", "criterion-11", "sampled"])
+def test_population_sums_match_full_paths(fixture, monkeypatch):
+    # the mean-only path draws what simulate draws and adds agents in the
+    # order states.sum(axis=0) adds them, for every tile layout (one step,
+    # a full tile, a one-step tail tile, many tiles) and lane batching: 5
+    # replications are one partial call, or at 8 lanes calls of 8 // N
+    for M in (2, _TILE, _TILE + 1, 1000):
+        cfg = fixture(M)
+        grid = parse_grid(cfg)
+        coeffs = parse_coefficients(cfg, grid)
+        initial = parse_initial_law(cfg)
+        law, = _build_laws([("decentralized", None)], coeffs, grid, initial)
+        for N in (1, 3, 130):
+            pop = PopulationConfig(N=N, reps=5, master_seed=2024,
+                                   initial=initial)
+            sizes = (1, (N + 1) // 2, N)
+            want = simulate(coeffs, law, pop, grid)
+            for lanes in (sim._LANES, 8):
+                with monkeypatch.context() as patch:
+                    patch.setattr(sim, "_LANES", lanes)
+                    got = [(rep, x0.copy(), dW.copy(), sums.copy())
+                           for rep, x0, dW, sums in sim._population_sums(
+                               coeffs, law, pop, grid, sizes)]
+                assert [g[0] for g in got] == list(range(5))
+                for ps, (rep, x0, dW, sums) in zip(want, got):
+                    assert np.array_equal(x0, ps.states[:, 0])
+                    assert np.array_equal(dW, ps.increments)
+                    for n, total in zip(sizes, sums):
+                        assert np.array_equal(total / n,
+                                              ps.states[:n].mean(axis=0))
+                    assert np.array_equal(sums[-1] - sums[0],
+                                          ps.states.sum(axis=0) - ps.states[0])
+
+
+def test_population_sums_refuse_a_realized_mean_law():
+    grid = TimeGrid(T=1.0, M=50)
+    gl = gains(solve_limit(ALL_ONES, grid), ALL_ONES)
+    cfg = PopulationConfig(N=4, reps=2, master_seed=1, initial=UNIFORM)
+    with pytest.raises(ModelConfigError, match="precomputed mean"):
+        next(sim._population_sums(ALL_ONES, make_law("meanfield-informed", gl),
+                                  cfg, grid, (4,)))
+
+
+def divergence_steps(coeffs, law, cfg, grid):
+    """Each replication's first non-finite step (None if it stays finite),
+    one replication at a time through the full-path kernel."""
+    rng = np.random.Generator(np.random.Philox())
+    nc = coeffs.node_values(grid)
+    steps = []
+    for rep in range(cfg.reps):
+        x0, dW = np.empty(cfg.N), np.empty((cfg.N, grid.M))
+        sim._draw(rng, cfg, rep, math.sqrt(grid.dt), x0, dW)
+        try:
+            sim._euler_maruyama(nc, grid.dt, x0, dW, law.k_self, law.k_mean,
+                                law.k_const, lambda k, x: law.xbar[k], rep)
+            steps.append(None)
+        except SimulationDivergedError as exc:
+            steps.append(exc.step)
+    return steps
+
+
+def test_mean_only_studies_report_divergence_as_simulate_does():
+    # states start near the largest float and multiplicative noise pushes
+    # some over it.  All 8 replications share one kernel call, and
+    # replication 0 diverges later than replications 1 and 2, so the
+    # earliest failing step in the call is not the one simulate names
+    coeffs = CoefficientSet.from_constants(B=0.01, C=1.0, Q=1.0, R=1.0, H=1.0)
+    grid = TimeGrid(T=1.0, M=100)
+    initial = InitialLaw.point(1e308)
+    N, reps, seed = 2, 8, 1
+    dec, = _build_laws([("decentralized", None)], coeffs, grid, initial)
+    cfg = PopulationConfig(N=N, reps=reps, master_seed=seed, initial=initial)
+    assert reps <= sim._LANES // N
+    steps = divergence_steps(coeffs, dec, cfg, grid)
+    assert steps[0] is not None
+    assert min(s for s in steps[1:] if s is not None) < steps[0]
+    with pytest.raises(SimulationDivergedError) as want:
+        simulate(coeffs, dec, cfg, grid)
+    for study in (
+            lambda: epsilon_sweep(coeffs, [1, N], reps, seed, grid, initial),
+            lambda: nash_gap(coeffs, N, reps, seed, grid, initial,
+                             deviations=["zero"])):
+        with pytest.raises(SimulationDivergedError) as got:
+            study()
+        assert (got.value.rep, got.value.agent, got.value.step) \
+            == (want.value.rep, want.value.agent, want.value.step) \
+            == (0, want.value.agent, steps[0])
+        assert str(got.value) == str(want.value)
+
+
+def test_epsilon_sweep_builds_no_path_array():
+    # one state or control array at N = 4096 and M = 1000 is 32.8 MB; the
+    # sweep keeps prefix sums, so its peak stays below two of them
+    grid = TimeGrid(T=10.0, M=1000)
+    tracemalloc.start()
+    try:
+        epsilon_sweep(ALL_ONES, [64, 4096], reps=2, master_seed=5, grid=grid,
+                      initial=UNIFORM)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 4096 * 1000 * 8
 
 
 def test_write_csv_round_trips_floats(tmp_path):
