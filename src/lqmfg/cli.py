@@ -34,7 +34,7 @@ from .model import (_as_int, canonical_fingerprint, load_config,
                     parse_coefficients, parse_grid, parse_initial_law,
                     validate)
 from .riccati import gains, solve_finite_N, solve_limit
-from .sim import PopulationConfig, costs_all_agents, simulate
+from .sim import PopulationConfig, costs_all_agents, simulate_reps
 from .synthesis import solve_mean_field
 
 EXIT_OK = 0
@@ -249,8 +249,24 @@ def _cmd_simulate(args, cfg, coeffs, grid, initial, seed):
     outputs.append(law_path)
 
     pop = PopulationConfig(N=N, reps=reps, master_seed=seed, initial=initial)
-    paths = simulate(coeffs, law, pop, grid)
-    per_agent = np.stack([costs_all_agents(ps, coeffs, grid) for ps in paths])
+    width = max(3, len(str(reps - 1)))
+    columns = ("t",) + tuple(f"agent{i}" for i in range(N))
+    costs, overflow = [], None
+    for ps in simulate_reps(coeffs, law, pop, grid):
+        try:
+            costs.append(costs_all_agents(ps, coeffs, grid))
+        except SimulationDivergedError as exc:
+            # as when every path ran before any cost: a path that
+            # diverges in a later replication is named first
+            overflow = overflow or exc
+        if args.paths:
+            path = os.path.join(args.out_dir,
+                                f"paths_rep{ps.rep:0{width}d}.csv")
+            write_csv(path, columns, (grid.nodes, *ps.states))
+            outputs.append(path)
+    if overflow is not None:
+        raise overflow
+    per_agent = np.stack(costs)
     means = per_agent.mean(axis=0)
     if reps > 1:
         ses = per_agent.std(axis=0, ddof=1) / math.sqrt(reps)
@@ -260,15 +276,6 @@ def _cmd_simulate(args, cfg, coeffs, grid, initial, seed):
     write_csv(summary, ("agent", "mean_cost", "stderr"),
               (range(N), means, ses))
     outputs.append(summary)
-
-    if args.paths:
-        width = max(3, len(str(reps - 1)))
-        for ps in paths:
-            path = os.path.join(args.out_dir,
-                                f"paths_rep{ps.rep:0{width}d}.csv")
-            cols = ("t",) + tuple(f"agent{i}" for i in range(N))
-            write_csv(path, cols, (grid.nodes, *ps.states))
-            outputs.append(path)
     return outputs, {"N": N, "reps": reps, "law": law.label,
                      "population_mean_cost": float(per_agent.mean())}
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelConfigError, SimulationDivergedError
-from .model import CoefficientSet, InitialLaw, TimeGrid, canonical_fingerprint
+from .model import (CoefficientSet, InitialLaw, TimeGrid, _number,
+                    canonical_fingerprint)
 from .riccati import gains, solve_finite_N, solve_limit
 from .sim import (PopulationConfig, _costs, _population_sums, _replay_lanes,
                   quadrature)
@@ -90,11 +91,7 @@ def _parse_label(label: str):
     number; returns its (kind, theta) spec."""
     m = re.fullmatch(r"scaled\((-?[0-9.]*)\)", label)
     if m:
-        try:
-            return "scaled", float(m.group(1))
-        except ValueError:
-            raise ModelConfigError("scaling factor theta must be a number, "
-                                   f"got {label!r}") from None
+        return "scaled", _number(m.group(1), "scaling factor theta")
     if label in LAW_KINDS:
         return label, None
     raise ModelConfigError(f"unknown deviation label {label!r}")

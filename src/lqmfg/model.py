@@ -24,21 +24,22 @@ import numpy as np
 from .errors import ModelConfigError
 
 
-def _reject_bools(what: str, *values) -> None:
-    """JSON true and false are not the numbers 1 and 0: a bool among values
-    is a ModelConfigError."""
-    for v in values:
-        if isinstance(v, bool):
-            raise ModelConfigError(f"{what} must be a number, got {v!r}")
-
-
-def _as_float(value, what: str) -> float:
-    """float(value), where an integer too large for a float (a JSON number
-    written out in digits) is a ModelConfigError."""
+def _number(value, what: str) -> float:
+    """value as a finite float: numbers and numeric strings pass.  A bool
+    (JSON true and false are not 1 and 0), anything else float() rejects,
+    an integer too large for a float and a nan or infinity are each a
+    ModelConfigError naming `what`."""
+    if isinstance(value, bool):
+        raise ModelConfigError(f"{what} must be a number, got {value!r}")
     try:
-        return float(value)
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ModelConfigError(f"{what} is not numeric: {value!r}") from None
     except OverflowError:
         raise ModelConfigError(f"{what} is too large for a float") from None
+    if not math.isfinite(x):
+        raise ModelConfigError(f"{what} must be finite, got {x!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -78,20 +79,13 @@ class TimeProfile:
 
     @staticmethod
     def constant(value: float) -> "TimeProfile":
-        v = float(value)
-        if not math.isfinite(v):
-            raise ModelConfigError(f"non-finite constant coefficient: {value}")
-        return TimeProfile(value=v)
+        return TimeProfile(value=_number(value, "constant coefficient"))
 
     @staticmethod
     def sampled(values, grid: TimeGrid) -> "TimeProfile":
         if isinstance(values, (list, tuple)):
-            _reject_bools("sampled profile value", *values)
-        try:
-            arr = np.asarray(values, dtype=float)
-        except OverflowError:
-            raise ModelConfigError("sampled profile value is too large for "
-                                   "a float") from None
+            values = [_number(v, "sampled profile value") for v in values]
+        arr = np.asarray(values, dtype=float)
         if arr.ndim != 1 or arr.size != grid.M + 1:
             raise ModelConfigError(
                 f"sampled profile needs M+1={grid.M + 1} values, got shape {arr.shape}")
@@ -158,8 +152,7 @@ class InitialLaw:
 
     @staticmethod
     def uniform(a: float, b: float) -> "InitialLaw":
-        _reject_bools("uniform support bound", a, b)
-        a, b = (_as_float(v, "uniform support bound") for v in (a, b))
+        a, b = (_number(v, "uniform support bound") for v in (a, b))
         law = InitialLaw(kind="uniform", a=a, b=b)
         # b - a and the mean must be finite too: the sampler draws
         # a + (b - a) u, and the mean-field path starts at the mean
@@ -169,19 +162,14 @@ class InitialLaw:
 
     @staticmethod
     def gaussian(mean: float, var: float) -> "InitialLaw":
-        _reject_bools("gaussian parameter", mean, var)
-        mean, var = (_as_float(v, "gaussian parameter") for v in (mean, var))
-        if not (math.isfinite(mean) and math.isfinite(var) and var >= 0.0):
+        mean, var = (_number(v, "gaussian parameter") for v in (mean, var))
+        if var < 0.0:
             raise ModelConfigError(f"bad gaussian parameters mean={mean}, var={var}")
         return InitialLaw(kind="gaussian", a=mean, b=var)
 
     @staticmethod
     def point(c: float) -> "InitialLaw":
-        _reject_bools("point mass", c)
-        c = _as_float(c, "point mass")
-        if not math.isfinite(c):
-            raise ModelConfigError(f"bad point mass at {c}")
-        return InitialLaw(kind="point", a=c)
+        return InitialLaw(kind="point", a=_number(c, "point mass"))
 
     @property
     def mean(self) -> float:
@@ -222,9 +210,7 @@ class CoefficientSet:
 
     def __post_init__(self):
         for name in ("H", "Gamma0", "eta0"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ModelConfigError(f"non-finite terminal scalar {name}={v}")
+            _number(getattr(self, name), f"terminal scalar {name}")
 
     @staticmethod
     def from_constants(*, A=0.0, B=0.0, C=0.0, D=0.0, f=0.0, g=0.0,
@@ -233,7 +219,9 @@ class CoefficientSet:
         c = TimeProfile.constant
         return CoefficientSet(A=c(A), B=c(B), C=c(C), D=c(D), f=c(f), g=c(g),
                               Q=c(Q), R=c(R), Gamma=c(Gamma), eta=c(eta),
-                              H=float(H), Gamma0=float(Gamma0), eta0=float(eta0))
+                              H=_number(H, "terminal scalar H"),
+                              Gamma0=_number(Gamma0, "terminal scalar Gamma0"),
+                              eta0=_number(eta0, "terminal scalar eta0"))
 
     def to_dict(self) -> dict:
         """JSON-compatible representation, used for fingerprinting."""
@@ -323,11 +311,9 @@ def _as_int(value, what: str) -> int:
 def parse_grid(cfg: dict) -> TimeGrid:
     try:
         g = cfg["grid"]
-        if isinstance(g["T"], bool):
-            raise TypeError(f"T must be a number, got {g['T']!r}")
-        return TimeGrid(T=_as_float(g["T"], "horizon T"),
+        return TimeGrid(T=_number(g["T"], "horizon T"),
                         M=_as_int(g["M"], "grid M"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ModelConfigError(f"bad or missing grid section: {exc}") from exc
 
 
@@ -339,20 +325,15 @@ def parse_coefficients(cfg: dict, grid: TimeGrid) -> CoefficientSet:
     for name in _PROFILE_NAMES + ("H", "Gamma0", "eta0"):
         if name not in section:
             raise ModelConfigError(f"missing coefficient {name!r}")
-        raw = section[name]
-        _reject_bools(f"coefficient {name!r}",
-                      *(raw if isinstance(raw, (list, tuple)) else [raw]))
-        try:
-            if name not in _PROFILE_NAMES:
-                kwargs[name] = _as_float(raw, f"coefficient {name!r}")
-            elif isinstance(raw, (list, tuple)):
-                kwargs[name] = TimeProfile.sampled(raw, grid)
-            else:
-                kwargs[name] = TimeProfile.constant(
-                    _as_float(raw, f"coefficient {name!r}"))
-        except (TypeError, ValueError) as exc:
-            raise ModelConfigError(
-                f"coefficient {name!r} is not numeric: {raw!r}") from exc
+        raw, what = section[name], f"coefficient {name!r}"
+        if name not in _PROFILE_NAMES:
+            kwargs[name] = _number(raw, what)
+        elif isinstance(raw, (list, tuple)):
+            # an array, so that sampled reads each value once
+            kwargs[name] = TimeProfile.sampled(
+                np.array([_number(v, what) for v in raw]), grid)
+        else:
+            kwargs[name] = TimeProfile(value=_number(raw, what))
     return CoefficientSet(**kwargs)
 
 

@@ -190,10 +190,12 @@ def _euler_maruyama(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
     """Euler-Maruyama paths of a batch of states started at x0, of shape S:
     states (S, M+1) and controls (S, M), stepped by _step_tiles.
 
-    A non-finite state names its replication (rep, broadcast to S) and
-    `agent`, or else its index in x0.ravel(), in the
-    SimulationDivergedError.  The tiles go out transposed in blocks of
-    _BLOCK paths.
+    The last axis of S holds the paths of one replication and the other
+    axes the replications, numbered by rep (broadcast to S).  A divergence
+    raises SimulationDivergedError naming the first replication, in order,
+    whose paths end non-finite, its first non-finite step, and `agent`, or
+    else the first path non-finite at that step (its index on the last
+    axis).  The tiles go out transposed in blocks of _BLOCK paths.
     """
     n, M = x0.size, dW.shape[-1]
     states = np.empty((n, M + 1))
@@ -208,11 +210,13 @@ def _euler_maruyama(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
     end = _step_tiles(nc, dt, x0, dW, ks, km, kc, mean, sink)
     # a non-finite state stays non-finite, so checking the end state suffices
     if not np.all(np.isfinite(end)):
-        bad = ~np.isfinite(states)
+        width = x0.shape[-1]
+        r = int(np.argmin(np.isfinite(end).reshape(-1, width).all(axis=1)))
+        bad = ~np.isfinite(states[r * width:(r + 1) * width])
         step = int(np.argmax(bad.any(axis=0)))
-        row = int(np.argmax(bad[:, step]))
-        rep = int(np.broadcast_to(rep, x0.shape).flat[row])
-        agent = row if agent is None else agent
+        path = int(np.argmax(bad[:, step]))
+        rep = int(np.broadcast_to(rep, x0.shape).flat[r * width + path])
+        agent = path if agent is None else agent
         raise SimulationDivergedError(
             f"agent {agent} diverged at step {step} of replication {rep}",
             rep=rep, agent=agent, step=step)
@@ -300,12 +304,12 @@ def _population_sums(coeffs: CoefficientSet, law: StrategyLaw,
         end = _step_tiles(nc, grid.dt, x0[:R], dW[:R], law.k_self,
                           law.k_mean, law.k_const, mean, sink)
         if not np.all(np.isfinite(end)):
-            # rerun the first failing replication alone on full paths: the
-            # same inputs give the same bits, so it raises, naming the
-            # agent and step as simulate_reps does
-            r = int(np.argmin(np.isfinite(end).reshape(R, N).all(axis=1)))
-            _euler_maruyama(nc, grid.dt, x0[r], dW[r], law.k_self,
-                            law.k_mean, law.k_const, mean, first + r)
+            # rerun the batch on full paths: the same inputs give the same
+            # bits, so it raises, naming the replication, step and agent
+            # as simulate_reps does
+            _euler_maruyama(nc, grid.dt, x0[:R], dW[:R], law.k_self,
+                            law.k_mean, law.k_const, mean,
+                            first + np.arange(R)[:, None])
         for r in range(R):
             yield first + r, x0[r], dW[r], sums[r]
 
@@ -428,10 +432,12 @@ def stationarity_residual(paths: list, finN: RiccatiSolution,
         raise ModelConfigError("empty path list")
     grid = finN.grid
     M = grid.M
-    N = paths[0].states.shape[0]
-    if N != finN.N:
-        raise ModelConfigError(f"paths have {N} agents but solution is for N={finN.N}")
-    _check_paths_grid(paths[0], grid)
+    for ps in paths:
+        N = ps.states.shape[0]
+        if N != finN.N:
+            raise ModelConfigError(f"paths have {N} agents but solution is "
+                                   f"for N={finN.N}")
+        _check_paths_grid(ps, grid)
 
     nc = coeffs.node_values(grid)
     B, C, D, R, g = (nc[n][:M] for n in ("B", "C", "D", "R", "g"))

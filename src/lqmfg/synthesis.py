@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelConfigError, NonSolvableError
-from .model import (CoefficientSet, TimeGrid, _as_float, _reject_bools,
-                    half_interp)
+from .model import CoefficientSet, TimeGrid, _number, half_interp
 from .riccati import GainSchedule, _rk4_scalar
 
 LAW_KINDS = ("decentralized", "centralized", "zero", "scaled",
@@ -133,15 +132,7 @@ def make_law(kind: str, gains: GainSchedule,
         raise ModelConfigError(f"mean-field path on {xbar.grid} does not "
                                f"match the gains' grid {grid}")
     if kind == "scaled":
-        _reject_bools("scaling factor theta", theta)
-        try:
-            th = _as_float(theta, "scaling factor theta")
-        except (TypeError, ValueError) as exc:
-            raise ModelConfigError("scaled law needs a numeric scaling factor, "
-                                   f"got {theta!r}") from exc
-        if not math.isfinite(th):
-            raise ModelConfigError("scaling factor theta must be finite, "
-                                   f"got {th!r}")
+        th = _number(theta, "scaling factor theta")
         return StrategyLaw(kind=kind, grid=grid, k_self=th * k_self,
                            k_mean=th * k_mean, k_const=th * k_const,
                            xbar=xbar.values, theta=th)

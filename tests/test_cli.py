@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import lqmfg.experiments as experiments
 from lqmfg.cli import run
@@ -134,6 +135,22 @@ def test_singular_gain_exits_3_and_names_time(tmp_path, capsys):
     assert read_manifest(out)["exit_code"] == 3
 
 
+def test_simulate_keeps_one_replication_of_paths(tmp_path):
+    # 16 replications of 256 agents on 100 steps hold 9.8 MB of states,
+    # controls and increments; simulate costs each replication as it
+    # arrives, so its peak stays below half of that
+    cfg = make_config(tmp_path, experiments={"simulate": {"N": 256,
+                                                          "reps": 16}})
+    tracemalloc.start()
+    try:
+        assert run(["simulate", "--config", cfg,
+                    "--out-dir", str(tmp_path / "out")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 3 * 256 * 100 * 8
+
+
 def test_divergence_exits_4(tmp_path, capsys):
     coeffs = dict(ALL_ONES)
     coeffs.update(A=6000, C=0, D=0, f=0, Q=0, H=0, Gamma=0, Gamma0=0,
@@ -148,6 +165,18 @@ def test_divergence_exits_4(tmp_path, capsys):
     assert code == 4
     assert "diverged" in capsys.readouterr().err
     assert read_manifest(out)["exit_code"] == 4
+    # replication 0's cost overflows and replication 1's path diverges:
+    # the path is named, as when every path ran before any cost
+    coeffs = dict({name: 0 for name in ALL_ONES}, A=100, B=1, C=1, Q=1, R=1)
+    cfg = make_config(tmp_path, name="late.json", coefficients=coeffs,
+                      grid={"T": 10.16, "M": 1016}, seed=9,
+                      initial={"kind": "uniform", "a": 1.0, "b": 2.0},
+                      experiments={"simulate": {"N": 2, "reps": 3,
+                                                "law": "zero"}})
+    out = tmp_path / "late"
+    assert run(["simulate", "--config", cfg, "--out-dir", str(out)]) == 4
+    assert "agent 0 diverged at step 1014 of replication 1" \
+        in capsys.readouterr().err
 
 
 def test_unwritable_out_dir_exits_5(tmp_path, capsys):
@@ -344,6 +373,14 @@ def test_malformed_values_exit_2_with_manifest(tmp_path, capsys):
         ("simulate", {"experiments": {"simulate": dict(
             simulate, law="scaled", theta=True)}},
          "scaling factor theta must be a number"),
+        # a string that is not a number, in each initial law
+        ("mean-field", {"initial": {"kind": "uniform", "a": "x", "b": 20}},
+         "uniform support bound is not numeric: 'x'"),
+        ("mean-field", {"initial": {"kind": "gaussian", "mean": "x",
+                                    "var": 1.0}},
+         "gaussian parameter is not numeric: 'x'"),
+        ("mean-field", {"initial": {"kind": "point", "value": "abc"}},
+         "point mass is not numeric: 'abc'"),
         # deviation labels: a theta that does not parse, a repeated label
         *(("nash-gap", {"experiments": {"nash_gap": dict(
             simulate, deviations=[label])}}, "scaling factor")

@@ -249,16 +249,21 @@ def test_nash_gap_matches_per_replication_replays(cfg, N, reps):
 
 def test_nash_gap_names_the_replication_that_fails():
     # under the zero law the first agent roughly doubles each step
-    # (A dt = 1) and replication 1 grows fastest at this seed.  At M = 511
+    # (A dt = 1) and replication 1 grows fastest at seed 9.  At M = 511
     # only its cost overflows.  At M = 1016 only its path overflows, and the
     # other costs overflow: every replay runs before any cost, so the path
-    # is named
+    # is named.  At seed 7 and M = 1020, replication 3 overflows two steps
+    # before replication 1, and the replays still name replication 1, the
+    # first in order, as one replay per replication does
     coeffs = CoefficientSet.from_constants(A=100.0, B=1.0, C=1.0, Q=1.0,
                                            R=1.0)
     initial = InitialLaw.uniform(1.0, 2.0)
-    cfg = PopulationConfig(N=2, reps=3, master_seed=9, initial=initial)
-    for M, step, failures in ((511, None, [(1, None)]),
-                              (1016, 1014, [(0, None), (1, 1014), (2, None)])):
+    for seed, reps, M, step, failures in (
+            (9, 3, 511, None, [(1, None)]),
+            (9, 3, 1016, 1014, [(0, None), (1, 1014), (2, None)]),
+            (7, 4, 1020, 1020, [(0, None), (1, 1020), (2, None), (3, 1018)])):
+        cfg = PopulationConfig(N=2, reps=reps, master_seed=seed,
+                               initial=initial)
         grid = TimeGrid(T=M / 100, M=M)
         dec, zero = _build_laws([("decentralized", None), ("zero", None)],
                                 coeffs, grid, initial, 2)
@@ -271,7 +276,8 @@ def test_nash_gap_names_the_replication_that_fails():
                 seen.append((exc.rep, exc.step))
         assert seen == failures
         with pytest.raises(SimulationDivergedError) as exc:
-            nash_gap(coeffs, 2, 3, 9, grid, initial, deviations=["zero"])
+            nash_gap(coeffs, 2, reps, seed, grid, initial,
+                     deviations=["zero"])
         assert (exc.value.rep, exc.value.step) == (1, step)
         assert exc.value.agent == (None if step is None else 0)
 

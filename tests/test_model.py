@@ -75,6 +75,21 @@ def test_sampled_profile_rejects_bools():
         TimeProfile.sampled([1.0, True, 1.0], grid)
 
 
+def test_library_constructors_read_numbers_as_the_config_does():
+    # a bool is not a number here either, and numeric strings still pass
+    with pytest.raises(ModelConfigError,
+                       match="constant coefficient must be a number, got True"):
+        TimeProfile.constant(True)
+    with pytest.raises(ModelConfigError, match="must be a number, got True"):
+        CoefficientSet.from_constants(A=True)
+    with pytest.raises(ModelConfigError,
+                       match="terminal scalar H must be a number, got False"):
+        CoefficientSet.from_constants(H=False)
+    with pytest.raises(ModelConfigError, match="must be finite, got nan"):
+        InitialLaw.point(float("nan"))
+    assert TimeProfile.constant("2.5").value == 2.5
+
+
 def test_half_values_interleave_nodes_and_midpoints():
     grid = TimeGrid(T=2.0, M=4)
     vals = np.array([1.0, 3.0, -1.0, 0.0, 5.0])

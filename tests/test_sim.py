@@ -415,6 +415,20 @@ def test_stationarity_structural_mismatches():
     other = solve_finite_N(ALL_ONES, 6, grid)
     with pytest.raises(ModelConfigError):
         stationarity_residual(paths, other, gains(other, ALL_ONES), ALL_ONES)
+    # every path set is checked, not only the first: one of 6 agents, and
+    # one of 4 agents on a grid with as many nodes but another horizon
+    six = simulate(ALL_ONES, make_law("centralized", gains(other, ALL_ONES)),
+                   PopulationConfig(N=6, reps=1, master_seed=1,
+                                    initial=InitialLaw.point(1.0)), grid)
+    with pytest.raises(ModelConfigError, match="6 agents"):
+        stationarity_residual(paths + six, fin, gn, ALL_ONES)
+    longer = TimeGrid(T=2.0, M=50)
+    fin2 = solve_finite_N(ALL_ONES, 4, longer)
+    stretched = simulate(ALL_ONES, make_law("centralized",
+                                            gains(fin2, ALL_ONES)),
+                         cfg, longer)
+    with pytest.raises(ModelConfigError, match="path set on"):
+        stationarity_residual(paths + stretched, fin, gn, ALL_ONES)
 
 
 def test_resimulate_same_law_is_bit_identical():
