@@ -28,23 +28,21 @@ import numpy as np
 from . import __version__
 from .errors import (ModelConfigError, NonSolvableError,
                      SimulationDivergedError, SingularGainError)
-from .experiments import (_build_laws, epsilon_sweep, figure_data, nash_gap,
-                          riccati_convergence, write_csv)
-from .model import (_as_int, canonical_fingerprint, load_config,
+from .experiments import (DEFAULT_DEVIATIONS, _build_laws, epsilon_sweep,
+                          figure_data, nash_gap, riccati_convergence,
+                          write_csv)
+from .model import (_COEFFICIENT_NAMES, _GRID_KEYS, _INITIAL_KEYS, _as_int,
+                    _number, canonical_fingerprint, load_config,
                     parse_coefficients, parse_grid, parse_initial_law,
                     validate)
 from .riccati import gains, solve_finite_N, solve_limit
 from .sim import PopulationConfig, costs_all_agents, simulate_reps
-from .synthesis import solve_mean_field
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_DIVERGED = 4
 EXIT_IO = 5
-
-_RICCATI_COLUMNS = ("t", "P", "K", "phi", "alpha", "beta", "gamma", "delta")
-
 
 class _UsageError(Exception):
     """argparse rejected the command line; the message is argparse's."""
@@ -59,14 +57,61 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def _population_list(value, what):
+    """A list, or a comma-separated string, of integers and "inf"."""
+    if isinstance(value, str):
+        value = [tok.strip() for tok in value.split(",") if tok.strip()]
+    if not isinstance(value, list):
+        raise ModelConfigError(f"{what} must be a list, got {value!r}")
+    if not value:
+        raise ModelConfigError(f"population sizes in {what} are empty")
+    return [math.inf if isinstance(v, str) and v.lower() in ("inf", "infinity")
+            else _as_int(v, "population size") for v in value]
+
+
+def _law_kind(value, what):
+    if not isinstance(value, str):
+        raise ModelConfigError(f"{what} must be a law kind, got {value!r}")
+    return value
+
+
+def _labels(value, what):
+    if not isinstance(value, list) or not all(isinstance(v, str)
+                                              for v in value):
+        raise ModelConfigError(f"{what} must be a list of deviation labels, "
+                               f"got {value!r}")
+    return tuple(value)
+
+
+# Each experiments key: its reader, called with the value and the flag or
+# config path it came from, and the flag that takes the key's place.  Each
+# section: its keys with their defaults, where ... marks a key that must be
+# given.  A subcommand takes the flags of the section named after it.
+_KEYS = {
+    "N": (_as_int, "--population"),
+    "reps": (_as_int, "--reps"),
+    "Ns": (_population_list, "--populations"),
+    "law": (_law_kind, "--law"),
+    "theta": (lambda value, what: _number(value, "scaling factor theta"),
+              "--theta"),
+    "deviations": (_labels, None),
+}
+_SECTIONS = {
+    "solve_riccati": {"N": None},
+    "simulate": {"N": ..., "reps": ..., "law": "decentralized", "theta": None},
+    "epsilon_sweep": {"Ns": ..., "reps": ...},
+    "riccati_convergence": {"Ns": ...},
+    "nash_gap": {"N": ..., "reps": ..., "deviations": DEFAULT_DEVIATIONS},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="lqmfg",
         description="Solvers, simulators, and experiments for scalar "
                     "linear-quadratic mean field games.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, **extra_flags):
+    for name, (help_text, _) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True,
                         help="path to the JSON model/experiment config")
@@ -78,98 +123,83 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="directory for CSVs and manifest.json")
         sp.add_argument("--workers", type=int, default=1,
                         help="accepted for compatibility and ignored")
-        for flag, kwargs in extra_flags.items():
-            sp.add_argument(flag, **kwargs)
-        return sp
-
-    add("validate", "check the model config and print a report")
-    add("solve-riccati", "solve the backward systems and write gain tables",
-        **{"--population": dict(type=int, default=None,
-                                help="also solve the N-player system")})
-    add("mean-field", "integrate the decentralized mean path")
-    add("simulate", "run the population Monte Carlo and report costs",
-        **{"--population": dict(type=int, default=None),
-           "--reps": dict(type=int, default=None),
-           "--law": dict(default=None,
-                         help="decentralized | centralized | zero | scaled "
-                              "| meanfield-informed"),
-           "--theta": dict(type=float, default=None,
-                           help="scale factor for the scaled law"),
-           "--paths": dict(action="store_true",
-                           help="also write per-replication path CSVs")})
-    add("epsilon-sweep", "mean-field approximation error against N",
-        **{"--populations": dict(default=None,
-                                 help="comma-separated population sizes"),
-           "--reps": dict(type=int, default=None)})
-    add("riccati-convergence", "population-vs-limit solver distance",
-        **{"--populations": dict(default=None,
-                                 help="comma-separated sizes; 'inf' allowed")})
-    add("nash-gap", "paired deviation study for the first agent",
-        **{"--population": dict(type=int, default=None),
-           "--reps": dict(type=int, default=None)})
-    add("figures", "emit fig1/fig2 CSVs and gnuplot scripts")
+        section = name.replace("-", "_")
+        for key in _SECTIONS.get(section, ()):
+            if _KEYS[key][1]:
+                sp.add_argument(_KEYS[key][1], dest=key, help=f"in place of "
+                                f"experiments.{section}.{key}")
+        if name == "simulate":
+            sp.add_argument("--paths", action="store_true",
+                            help="also write per-replication path CSVs")
     return parser
+
+
+# The config's sections, each with its keys; initial's depend on its kind
+_CONFIG = {"grid": _GRID_KEYS,
+           "coefficients": dict.fromkeys(_COEFFICIENT_NAMES),
+           "initial": {}, "seed": None, "experiments": _SECTIONS}
+
+
+def _check_keys(cfg: dict) -> None:
+    """Reject a key the program does not read, and a section that is no
+    object: the ModelConfigError names the key's path."""
+    initial = cfg.get("initial")
+    kind = str(initial.get("kind")) if isinstance(initial, dict) else None
+    # an unknown kind lets every law's keys pass: parse_initial_law names it
+    law_keys = _INITIAL_KEYS.get(kind) or sum(_INITIAL_KEYS.values(), ())
+
+    def walk(node, known, path):
+        for key, value in node.items():
+            if key not in known:
+                import difflib  # only on this error path: loading stays lean
+                lower = {name.lower(): name for name in known}
+                near = difflib.get_close_matches(key.lower(), lower, 1)
+                hint = f"; did you mean {lower[near[0]]!r}?" if near else ""
+                raise ModelConfigError(f"unknown config key {path}{key}{hint}")
+            if isinstance(known[key], dict):  # a section
+                if not isinstance(value, dict):
+                    raise ModelConfigError(f"{path}{key} must be an object")
+                walk(value, known[key], f"{path}{key}.")
+
+    walk(cfg, dict(_CONFIG, initial=dict.fromkeys(("kind",) + law_keys)), "")
 
 
 def _load_context(args):
     cfg = load_config(args.config)
     if not isinstance(cfg, dict):
         raise ModelConfigError("config root must be a JSON object")
+    _check_keys(cfg)
     if args.grid_steps is not None:
-        if not isinstance(cfg.get("grid"), dict):
-            raise ModelConfigError("config has no grid section to override")
-        cfg["grid"]["M"] = args.grid_steps
+        cfg.setdefault("grid", {})["M"] = args.grid_steps
     if args.seed is not None:
         cfg["seed"] = args.seed
     grid = parse_grid(cfg)
     coeffs = parse_coefficients(cfg, grid)
     initial = parse_initial_law(cfg)
     seed = cfg.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) \
-            or not 0 <= seed < 2 ** 64:
+    if type(seed) is not int or not 0 <= seed < 2 ** 64:  # bool is no int
         raise ModelConfigError(f"seed must be an integer in [0, 2^64), "
                                f"got {seed!r}")
     return cfg, coeffs, grid, initial, seed
 
 
-def _section(cfg: dict, name: str) -> dict:
-    exp = cfg.get("experiments", {})
-    sec = exp.get(name, {}) if isinstance(exp, dict) else {}
-    if not isinstance(sec, dict):
-        raise ModelConfigError(f"experiments.{name} must be an object")
-    return sec
-
-
-def _populations(flag_value, config_value, what, allow_inf=False):
-    raw = flag_value if flag_value is not None else config_value
-    if raw is None:
-        raise ModelConfigError(f"no population sizes given for {what}; set "
-                               f"--populations or experiments.{what}.Ns")
-    if isinstance(raw, str):
-        raw = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    if not isinstance(raw, list):
-        raise ModelConfigError(f"population sizes for {what} must be a list, "
-                               f"got {raw!r}")
-    if not raw:
-        raise ModelConfigError(f"population sizes for {what} are empty")
-    out = []
-    for v in raw:
-        if isinstance(v, str) and v.lower() in ("inf", "infinity"):
-            out.append(math.inf)
-            continue
-        out.append(_as_int(v, "population size"))
-    if not allow_inf and any(math.isinf(v) for v in out):
-        raise ModelConfigError(f"{what} needs finite population sizes")
+def _settings(args, cfg: dict, section: str) -> dict:
+    """The keys of one experiments section, each read from its flag if
+    given, else from the config, else its default."""
+    sec = cfg.get("experiments", {}).get(section, {})
+    out = {}
+    for key, default in _SECTIONS[section].items():
+        read, flag = _KEYS[key]
+        path = f"experiments.{section}.{key}"
+        if getattr(args, key, None) is not None:
+            out[key] = read(getattr(args, key), flag)
+        elif key in sec:
+            out[key] = read(sec[key], path)
+        elif default is ...:
+            raise ModelConfigError(f"{args.command} needs {path}")
+        else:
+            out[key] = default
     return out
-
-
-def _required_int(flag_value, sec, key, what):
-    if flag_value is not None:
-        return flag_value
-    if key in sec:
-        return _as_int(sec[key], f"{what} {key}")
-    raise ModelConfigError(f"{what} needs {key!r}: pass the flag or set it "
-                           f"in the config experiments section")
 
 
 # --------------------------------------------------------------------------
@@ -198,55 +228,37 @@ def _cmd_solve_riccati(args, cfg, coeffs, grid, initial, seed):
     def write(name, sol, comments=()):
         sched = gains(sol, coeffs)
         path = os.path.join(args.out_dir, name)
-        write_csv(path, _RICCATI_COLUMNS,
+        write_csv(path, ("t", "P", "K", "phi", "alpha", "beta", "gamma",
+                         "delta"),
                   (grid.nodes, sol.P, sol.K, sol.phi, sched.alpha,
                    sched.beta, sched.gamma, sched.delta), comments)
         outputs.append(path)
 
     write("riccati_limit.csv", solve_limit(coeffs, grid))
-    population = args.population
-    if population is None:
-        population = _section(cfg, "solve_riccati").get("N")
+    population = _settings(args, cfg, "solve_riccati")["N"]
     if population is not None:
-        population = _as_int(population, "solve_riccati N")
         write("riccati_finite.csv", solve_finite_N(coeffs, population, grid),
               (f"N = {population}",))
     return outputs, {"population": population}
 
 
 def _cmd_mean_field(args, cfg, coeffs, grid, initial, seed):
-    lim = solve_limit(coeffs, grid)
-    gl = gains(lim, coeffs)
-    mf = solve_mean_field(coeffs, gl, initial.mean, grid)
+    law, = _build_laws([("decentralized", None)], coeffs, grid, initial)
     path = os.path.join(args.out_dir, "mean_field.csv")
-    write_csv(path, ("t", "xbar"), (grid.nodes, mf.values))
+    write_csv(path, ("t", "xbar"), (grid.nodes, law.xbar))
     return [path], {"initial_mean": initial.mean,
-                    "terminal_mean": float(mf.values[-1])}
-
-
-def _write_law(path, law, grid):
-    write_csv(path, ("t", "k_self", "k_mean", "k_const"),
-              (grid.nodes, law.k_self, law.k_mean, law.k_const),
-              comments=(f"kind = {law.label}",
-                        f"mean_source = {law.mean_source}"))
+                    "terminal_mean": float(law.xbar[-1])}
 
 
 def _cmd_simulate(args, cfg, coeffs, grid, initial, seed):
-    sec = _section(cfg, "simulate")
-    N = _required_int(args.population, sec, "N", "simulate")
-    reps = _required_int(args.reps, sec, "reps", "simulate")
-    kind = args.law if args.law is not None else sec.get("law",
-                                                         "decentralized")
-    if not isinstance(kind, str):
-        raise ModelConfigError("experiments.simulate.law must be a law kind, "
-                               f"got {kind!r}")
-    theta = args.theta if args.theta is not None else sec.get("theta")
-    law, = _build_laws([(kind, theta)], coeffs, grid, initial, N)
+    s = _settings(args, cfg, "simulate")
+    N, reps = s["N"], s["reps"]
+    law, = _build_laws([(s["law"], s["theta"])], coeffs, grid, initial, N)
 
-    outputs = []
-    law_path = os.path.join(args.out_dir, "law.csv")
-    _write_law(law_path, law, grid)
-    outputs.append(law_path)
+    outputs = [os.path.join(args.out_dir, "law.csv")]
+    write_csv(outputs[0], ("t", "k_self", "k_mean", "k_const"),
+              (grid.nodes, law.k_self, law.k_mean, law.k_const),
+              (f"kind = {law.label}", f"mean_source = {law.mean_source}"))
 
     pop = PopulationConfig(N=N, reps=reps, master_seed=seed, initial=initial)
     width = max(3, len(str(reps - 1)))
@@ -281,19 +293,15 @@ def _cmd_simulate(args, cfg, coeffs, grid, initial, seed):
 
 
 def _cmd_epsilon_sweep(args, cfg, coeffs, grid, initial, seed):
-    sec = _section(cfg, "epsilon_sweep")
-    Ns = _populations(args.populations, sec.get("Ns"), "epsilon_sweep")
-    reps = _required_int(args.reps, sec, "reps", "epsilon-sweep")
-    tab = epsilon_sweep(coeffs, Ns, reps, seed, grid, initial)
+    s = _settings(args, cfg, "epsilon_sweep")
+    tab = epsilon_sweep(coeffs, s["Ns"], s["reps"], seed, grid, initial)
     path = os.path.join(args.out_dir, "epsilon_sweep.csv")
     write_csv(path, tab.columns, zip(*tab.rows))
     return [path], dict(tab.metadata)
 
 
 def _cmd_riccati_convergence(args, cfg, coeffs, grid, initial, seed):
-    sec = _section(cfg, "riccati_convergence")
-    Ns = _populations(args.populations, sec.get("Ns"),
-                      "riccati_convergence", allow_inf=True)
+    Ns = _settings(args, cfg, "riccati_convergence")["Ns"]
     tab = riccati_convergence(coeffs, Ns, grid)
     path = os.path.join(args.out_dir, "riccati_convergence.csv")
     write_csv(path, tab.columns, zip(*tab.rows))
@@ -301,40 +309,34 @@ def _cmd_riccati_convergence(args, cfg, coeffs, grid, initial, seed):
 
 
 def _cmd_nash_gap(args, cfg, coeffs, grid, initial, seed):
-    sec = _section(cfg, "nash_gap")
-    N = _required_int(args.population, sec, "N", "nash-gap")
-    reps = _required_int(args.reps, sec, "reps", "nash-gap")
-    deviations = sec.get("deviations")
-    if deviations is not None and not (
-            isinstance(deviations, list)
-            and all(isinstance(label, str) for label in deviations)):
-        raise ModelConfigError("experiments.nash_gap.deviations must be a "
-                               f"list of deviation labels, got {deviations!r}")
-    kwargs = {} if deviations is None else {"deviations": tuple(deviations)}
-    tab = nash_gap(coeffs, N, reps, seed, grid, initial, **kwargs)
+    s = _settings(args, cfg, "nash_gap")
+    tab = nash_gap(coeffs, s["N"], s["reps"], seed, grid, initial,
+                   s["deviations"])
     path = os.path.join(args.out_dir, "nash_gap.csv")
     write_csv(path, tab.columns, zip(*tab.rows))
     return [path], dict(tab.metadata)
 
 
 def _cmd_figures(args, cfg, coeffs, grid, initial, seed):
-    sec = _section(cfg, "epsilon_sweep")
-    Ns = _populations(None, sec.get("Ns"), "epsilon_sweep")
-    reps = _required_int(None, sec, "reps", "figures")
-    sweep = epsilon_sweep(coeffs, Ns, reps, seed, grid, initial)
+    s = _settings(args, cfg, "epsilon_sweep")
+    sweep = epsilon_sweep(coeffs, s["Ns"], s["reps"], seed, grid, initial)
     files = figure_data(coeffs, grid, sweep, args.out_dir)
     return files, dict(sweep.metadata)
 
 
-_DISPATCH = {
-    "validate": _cmd_validate,
-    "solve-riccati": _cmd_solve_riccati,
-    "mean-field": _cmd_mean_field,
-    "simulate": _cmd_simulate,
-    "epsilon-sweep": _cmd_epsilon_sweep,
-    "riccati-convergence": _cmd_riccati_convergence,
-    "nash-gap": _cmd_nash_gap,
-    "figures": _cmd_figures,
+_COMMANDS = {
+    "validate": ("check the model config and print a report", _cmd_validate),
+    "solve-riccati": ("solve the backward systems and write gain tables",
+                      _cmd_solve_riccati),
+    "mean-field": ("integrate the decentralized mean path", _cmd_mean_field),
+    "simulate": ("run the population Monte Carlo and report costs",
+                 _cmd_simulate),
+    "epsilon-sweep": ("mean-field approximation error against N",
+                      _cmd_epsilon_sweep),
+    "riccati-convergence": ("population-vs-limit solver distance",
+                            _cmd_riccati_convergence),
+    "nash-gap": ("paired deviation study for the first agent", _cmd_nash_gap),
+    "figures": ("emit fig1/fig2 CSVs and gnuplot scripts", _cmd_figures),
 }
 
 
@@ -359,8 +361,8 @@ def _execute(args, manifest) -> int:
         manifest["config_fingerprint"] = canonical_fingerprint(cfg)
         manifest["master_seed"] = seed
         manifest["grid"] = {"T": grid.T, "M": grid.M}
-        outputs, results = _DISPATCH[args.command](args, cfg, coeffs, grid,
-                                                   initial, seed)
+        outputs, results = _COMMANDS[args.command][1](args, cfg, coeffs,
+                                                       grid, initial, seed)
         manifest["outputs"] = sorted(os.path.basename(p) for p in outputs)
         manifest["results"] = results
     except ModelConfigError as exc:
@@ -380,7 +382,7 @@ def run(argv=None) -> int:
     started = time.monotonic()
     manifest = {
         "tool_version": __version__,
-        "subcommand": argv[0] if argv and argv[0] in _DISPATCH else None,
+        "subcommand": argv[0] if argv and argv[0] in _COMMANDS else None,
         "config_fingerprint": None,
         "master_seed": None,
         "grid": None,

@@ -37,14 +37,11 @@ class ExperimentTable:
     metadata: dict
 
 
-def _fingerprint(coeffs: CoefficientSet, grid: TimeGrid) -> str:
-    return canonical_fingerprint({"coefficients": coeffs.to_dict(),
-                                  "grid": {"T": grid.T, "M": grid.M}})
-
-
 def _base_metadata(coeffs, grid, master_seed=None) -> dict:
     md = {"grid_T": grid.T, "grid_M": grid.M,
-          "config_fingerprint": _fingerprint(coeffs, grid)}
+          "config_fingerprint": canonical_fingerprint(
+              {"coefficients": coeffs.to_dict(),
+               "grid": {"T": grid.T, "M": grid.M}})}
     if master_seed is not None:
         md["master_seed"] = master_seed
     return md
@@ -314,18 +311,14 @@ def figure_data(coeffs: CoefficientSet, grid: TimeGrid, sweep,
     if sweep is None or not getattr(sweep, "rows", ()):
         raise ModelConfigError("figure emission needs a nonempty sweep table")
     lim = solve_limit(coeffs, grid)
-    written = []
 
     # the gnuplot scripts skip exactly one line, so these two files carry a
     # bare column header and no comment lines
     p1 = os.path.join(out_dir, "fig1.csv")
     write_csv(p1, ("t", "P", "K"), (grid.nodes, lim.P, lim.K))
-    written.append(p1)
-
     p2 = os.path.join(out_dir, "fig2.csv")
     write_csv(p2, sweep.columns, zip(*sweep.rows))
-    written.append(p2)
-
+    written = [p1, p2]
     for name, script in (("fig1.gp", _FIG1_SCRIPT), ("fig2.gp", _FIG2_SCRIPT)):
         path = os.path.join(out_dir, name)
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -188,6 +188,7 @@ class InitialLaw:
 
 
 _PROFILE_NAMES = ("A", "B", "C", "D", "f", "g", "Q", "R", "Gamma", "eta")
+_TERMINAL_NAMES = ("H", "Gamma0", "eta0")
 
 
 @dataclass(frozen=True)
@@ -209,7 +210,7 @@ class CoefficientSet:
     eta0: float
 
     def __post_init__(self):
-        for name in ("H", "Gamma0", "eta0"):
+        for name in _TERMINAL_NAMES:
             _number(getattr(self, name), f"terminal scalar {name}")
 
     @staticmethod
@@ -225,13 +226,10 @@ class CoefficientSet:
 
     def to_dict(self) -> dict:
         """JSON-compatible representation, used for fingerprinting."""
-        out = {}
+        out = {name: getattr(self, name) for name in _TERMINAL_NAMES}
         for name in _PROFILE_NAMES:
             p: TimeProfile = getattr(self, name)
             out[name] = p.value if p.is_constant else list(p.values)
-        out["H"] = self.H
-        out["Gamma0"] = self.Gamma0
-        out["eta0"] = self.eta0
         return out
 
     def node_values(self, grid: TimeGrid) -> dict:
@@ -308,11 +306,19 @@ def _as_int(value, what: str) -> int:
     return n
 
 
+# The model sections' keys: the grid's with their readers, and initial's per
+# kind in the order its InitialLaw constructor takes them
+_GRID_KEYS = {"T": (_number, "horizon T"), "M": (_as_int, "grid M")}
+_COEFFICIENT_NAMES = _PROFILE_NAMES + _TERMINAL_NAMES
+_INITIAL_KEYS = {"uniform": ("a", "b"), "gaussian": ("mean", "var"),
+                 "point": ("value",)}
+
+
 def parse_grid(cfg: dict) -> TimeGrid:
     try:
         g = cfg["grid"]
-        return TimeGrid(T=_number(g["T"], "horizon T"),
-                        M=_as_int(g["M"], "grid M"))
+        return TimeGrid(**{key: read(g[key], what)
+                           for key, (read, what) in _GRID_KEYS.items()})
     except (KeyError, TypeError) as exc:
         raise ModelConfigError(f"bad or missing grid section: {exc}") from exc
 
@@ -322,7 +328,7 @@ def parse_coefficients(cfg: dict, grid: TimeGrid) -> CoefficientSet:
     if not isinstance(section, dict):
         raise ModelConfigError("missing or malformed 'coefficients' section")
     kwargs = {}
-    for name in _PROFILE_NAMES + ("H", "Gamma0", "eta0"):
+    for name in _COEFFICIENT_NAMES:
         if name not in section:
             raise ModelConfigError(f"missing coefficient {name!r}")
         raw, what = section[name], f"coefficient {name!r}"
@@ -341,23 +347,31 @@ def parse_initial_law(cfg: dict) -> InitialLaw:
     try:
         section = cfg["initial"]
         kind = section["kind"]
-        if kind == "uniform":
-            return InitialLaw.uniform(section["a"], section["b"])
-        if kind == "gaussian":
-            return InitialLaw.gaussian(section["mean"], section["var"])
-        if kind == "point":
-            return InitialLaw.point(section["value"])
+        keys = _INITIAL_KEYS.get(kind) if isinstance(kind, str) else None
+        if keys is not None:
+            return getattr(InitialLaw, kind)(*(section[k] for k in keys))
     except (KeyError, TypeError) as exc:
         raise ModelConfigError(f"bad or missing initial-law section: {exc}") from exc
     raise ModelConfigError(f"unknown initial law kind {kind!r}")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; a key given twice is a ModelConfigError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ModelConfigError(f"config key {key!r} is given twice")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> dict:
-    """Read a JSON config file; raises ModelConfigError on parse failure."""
+    """Read a JSON config file; raises ModelConfigError on a file that is no
+    UTF-8 JSON, or that gives a key twice in one object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except FileNotFoundError as exc:
         raise ModelConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # UTF-8 errors are ValueErrors
         raise ModelConfigError(f"config file is not valid JSON: {exc}") from exc

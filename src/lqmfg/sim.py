@@ -71,8 +71,9 @@ class PopulationConfig:
     initial: InitialLaw
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ModelConfigError(f"population size must be >= 1, got {self.N}")
+        if not 1 <= self.N < math.inf:
+            raise ModelConfigError(f"population size must be finite and >= 1, "
+                                   f"got {self.N}")
         if self.reps < 1:
             raise ModelConfigError(f"replication count must be >= 1, got {self.reps}")
 

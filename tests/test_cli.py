@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import lqmfg.experiments as experiments
-from lqmfg.cli import run
+from lqmfg.cli import _CONFIG, _KEYS, _SECTIONS, run
+from lqmfg.model import _INITIAL_KEYS
 
 ALL_ONES = {name: 1 for name in
             ("A", "B", "C", "D", "f", "g", "Q", "R", "Gamma", "eta", "H",
@@ -410,6 +412,39 @@ def test_malformed_values_exit_2_with_manifest(tmp_path, capsys):
         ("simulate", {"experiments": {"simulate": dict(
             simulate, law="scaled", theta=10 ** 400)}},
          "scaling factor theta is too large for a float"),
+        # a key nothing reads, in each section, whichever subcommand runs
+        ("validate", {"grid": {"T": 1.0, "m": 100}},
+         "unknown config key grid.m; did you mean 'M'?"),
+        ("validate", {"coefficients": dict(ALL_ONES, Etaa=5)},
+         "unknown config key coefficients.Etaa; did you mean 'eta'?"),
+        ("validate", {"initial": {"kind": "uniform", "a": 0, "bb": 20}},
+         "unknown config key initial.bb; did you mean 'b'?"),
+        ("validate", {"initial": {"kind": "gaussian", "mean": 1, "vars": 2}},
+         "unknown config key initial.vars; did you mean 'var'?"),
+        ("validate", {"initial": {"kind": "point", "val": 3}},
+         "unknown config key initial.val; did you mean 'value'?"),
+        ("validate", {"experiments": {"nash-gap": {"N": 3, "reps": 2}}},
+         "unknown config key experiments.nash-gap; did you mean 'nash_gap'?"),
+        ("validate", {"experiments": {"solve_riccati": {"n": 10}}},
+         "unknown config key experiments.solve_riccati.n; did you mean 'N'?"),
+        ("simulate", {"experiments": {"simulate": dict(simulate, thetaa=2)}},
+         "unknown config key experiments.simulate.thetaa; "
+         "did you mean 'theta'?"),
+        ("validate", {"experiments": {"epsilon_sweep": {"NS": [2, 4],
+                                                        "reps": 2}}},
+         "unknown config key experiments.epsilon_sweep.NS; "
+         "did you mean 'Ns'?"),
+        ("validate", {"experiments": {"riccati_convergence": {"N": [2, 4]}}},
+         "unknown config key experiments.riccati_convergence.N; "
+         "did you mean 'Ns'?"),
+        ("nash-gap", {"experiments": {"nash_gap": dict(
+            simulate, deviation=["zero"])}},
+         "unknown config key experiments.nash_gap.deviation; "
+         "did you mean 'deviations'?"),
+        # a section must be an object
+        ("validate", {"experiments": [1]}, "experiments must be an object"),
+        ("validate", {"experiments": {"nash_gap": 5}},
+         "experiments.nash_gap must be an object"),
     )
     for k, (sub, override, message) in enumerate(cases):
         cfg = make_config(tmp_path, name=f"cfg{k}.json", **override)
@@ -417,6 +452,61 @@ def test_malformed_values_exit_2_with_manifest(tmp_path, capsys):
         assert run([sub, "--config", cfg, "--out-dir", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert read_manifest(out)["exit_code"] == 2
+
+
+def test_config_file_faults_exit_2_with_manifest(tmp_path, capsys):
+    with open(make_config(tmp_path), encoding="utf-8") as fh:
+        valid = fh.read()
+    cases = (
+        (b"\xff\xfe{}", "config file is not valid JSON: 'utf-8' codec"),
+        (b"[" * 200_000, "config file is not valid JSON: maximum recursion"),
+        # JSON would keep the last of two values
+        (valid.replace('"M": 100', '"M": 1000, "M": 20').encode(),
+         "config key 'M' is given twice"),
+        (valid.replace('"seed"', '"sed"').encode(),
+         "unknown config key sed; did you mean 'seed'?"),
+    )
+    for k, (data, message) in enumerate(cases):
+        cfg = tmp_path / f"cfg{k}.json"
+        cfg.write_bytes(data)
+        out = tmp_path / f"out{k}"
+        assert run(["validate", "--config", str(cfg),
+                    "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert read_manifest(out)["exit_code"] == 2
+    # a flag's string is read by its key's reader
+    out = tmp_path / "flag"
+    cfg = make_config(tmp_path, experiments={"simulate": {"N": 3, "reps": 2}})
+    assert run(["simulate", "--config", cfg, "--out-dir", str(out),
+                "--population", "abc"]) == 2
+    assert "--population must be an integer, got 'abc'" \
+        in capsys.readouterr().err
+    assert read_manifest(out)["exit_code"] == 2
+
+
+def test_readme_lists_every_config_key():
+    # README's "Config format" list states each section's keys, and each
+    # experiments key's flag, exactly as the tables the program reads
+    expected = {"top level": [(key, "") for key in _CONFIG]}
+    for name, keys in _CONFIG.items():
+        if keys:
+            expected[f"`{name}`"] = [(key, "") for key in keys]
+    for kind, keys in _INITIAL_KEYS.items():
+        expected[f"`initial` of kind `{kind}`"] = [
+            (key, "") for key in ("kind",) + keys]
+    for name, keys in _SECTIONS.items():
+        expected[f"`experiments.{name}`"] = [(key, _KEYS[key][1] or "")
+                                              for key in keys]
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+              encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("### Config format")[1].split("\n## ")[0]
+    listed = {}
+    for item in re.findall(r"^- (.+?)(?=^\S|^- )", section + "\n.",
+                           re.M | re.S):
+        label, keys = " ".join(item.split()).split(": ", 1)
+        listed[label] = re.findall(r"`([^`]+)`(?: \(`(--[a-z]+)`\))?", keys)
+    assert listed == expected
 
 
 def test_non_finite_theta_exits_2_with_manifest(tmp_path, capsys):
@@ -486,8 +576,8 @@ def test_laws_solve_only_the_systems_they_need(tmp_path, monkeypatch):
 
 
 def test_empty_population_list_exits_2_with_manifest(tmp_path, capsys):
-    sections = {name: {"Ns": [], "reps": 2}
-                for name in ("epsilon_sweep", "riccati_convergence")}
+    sections = {"epsilon_sweep": {"Ns": [], "reps": 2},
+                "riccati_convergence": {"Ns": []}}
     cfg = make_config(tmp_path, experiments=sections)
     cases = [(sub, []) for sub in ("epsilon-sweep", "riccati-convergence",
                                    "figures")]

@@ -2,10 +2,10 @@
 
 Whatever the config holds, a run ends with an exit code in {0, 2, 3, 4, 5},
 writes manifest.json with that exit code as strict JSON (no NaN or
-Infinity), and never raises.  Sizes (M, N, reps, population lists) are
-bounded so that every example runs in milliseconds; other keys may take
-null, booleans, any float, strings, lists or objects.  Raise `max_examples`
-for a longer campaign.
+Infinity), and never raises; a misspelled key exits 2 and is named.  Sizes
+(M, N, reps, population lists) are bounded so that every example runs in
+milliseconds; other keys may take null, booleans, any float, strings, lists
+or objects.  Raise `max_examples` for a longer campaign.
 """
 
 import contextlib
@@ -17,7 +17,8 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lqmfg.cli import run
+from lqmfg.cli import _CONFIG, _SECTIONS, run
+from lqmfg.model import _INITIAL_KEYS
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 PROFILES = ("A", "B", "C", "D", "f", "g", "Q", "R", "Gamma", "eta")
@@ -73,10 +74,28 @@ def key_paths(tree, prefix=()):
         yield prefix + (key,)
 
 
+def misspell(draw, cfg):
+    """Rename one key the program reads, drawn from its key table, by
+    doubling its last letter; returns the error the run must report."""
+    known = [("", _CONFIG), ("initial.", ("kind",) + _INITIAL_KEYS[
+        cfg["initial"]["kind"]])]
+    known += [(f"{name}.", keys) for name, keys in _CONFIG.items() if keys]
+    known += [(f"experiments.{name}.", keys)
+              for name, keys in _SECTIONS.items()]
+    path, keys = draw(st.sampled_from(known))
+    key = draw(st.sampled_from(list(keys)))
+    node = cfg
+    for name in path.split(".")[:-1]:
+        node = node.setdefault(name, {})
+    node[key + key[-1]] = node.pop(key, 1)
+    return f"unknown config key {path}{key + key[-1]}; did you mean {key!r}?"
+
+
 @st.composite
 def cases(draw):
-    """A subcommand line and a valid small config with one key replaced or
-    removed, plus at most one flag set to any value."""
+    """A subcommand line and a valid small config with one key replaced,
+    removed or misspelled, plus at most one flag set to any value; and the
+    error a misspelling must be reported with."""
     sub = draw(st.sampled_from(sorted(SECTIONS)))
     section = SECTIONS[sub]
     real = st.floats(-3.0, 3.0)
@@ -116,7 +135,10 @@ def cases(draw):
     node = cfg
     for name in parents:
         node = node[name]
-    if draw(st.integers(0, 3)) == 0:
+    expect, mutation = None, draw(st.integers(0, 4))
+    if mutation == 4:
+        expect = misspell(draw, cfg)
+    elif mutation == 0:
         del node[key]
     elif key in SIZE_KEYS:
         node[key] = draw(small_junk)
@@ -133,13 +155,13 @@ def cases(draw):
         argv.append(f"{flag}={draw(flags[flag])}")
     if sub == "simulate" and draw(st.booleans()):
         argv.append("--paths")
-    return cfg, argv
+    return cfg, argv, expect
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=cases())
 def test_cli_exits_with_a_documented_code_and_a_manifest(case):
-    cfg, argv = case
+    cfg, argv, expect = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -153,3 +175,5 @@ def test_cli_exits_with_a_documented_code_and_a_manifest(case):
         with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
             assert json.load(fh, parse_constant=not_json)["exit_code"] == code
         assert "Traceback" not in err.getvalue()
+        if expect is not None:
+            assert code == 2 and expect in err.getvalue()
