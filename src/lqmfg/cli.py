@@ -122,7 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out-dir", default=".",
                         help="directory for CSVs and manifest.json")
         sp.add_argument("--workers", type=int, default=1,
-                        help="accepted for compatibility and ignored")
+                        help="accepted for compatibility and ignored: "
+                             "studies use every CPU of the affinity mask")
         section = name.replace("-", "_")
         for key in _SECTIONS.get(section, ()):
             if _KEYS[key][1]:

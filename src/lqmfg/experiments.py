@@ -18,7 +18,7 @@ from .errors import ModelConfigError, SimulationDivergedError
 from .model import (CoefficientSet, InitialLaw, TimeGrid, _number,
                     canonical_fingerprint)
 from .riccati import gains, solve_finite_N, solve_limit
-from .sim import (PopulationConfig, _costs, _population_sums, _replay_lanes,
+from .sim import (PopulationConfig, _costs, _population_chunks, _replay_lanes,
                   quadrature)
 from .synthesis import LAW_KINDS, make_law, solve_mean_field
 
@@ -116,11 +116,11 @@ def epsilon_sweep(coeffs: CoefficientSet, Ns, reps: int, master_seed: int,
     # fresh N-agent run, so every N's bytes match a separate simulation
     cfg = PopulationConfig(N=Ns[-1], reps=reps, master_seed=master_seed,
                            initial=initial)
+    chunks = _population_chunks(coeffs, law, cfg, grid, Ns, keep=0)
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.array([[quadrature(grid.dt, (total / N - law.xbar) ** 2)
                         for N, total in zip(Ns, sums)]
-                       for _, _, _, sums in _population_sums(coeffs, law, cfg,
-                                                             grid, Ns)])
+                       for chunk, _, _ in chunks for sums in chunk])
     if not np.all(np.isfinite(sq)):
         rep = int(np.argmin(np.isfinite(sq).all(axis=1)))
         raise SimulationDivergedError(
@@ -158,6 +158,8 @@ def riccati_convergence(coeffs: CoefficientSet, Ns,
     limit solution with itself and is exactly zero.
     """
     Ns = sorted(Ns)
+    if not Ns:
+        raise ModelConfigError("population sizes are empty")
     if len(set(Ns)) < len(Ns):
         raise ModelConfigError(f"population sizes repeat: {Ns!r}")
     lim = solve_limit(coeffs, grid)
@@ -221,16 +223,12 @@ def nash_gap(coeffs: CoefficientSet, N: int, reps: int, master_seed: int,
 
     cfg = PopulationConfig(N=N, reps=reps, master_seed=master_seed,
                            initial=initial)
-    # per replication, copies of what agent 0's replays read: its initial
-    # state and increments, and the sum of its co-players' states
-    x0 = np.empty(reps)
-    dW = np.empty((reps, grid.M))
-    others = np.empty((reps, grid.M + 1))
-    for rep, x0_rep, dW_rep, (own, total) in _population_sums(
-            coeffs, dec, cfg, grid, (1, N)):
-        x0[rep] = x0_rep[0]
-        dW[rep] = dW_rep[0]
-        others[rep] = total - own
+    # per replication, what agent 0's replays read: its initial state and
+    # increments, and the sum of its co-players' states
+    sums, x0, dW = (np.concatenate(part) for part in zip(
+        *_population_chunks(coeffs, dec, cfg, grid, (1, N), keep=1)))
+    x0, dW = x0[:, 0], dW[:, 0]
+    others = sums[:, 1] - sums[:, 0]
     states, controls = _replay_lanes(0, np.arange(reps), x0, dW, others, N,
                                      laws, coeffs, grid)
     # J(base) is the cost of the scaled(1) lane

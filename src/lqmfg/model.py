@@ -211,7 +211,8 @@ class CoefficientSet:
 
     def __post_init__(self):
         for name in _TERMINAL_NAMES:
-            _number(getattr(self, name), f"terminal scalar {name}")
+            object.__setattr__(self, name, _number(getattr(self, name),
+                                                   f"terminal scalar {name}"))
 
     @staticmethod
     def from_constants(*, A=0.0, B=0.0, C=0.0, D=0.0, f=0.0, g=0.0,
@@ -220,9 +221,7 @@ class CoefficientSet:
         c = TimeProfile.constant
         return CoefficientSet(A=c(A), B=c(B), C=c(C), D=c(D), f=c(f), g=c(g),
                               Q=c(Q), R=c(R), Gamma=c(Gamma), eta=c(eta),
-                              H=_number(H, "terminal scalar H"),
-                              Gamma0=_number(Gamma0, "terminal scalar Gamma0"),
-                              eta0=_number(eta0, "terminal scalar eta0"))
+                              H=H, Gamma0=Gamma0, eta0=eta0)
 
     def to_dict(self) -> dict:
         """JSON-compatible representation, used for fingerprinting."""

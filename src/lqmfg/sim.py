@@ -6,11 +6,17 @@ keyed by (master_seed, purpose, replication, agent), so replications can be
 scheduled in any order (or in parallel) without changing a single bit of
 output, and agent j's noise is identical across population sizes, giving
 common random numbers for the N-sweep experiments.
+
+The mean-only studies run their chunks of replications through _pmap, on
+one forked worker process per CPU of the process's affinity mask (taskset
+-c 0 gives a one-CPU run) when the work pays for the pool; the output is
+byte-identical for any CPU count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,6 +35,49 @@ _MAX_INDEX = 1 << 24
 _TILE = 64     # kernel time steps per tile
 _BLOCK = 128   # paths per block of a tile transpose
 _LANES = 2048  # paths per kernel call of the mean-only population path
+
+# Serial cost of one agent-step of _population_sums, draws included (25-30 ns
+# from N = 4 to N = 4096 on a 2-CPU x86-64 machine); it prices the work
+# handed to _pmap
+_SECONDS_PER_AGENT_STEP = 30e-9
+# Forking two workers from an 80 MB process and collecting their results
+# costs about 7 ms on the same machine, 20 ms the first time (imports
+# included).  Two CPUs save half the serial time, so a pool pays above about
+# twice that; below this much estimated serial work _pmap stays in process
+_POOL_MIN_SECONDS = 0.05
+
+
+def _cpus() -> int:
+    """CPUs of the process's affinity mask."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pmap(fn, tasks, seconds: float) -> list:
+    """[fn(*task) for task in tasks], in task order.
+
+    With several tasks, several CPUs, the fork start method and an
+    estimated serial time `seconds` of at least _POOL_MIN_SECONDS, the
+    tasks run on a pool of min(CPUs, tasks) forked workers; fn must then
+    be a module-level function and tasks and results picklable.  The first
+    task, in order, that raises raises its own error, and the tasks not
+    yet started are cancelled.
+    """
+    tasks = list(tasks)
+    workers = min(_cpus(), len(tasks))
+    if workers > 1 and seconds >= _POOL_MIN_SECONDS:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                futures = [pool.submit(fn, *task) for task in tasks]
+                return [future.result() for future in futures]
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return [fn(*task) for task in tasks]
 
 
 def _key(master_seed: int, purpose: int, rep: int, agent: int) -> np.ndarray:
@@ -260,59 +309,67 @@ def simulate_reps(coeffs: CoefficientSet, law: StrategyLaw,
 
 
 def _population_sums(coeffs: CoefficientSet, law: StrategyLaw,
-                     cfg: PopulationConfig, grid: TimeGrid, sizes):
-    """Yield (rep, x0, dW, sums) per replication, in replication order:
-    the initial states (N,) and increments (N, M) simulate_reps would draw,
-    and sums (len(sizes), M+1), whose row i is the sum of the first
-    sizes[i] agents' states in agent order, the bits of
-    states[:sizes[i]].sum(axis=0).  The arrays are views of buffers that
-    the next replications reuse.
+                     cfg: PopulationConfig, grid: TimeGrid, sizes,
+                     first: int, R: int, keep: int):
+    """Replications first..first+R-1 as the lanes of one kernel call.
 
-    No (N, M+1) path array is built: the law's mean must be precomputed,
-    so that agents do not interact, and max(1, _LANES // N) replications
-    run as the lanes of one kernel call.  A divergence is reported as
-    simulate_reps reports it.
+    Returns (sums, x0, dW): sums (R, len(sizes), M+1), whose row [r, i] is
+    the sum of the first sizes[i] agents' states of replication first + r
+    in agent order, the bits of states[:sizes[i]].sum(axis=0); and the
+    initial states (R, keep) and increments (R, keep, M) of the first keep
+    agents, as simulate_reps draws them.  No (N, M+1) path array is built,
+    so the law's mean must be precomputed and agents do not interact.  A
+    divergence is reported as simulate_reps reports it.
     """
-    _check_law_grid(law, grid)
-    if law.xbar is None:
-        raise ModelConfigError("mean-only simulation needs a law with a "
-                               "precomputed mean")
     N, M = cfg.N, grid.M
     sqdt = math.sqrt(grid.dt)
     nc = coeffs.node_values(grid)
-    per_call = min(cfg.reps, max(1, _LANES // N))
-    x0 = np.empty((per_call, N))
-    dW = np.empty((per_call, N, M))
-    sums = np.empty((per_call, len(sizes), M + 1))
-    partial = np.empty((_TILE + 1, per_call, N))
+    x0 = np.empty((R, N))
+    dW = np.empty((R, N, M))
+    sums = np.empty((R, len(sizes), M + 1))
+    partial = np.empty((_TILE + 1, R, N))
     last = np.asarray(sizes) - 1
 
     def sink(k0, w, xs, us):
-        tile = xs[:w + 1].reshape(w + 1, -1, N)
-        R = tile.shape[1]
+        tile = xs[:w + 1].reshape(w + 1, R, N)
         # accumulate adds agents in order: acc[j] = acc[j-1] + tile[j]
-        acc = np.add.accumulate(tile, axis=2, out=partial[:w + 1, :R])
-        sums[:R, :, k0:k0 + w + 1] = acc[..., last].transpose(1, 2, 0)
+        acc = np.add.accumulate(tile, axis=2, out=partial[:w + 1])
+        sums[:, :, k0:k0 + w + 1] = acc[..., last].transpose(1, 2, 0)
 
     def mean(k, x):
         return law.xbar[k]
 
     rng = np.random.Generator(np.random.Philox())
-    for first in range(0, cfg.reps, per_call):
-        R = min(per_call, cfg.reps - first)
-        for r in range(R):
-            _draw(rng, cfg, first + r, sqdt, x0[r], dW[r])
-        end = _step_tiles(nc, grid.dt, x0[:R], dW[:R], law.k_self,
-                          law.k_mean, law.k_const, mean, sink)
-        if not np.all(np.isfinite(end)):
-            # rerun the batch on full paths: the same inputs give the same
-            # bits, so it raises, naming the replication, step and agent
-            # as simulate_reps does
-            _euler_maruyama(nc, grid.dt, x0[:R], dW[:R], law.k_self,
-                            law.k_mean, law.k_const, mean,
-                            first + np.arange(R)[:, None])
-        for r in range(R):
-            yield first + r, x0[r], dW[r], sums[r]
+    for r in range(R):
+        _draw(rng, cfg, first + r, sqdt, x0[r], dW[r])
+    end = _step_tiles(nc, grid.dt, x0, dW, law.k_self, law.k_mean,
+                      law.k_const, mean, sink)
+    if not np.all(np.isfinite(end)):
+        # rerun the call on full paths: the same inputs give the same bits,
+        # so it raises, naming the replication, step and agent as
+        # simulate_reps does
+        _euler_maruyama(nc, grid.dt, x0, dW, law.k_self, law.k_mean,
+                        law.k_const, mean, first + np.arange(R)[:, None])
+    # copies, so that the kept agents do not hold the whole buffers
+    return sums, x0[:, :keep].copy(), dW[:, :keep].copy()
+
+
+def _population_chunks(coeffs: CoefficientSet, law: StrategyLaw,
+                       cfg: PopulationConfig, grid: TimeGrid, sizes,
+                       keep: int) -> list:
+    """_population_sums over all cfg.reps replications, max(1, _LANES // N)
+    to a kernel call, the calls mapped by _pmap: one (sums, x0, dW) per
+    call, in replication order."""
+    _check_law_grid(law, grid)
+    if law.xbar is None:
+        raise ModelConfigError("mean-only simulation needs a law with a "
+                               "precomputed mean")
+    per_call = max(1, _LANES // cfg.N)
+    tasks = [(coeffs, law, cfg, grid, sizes, first,
+              min(per_call, cfg.reps - first), keep)
+             for first in range(0, cfg.reps, per_call)]
+    return _pmap(_population_sums, tasks,
+                 cfg.reps * cfg.N * grid.M * _SECONDS_PER_AGENT_STEP)
 
 
 def simulate(coeffs: CoefficientSet, law: StrategyLaw,

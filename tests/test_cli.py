@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import lqmfg.experiments as experiments
@@ -617,3 +619,15 @@ def test_usage_error_writes_manifest_when_out_dir_is_given(tmp_path, capsys,
     assert run(["simulate", "--config", cfg, "--seed", "abc"]) == 2
     assert "invalid int value" in capsys.readouterr().err
     assert not (tmp_path / "manifest.json").exists()
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    # a study imports its process pool when it starts one, so command
+    # start-up does not pay for multiprocessing
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    code = ("import sys, lqmfg.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"

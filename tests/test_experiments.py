@@ -1,5 +1,7 @@
 import math
+import multiprocessing
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -145,6 +147,11 @@ def test_riccati_convergence_rejects_repeated_population_sizes():
     for Ns in ([10, 10, 20], [10, math.inf, math.inf]):
         with pytest.raises(ModelConfigError, match="repeat"):
             riccati_convergence(ALL_ONES, Ns, grid)
+
+
+def test_riccati_convergence_rejects_an_empty_population_list():
+    with pytest.raises(ModelConfigError, match="population sizes are empty"):
+        riccati_convergence(ALL_ONES, [], TimeGrid(T=1.0, M=50))
 
 
 def test_nash_gap_calibration_row_is_exactly_zero():
@@ -315,11 +322,15 @@ def test_population_sums_match_full_paths(fixture, monkeypatch):
             for lanes in (sim._LANES, 8):
                 with monkeypatch.context() as patch:
                     patch.setattr(sim, "_LANES", lanes)
-                    got = [(rep, x0.copy(), dW.copy(), sums.copy())
-                           for rep, x0, dW, sums in sim._population_sums(
-                               coeffs, law, pop, grid, sizes)]
-                assert [g[0] for g in got] == list(range(5))
-                for ps, (rep, x0, dW, sums) in zip(want, got):
+                    chunks = sim._population_chunks(coeffs, law, pop, grid,
+                                                    sizes, keep=N)
+                per_call = max(1, lanes // N)
+                assert [len(sums) for sums, _, _ in chunks] == [
+                    min(per_call, 5 - first) for first in range(0, 5, per_call)]
+                got = list(zip(*(np.concatenate(part)
+                                 for part in zip(*chunks))))
+                assert len(got) == 5
+                for ps, (sums, x0, dW) in zip(want, got):
                     assert np.array_equal(x0, ps.states[:, 0])
                     assert np.array_equal(dW, ps.increments)
                     for n, total in zip(sizes, sums):
@@ -334,8 +345,75 @@ def test_population_sums_refuse_a_realized_mean_law():
     gl = gains(solve_limit(ALL_ONES, grid), ALL_ONES)
     cfg = PopulationConfig(N=4, reps=2, master_seed=1, initial=UNIFORM)
     with pytest.raises(ModelConfigError, match="precomputed mean"):
-        next(sim._population_sums(ALL_ONES, make_law("meanfield-informed", gl),
-                                  cfg, grid, (4,)))
+        sim._population_chunks(ALL_ONES, make_law("meanfield-informed", gl),
+                               cfg, grid, (4,), keep=0)
+
+
+def use_scheduler(patch, scheduler):
+    """Make _pmap run in process, or on a pool of two forked workers
+    whatever the CPU count and the work."""
+    if scheduler == "in-process":
+        patch.setattr(sim, "_cpus", lambda: 1)
+    else:
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        patch.setattr(sim, "_cpus", lambda: 2)
+        patch.setattr(sim, "_POOL_MIN_SECONDS", 0.0)
+
+
+SCHEDULERS = ("in-process", "pool")
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_pmap_runs_where_the_scheduler_says(scheduler, monkeypatch):
+    use_scheduler(monkeypatch, scheduler)
+    pids = sim._pmap(os.getpid, [()] * 3, 1.0)
+    assert (set(pids) == {os.getpid()}) == (scheduler == "in-process")
+    assert sim._pmap(divmod, [(7, 2), (9, 4), (1, 1)], 1.0) \
+        == [(3, 1), (2, 1), (1, 0)]
+
+
+def fail_or_sleep(task, marks):
+    """Raise for a negative task, after sleeping when it is below -1;
+    else mark the task as started, sleep and return it."""
+    if task < 0:
+        time.sleep(0.2 if task < -1 else 0.0)
+        raise SimulationDivergedError(f"task {task} failed", rep=-task)
+    open(os.path.join(marks, str(task)), "w").close()
+    time.sleep(0.1)
+    return task
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_pmap_raises_the_first_failure_in_task_order(scheduler, monkeypatch,
+                                                      tmp_path):
+    # task 1 fails after task 2 does, and its error is the one raised, with
+    # the fields of the typed error.  The 20 tasks queued behind take 0.1 s
+    # each: on the pool a few start while task 1 sleeps, the rest are
+    # cancelled
+    use_scheduler(monkeypatch, scheduler)
+    tasks = [(0, tmp_path), (-2, tmp_path), (-1, tmp_path)] + [
+        (k, tmp_path) for k in range(3, 23)]
+    with pytest.raises(SimulationDivergedError, match="task -2 failed") as exc:
+        sim._pmap(fail_or_sleep, tasks, 1.0)
+    assert exc.value.rep == 2
+    assert len(os.listdir(tmp_path)) < (2 if scheduler == "in-process" else 12)
+
+
+def test_studies_match_in_process_and_on_a_pool(monkeypatch):
+    # 7 replications in calls of 2 at N = 24 leave a one-replication last
+    # call; both tables and their metadata match bit for bit
+    grid = TimeGrid(T=1.0, M=100)
+    monkeypatch.setattr(sim, "_LANES", 48)
+    tables = {}
+    for scheduler in SCHEDULERS:
+        with monkeypatch.context() as patch:
+            use_scheduler(patch, scheduler)
+            tables[scheduler] = (
+                epsilon_sweep(ALL_ONES, [3, 8, 24], 7, 11, grid, UNIFORM),
+                nash_gap(ALL_ONES, 24, 7, 11, grid, UNIFORM))
+    assert tables["in-process"] == tables["pool"]
+    assert [len(t.rows) for t in tables["pool"]] == [3, 9]
 
 
 def divergence_steps(coeffs, law, cfg, grid):
@@ -356,21 +434,27 @@ def divergence_steps(coeffs, law, cfg, grid):
     return steps
 
 
-def test_mean_only_studies_report_divergence_as_simulate_does():
+@pytest.mark.parametrize("scheduler, lanes", [("in-process", sim._LANES),
+                                              ("pool", 8)], ids=SCHEDULERS)
+def test_mean_only_studies_report_divergence_as_simulate_does(
+        scheduler, lanes, monkeypatch):
     # states start near the largest float and multiplicative noise pushes
-    # some over it.  All 8 replications share one kernel call, and
-    # replication 0 diverges later than replications 1 and 2, so the
-    # earliest failing step in the call is not the one simulate names
+    # some over it.  Replication 0 diverges later than replications 1 and
+    # 2, which share its kernel call (all 8 replications in process, the
+    # first 4 of two calls on the pool), so the earliest failing step in
+    # the call is not the one simulate names
     coeffs = CoefficientSet.from_constants(B=0.01, C=1.0, Q=1.0, R=1.0, H=1.0)
     grid = TimeGrid(T=1.0, M=100)
     initial = InitialLaw.point(1e308)
     N, reps, seed = 2, 8, 1
+    use_scheduler(monkeypatch, scheduler)
+    monkeypatch.setattr(sim, "_LANES", lanes)
     dec, = _build_laws([("decentralized", None)], coeffs, grid, initial)
     cfg = PopulationConfig(N=N, reps=reps, master_seed=seed, initial=initial)
-    assert reps <= sim._LANES // N
+    assert min(reps, lanes // N) >= 3
     steps = divergence_steps(coeffs, dec, cfg, grid)
     assert steps[0] is not None
-    assert min(s for s in steps[1:] if s is not None) < steps[0]
+    assert min(s for s in steps[1:3] if s is not None) < steps[0]
     with pytest.raises(SimulationDivergedError) as want:
         simulate(coeffs, dec, cfg, grid)
     for study in (
@@ -385,9 +469,11 @@ def test_mean_only_studies_report_divergence_as_simulate_does():
         assert str(got.value) == str(want.value)
 
 
-def test_epsilon_sweep_builds_no_path_array():
+def test_epsilon_sweep_builds_no_path_array(monkeypatch):
     # one state or control array at N = 4096 and M = 1000 is 32.8 MB; the
-    # sweep keeps prefix sums, so its peak stays below two of them
+    # sweep keeps prefix sums, so its peak stays below two of them.  In
+    # process, so that tracemalloc sees the kernel's buffers
+    use_scheduler(monkeypatch, "in-process")
     grid = TimeGrid(T=10.0, M=1000)
     tracemalloc.start()
     try:

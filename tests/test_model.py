@@ -1,5 +1,6 @@
 """Grid, profile, initial-law, and config-parsing behaviour."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -88,6 +89,22 @@ def test_library_constructors_read_numbers_as_the_config_does():
     with pytest.raises(ModelConfigError, match="must be finite, got nan"):
         InitialLaw.point(float("nan"))
     assert TimeProfile.constant("2.5").value == 2.5
+
+
+def test_coefficient_set_stores_terminal_scalars_as_floats():
+    # a numeric string given to the constructor, directly or through
+    # dataclasses.replace, is stored as the float it reads as
+    base = CoefficientSet.from_constants(Q=1.0, R=1.0, H=1.0)
+    coeffs = dataclasses.replace(base, H="2.5", Gamma0="-1", eta0=3)
+    assert (coeffs.H, coeffs.Gamma0, coeffs.eta0) == (2.5, -1.0, 3.0)
+    assert all(type(getattr(coeffs, name)) is float
+               for name in ("H", "Gamma0", "eta0"))
+    assert validate(coeffs, TimeGrid(T=1.0, M=10)).h_nonnegative
+    assert not validate(dataclasses.replace(base, H="-2"),
+                        TimeGrid(T=1.0, M=10)).h_nonnegative
+    with pytest.raises(ModelConfigError,
+                       match="terminal scalar H is not numeric: 'x'"):
+        dataclasses.replace(base, H="x")
 
 
 def test_half_values_interleave_nodes_and_midpoints():
