@@ -120,7 +120,7 @@ def epsilon_sweep(coeffs: CoefficientSet, Ns, reps: int, master_seed: int,
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.array([[quadrature(grid.dt, (total / N - law.xbar) ** 2)
                         for N, total in zip(Ns, sums)]
-                       for chunk, _, _ in chunks for sums in chunk])
+                       for call_sums, _, _ in chunks for sums in call_sums])
     if not np.all(np.isfinite(sq)):
         rep = int(np.argmin(np.isfinite(sq).all(axis=1)))
         raise SimulationDivergedError(

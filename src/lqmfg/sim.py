@@ -54,7 +54,7 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pmap(fn, tasks, seconds: float) -> list:
+def _pmap(fn, tasks: list, seconds: float) -> list:
     """[fn(*task) for task in tasks], in task order.
 
     With several tasks, several CPUs, the fork start method and an
@@ -64,7 +64,6 @@ def _pmap(fn, tasks, seconds: float) -> list:
     task, in order, that raises raises its own error, and the tasks not
     yet started are cancelled.
     """
-    tasks = list(tasks)
     workers = min(_cpus(), len(tasks))
     if workers > 1 and seconds >= _POOL_MIN_SECONDS:
         import multiprocessing
