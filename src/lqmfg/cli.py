@@ -9,7 +9,7 @@ failures onto stable exit codes:
     2  configuration problem (bad flags, missing or malformed config)
     3  solver failure (singular gain denominator, backward blow-up)
     4  simulation divergence
-    5  I/O failure
+    5  I/O failure, or a worker process that died (ChildProcessError)
 
 The manifest is written even when the run fails, with an "error" field.
 """
@@ -35,7 +35,7 @@ from .model import (_COEFFICIENT_NAMES, _GRID_KEYS, _INITIAL_KEYS, _as_int,
                     _number, canonical_fingerprint, load_config,
                     parse_coefficients, parse_grid, parse_initial_law,
                     validate)
-from .riccati import gains, solve_finite_N, solve_limit
+from .riccati import gains, solve_backward
 from .sim import PopulationConfig, costs_all_agents, simulate_reps
 
 EXIT_OK = 0
@@ -224,22 +224,21 @@ def _cmd_validate(args, cfg, coeffs, grid, initial, seed):
 
 
 def _cmd_solve_riccati(args, cfg, coeffs, grid, initial, seed):
+    # both systems are solved, and their gains formed, before any CSV is
+    # written: a failed run leaves no table behind
+    population = _settings(args, cfg, "solve_riccati")["N"]
+    tables = [(sol, gains(sol, coeffs)) for sol in solve_backward(
+        coeffs, grid, [None] if population is None else [None, population])]
     outputs = []
-
-    def write(name, sol, comments=()):
-        sched = gains(sol, coeffs)
+    for (sol, sched), name, comments in zip(
+            tables, ("riccati_limit.csv", "riccati_finite.csv"),
+            ((), (f"N = {population}",))):
         path = os.path.join(args.out_dir, name)
         write_csv(path, ("t", "P", "K", "phi", "alpha", "beta", "gamma",
                          "delta"),
                   (grid.nodes, sol.P, sol.K, sol.phi, sched.alpha,
                    sched.beta, sched.gamma, sched.delta), comments)
         outputs.append(path)
-
-    write("riccati_limit.csv", solve_limit(coeffs, grid))
-    population = _settings(args, cfg, "solve_riccati")["N"]
-    if population is not None:
-        write("riccati_finite.csv", solve_finite_N(coeffs, population, grid),
-              (f"N = {population}",))
     return outputs, {"population": population}
 
 

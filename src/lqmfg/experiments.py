@@ -17,7 +17,8 @@ import numpy as np
 from .errors import ModelConfigError, SimulationDivergedError
 from .model import (CoefficientSet, InitialLaw, TimeGrid, _number,
                     canonical_fingerprint)
-from .riccati import gains, solve_finite_N, solve_limit
+from . import _pool
+from .riccati import gains, solve_backward, solve_finite_N, solve_limit
 from .sim import (PopulationConfig, _costs, _population_chunks, _replay_lanes,
                   quadrature)
 from .synthesis import LAW_KINDS, make_law, solve_mean_field
@@ -154,38 +155,44 @@ def riccati_convergence(coeffs: CoefficientSet, Ns,
                         grid: TimeGrid) -> ExperimentTable:
     """Sup-node distance between the population and limit backward solutions.
 
-    Accepts math.inf as a sentinel population size; that row compares the
-    limit solution with itself and is exactly zero.
+    Each population size is an integer >= 1 or math.inf, a sentinel whose
+    row compares the limit solution with itself and is exactly zero.  The
+    backward solves run through solve_backward, the distances in the caller.
     """
+    Ns = list(Ns)
+    for N in Ns:
+        if N == math.inf:
+            continue
+        if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
+            raise ModelConfigError(f"population size must be an integer or "
+                                   f"inf, got {N!r}")
+        if N < 1:
+            raise ModelConfigError(f"population size must be >= 1, got {N!r}")
     Ns = sorted(Ns)
     if not Ns:
         raise ModelConfigError("population sizes are empty")
     if len(set(Ns)) < len(Ns):
         raise ModelConfigError(f"population sizes repeat: {Ns!r}")
-    lim = solve_limit(coeffs, grid)
-
-    def point(N):
-        if math.isinf(N):
-            return (float("inf"), 0.0, 0.0, 0.0)
-        fin = solve_finite_N(coeffs, int(N), grid)
-        return (int(N),
-                float(np.max(np.abs(fin.P - lim.P))),
-                float(np.max(np.abs(fin.K - lim.K))),
-                float(np.max(np.abs(fin.phi - lim.phi))))
-
-    rows = tuple(point(N) for N in Ns)
+    finite = [int(N) for N in Ns if N != math.inf]
+    lim, *fins = solve_backward(coeffs, grid, [None, *finite])
+    rows = [(N,
+             float(np.max(np.abs(fin.P - lim.P))),
+             float(np.max(np.abs(fin.K - lim.K))),
+             float(np.max(np.abs(fin.phi - lim.phi))))
+            for N, fin in zip(finite, fins)]
     md = _base_metadata(coeffs, grid)
-    finite = [r for r in rows if math.isfinite(r[0])]
     # through-origin fit err ~ C/N gives the leading constant per column
-    inv = np.array([1.0 / r[0] for r in finite])
+    inv = np.array([1.0 / N for N in finite])
     denom = float(np.dot(inv, inv))
     if denom > 0.0:
         for j, name in enumerate(("P", "K", "phi"), start=1):
-            errs = np.array([r[j] for r in finite])
+            errs = np.array([r[j] for r in rows])
             md[f"rate_constant_{name}"] = float(np.dot(errs, inv) / denom)
+    if len(finite) < len(Ns):
+        rows.append((float("inf"), 0.0, 0.0, 0.0))
     return ExperimentTable(experiment="riccati-convergence",
                            columns=("N", "err_P", "err_K", "err_phi"),
-                           rows=rows, metadata=md)
+                           rows=tuple(rows), metadata=md)
 
 
 def nash_gap(coeffs: CoefficientSet, N: int, reps: int, master_seed: int,
@@ -269,16 +276,29 @@ def _cell(v) -> str:
 def write_csv(path, header, columns, comments=()) -> None:
     """Write a CSV with '#'-prefixed comment lines and one column per entry
     of columns; floats use the shortest round-trip representation so
-    identical data gives identical bytes."""
-    cells = [map(repr, col.tolist())
-             if isinstance(col, np.ndarray) and col.dtype == np.float64
-             else map(_cell, col) for col in columns]
+    identical data gives identical bytes.  The rows are formatted in one
+    block per CPU, which _pool._pmap formats on forked workers when the
+    table is large enough to pay for them."""
+    columns = [col if isinstance(col, np.ndarray) else list(col)
+               for col in columns]
+    n = min(map(len, columns), default=0)
+    k = _pool._cpus()
+    bounds = [n * i // k for i in range(k + 1)]
+
+    def block(lo, hi):
+        cells = [map(repr, col[lo:hi].tolist())
+                 if isinstance(col, np.ndarray) and col.dtype == np.float64
+                 else map(_cell, col[lo:hi]) for col in columns]
+        return "".join([",".join(row) + "\n" for row in zip(*cells)])
+
+    # a float's shortest repr costs about 1.45 us, the other cells less
+    blocks = _pool._pmap(block, list(zip(bounds, bounds[1:])),
+                         n * len(columns) * 1.5e-6)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for comment in comments:
             fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
-        for row in zip(*cells):
-            fh.write(",".join(row) + "\n")
+        fh.writelines(blocks)
 
 
 _FIG1_SCRIPT = """set datafile separator comma

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pool import _pmap
 from .errors import ModelConfigError, NonSolvableError, SingularGainError
 from .model import CoefficientSet, TimeGrid, half_interp
 
@@ -162,16 +163,13 @@ def solve_finite_N(coeffs: CoefficientSet, N: int,
     bound = _BLOW_UP_BOUND
     inv_n = 1.0 / N
 
-    av = hc["A"].tolist()
-    bv = hc["B"].tolist()
-    cv = hc["C"].tolist()
-    dv = hc["D"].tolist()
-    fv = hc["f"].tolist()
-    gv = hc["g"].tolist()
-    rv = hc["R"].tolist()
     qe = (hc["Q"] * (1.0 - hc["Gamma"] * inv_n)).tolist()
-    gam = hc["Gamma"].tolist()
-    eta = hc["eta"].tolist()
+    # each profile's array is dropped once its list, which the steps read,
+    # is made: the solve's peak memory is the lists'
+    av, bv, cv, dv, fv, gv, rv, gam, eta = (
+        hc.pop(name).tolist()
+        for name in ("A", "B", "C", "D", "f", "g", "R", "Gamma", "eta"))
+    del hc
 
     def rhs(j, p, k, ph):
         s = p + k * inv_n
@@ -216,6 +214,21 @@ def solve_finite_N(coeffs: CoefficientSet, N: int,
         P[step], K[step], PHI[step] = p, k, ph
     return RiccatiSolution(grid=grid, P=np.asarray(P), K=np.asarray(K),
                            phi=np.asarray(PHI), N=N)
+
+
+def solve_backward(coeffs: CoefficientSet, grid: TimeGrid,
+                   populations) -> list:
+    """solve_limit for each None of `populations` and solve_finite_N for
+    each population size N, in order.  The solves are independent, so
+    _pmap runs them on one forked worker per CPU when they take long enough
+    to pay for it; the first that fails, in order, raises its error."""
+    populations = list(populations)
+    # an RK4 step of the limit costs about 5 us, one of N players 9 us (4.8
+    # and 8.6 us measured on a 2-CPU x86-64 machine)
+    seconds = grid.M * sum(5e-6 if N is None else 9e-6 for N in populations)
+    return _pmap(lambda N: solve_limit(coeffs, grid) if N is None
+                 else solve_finite_N(coeffs, N, grid),
+                 [(N,) for N in populations], seconds)
 
 
 def gains(sol: RiccatiSolution, coeffs: CoefficientSet) -> GainSchedule:

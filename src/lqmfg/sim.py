@@ -5,22 +5,18 @@ feedback controls.  Every random draw comes from a counter-based stream
 keyed by (master_seed, purpose, replication, agent), so replications can be
 scheduled in any order (or in parallel) without changing a single bit of
 output, and agent j's noise is identical across population sizes, giving
-common random numbers for the N-sweep experiments.
-
-The mean-only studies run their chunks of replications through _pmap, on
-one forked worker process per CPU of the process's affinity mask (taskset
--c 0 gives a one-CPU run) when the work pays for the pool; the output is
-byte-identical for any CPU count.
+common random numbers for the N-sweep experiments.  The mean-only studies
+map their chunks of replications with _pool._pmap.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._pool import _pmap
 from .errors import ModelConfigError, SimulationDivergedError
 from .model import CoefficientSet, InitialLaw, TimeGrid
 from .riccati import GainSchedule, RiccatiSolution
@@ -40,43 +36,6 @@ _LANES = 2048  # paths per kernel call of the mean-only population path
 # from N = 4 to N = 4096 on a 2-CPU x86-64 machine); it prices the work
 # handed to _pmap
 _SECONDS_PER_AGENT_STEP = 30e-9
-# Forking two workers from an 80 MB process and collecting their results
-# costs about 7 ms on the same machine, 20 ms the first time (imports
-# included).  Two CPUs save half the serial time, so a pool pays above about
-# twice that; below this much estimated serial work _pmap stays in process
-_POOL_MIN_SECONDS = 0.05
-
-
-def _cpus() -> int:
-    """CPUs of the process's affinity mask."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _pmap(fn, tasks: list, seconds: float) -> list:
-    """[fn(*task) for task in tasks], in task order.
-
-    With several tasks, several CPUs, the fork start method and an
-    estimated serial time `seconds` of at least _POOL_MIN_SECONDS, the
-    tasks run on a pool of min(CPUs, tasks) forked workers; fn must then
-    be a module-level function and tasks and results picklable.  The first
-    task, in order, that raises raises its own error, and the tasks not
-    yet started are cancelled.
-    """
-    workers = min(_cpus(), len(tasks))
-    if workers > 1 and seconds >= _POOL_MIN_SECONDS:
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            pool = ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"))
-            try:
-                futures = [pool.submit(fn, *task) for task in tasks]
-                return [future.result() for future in futures]
-            finally:
-                pool.shutdown(cancel_futures=True)
-    return [fn(*task) for task in tasks]
 
 
 def _key(master_seed: int, purpose: int, rep: int, agent: int) -> np.ndarray:

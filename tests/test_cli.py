@@ -2,11 +2,13 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
 
 import lqmfg.experiments as experiments
+from lqmfg import _pool, riccati
 from lqmfg.cli import _CONFIG, _KEYS, _SECTIONS, run
 from lqmfg.model import _INITIAL_KEYS
 
@@ -622,12 +624,40 @@ def test_usage_error_writes_manifest_when_out_dir_is_given(tmp_path, capsys,
 
 
 def test_importing_the_cli_loads_no_multiprocessing():
-    # a study imports its process pool when it starts one, so command
-    # start-up does not pay for multiprocessing
+    # the pool is os.fork and pickle: neither importing the CLI nor running
+    # a pool loads multiprocessing or concurrent.futures
     src = os.path.dirname(os.path.dirname(experiments.__file__))
-    code = ("import sys, lqmfg.cli; print(sorted(m for m in sys.modules "
+    code = ("import os, sys, lqmfg.cli\n"
+            "from lqmfg import _pool\n"
+            "_pool._cpus = lambda: 2\n"
+            "assert len(set(_pool._pmap(os.getpid, [()] * 2, 1.0))) == 2\n"
+            "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True, timeout=60,
                          env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "[]"
+
+
+def test_a_dead_pool_worker_exits_5_with_manifest(tmp_path, monkeypatch,
+                                                  capsys):
+    # the finite-N solve SIGKILLs its worker: the run names the dead worker,
+    # exits 5 and leaves no CSV, though the limit solve succeeded
+    from test_experiments import use_scheduler
+    use_scheduler(monkeypatch, "pool")
+
+    def die(*args):
+        assert _pool._in_worker
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(riccati, "solve_finite_N", die)
+    cfg = make_config(tmp_path)
+    out = tmp_path / "out"
+    assert run(["solve-riccati", "--config", cfg, "--out-dir", str(out),
+                "--population", "10"]) == 5
+    assert "exited with status -9" in capsys.readouterr().err
+    manifest = read_manifest(out)
+    assert manifest["exit_code"] == 5
+    assert "pool worker" in manifest["error"]
+    assert manifest["outputs"] == []
+    assert os.listdir(out) == ["manifest.json"]

@@ -1,20 +1,20 @@
 import math
-import multiprocessing
 import os
+import signal
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from lqmfg import sim
+from lqmfg import _pool, sim
 from lqmfg.errors import ModelConfigError, SimulationDivergedError
 from lqmfg.experiments import (DEFAULT_DEVIATIONS, _build_laws, _parse_label,
                                epsilon_sweep, figure_data, loglog_slope,
                                nash_gap, riccati_convergence, write_csv)
 from lqmfg.model import (CoefficientSet, InitialLaw, TimeGrid,
                          parse_coefficients, parse_grid, parse_initial_law)
-from lqmfg.riccati import gains, solve_limit
+from lqmfg.riccati import gains, solve_backward, solve_limit
 from lqmfg.sim import (_TILE, PopulationConfig, cost_of_agent,
                        costs_all_agents, quadrature, replay_agent, simulate,
                        simulate_reps)
@@ -152,6 +152,15 @@ def test_riccati_convergence_rejects_repeated_population_sizes():
 def test_riccati_convergence_rejects_an_empty_population_list():
     with pytest.raises(ModelConfigError, match="population sizes are empty"):
         riccati_convergence(ALL_ONES, [], TimeGrid(T=1.0, M=50))
+
+
+def test_riccati_convergence_rejects_sizes_that_are_not_integers_or_inf():
+    # -inf once gave an inf row of zeros and 10.5 silently ran N = 10
+    grid = TimeGrid(T=1.0, M=50)
+    for Ns, bad in (([-math.inf, 10], "got -inf"), ([10.5, 20], "got 10.5"),
+                    ([20, True], "got True"), ([10, "20"], "got '20'")):
+        with pytest.raises(ModelConfigError, match=bad):
+            riccati_convergence(ALL_ONES, Ns, grid)
 
 
 def test_nash_gap_calibration_row_is_exactly_zero():
@@ -353,12 +362,12 @@ def use_scheduler(patch, scheduler):
     """Make _pmap run in process, or on a pool of two forked workers
     whatever the CPU count and the work."""
     if scheduler == "in-process":
-        patch.setattr(sim, "_cpus", lambda: 1)
+        patch.setattr(_pool, "_cpus", lambda: 1)
     else:
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no fork start method on this platform")
-        patch.setattr(sim, "_cpus", lambda: 2)
-        patch.setattr(sim, "_POOL_MIN_SECONDS", 0.0)
+        if not hasattr(os, "fork"):
+            pytest.skip("no os.fork on this platform")
+        patch.setattr(_pool, "_cpus", lambda: 2)
+        patch.setattr(_pool, "_POOL_MIN_SECONDS", 0.0)
 
 
 SCHEDULERS = ("in-process", "pool")
@@ -367,9 +376,9 @@ SCHEDULERS = ("in-process", "pool")
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
 def test_pmap_runs_where_the_scheduler_says(scheduler, monkeypatch):
     use_scheduler(monkeypatch, scheduler)
-    pids = sim._pmap(os.getpid, [()] * 3, 1.0)
+    pids = _pool._pmap(os.getpid, [()] * 3, 1.0)
     assert (set(pids) == {os.getpid()}) == (scheduler == "in-process")
-    assert sim._pmap(divmod, [(7, 2), (9, 4), (1, 1)], 1.0) \
+    assert _pool._pmap(divmod, [(7, 2), (9, 4), (1, 1)], 1.0) \
         == [(3, 1), (2, 1), (1, 0)]
 
 
@@ -395,9 +404,105 @@ def test_pmap_raises_the_first_failure_in_task_order(scheduler, monkeypatch,
     tasks = [(0, tmp_path), (-2, tmp_path), (-1, tmp_path)] + [
         (k, tmp_path) for k in range(3, 23)]
     with pytest.raises(SimulationDivergedError, match="task -2 failed") as exc:
-        sim._pmap(fail_or_sleep, tasks, 1.0)
+        _pool._pmap(fail_or_sleep, tasks, 1.0)
     assert exc.value.rep == 2
     assert len(os.listdir(tmp_path)) < (2 if scheduler == "in-process" else 12)
+
+
+def mark_and_kill(task, marks):
+    """Leave this worker's pid under marks; task 1 then SIGKILLs its own
+    worker, which must not be the test process."""
+    open(os.path.join(marks, str(os.getpid())), "w").close()
+    if task == 1:
+        assert _pool._in_worker
+        os.kill(os.getpid(), signal.SIGKILL)
+    return task
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_pmap_names_a_dead_worker(monkeypatch, tmp_path):
+    # worker 1 dies at task 1, after task 0 ran on worker 0
+    use_scheduler(monkeypatch, "pool")
+    with pytest.raises(ChildProcessError, match="exited with status -9"):
+        _pool._pmap(mark_and_kill, [(k, tmp_path) for k in range(4)], 1.0)
+    pids = [int(name) for name in os.listdir(tmp_path)]
+    assert len(pids) == 2 and os.getpid() not in pids
+    assert_reaped(pids)
+
+
+def test_interrupted_pmap_kills_and_reaps_its_workers(monkeypatch, tmp_path):
+    # the parent is interrupted while both workers sleep for a minute
+    use_scheduler(monkeypatch, "pool")
+
+    def interrupt(fd):
+        for _ in range(3000):
+            if len(os.listdir(tmp_path)) == 2:
+                break
+            time.sleep(0.01)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(_pool, "_load", interrupt)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _pool._pmap(lambda marks: mark_and_kill(0, marks) + time.sleep(60),
+                    [(tmp_path,)] * 2, 1.0)
+    assert time.monotonic() - start < 30
+    pids = [int(name) for name in os.listdir(tmp_path)]
+    assert len(pids) == 2
+    assert_reaped(pids)
+
+
+def test_backward_solves_match_in_process_and_on_a_pool(monkeypatch):
+    grid = TimeGrid(T=1.0, M=300)
+    got = {}
+    for scheduler in SCHEDULERS:
+        with monkeypatch.context() as patch:
+            use_scheduler(patch, scheduler)
+            sols = solve_backward(ALL_ONES, grid, [None, 3, None, 40])
+            got[scheduler] = (
+                [(s.N, s.P.tobytes(), s.K.tobytes(), s.phi.tobytes())
+                 for s in sols],
+                riccati_convergence(ALL_ONES, [40, math.inf, 3, 10], grid))
+    assert got["in-process"] == got["pool"]
+    sols, tab = got["pool"]
+    assert [s[0] for s in sols] == [None, 3, None, 40]
+    assert sols[0][1] == solve_limit(ALL_ONES, grid).P.tobytes()
+    assert [r[0] for r in tab.rows] == [3, 10, 40, math.inf]
+
+
+def test_write_csv_matches_in_process_and_on_a_pool(monkeypatch, tmp_path):
+    # 1 001 rows of mixed columns: one block in process, three on the pool
+    n = 1001
+    rng = np.random.default_rng(3)
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    floats[:3] = (math.inf, -0.0, 0.1 + 0.2)
+    flags = [k % 3 == 0 for k in range(n)]
+    header = ("f", "i", "b", "s", "n", "h")
+
+    def columns():
+        return (floats, range(n), tuple(flags),
+                (f"s{k}" for k in range(n)), np.arange(n, dtype=np.int64),
+                np.linspace(0.0, 1.0, n, dtype=np.float32))
+
+    data = {}
+    for scheduler, cpus in (("in-process", 1), ("pool", 3)):
+        with monkeypatch.context() as patch:
+            use_scheduler(patch, scheduler)
+            patch.setattr(_pool, "_cpus", lambda: cpus)
+            path = tmp_path / f"{scheduler}.csv"
+            write_csv(path, header, columns(), ("first", "N = 7"))
+            data[scheduler] = path.read_bytes()
+    assert data["in-process"] == data["pool"]
+    h = np.linspace(0.0, 1.0, n, dtype=np.float32)
+    want = ["# first", "# N = 7", ",".join(header)] + [
+        f"{float(floats[k])!r},{k},{str(flags[k]).lower()},s{k},{k},"
+        f"{float(h[k])!r}" for k in range(n)]
+    assert data["pool"].decode() == "\n".join(want) + "\n"
 
 
 def test_studies_match_in_process_and_on_a_pool(monkeypatch):
