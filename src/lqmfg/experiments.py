@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _pool
 from .errors import ModelConfigError, SimulationDivergedError
 from .model import (CoefficientSet, InitialLaw, TimeGrid, _number,
                     canonical_fingerprint)
-from . import _pool
 from .riccati import gains, solve_backward, solve_finite_N, solve_limit
 from .sim import (PopulationConfig, _costs, _population_chunks, _replay_lanes,
                   quadrature)
@@ -277,8 +277,8 @@ def write_csv(path, header, columns, comments=()) -> None:
     """Write a CSV with '#'-prefixed comment lines and one column per entry
     of columns; floats use the shortest round-trip representation so
     identical data gives identical bytes.  The rows are formatted in one
-    block per CPU, which _pool._pmap formats on forked workers when the
-    table is large enough to pay for them."""
+    block per CPU, on forked workers (_pool._pmap) when the table is large
+    enough to pay for them."""
     columns = [col if isinstance(col, np.ndarray) else list(col)
                for col in columns]
     n = min(map(len, columns), default=0)
