@@ -30,6 +30,16 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _workers(tasks: int, seconds: float) -> int:
+    """How many forked workers _pmap runs `tasks` tasks of estimated serial
+    time `seconds` on; 1 means in process."""
+    workers = min(_cpus(), tasks)
+    if (workers < 2 or seconds < _POOL_MIN_SECONDS or _in_worker
+            or not hasattr(os, "fork")):
+        return 1
+    return workers
+
+
 def _work(fn, tasks: list, fd: int) -> None:
     """A worker's life: run its tasks until the first failure, pickle the
     (ok, result or error) pairs to fd, and leave without returning into the
@@ -67,17 +77,16 @@ def _pmap(fn, tasks: list, seconds: float) -> list:
 
     With several tasks, several CPUs, os.fork, and an estimated serial time
     `seconds` of at least _POOL_MIN_SECONDS, the tasks run on
-    w = min(CPUs, tasks) forked workers, worker i running tasks[i::w];
-    results and errors come back pickled, so fn may be a closure.  The
-    first task, in order, that raises raises its own error; a worker stops
-    at its own first failure.  A worker that dies without returning its
-    results fails at its first task with a ChildProcessError that names its
-    exit status.  An interrupted _pmap kills and reaps its workers.  Called
-    inside a worker, _pmap runs in process.
+    w = min(CPUs, tasks) forked workers (_workers), worker i running
+    tasks[i::w]; results and errors come back pickled, so fn may be a
+    closure.  The first task, in order, that raises raises its own error; a
+    worker stops at its own first failure.  A worker that dies without
+    returning its results fails at its first task with a ChildProcessError
+    that names its exit status.  An interrupted _pmap kills and reaps its
+    workers.  Called inside a worker, _pmap runs in process.
     """
-    workers = min(_cpus(), len(tasks))
-    if (workers < 2 or seconds < _POOL_MIN_SECONDS or _in_worker
-            or not hasattr(os, "fork")):
+    workers = _workers(len(tasks), seconds)
+    if workers < 2:
         return [fn(*task) for task in tasks]
     pids, fds, outs = [], [], None
     try:

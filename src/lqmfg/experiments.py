@@ -18,7 +18,8 @@ from . import _pool
 from .errors import ModelConfigError, SimulationDivergedError
 from .model import (CoefficientSet, InitialLaw, TimeGrid, _number,
                     canonical_fingerprint)
-from .riccati import gains, solve_backward, solve_finite_N, solve_limit
+from .riccati import (_population_size, gains, solve_backward,
+                      solve_finite_N, solve_limit)
 from .sim import (PopulationConfig, _costs, _population_chunks, _replay_lanes,
                   quadrature)
 from .synthesis import LAW_KINDS, make_law, solve_mean_field
@@ -130,7 +131,8 @@ def epsilon_sweep(coeffs: CoefficientSet, Ns, reps: int, master_seed: int,
     def point(N, col):
         mean_sq = float(col.mean())
         eps = math.sqrt(mean_sq)
-        if reps > 1 and mean_sq > 0.0:
+        # equal samples have no spread, however their mean rounds
+        if reps > 1 and mean_sq > 0.0 and np.ptp(col) > 0.0:
             se = float(col.std(ddof=1)) / math.sqrt(reps) / (2.0 * eps)
         else:
             se = 0.0
@@ -159,21 +161,12 @@ def riccati_convergence(coeffs: CoefficientSet, Ns,
     row compares the limit solution with itself and is exactly zero.  The
     backward solves run through solve_backward, the distances in the caller.
     """
-    Ns = list(Ns)
-    for N in Ns:
-        if N == math.inf:
-            continue
-        if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
-            raise ModelConfigError(f"population size must be an integer or "
-                                   f"inf, got {N!r}")
-        if N < 1:
-            raise ModelConfigError(f"population size must be >= 1, got {N!r}")
-    Ns = sorted(Ns)
+    Ns = sorted(N if N == math.inf else _population_size(N) for N in Ns)
     if not Ns:
         raise ModelConfigError("population sizes are empty")
     if len(set(Ns)) < len(Ns):
         raise ModelConfigError(f"population sizes repeat: {Ns!r}")
-    finite = [int(N) for N in Ns if N != math.inf]
+    finite = [N for N in Ns if N != math.inf]
     lim, *fins = solve_backward(coeffs, grid, [None, *finite])
     rows = [(N,
              float(np.max(np.abs(fin.P - lim.P))),

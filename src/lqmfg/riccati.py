@@ -151,11 +151,22 @@ def solve_limit(coeffs: CoefficientSet, grid: TimeGrid) -> RiccatiSolution:
     return RiccatiSolution(grid=grid, P=P, K=K, phi=phi)
 
 
+def _population_size(N) -> int:
+    """N as an int if it is an integer >= 1, not a bool; otherwise a
+    ModelConfigError that names it."""
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
+        raise ModelConfigError(f"population size must be an integer, "
+                               f"got {N!r}")
+    if N < 1:
+        raise ModelConfigError(f"population size must be >= 1, got {N!r}")
+    return int(N)
+
+
 def solve_finite_N(coeffs: CoefficientSet, N: int,
                    grid: TimeGrid) -> RiccatiSolution:
-    """Solve the coupled population system (P_N, K_N, phi_N) for N agents."""
-    if N < 1:
-        raise ModelConfigError(f"population size must be >= 1, got {N}")
+    """Solve the coupled population system (P_N, K_N, phi_N) for N agents,
+    N an integer >= 1."""
+    N = _population_size(N)
     hc = coeffs.half_values(grid)
     M, dt = grid.M, grid.dt
     h = -dt

@@ -1,12 +1,13 @@
 """Population simulation, cost evaluation, and optimality diagnostics.
 
 States advance by Euler-Maruyama on the solver grid with left-endpoint
-feedback controls.  Every random draw comes from a counter-based stream
-keyed by (master_seed, purpose, replication, agent), so replications can be
-scheduled in any order (or in parallel) without changing a single bit of
-output, and agent j's noise is identical across population sizes, giving
-common random numbers for the N-sweep experiments.  The mean-only studies
-map their chunks of replications with _pool._pmap.
+feedback controls, each step the affine map x' = alpha x + beta of _affine.
+Every random draw comes from a counter-based stream keyed by (master_seed,
+purpose, replication, agent), so replications can be scheduled in any order
+(or in parallel) without changing a single bit of output, and agent j's
+noise is identical across population sizes, giving common random numbers
+for the N-sweep experiments.  The mean-only studies map their chunks of
+replications with _pool._pmap.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._pool import _pmap
+from . import _pool
 from .errors import ModelConfigError, SimulationDivergedError
 from .model import CoefficientSet, InitialLaw, TimeGrid
 from .riccati import GainSchedule, RiccatiSolution
@@ -134,67 +135,84 @@ def _check_paths_grid(ps: PathSet, grid: TimeGrid) -> None:
                                f"the grid {grid}")
 
 
+def _law_feedback(law: StrategyLaw, ndim: int):
+    """_step_tiles' feedback and k_mean for a population under one law, on
+    lanes of ndim axes: a precomputed mean folds into the offset
+    k_mean xbar + k_const, a realized one is left to k_mean."""
+    if law.xbar is None:
+        kappa, k_mean = law.k_const, law.k_mean
+    else:
+        kappa, k_mean = law.k_mean * law.xbar + law.k_const, None
+    e, kappa = (v.reshape(-1, *(1,) * ndim) for v in (law.k_self, kappa))
+    return (lambda k0, w: (e[k0:k0 + w], kappa[k0:k0 + w])), k_mean
+
+
+def _affine(nc: dict, dt: float, k, e, kappa):
+    """Under the control u = e x + kappa, Euler-Maruyama step k (an index
+    or a slice of axis 0 of nc's profiles) is x' = (p + q dW) x + (r + s dW)
+    with p = 1 + (A + B e) dt, q = C + D e, r = (B kappa + f) dt and
+    s = D kappa + g; returns (p, q, r, s)."""
+    a, b, c, d, f, g = (nc[name][k] for name in ("A", "B", "C", "D", "f", "g"))
+    return 1.0 + (a + b * e) * dt, c + d * e, (b * kappa + f) * dt, d * kappa + g
+
+
 def _step_tiles(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
-                ks, km, kc, mean, sink) -> np.ndarray:
-    """Euler-Maruyama steps of a batch of states started at x0, of shape S.
+                feedback, sink, k_mean=None) -> np.ndarray:
+    """Euler-Maruyama steps of a batch of states started at x0, of shape S,
+    under the controls u = e x + kappa; dW (..., M) broadcasts to S.
 
-    dW (..., M) and the feedback gains ks, km, kc (..., M+1) broadcast to S
-    at each step k; mean(k, x) is the m(t_k) the feedback sees.  Returns
-    the end states, flat.
-
-    Each step computes, in this order,
-        u  = (ks x + km m) + kc
-        x' = (x + ((a x + b u) + f) dt) + ((c x + d u) + g) dW.
+    feedback(k0, w) gives e and kappa of steps k0..k0+w-1, time on axis 0,
+    broadcast to (w, *S); with k_mean, step k's kappa adds k_mean[k] times
+    the mean of the states at node k (S is then one replication's paths).
+    Each step is x' = alpha x + beta (_affine), two array operations.
     Time is walked in tiles of _TILE steps on time-major buffers, so every
-    step reads and writes contiguous rows; the increments come in
-    transposed in blocks of _BLOCK paths.  After a tile of w steps from
-    node k0, sink(k0, w, xs, us) reads it: rows 0..w of xs (_TILE+1, n)
-    are the states at nodes k0..k0+w and rows 0..w-1 of us (_TILE, n) the
-    controls, one column per path of x0.ravel().
+    step reads and writes contiguous rows; alpha and beta are formed a tile
+    at a time (beta a step at a time with k_mean), and the increments come
+    in transposed in blocks of _BLOCK paths.  After a tile of w steps from
+    node k0, sink(k0, w, xs, e, kappa) reads it: rows 0..w of xs (_TILE+1,
+    n) are the states at nodes k0..k0+w, one column per path of x0.ravel().
+    Returns the end states, flat.
     """
-    a, b, c, d, f, g = (nc[name] for name in ("A", "B", "C", "D", "f", "g"))
     n, M = x0.size, dW.shape[-1]
+    tm = {name: v.reshape(-1, *(1,) * x0.ndim) for name, v in nc.items()}
     increments = dW.reshape(-1, M)
     xs = np.empty((_TILE + 1, n))
-    us = np.empty((_TILE, n))
     ws = np.empty((_TILE, increments.shape[0]))
-    xv, uv = xs.reshape(-1, *x0.shape), us.reshape(-1, *x0.shape)
     wv = ws.reshape(-1, *dW.shape[:-1])
-    drift = np.empty(x0.shape)
-    noise = np.empty(x0.shape)
-    part = np.empty(x0.shape)
-    xv[0] = x0
+    beta = np.empty((_TILE, n))
+    # alpha overwrites the increments once beta is formed, unless they
+    # broadcast over the lanes or beta reads them a step at a time
+    alpha = (ws if increments.shape[0] == n and k_mean is None
+             else np.empty((_TILE, n)))
+    av, bv = alpha.reshape(-1, *x0.shape), beta.reshape(-1, *x0.shape)
+    xs[0] = x0.ravel()
     # overflow is an expected failure mode, reported as a typed error
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, M, _TILE):
             w = min(_TILE, M - k0)
             for j in range(0, increments.shape[0], _BLOCK):
                 ws[:w, j:j + _BLOCK] = increments[j:j + _BLOCK, k0:k0 + w].T
-            for s in range(w):
-                k = k0 + s
-                x, u, x_next = xv[s], uv[s], xv[s + 1]
-                np.multiply(ks[..., k], x, out=u)
-                np.add(u, km[..., k] * mean(k, x), out=u)
-                np.add(u, kc[..., k], out=u)
-                np.multiply(a[k], x, out=drift)
-                np.multiply(b[k], u, out=part)
-                np.add(drift, part, out=drift)
-                np.add(drift, f[k], out=drift)
-                np.multiply(drift, dt, out=drift)
-                np.multiply(c[k], x, out=noise)
-                np.multiply(d[k], u, out=part)
-                np.add(noise, part, out=noise)
-                np.add(noise, g[k], out=noise)
-                np.multiply(noise, wv[s], out=noise)
-                np.add(x, drift, out=x_next)
-                np.add(x_next, noise, out=x_next)
-            sink(k0, w, xs, us)
+            e, kappa = feedback(k0, w)
+            p, q, r, s = _affine(tm, dt, slice(k0, k0 + w), e, kappa)
+            if k_mean is None:
+                np.add(r, np.multiply(s, wv[:w], out=bv[:w]), out=bv[:w])
+            else:
+                kappa = kappa.copy()
+            np.add(p, np.multiply(q, wv[:w], out=av[:w]), out=av[:w])
+            for i in range(w):
+                if k_mean is not None:
+                    kappa[i, 0] += k_mean[k0 + i] * np.mean(xs[i])
+                    _, _, r, s = _affine(nc, dt, k0 + i, e[i, 0], kappa[i, 0])
+                    np.add(r, np.multiply(s, ws[i], out=beta[i]), out=beta[i])
+                np.multiply(alpha[i], xs[i], out=xs[i + 1])
+                np.add(xs[i + 1], beta[i], out=xs[i + 1])
+            sink(k0, w, xs, e, kappa)
             xs[0] = xs[w]
     return xs[0]
 
 
 def _euler_maruyama(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
-                    ks, km, kc, mean, rep, agent: int | None = None):
+                    feedback, rep, agent: int | None = None, k_mean=None):
     """Euler-Maruyama paths of a batch of states started at x0, of shape S:
     states (S, M+1) and controls (S, M), stepped by _step_tiles.
 
@@ -203,19 +221,24 @@ def _euler_maruyama(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
     raises SimulationDivergedError naming the first replication, in order,
     whose paths end non-finite, its first non-finite step, and `agent`, or
     else the first path non-finite at that step (its index on the last
-    axis).  The tiles go out transposed in blocks of _BLOCK paths.
+    axis).  The controls are formed a tile at a time as e x + kappa, and
+    the tiles go out transposed in blocks of _BLOCK paths.
     """
     n, M = x0.size, dW.shape[-1]
     states = np.empty((n, M + 1))
     controls = np.empty((n, M))
     states[:, 0] = x0.ravel()
+    us = np.empty((_TILE, n))
 
-    def sink(k0, w, xs, us):
+    def sink(k0, w, xs, e, kappa):
+        uv = np.multiply(e, xs[:w].reshape(w, *x0.shape),
+                         out=us[:w].reshape(w, *x0.shape))
+        np.add(uv, kappa, out=uv)
         for j in range(0, n, _BLOCK):
             states[j:j + _BLOCK, k0 + 1:k0 + w + 1] = xs[1:w + 1, j:j + _BLOCK].T
             controls[j:j + _BLOCK, k0:k0 + w] = us[:w, j:j + _BLOCK].T
 
-    end = _step_tiles(nc, dt, x0, dW, ks, km, kc, mean, sink)
+    end = _step_tiles(nc, dt, x0, dW, feedback, sink, k_mean)
     # a non-finite state stays non-finite, so checking the end state suffices
     if not np.all(np.isfinite(end)):
         width = x0.shape[-1]
@@ -250,18 +273,15 @@ def simulate_reps(coeffs: CoefficientSet, law: StrategyLaw,
     _check_law_grid(law, grid)
     sqdt = math.sqrt(grid.dt)
     nc = coeffs.node_values(grid)
-
-    def mean(k, x):
-        return np.mean(x) if law.xbar is None else law.xbar[k]
-
+    feedback, k_mean = _law_feedback(law, 1)
     # one generator, restarted on each agent's stream
     rng = np.random.Generator(np.random.Philox())
     for rep in range(cfg.reps):
         x0 = np.empty(cfg.N)
         dW = np.empty((cfg.N, grid.M))
         _draw(rng, cfg, rep, sqdt, x0, dW)
-        states, controls = _euler_maruyama(nc, grid.dt, x0, dW, law.k_self,
-                                           law.k_mean, law.k_const, mean, rep)
+        states, controls = _euler_maruyama(nc, grid.dt, x0, dW, feedback,
+                                           rep, k_mean=k_mean)
         yield PathSet(rep=rep, states=states, controls=controls,
                       increments=dW, mean=states.mean(axis=0), grid=grid)
 
@@ -285,29 +305,30 @@ def _population_sums(coeffs: CoefficientSet, law: StrategyLaw,
     x0 = np.empty((R, N))
     dW = np.empty((R, N, M))
     sums = np.empty((R, len(sizes), M + 1))
-    partial = np.empty((_TILE + 1, R, N))
+    # a few nodes at a time, so that the buffer stays small
+    partial = np.empty((_TILE // 8, R, N))
     last = np.asarray(sizes) - 1
 
-    def sink(k0, w, xs, us):
+    def sink(k0, w, xs, e, kappa):
         tile = xs[:w + 1].reshape(w + 1, R, N)
-        # accumulate adds agents in order: acc[j] = acc[j-1] + tile[j]
-        acc = np.add.accumulate(tile, axis=2, out=partial[:w + 1])
-        sums[:, :, k0:k0 + w + 1] = acc[..., last].transpose(1, 2, 0)
+        for t in range(0, w + 1, len(partial)):
+            # accumulate adds agents in order: acc[j] = acc[j-1] + tile[j]
+            acc = np.add.accumulate(tile[t:t + len(partial)], axis=2,
+                                    out=partial[:min(len(partial), w + 1 - t)])
+            sums[:, :, k0 + t:k0 + t + len(acc)] = \
+                acc[..., last].transpose(1, 2, 0)
 
-    def mean(k, x):
-        return law.xbar[k]
-
+    feedback, _ = _law_feedback(law, 2)
     rng = np.random.Generator(np.random.Philox())
     for r in range(R):
         _draw(rng, cfg, first + r, sqdt, x0[r], dW[r])
-    end = _step_tiles(nc, grid.dt, x0, dW, law.k_self, law.k_mean,
-                      law.k_const, mean, sink)
+    end = _step_tiles(nc, grid.dt, x0, dW, feedback, sink)
     if not np.all(np.isfinite(end)):
         # rerun the call on full paths: the same inputs give the same bits,
         # so it raises, naming the replication, step and agent as
         # simulate_reps does
-        _euler_maruyama(nc, grid.dt, x0, dW, law.k_self, law.k_mean,
-                        law.k_const, mean, first + np.arange(R)[:, None])
+        _euler_maruyama(nc, grid.dt, x0, dW, feedback,
+                        first + np.arange(R)[:, None])
     # copies, so that the kept agents do not hold the whole buffers
     return sums, x0[:, :keep].copy(), dW[:, :keep].copy()
 
@@ -315,19 +336,29 @@ def _population_sums(coeffs: CoefficientSet, law: StrategyLaw,
 def _population_chunks(coeffs: CoefficientSet, law: StrategyLaw,
                        cfg: PopulationConfig, grid: TimeGrid, sizes,
                        keep: int) -> list:
-    """_population_sums over all cfg.reps replications, max(1, _LANES // N)
-    to a kernel call, the calls mapped by _pmap: one (sums, x0, dW) per
-    call, in replication order."""
+    """_population_sums over all cfg.reps replications, the calls mapped by
+    _pmap: one (sums, x0, dW) per call, in replication order.
+
+    A call holds at most max(1, _LANES // N) replications.  The calls are
+    as few as that allows, rounded up to a multiple of the workers _pmap
+    will use (but no more than the replications), and their sizes differ
+    by at most one, the larger first, so every worker gets an even share."""
     _check_law_grid(law, grid)
     if law.xbar is None:
         raise ModelConfigError("mean-only simulation needs a law with a "
                                "precomputed mean")
-    per_call = max(1, _LANES // cfg.N)
-    tasks = [(coeffs, law, cfg, grid, sizes, first,
-              min(per_call, cfg.reps - first), keep)
-             for first in range(0, cfg.reps, per_call)]
-    return _pmap(_population_sums, tasks,
-                 cfg.reps * cfg.N * grid.M * _SECONDS_PER_AGENT_STEP)
+    reps = cfg.reps
+    seconds = reps * cfg.N * grid.M * _SECONDS_PER_AGENT_STEP
+    workers = _pool._workers(reps, seconds)
+    calls = -(-reps // max(1, _LANES // cfg.N))
+    calls = min(reps, -(-calls // workers) * workers)
+    # the larger calls first: each worker's later calls then fit in the
+    # memory its first one freed
+    q, rem = divmod(reps, calls)
+    bounds = [i * q + min(i, rem) for i in range(calls + 1)]
+    tasks = [(coeffs, law, cfg, grid, sizes, lo, hi - lo, keep)
+             for lo, hi in zip(bounds, bounds[1:])]
+    return _pool._pmap(_population_sums, tasks, seconds)
 
 
 def simulate(coeffs: CoefficientSet, law: StrategyLaw,
@@ -341,22 +372,26 @@ def _replay_lanes(agent: int, reps, x0, dW, others, N: int, laws,
     """Replay `agent` of replications reps (initial states x0, increments
     dW, co-player state sums others) under every law in one kernel call.
     Lane [r, l] is replication reps[r] under laws[l]; a realized-mean lane
-    sees (others[r, k] + x) / N.  Returns states (R, L, M+1), controls
-    (R, L, M)."""
-    precomputed = np.array([law.xbar is not None for law in laws])
-    # a realized-mean law's row of xbar is a placeholder, never selected
-    xbar = np.stack([others[0] if law.xbar is None else law.xbar
-                     for law in laws])
+    sees the mean (others[r, k] + x) / N, so its control is
+    (k_self + k_mean / N) x + (k_mean (others / N) + k_const).  Returns
+    states (R, L, M+1), controls (R, L, M)."""
+    realized = np.array([law.xbar is None for law in laws])
+    # a realized-mean lane's xbar is a placeholder, never selected
+    rows = [(law.k_self, law.k_mean, law.k_const,
+             law.k_const if law.xbar is None else law.xbar) for law in laws]
+    # time-major, (M+1, 1, L)
+    ks, km, kc, xbar = (np.stack(col).T[:, None] for col in zip(*rows))
+    e = np.where(realized, ks + km / N, ks)
+    share = others.T[:, :, None] / N
 
-    def mean(k, x):
-        return np.where(precomputed, xbar[:, k], (others[:, k, None] + x) / N)
+    def feedback(k0, w):
+        t = slice(k0, k0 + w)
+        return e[t], km[t] * np.where(realized, share[t], xbar[t]) + kc[t]
 
     return _euler_maruyama(
         coeffs.node_values(grid), grid.dt,
-        np.repeat(x0[:, None], len(laws), axis=1), dW[:, None],
-        *(np.stack([getattr(law, name) for law in laws])
-          for name in ("k_self", "k_mean", "k_const")),
-        mean, np.reshape(reps, (-1, 1)), agent)
+        np.repeat(x0[:, None], len(laws), axis=1), dW[:, None], feedback,
+        np.reshape(reps, (-1, 1)), agent)
 
 
 def replay_agent(base: PathSet, i: int, laws, coeffs: CoefficientSet,
@@ -511,7 +546,7 @@ def convexity_probe(coeffs: CoefficientSet, N: int, grid: TimeGrid,
         dW = stream(seed, _PURPOSE_PROBE_NOISE, s, 0) \
             .standard_normal((inner_reps, M)) * sqdt
         x, _ = _euler_maruyama(homogeneous, dt, np.zeros(inner_reps), dW,
-                               zero, zero, u, lambda k, x: 0.0, s)
+                               lambda k0, w: (0.0, u[k0:k0 + w, None]), s)
         vals.append(quadrature(dt, qeff * x * x, nc["R"][:M] * u * u)
                     + heff * x[:, -1] * x[:, -1])
     vals = np.stack(vals)

@@ -221,15 +221,17 @@ def test_criterion_11_monte_carlo_csv_bytes_are_pinned(tmp_path):
     # before the simulation and cost code shared one Euler-Maruyama kernel
     # and one quadrature; a change here is an output change, not roundoff.
     # nash-gap was re-pinned when its replays became one batched call whose
-    # mean sums (x + others) / N: every gap moved by under 1e-14 relative
+    # mean sums (x + others) / N: every gap moved by under 1e-14 relative.
+    # All three were re-pinned when the Euler-Maruyama step became the
+    # affine x' = alpha x + beta: every value moved by under 4e-14 relative
     pinned = {
-        "simulate": ("summary.csv", "a7abe702fd9ed8cd77f721fa8bccbb4a"
-                                    "041e38ee67ad1b64446ca1bd330ea0af"),
+        "simulate": ("summary.csv", "40165fc4e4b6e445a2f2459e8a1b6194"
+                                    "7ff5b6a756d5da90fd34dd1986ada576"),
         "epsilon-sweep": ("epsilon_sweep.csv",
-                          "e5d094c956666c0f20d9d8cd9e7f0c6b"
-                          "b479978d0c94d780a3c5728ed4350ec5"),
-        "nash-gap": ("nash_gap.csv", "baae51f6d78e89b3d1910492d4da6972"
-                                     "98dc9f342a5eb0e16d72bb51e5865139"),
+                          "8109427278db163670118978feab7c8b"
+                          "f9206e392336792025f58aa31ab7a874"),
+        "nash-gap": ("nash_gap.csv", "7766a01e391d91b8275cb03a767996ff"
+                                     "dd7c8c6a514dde7d823619ea5edb4927"),
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(CLI_CONFIG))
@@ -256,7 +258,9 @@ MIXED_CONFIG = {
 
 def test_criterion_11_table_writer_bytes_are_pinned(tmp_path):
     # SHA-256 of every gain, path, law and figure table on a mixed config,
-    # captured before the CSV writer took columns instead of rows
+    # captured before the CSV writer took columns instead of rows; the
+    # simulate paths and summaries and fig2.csv were re-pinned when the
+    # Euler-Maruyama step became affine (under 5e-14 relative)
     jobs = (
         ("solve-riccati", ["--population", "6"], {
             "riccati_limit.csv": "f936353784e3700a446e6caae4b549b3"
@@ -269,29 +273,29 @@ def test_criterion_11_table_writer_bytes_are_pinned(tmp_path):
         ("simulate", ["--law", "scaled", "--theta", "0.3", "--paths"], {
             "law.csv": "ff33f997107dd2ebb292959bfac6f194"
                        "426e3836b4ee8a512ebe8ec49d07e919",
-            "summary.csv": "9f4e245e09f61be8d451b9ae02eb79f6"
-                           "def73f7441cc4bd8ac0a860461969620",
-            "paths_rep000.csv": "a3c72968c6082955524af234a9013838"
-                                "4cb4a2cc37731438877ad07385f3f38c",
-            "paths_rep001.csv": "00e0bd259b07fb1babf3cbd68591cf8d"
-                                "f047f7c22c73d3d5e1fc70e9a3c5818a"}),
+            "summary.csv": "dfdfa19c0c11b3b33eec6294a91a550c"
+                           "1f74392ac4ff5fcae7ac8c0d3fe03f8a",
+            "paths_rep000.csv": "499d19ce42614b41ee1e4cd841ac9e4b"
+                                "c68b21dfc413d615616b193658ff11fa",
+            "paths_rep001.csv": "d0da60268249d830582f5d9837decea1"
+                                "f054325603a3b4898a24225e19a6d0f3"}),
         ("simulate", ["--law", "centralized", "--paths"], {
             "law.csv": "b13aec5d5cbb5b231252720fa5577d54"
                        "5e0541b6ccab54e7f0dace932468ae8b",
-            "summary.csv": "38e55750670cb0654f249bbdb548fa01"
-                           "76af0a6978a6a0381e6f371fe2dc62e5",
-            "paths_rep000.csv": "007a29097fea392cd6dd868c8d2b34aa"
-                                "7f89acbe4da6d6e979be52510f5cf002",
-            "paths_rep001.csv": "96b291de92394b1944ddf455fc70ad73"
-                                "30753572ceed6854c7def1b2ed652f8b"}),
+            "summary.csv": "91c987d9823a8ea859601320d8f06268"
+                           "dfd051a0e26faafc588ef907d31c5e01",
+            "paths_rep000.csv": "2884ff0c2fbaf9dfc864fa4bddfebbc5"
+                                "f85d744171441331cd5865deef60eda4",
+            "paths_rep001.csv": "6295cc92bbdba85bd5150458a489c154"
+                                "00e4455a49dd6fb484f22063686c83ce"}),
         ("riccati-convergence", [], {
             "riccati_convergence.csv": "c01f54761e8102b3dda22e7e6af1228c"
                                        "35915ac7cf260203c30eb78d8c9dca4d"}),
         ("figures", [], {
             "fig1.csv": "1312e25a6c437f2bdaeafd63d1b209401"
                         "dd935c57c3c345ec7a374b13e91d999",
-            "fig2.csv": "60a65c6b97382af7067f4516d81071df"
-                        "0b4a87c4dc543e4e15fda990466eae7a"}),
+            "fig2.csv": "707b2e47659bea1f4525b3791b4fd57a"
+                        "e780845e805cf4a3b93cb0727651fa46"}),
     )
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(MIXED_CONFIG))
@@ -315,12 +319,12 @@ def test_criterion_11_manifests_are_pinned(tmp_path):
     jobs = (
         (CLI_CONFIG, "validate", [], "71207bb98491fbc28a841cf20d833d6e"
                                      "a82a4d2026043d1bf880a491fc75625e"),
-        (CLI_CONFIG, "simulate", [], "73924deb55d4df00bf3f670d86b073d3"
-                                     "003a8f6045059752bb7cd523808ae842"),
-        (CLI_CONFIG, "epsilon-sweep", [], "f9bc4a638129dd4ed99541e18b0be1f8"
-                                          "8377afd5522844b89df76343636bd46e"),
-        (CLI_CONFIG, "nash-gap", [], "34292d1e73a29d4f3298c7146d0ff841"
-                                     "ea65ac1e5352efa0e3b40f185922f868"),
+        (CLI_CONFIG, "simulate", [], "9b8e5fd9d88b456315e7290edcdc9a06"
+                                     "fff836815eed70200ad828f0a138a657"),
+        (CLI_CONFIG, "epsilon-sweep", [], "47a700c1658a22a090989a6153aee218"
+                                          "eaad9bb06f8f45d075677ebd2d02a99e"),
+        (CLI_CONFIG, "nash-gap", [], "bae910e4fb0b63ffcf0cc8026a5b7713"
+                                     "10f58a422d2cef4c79e2419488d5841a"),
         (MIXED_CONFIG, "validate", [], "636f961932f12b47dbd3381cabdd41ab"
                                        "601dac7760693a8d70596c27f56d4736"),
         (MIXED_CONFIG, "solve-riccati", ["--population", "6"],
@@ -329,13 +333,13 @@ def test_criterion_11_manifests_are_pinned(tmp_path):
                                          "2d7907b3328ebf7966da0677269375b5"),
         (MIXED_CONFIG, "simulate",
          ["--law", "scaled", "--theta", "0.3", "--paths"],
-         "f359b93a553a997313ff0a0332249aabedc68a7b444c6d1e431e5f21688f3868"),
+         "ebc04ef805e5218b0d80dbe8af921bff50feea91fcc6489239b69ee91158d05e"),
         (MIXED_CONFIG, "simulate", ["--law", "centralized", "--paths"],
-         "294e9d2e68fd7ab35eb276351e0736139e3b83125c93083742f898016938faf8"),
+         "a5883d173555bc29b0cd7d63d8f288d0b6d729956c8549f0efb111b20252b3aa"),
         (MIXED_CONFIG, "riccati-convergence", [],
          "c8d501c49e682fb67522623f8e7f7e854abccd7ba5d0107b2970f74824b121d7"),
-        (MIXED_CONFIG, "figures", [], "1b4e180a73602839fc0b042c0e16077b"
-                                      "767d913aecff2c2f4ced06c1eaa462ba"),
+        (MIXED_CONFIG, "figures", [], "841f7a6c713a82861679b4b480ac2bbb"
+                                      "74258c552c399fecf891fd8d0b658903"),
     )
     for k, (cfg, sub, extra, digest) in enumerate(jobs):
         cfg_path = tmp_path / f"cfg{k}.json"

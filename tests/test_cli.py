@@ -175,13 +175,13 @@ def test_divergence_exits_4(tmp_path, capsys):
     # the path is named, as when every path ran before any cost
     coeffs = dict({name: 0 for name in ALL_ONES}, A=100, B=1, C=1, Q=1, R=1)
     cfg = make_config(tmp_path, name="late.json", coefficients=coeffs,
-                      grid={"T": 10.16, "M": 1016}, seed=9,
+                      grid={"T": 10.22, "M": 1022}, seed=9,
                       initial={"kind": "uniform", "a": 1.0, "b": 2.0},
                       experiments={"simulate": {"N": 2, "reps": 3,
                                                 "law": "zero"}})
     out = tmp_path / "late"
     assert run(["simulate", "--config", cfg, "--out-dir", str(out)]) == 4
-    assert "agent 0 diverged at step 1014 of replication 1" \
+    assert "agent 0 diverged at step 1020 of replication 1" \
         in capsys.readouterr().err
 
 

@@ -266,18 +266,18 @@ def test_nash_gap_matches_per_replication_replays(cfg, N, reps):
 def test_nash_gap_names_the_replication_that_fails():
     # under the zero law the first agent roughly doubles each step
     # (A dt = 1) and replication 1 grows fastest at seed 9.  At M = 511
-    # only its cost overflows.  At M = 1016 only its path overflows, and the
+    # only its cost overflows.  At M = 1022 only its path overflows, and the
     # other costs overflow: every replay runs before any cost, so the path
-    # is named.  At seed 7 and M = 1020, replication 3 overflows two steps
-    # before replication 1, and the replays still name replication 1, the
-    # first in order, as one replay per replication does
+    # is named.  At seed 7 and M = 1026, replication 3 overflows three steps
+    # before replications 1 and 2, and the replays still name replication
+    # 1, the first in order, as one replay per replication does
     coeffs = CoefficientSet.from_constants(A=100.0, B=1.0, C=1.0, Q=1.0,
                                            R=1.0)
     initial = InitialLaw.uniform(1.0, 2.0)
     for seed, reps, M, step, failures in (
             (9, 3, 511, None, [(1, None)]),
-            (9, 3, 1016, 1014, [(0, None), (1, 1014), (2, None)]),
-            (7, 4, 1020, 1020, [(0, None), (1, 1020), (2, None), (3, 1018)])):
+            (9, 3, 1022, 1020, [(0, None), (1, 1020), (2, None)]),
+            (7, 4, 1026, 1026, [(0, None), (1, 1026), (2, 1026), (3, 1023)])):
         cfg = PopulationConfig(N=2, reps=reps, master_seed=seed,
                                initial=initial)
         grid = TimeGrid(T=M / 100, M=M)
@@ -316,7 +316,9 @@ def test_population_sums_match_full_paths(fixture, monkeypatch):
     # the mean-only path draws what simulate draws and adds agents in the
     # order states.sum(axis=0) adds them, for every tile layout (one step,
     # a full tile, a one-step tail tile, many tiles) and lane batching: 5
-    # replications are one partial call, or at 8 lanes calls of 8 // N
+    # replications are one call, or at 8 lanes as few calls of at most
+    # 8 // N as hold them, the larger first and their sizes differing by
+    # at most one
     for M in (2, _TILE, _TILE + 1, 1000):
         cfg = fixture(M)
         grid = parse_grid(cfg)
@@ -333,9 +335,9 @@ def test_population_sums_match_full_paths(fixture, monkeypatch):
                     patch.setattr(sim, "_LANES", lanes)
                     chunks = sim._population_chunks(coeffs, law, pop, grid,
                                                     sizes, keep=N)
-                per_call = max(1, lanes // N)
+                calls = -(-5 // max(1, lanes // N))
                 assert [len(sums) for sums, _, _ in chunks] == [
-                    min(per_call, 5 - first) for first in range(0, 5, per_call)]
+                    5 // calls + (i < 5 % calls) for i in range(calls)]
                 got = list(zip(*(np.concatenate(part)
                                  for part in zip(*chunks))))
                 assert len(got) == 5
@@ -506,19 +508,32 @@ def test_write_csv_matches_in_process_and_on_a_pool(monkeypatch, tmp_path):
 
 
 def test_studies_match_in_process_and_on_a_pool(monkeypatch):
-    # 7 replications in calls of 2 at N = 24 leave a one-replication last
-    # call; both tables and their metadata match bit for bit
+    # at N = 24 a call holds at most 2 of the 7 replications: 4 calls in
+    # process and on two CPUs, 6 on three, whose workers get 2, 2 and 3
+    # replications; both tables and their metadata match bit for bit
     grid = TimeGrid(T=1.0, M=100)
     monkeypatch.setattr(sim, "_LANES", 48)
-    tables = {}
-    for scheduler in SCHEDULERS:
+    tables, plans = {}, {}
+    pmap = _pool._pmap
+
+    def record(fn, tasks, seconds):
+        if fn is sim._population_sums:
+            plans[cpus].append([task[6] for task in tasks])
+        return pmap(fn, tasks, seconds)
+
+    for scheduler, cpus in (("in-process", 1), ("pool", 2), ("pool", 3)):
+        plans[cpus] = []
         with monkeypatch.context() as patch:
             use_scheduler(patch, scheduler)
-            tables[scheduler] = (
+            patch.setattr(_pool, "_cpus", lambda: cpus)
+            patch.setattr(_pool, "_pmap", record)
+            tables[cpus] = (
                 epsilon_sweep(ALL_ONES, [3, 8, 24], 7, 11, grid, UNIFORM),
                 nash_gap(ALL_ONES, 24, 7, 11, grid, UNIFORM))
-    assert tables["in-process"] == tables["pool"]
-    assert [len(t.rows) for t in tables["pool"]] == [3, 9]
+    assert tables[1] == tables[2] == tables[3]
+    assert [len(t.rows) for t in tables[3]] == [3, 9]
+    assert plans == {1: [[2, 2, 2, 1]] * 2, 2: [[2, 2, 2, 1]] * 2,
+                     3: [[2, 1, 1, 1, 1, 1]] * 2}
 
 
 def divergence_steps(coeffs, law, cfg, grid):
@@ -531,8 +546,8 @@ def divergence_steps(coeffs, law, cfg, grid):
         x0, dW = np.empty(cfg.N), np.empty((cfg.N, grid.M))
         sim._draw(rng, cfg, rep, math.sqrt(grid.dt), x0, dW)
         try:
-            sim._euler_maruyama(nc, grid.dt, x0, dW, law.k_self, law.k_mean,
-                                law.k_const, lambda k, x: law.xbar[k], rep)
+            sim._euler_maruyama(nc, grid.dt, x0, dW,
+                                sim._law_feedback(law, 1)[0], rep)
             steps.append(None)
         except SimulationDivergedError as exc:
             steps.append(exc.step)

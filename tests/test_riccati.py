@@ -1,11 +1,12 @@
 """Backward solver behaviour: oracles, orders, degeneracies, errors."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from lqmfg.errors import NonSolvableError, SingularGainError
+from lqmfg.errors import ModelConfigError, NonSolvableError, SingularGainError
 from lqmfg.model import CoefficientSet, TimeGrid
 from lqmfg.riccati import (
     GainSchedule,
@@ -128,6 +129,18 @@ def test_finite_N_huge_population_matches_limit():
     lim = solve_limit(ALL_ONES, grid)
     fin = solve_finite_N(ALL_ONES, 10**6, grid)
     assert np.max(np.abs(fin.P - lim.P)) <= 1e-5
+
+
+def test_finite_N_rejects_sizes_that_are_not_integers():
+    # 10.5 once solved a 10.5-player system and True returned N = True; a
+    # numpy integer is still a size
+    grid = TimeGrid(T=1.0, M=20)
+    for N in (10.5, True):
+        with pytest.raises(ModelConfigError, match=re.escape(f"got {N!r}")):
+            solve_finite_N(ALL_ONES, N, grid)
+    fin = solve_finite_N(ALL_ONES, np.int64(10), grid)
+    assert fin.N == 10 and type(fin.N) is int
+    np.testing.assert_array_equal(fin.P, solve_finite_N(ALL_ONES, 10, grid).P)
 
 
 def test_identically_singular_weight_raises():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lqmfg.errors import ModelConfigError, SimulationDivergedError
-from lqmfg.model import CoefficientSet, InitialLaw, TimeGrid
+from lqmfg.model import CoefficientSet, InitialLaw, TimeGrid, TimeProfile
 from lqmfg.riccati import gains, solve_finite_N, solve_limit
 from lqmfg.synthesis import make_law, solve_mean_field
 from lqmfg.sim import (
@@ -41,11 +41,60 @@ def decentralized_setup(grid, coeffs=ALL_ONES, xi=10.0):
     return gl, mf, make_law("decentralized", gl, xbar=mf)
 
 
-def reference_paths(nc, dt, x0, dW, ks, km, kc, mean):
-    """Plain per-step Euler-Maruyama: the oracle for the tiled kernel.
+def reference_paths(nc, dt, x0, dW, e, kappa):
+    """Euler-Maruyama as the affine recursion x' = alpha x + beta, one path
+    and one step at a time in Python floats: the oracle for the kernel.
 
-    Same arguments as sim._euler_maruyama, one whole time step per
-    iteration, written straight into the agent-major results."""
+    Under the control u = e x + kappa,
+        alpha = 1 + (A + B e) dt + (C + D e) dW,
+        beta  = (B kappa + f) dt + (D kappa + g) dW.
+    e(k) is step k's gain on the own state and kappa(k, x) its offset, given
+    the states x (an array) at node k."""
+    a, b, c, d, f, g = (nc[name].tolist() for name in ("A", "B", "C", "D",
+                                                       "f", "g"))
+    M = dW.shape[-1]
+    increments = dW.reshape(-1, M).tolist()
+    x = np.ravel(x0).tolist()
+    states, controls = [x], []
+    for k in range(M):
+        ek, kk = float(e(k)), float(kappa(k, np.array(x)))
+        p = 1.0 + (a[k] + b[k] * ek) * dt
+        q = c[k] + d[k] * ek
+        r = (b[k] * kk + f[k]) * dt
+        s = d[k] * kk + g[k]
+        controls.append([ek * xj + kk for xj in x])
+        x = [(p + q * w[k]) * xj + (r + s * w[k])
+             for xj, w in zip(x, increments)]
+        states.append(x)
+    return (np.ascontiguousarray(np.transpose(states)),
+            np.ascontiguousarray(np.transpose(controls)))
+
+
+def law_feedback(law):
+    """(e, kappa) of a population under one law: a precomputed mean folds
+    into kappa = k_mean xbar + k_const, a realized one is np.mean(x)."""
+    if law.xbar is None:
+        return (lambda k: law.k_self[k],
+                lambda k, x: law.k_mean[k] * np.mean(x) + law.k_const[k])
+    return (lambda k: law.k_self[k],
+            lambda k, x: law.k_mean[k] * law.xbar[k] + law.k_const[k])
+
+
+def replay_feedback(law, others, N):
+    """(e, kappa) of one replayed agent whose co-players' states sum to
+    others: a realized mean (x + others) / N splits into the gain
+    k_self + k_mean / N and the offset k_mean (others / N) + k_const."""
+    if law.xbar is not None:
+        return law_feedback(law)
+    return (lambda k: law.k_self[k] + law.k_mean[k] / N,
+            lambda k, x: law.k_mean[k] * (others[k] / N) + law.k_const[k])
+
+
+def left_endpoint_paths(nc, dt, x0, dW, ks, km, kc, mean):
+    """Euler-Maruyama as written, with the feedback at the left end of each
+    step: u = ks x + km m + kc, x' = x + (a x + b u + f) dt + (c x + d u +
+    g) dW, m = mean(k, x).  The second oracle, equal to the affine form up
+    to roundoff."""
     a, b, c, d, f, g = (nc[name] for name in ("A", "B", "C", "D", "f", "g"))
     M = dW.shape[-1]
     states = np.empty((x0.size, M + 1))
@@ -62,7 +111,7 @@ def reference_paths(nc, dt, x0, dW, ks, km, kc, mean):
 
 
 def law_mean(law):
-    """The m(t_k) rule simulate_reps feeds the kernel for this law."""
+    """The m(t_k) a population under this law feeds back."""
     if law.mean_source == "precomputed":
         return lambda k, x: law.xbar[k]
     return lambda k, x: np.mean(x)
@@ -92,9 +141,8 @@ def test_simulate_matches_reference_loop_bit_for_bit(M, kind):
                 x0 = np.array([initial.sample(rng) for rng in rngs])
                 dW = np.stack([rng.standard_normal(M) * math.sqrt(grid.dt)
                                for rng in rngs])
-                states, controls = reference_paths(
-                    nc, grid.dt, x0, dW, law.k_self, law.k_mean,
-                    law.k_const, law_mean(law))
+                states, controls = reference_paths(nc, grid.dt, x0, dW,
+                                                   *law_feedback(law))
                 np.testing.assert_array_equal(ps.increments, dW)
                 np.testing.assert_array_equal(ps.states, states)
                 np.testing.assert_array_equal(ps.controls, controls)
@@ -111,17 +159,26 @@ def test_kernel_matches_reference_loop_on_probe_shapes(M):
           for name in ("A", "B", "C", "D", "f", "g")}
     x0 = rng.standard_normal(129)
     dW = rng.standard_normal((129, M)) * 0.1
-    feedback = [rng.standard_normal(grid.M + 1) for _ in range(3)]
+    ks, km, kc = (rng.standard_normal(grid.M + 1) for _ in range(3))
     xbar = rng.standard_normal(grid.M + 1)
     zero = np.zeros(grid.M + 1)
+    u = rng.standard_normal(M)
     homogeneous = dict(nc, f=zero, g=zero)
-    for coeffs, ks, km, kc, mean in (
-            (nc, *feedback, lambda k, x: xbar[k]),
-            (nc, *feedback, lambda k, x: np.mean(x)),
-            (homogeneous, zero, zero, rng.standard_normal(M),
-             lambda k, x: 0.0)):
-        got = _euler_maruyama(coeffs, grid.dt, x0, dW, ks, km, kc, mean, 0)
-        want = reference_paths(coeffs, grid.dt, x0, dW, ks, km, kc, mean)
+
+    def tiles(e, kappa):
+        # the kernel's feedback: time-major tiles of gains known ahead
+        return lambda k0, w: (e[k0:k0 + w, None], kappa[k0:k0 + w, None])
+
+    for coeffs, feedback, k_mean, e, kappa in (
+            (nc, tiles(ks, km * xbar + kc), None, lambda k: ks[k],
+             lambda k, x: km[k] * xbar[k] + kc[k]),
+            (nc, tiles(ks, kc), km, lambda k: ks[k],
+             lambda k, x: km[k] * np.mean(x) + kc[k]),
+            (homogeneous, tiles(zero, u), None, lambda k: 0.0,
+             lambda k, x: u[k])):
+        got = _euler_maruyama(coeffs, grid.dt, x0, dW, feedback, 0,
+                              k_mean=k_mean)
+        want = reference_paths(coeffs, grid.dt, x0, dW, e, kappa)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
 
@@ -141,15 +198,63 @@ def test_replay_rows_match_reference_loop_bit_for_bit(M):
             batch = replay_agent(ps, i, laws, ALL_ONES, grid)
             others = ps.states.sum(axis=0) - ps.states[i]
             for row, one_law in enumerate(laws):
-                mean = law_mean(one_law)
-                if one_law.mean_source == "realized":
-                    mean = lambda k, x: (others[k] + x) / N  # noqa: E731
                 states, controls = reference_paths(
                     nc, grid.dt, ps.states[i, :1], ps.increments[i],
-                    one_law.k_self, one_law.k_mean, one_law.k_const, mean)
+                    *replay_feedback(one_law, others, N))
                 np.testing.assert_array_equal(batch.states[row], states[0])
                 np.testing.assert_array_equal(batch.controls[row],
                                               controls[0])
+
+
+def mixed_coefficients(grid):
+    # the criterion-11 mixed config: sampled A, indefinite R
+    return dataclasses.replace(
+        CoefficientSet.from_constants(B=1, C=0.3, D=2, f=0.2, g=0.5, Q=1,
+                                      R=-0.2, Gamma=0.8, eta=1, H=1,
+                                      Gamma0=0.6, eta0=0.5),
+        A=TimeProfile.sampled([(k % 7 - 3) / 4 for k in range(grid.M + 1)],
+                              grid))
+
+
+@pytest.mark.parametrize("coefficients", ["allones", "mixed"])
+def test_kernel_matches_left_endpoint_loop_to_roundoff(coefficients):
+    # the affine step regroups the left-endpoint Euler-Maruyama step, so
+    # populations and replays agree with the step as written to roundoff
+    grid = TimeGrid(T=1.0, M=200)
+    coeffs = ALL_ONES if coefficients == "allones" else mixed_coefficients(grid)
+    nc = coeffs.node_values(grid)
+    N = 40
+    gl = gains(solve_limit(coeffs, grid), coeffs)
+    mf = solve_mean_field(coeffs, gl, 2.0, grid)
+    laws = [make_law("decentralized", gl, xbar=mf),
+            make_law("meanfield-informed", gl),
+            make_law("centralized",
+                     gains(solve_finite_N(coeffs, N, grid), coeffs)),
+            make_law("zero", gl)]
+    cfg = PopulationConfig(N=N, reps=2, master_seed=3,
+                           initial=InitialLaw.gaussian(2.0, 3.0))
+
+    def close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    for law in laws:
+        for ps in simulate(coeffs, law, cfg, grid):
+            states, controls = left_endpoint_paths(
+                nc, grid.dt, ps.states[:, 0], ps.increments, law.k_self,
+                law.k_mean, law.k_const, law_mean(law))
+            close(ps.states, states)
+            close(ps.controls, controls)
+            batch = replay_agent(ps, 1, laws, coeffs, grid)
+            others = ps.states.sum(axis=0) - ps.states[1]
+            for row, one_law in enumerate(laws):
+                mean = law_mean(one_law)
+                if one_law.xbar is None:
+                    mean = lambda k, x: (others[k] + x) / N  # noqa: E731
+                states, controls = left_endpoint_paths(
+                    nc, grid.dt, ps.states[1, :1], ps.increments[1],
+                    one_law.k_self, one_law.k_mean, one_law.k_const, mean)
+                close(batch.states[row], states[0])
+                close(batch.controls[row], controls[0])
 
 
 def test_rekeyed_generator_draws_equal_fresh_streams():
@@ -334,17 +439,25 @@ def test_increment_sample_means_are_martingale_small():
 def test_divergence_reports_location():
     # the first non-finite state is named by its step and agent.  With A = 6
     # the states grow about 1.5-fold a step from starts spread over many
-    # decades, so agents overflow at different steps; 104 and 99 lie past
-    # the kernel's first tile of time steps
+    # decades, so agents overflow at different steps under a law that does
+    # not read the realized mean (scaled(0)); 104 lies past the kernel's
+    # first tile of time steps.  The zero law reads the realized mean, whose
+    # sum overflows before any one agent does, so every agent turns
+    # non-finite at that step and agent 0 is named
     grid = TimeGrid(T=10.0, M=120)
     helper = CoefficientSet.from_constants(Q=1.0, R=1.0)
-    law = make_law("zero", gains(solve_limit(helper, grid), helper))
+    gl = gains(solve_limit(helper, grid), helper)
+    zero = make_law("zero", gl)
+    still = make_law("scaled", gl, theta=0.0,
+                     xbar=solve_mean_field(helper, gl, 0.0, grid))
     fast = CoefficientSet.from_constants(A=1e4, Q=1.0, R=1.0)
     slow = CoefficientSet.from_constants(A=6.0, C=1.0, Q=1.0, R=1.0)
-    cases = ((fast, 2, 1, InitialLaw.point(1e6), 0, 104),
-             (slow, 5, 3, InitialLaw.uniform(0.0, 1e300), 3, 41),
-             (slow, 5, 3, InitialLaw.uniform(0.0, 1e290), 1, 99))
-    for blow, N, seed, initial, agent, step in cases:
+    cases = ((fast, zero, 2, 1, InitialLaw.point(1e6), 0, 104),
+             (slow, zero, 5, 3, InitialLaw.uniform(0.0, 1e300), 0, 44),
+             (slow, zero, 5, 3, InitialLaw.uniform(0.0, 1e290), 0, 103),
+             (slow, still, 5, 3, InitialLaw.uniform(0.0, 1e300), 3, 45),
+             (slow, still, 5, 3, InitialLaw.uniform(0.0, 1e290), 1, 104))
+    for blow, law, N, seed, initial, agent, step in cases:
         cfg = PopulationConfig(N=N, reps=2, master_seed=seed, initial=initial)
         with pytest.raises(SimulationDivergedError) as exc:
             simulate(blow, law, cfg, grid)
