@@ -108,11 +108,11 @@ def epsilon_sweep(coeffs: CoefficientSet, Ns, reps: int, master_seed: int,
     population at max(Ns) is simulated, keeping only the sums of its first
     N states for every N.
     """
-    Ns = list(Ns)
+    Ns = [_population_size(N, "population sizes") for N in Ns]
+    if not Ns:
+        raise ModelConfigError("population sizes must be >= 1, got []")
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ModelConfigError("population sizes must be strictly increasing")
-    if not Ns or Ns[0] < 1:
-        raise ModelConfigError(f"population sizes must be >= 1, got {Ns!r}")
     law, = _build_laws([("decentralized", None)], coeffs, grid, initial)
     # the prefix sums add the same rows in the same order as the mean of a
     # fresh N-agent run, so every N's bytes match a separate simulation

@@ -151,14 +151,13 @@ def solve_limit(coeffs: CoefficientSet, grid: TimeGrid) -> RiccatiSolution:
     return RiccatiSolution(grid=grid, P=P, K=K, phi=phi)
 
 
-def _population_size(N) -> int:
+def _population_size(N, what: str = "population size") -> int:
     """N as an int if it is an integer >= 1, not a bool; otherwise a
-    ModelConfigError that names it."""
+    ModelConfigError that names it as `what`."""
     if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
-        raise ModelConfigError(f"population size must be an integer, "
-                               f"got {N!r}")
+        raise ModelConfigError(f"{what} must be an integer, got {N!r}")
     if N < 1:
-        raise ModelConfigError(f"population size must be >= 1, got {N!r}")
+        raise ModelConfigError(f"{what} must be >= 1, got {N!r}")
     return int(N)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import _pool
 from .errors import ModelConfigError, SimulationDivergedError
 from .model import CoefficientSet, InitialLaw, TimeGrid
-from .riccati import GainSchedule, RiccatiSolution
+from .riccati import GainSchedule, RiccatiSolution, _population_size
 from .synthesis import StrategyLaw
 
 _PURPOSE_AGENT = 0
@@ -39,12 +39,17 @@ _LANES = 2048  # paths per kernel call of the mean-only population path
 _SECONDS_PER_AGENT_STEP = 30e-9
 
 
-def _key(master_seed: int, purpose: int, rep: int, agent: int) -> np.ndarray:
-    """Philox key of the (purpose, replication, agent) stream."""
-    if not (0 <= rep < _MAX_INDEX and 0 <= agent < _MAX_INDEX):
+def _key(master_seed: int, purpose: int, rep: int, agent) -> np.ndarray:
+    """Philox key of the (purpose, replication, agent) stream, two words on
+    the last axis; an array of agents gives one key per agent."""
+    agent = np.asarray(agent)
+    if not (0 <= rep < _MAX_INDEX
+            and np.all((0 <= agent) & (agent < _MAX_INDEX))):
         raise ModelConfigError("replication and agent indices must be < 2^24")
-    return np.array([master_seed, (purpose << 48) | (rep << 24) | agent],
-                    dtype=np.uint64)
+    key = np.empty((*agent.shape, 2), dtype=np.uint64)
+    key[..., 0] = master_seed
+    key[..., 1] = (purpose << 48) | (rep << 24) | agent
+    return key
 
 
 def stream(master_seed: int, purpose: int, rep: int, agent: int) -> np.random.Generator:
@@ -53,20 +58,20 @@ def stream(master_seed: int, purpose: int, rep: int, agent: int) -> np.random.Ge
         key=_key(master_seed, purpose, rep, agent)))
 
 
-# a fresh Philox: counter 0 and an empty output buffer, whatever its key
-_FRESH_PHILOX = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64),
-                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-_ZERO_COUNTER = np.zeros(4, np.uint64)
+def _fresh_philox(key) -> dict:
+    """State of a fresh Philox with this key: counter 0 and an empty output
+    buffer.  Philox is counter-based, so a generator given this state draws
+    what a new one built with the key draws, without its SeedSequence
+    set-up cost.  The state setter reads lists faster than arrays."""
+    return {"bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": key},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
+            "uinteger": 0}
 
 
-def _rekey(bit_gen: np.random.Philox, key: np.ndarray) -> None:
-    """Restart bit_gen as a fresh Philox with this key.
-
-    Philox is counter-based, so the draws that follow are those of a new
-    generator built with the key, without its SeedSequence set-up cost.
-    """
-    bit_gen.state = dict(_FRESH_PHILOX,
-                         state={"counter": _ZERO_COUNTER, "key": key})
+def _rekey(bit_gen: np.random.Philox, key) -> None:
+    """Restart bit_gen as a fresh Philox with this key."""
+    bit_gen.state = _fresh_philox(key)
 
 
 @dataclass(frozen=True)
@@ -79,11 +84,8 @@ class PopulationConfig:
     initial: InitialLaw
 
     def __post_init__(self):
-        if not 1 <= self.N < math.inf:
-            raise ModelConfigError(f"population size must be finite and >= 1, "
-                                   f"got {self.N}")
-        if self.reps < 1:
-            raise ModelConfigError(f"replication count must be >= 1, got {self.reps}")
+        _population_size(self.N)
+        _population_size(self.reps, "replication count")
 
 
 @dataclass(frozen=True)
@@ -135,14 +137,20 @@ def _check_paths_grid(ps: PathSet, grid: TimeGrid) -> None:
                                f"the grid {grid}")
 
 
+def _reads_mean(law: StrategyLaw) -> bool:
+    """Whether a population under law feeds back its realized mean.  A law
+    whose k_mean is 0 reads none, so that an overflowing sum (0 inf = nan)
+    does not reach its agents."""
+    return law.xbar is None and bool(np.any(law.k_mean))
+
+
 def _law_feedback(law: StrategyLaw, ndim: int):
     """_step_tiles' feedback and k_mean for a population under one law, on
     lanes of ndim axes: a precomputed mean folds into the offset
-    k_mean xbar + k_const, a realized one is left to k_mean."""
-    if law.xbar is None:
-        kappa, k_mean = law.k_const, law.k_mean
-    else:
-        kappa, k_mean = law.k_mean * law.xbar + law.k_const, None
+    k_mean xbar + k_const, a realized one is left to k_mean (_reads_mean)."""
+    kappa = law.k_const if law.xbar is None else \
+        law.k_mean * law.xbar + law.k_const
+    k_mean = law.k_mean if _reads_mean(law) else None
     e, kappa = (v.reshape(-1, *(1,) * ndim) for v in (law.k_self, kappa))
     return (lambda k0, w: (e[k0:k0 + w], kappa[k0:k0 + w])), k_mean
 
@@ -259,9 +267,12 @@ def _draw(rng: np.random.Generator, cfg: PopulationConfig, rep: int,
     """Fill x0 (N,) and dW (N, M) with replication rep's initial states
     and Brownian increments; agent j's come from its own stream, on which
     rng is restarted."""
-    for agent in range(cfg.N):
-        _rekey(rng.bit_generator,
-               _key(cfg.master_seed, _PURPOSE_AGENT, rep, agent))
+    keys = _key(cfg.master_seed, _PURPOSE_AGENT, rep, np.arange(cfg.N))
+    # one state serves every restart: only its key changes
+    state = _fresh_philox(None)
+    for agent, key in enumerate(keys.tolist()):
+        state["state"]["key"] = key
+        rng.bit_generator.state = state
         x0[agent] = cfg.initial.sample(rng)
         rng.standard_normal(out=dW[agent])
     dW *= sqdt
@@ -305,18 +316,23 @@ def _population_sums(coeffs: CoefficientSet, law: StrategyLaw,
     x0 = np.empty((R, N))
     dW = np.empty((R, N, M))
     sums = np.empty((R, len(sizes), M + 1))
-    # a few nodes at a time, so that the buffer stays small
-    partial = np.empty((_TILE // 8, R, N))
-    last = np.asarray(sizes) - 1
+    # a tile's states agent-major: reducing axis 0 adds the agents' rows one
+    # after another, in the order states[:n].sum(axis=0) adds them.  That
+    # holds while numpy's inner loop runs over the nodes, of which a tile
+    # has w + 1 >= 2; an inner loop over the agents would add them pairwise
+    rows = np.empty((N, R, _TILE + 1))
 
     def sink(k0, w, xs, e, kappa):
-        tile = xs[:w + 1].reshape(w + 1, R, N)
-        for t in range(0, w + 1, len(partial)):
-            # accumulate adds agents in order: acc[j] = acc[j-1] + tile[j]
-            acc = np.add.accumulate(tile[t:t + len(partial)], axis=2,
-                                    out=partial[:min(len(partial), w + 1 - t)])
-            sums[:, :, k0 + t:k0 + t + len(acc)] = \
-                acc[..., last].transpose(1, 2, 0)
+        tile = rows[:, :, :w + 1]
+        tile[...] = xs[:w + 1].reshape(w + 1, R, N).T
+        start = 0
+        for i, n in enumerate(sizes):
+            total = sums[:, i, k0:k0 + w + 1]
+            np.add.reduce(tile[start:n], axis=0, out=total)
+            # the next size's sum goes on from this one, written over the
+            # last row it added
+            start = n - 1
+            tile[start] = total
 
     feedback, _ = _law_feedback(law, 2)
     rng = np.random.Generator(np.random.Philox())
@@ -375,10 +391,12 @@ def _replay_lanes(agent: int, reps, x0, dW, others, N: int, laws,
     sees the mean (others[r, k] + x) / N, so its control is
     (k_self + k_mean / N) x + (k_mean (others / N) + k_const).  Returns
     states (R, L, M+1), controls (R, L, M)."""
-    realized = np.array([law.xbar is None for law in laws])
-    # a realized-mean lane's xbar is a placeholder, never selected
+    realized = np.array([_reads_mean(law) for law in laws])
+    # without a precomputed mean, xbar is a zero that a realized-mean lane
+    # never selects and a lane whose k_mean is 0 multiplies by 0
     rows = [(law.k_self, law.k_mean, law.k_const,
-             law.k_const if law.xbar is None else law.xbar) for law in laws]
+             np.zeros_like(law.k_const) if law.xbar is None else law.xbar)
+            for law in laws]
     # time-major, (M+1, 1, L)
     ks, km, kc, xbar = (np.stack(col).T[:, None] for col in zip(*rows))
     e = np.where(realized, ks + km / N, ks)

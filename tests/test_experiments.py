@@ -3,9 +3,12 @@ import os
 import signal
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqmfg import _pool, sim
 from lqmfg.errors import ModelConfigError, SimulationDivergedError
@@ -349,6 +352,47 @@ def test_population_sums_match_full_paths(fixture, monkeypatch):
                                               ps.states[:n].mean(axis=0))
                     assert np.array_equal(sums[-1] - sums[0],
                                           ps.states.sum(axis=0) - ps.states[0])
+
+
+@st.composite
+def population_cases(draw):
+    N = draw(st.integers(1, 40))
+    sizes = sorted(draw(st.lists(st.integers(1, N), min_size=1, max_size=5)))
+    return (N, sizes, draw(st.integers(1, 4)), draw(st.integers(2, 130)),
+            draw(st.integers(1, 3 * N)), draw(st.integers(0, 2**64 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=population_cases())
+def test_population_sums_equal_full_path_sums(case):
+    # the agent-major row adds, each size chained from the one before it,
+    # repeated sizes included, give states[:n].sum(axis=0) bit for bit for
+    # every tile layout and every split of the replications into calls
+    N, sizes, reps, M, lanes, seed = case
+    grid = TimeGrid(T=M / 100, M=M)
+    law, = _build_laws([("decentralized", None)], ALL_ONES, grid, UNIFORM)
+    pop = PopulationConfig(N=N, reps=reps, master_seed=seed, initial=UNIFORM)
+    with mock.patch.object(sim, "_LANES", lanes):
+        chunks = sim._population_chunks(ALL_ONES, law, pop, grid, sizes,
+                                        keep=0)
+    got = np.concatenate([sums for sums, _, _ in chunks])
+    want = [[ps.states[:n].sum(axis=0) for n in sizes]
+            for ps in simulate(ALL_ONES, law, pop, grid)]
+    assert np.array_equal(got, want)
+
+
+def test_epsilon_sweep_rejects_sizes_that_are_not_integers():
+    grid = TimeGrid(T=1.0, M=50)
+    for Ns, bad in (([4.5, 8], "4.5"), ([True, 8], "True"),
+                    ([2, "8"], "'8'")):
+        with pytest.raises(ModelConfigError,
+                           match=f"population sizes must be an integer, "
+                                 f"got {bad}"):
+            epsilon_sweep(ALL_ONES, Ns, reps=2, master_seed=0, grid=grid,
+                          initial=UNIFORM)
+    tab = epsilon_sweep(ALL_ONES, [np.int64(2), 4], reps=np.int64(2),
+                        master_seed=0, grid=grid, initial=UNIFORM)
+    assert [row[0] for row in tab.rows] == [2, 4]
 
 
 def test_population_sums_refuse_a_realized_mean_law():

@@ -309,6 +309,52 @@ def test_population_config_validation():
         PopulationConfig(N=1, reps=0, master_seed=1, initial=law)
 
 
+def test_population_config_rejects_sizes_that_are_not_integers():
+    law = InitialLaw.point(0.0)
+    for N, reps, message in ((2.5, 1, "population size must be an integer, "
+                              "got 2.5"),
+                             (True, 1, "population size must be an integer, "
+                              "got True"),
+                             (math.inf, 1, "population size must be an "
+                              "integer, got inf"),
+                             (3, 2.0, "replication count must be an integer, "
+                              "got 2.0"),
+                             (3, -1, "replication count must be >= 1, "
+                              "got -1")):
+        with pytest.raises(ModelConfigError, match=message):
+            PopulationConfig(N=N, reps=reps, master_seed=1, initial=law)
+    PopulationConfig(N=np.int64(3), reps=np.int64(2), master_seed=1,
+                     initial=law)
+
+
+def test_key_builder_bounds_and_rows():
+    top = (1 << 24) - 1
+    for rep, agent in ((1 << 24, 0), (0, 1 << 24), (-1, 0), (0, -1),
+                       (0, np.array([0, 1 << 24])), (0, np.array([-1, 3]))):
+        with pytest.raises(ModelConfigError, match="< 2\\^24"):
+            _key(7, 0, rep, agent)
+    keys = _key(2**64 - 1, 2, top, np.arange(top - 3, top + 1))
+    assert keys.shape == (4, 2) and keys.dtype == np.uint64
+    for j, agent in enumerate(range(top - 3, top + 1)):
+        np.testing.assert_array_equal(keys[j], _key(2**64 - 1, 2, top, agent))
+    assert _key(2**64 - 1, 2, top, top).tolist() == \
+        [2**64 - 1, (2 << 48) | (top << 24) | top]
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 20.0), (-3.7, 1e300), (5.0, 5.0),
+                                  (-1e-300, 2.5)])
+def test_uniform_initial_law_draws_what_generator_uniform_draws(a, b):
+    law = InitialLaw.uniform(a, b)
+    mine, ref = stream(11, 0, 2, 3), stream(11, 0, 2, 3)
+    for _ in range(200):
+        x, want = law.sample(mine), ref.uniform(a, b)
+        assert type(x) is float and x == want
+    np.testing.assert_array_equal(law.sample(mine, 1000),
+                                  ref.uniform(a, b, size=1000))
+    np.testing.assert_array_equal(law.sample(mine, (3, 4)),
+                                  ref.uniform(a, b, size=(3, 4)))
+
+
 def test_simulate_and_replay_compare_grids_not_lengths():
     # the law's grid has the simulation grid's M but another horizon
     law = decentralized_setup(TimeGrid(T=10.0, M=100))[2]
@@ -440,10 +486,11 @@ def test_divergence_reports_location():
     # the first non-finite state is named by its step and agent.  With A = 6
     # the states grow about 1.5-fold a step from starts spread over many
     # decades, so agents overflow at different steps under a law that does
-    # not read the realized mean (scaled(0)); 104 lies past the kernel's
-    # first tile of time steps.  The zero law reads the realized mean, whose
-    # sum overflows before any one agent does, so every agent turns
-    # non-finite at that step and agent 0 is named
+    # not read the realized mean; 104 lies past the kernel's first tile of
+    # time steps.  The zero law's k_mean is 0, so it reads no realized mean
+    # either: the sum of the states overflows before any one agent does, and
+    # 0 inf = nan must not reach every agent.  It names the agents scaled(0),
+    # whose mean is precomputed, names
     grid = TimeGrid(T=10.0, M=120)
     helper = CoefficientSet.from_constants(Q=1.0, R=1.0)
     gl = gains(solve_limit(helper, grid), helper)
@@ -453,8 +500,8 @@ def test_divergence_reports_location():
     fast = CoefficientSet.from_constants(A=1e4, Q=1.0, R=1.0)
     slow = CoefficientSet.from_constants(A=6.0, C=1.0, Q=1.0, R=1.0)
     cases = ((fast, zero, 2, 1, InitialLaw.point(1e6), 0, 104),
-             (slow, zero, 5, 3, InitialLaw.uniform(0.0, 1e300), 0, 44),
-             (slow, zero, 5, 3, InitialLaw.uniform(0.0, 1e290), 0, 103),
+             (slow, zero, 5, 3, InitialLaw.uniform(0.0, 1e300), 3, 45),
+             (slow, zero, 5, 3, InitialLaw.uniform(0.0, 1e290), 1, 104),
              (slow, still, 5, 3, InitialLaw.uniform(0.0, 1e300), 3, 45),
              (slow, still, 5, 3, InitialLaw.uniform(0.0, 1e290), 1, 104))
     for blow, law, N, seed, initial, agent, step in cases:
