@@ -13,7 +13,7 @@ from .riccati import (GainSchedule, RiccatiSolution, gains, solve_finite_N,
                       solve_limit)
 from .sim import (AdjointCheckReport, DecompositionReport, PathSet,
                   PopulationConfig, ProbeReport, convexity_probe,
-                  cost_decomposition, cost_of_agent, costs_all_agents,
+                  cost_decomposition, costs_all_agents,
                   simulate, simulate_reps, stationarity_residual, stream)
 from .synthesis import (LAW_KINDS, MeanFieldPath, StrategyLaw, make_law,
                         solve_mean_field)
@@ -27,10 +27,10 @@ __all__ = [
     "PathSet", "PopulationConfig", "ProbeReport", "RiccatiSolution",
     "SimulationDivergedError", "SingularGainError", "StrategyLaw",
     "TimeGrid", "TimeProfile", "ValidationReport", "canonical_fingerprint",
-    "convexity_probe", "cost_decomposition", "cost_of_agent",
-    "costs_all_agents", "epsilon_sweep", "figure_data", "gains",
-    "load_config", "make_law", "nash_gap", "parse_coefficients",
-    "parse_grid", "parse_initial_law", "riccati_convergence", "simulate",
-    "simulate_reps", "solve_finite_N", "solve_limit", "solve_mean_field",
-    "stationarity_residual", "stream", "validate",
+    "convexity_probe", "cost_decomposition", "costs_all_agents",
+    "epsilon_sweep", "figure_data", "gains", "load_config", "make_law",
+    "nash_gap", "parse_coefficients", "parse_grid", "parse_initial_law",
+    "riccati_convergence", "simulate", "simulate_reps", "solve_finite_N",
+    "solve_limit", "solve_mean_field", "stationarity_residual", "stream",
+    "validate",
 ]

@@ -32,7 +32,7 @@ from .experiments import (DEFAULT_DEVIATIONS, _build_laws, epsilon_sweep,
                           figure_data, nash_gap, riccati_convergence,
                           write_csv)
 from .model import (_COEFFICIENT_NAMES, _GRID_KEYS, _INITIAL_KEYS, _as_int,
-                    _number, canonical_fingerprint, load_config,
+                    _number, _seed, canonical_fingerprint, load_config,
                     parse_coefficients, parse_grid, parse_initial_law,
                     validate)
 from .riccati import gains, solve_backward
@@ -177,11 +177,7 @@ def _load_context(args):
     grid = parse_grid(cfg)
     coeffs = parse_coefficients(cfg, grid)
     initial = parse_initial_law(cfg)
-    seed = cfg.get("seed", 0)
-    if type(seed) is not int or not 0 <= seed < 2 ** 64:  # bool is no int
-        raise ModelConfigError(f"seed must be an integer in [0, 2^64), "
-                               f"got {seed!r}")
-    return cfg, coeffs, grid, initial, seed
+    return cfg, coeffs, grid, initial, _seed(cfg.get("seed", 0))
 
 
 def _settings(args, cfg: dict, section: str) -> dict:

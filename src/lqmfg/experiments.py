@@ -17,9 +17,8 @@ import numpy as np
 from . import _pool
 from .errors import ModelConfigError, SimulationDivergedError
 from .model import (CoefficientSet, InitialLaw, TimeGrid, _number,
-                    canonical_fingerprint)
-from .riccati import (_population_size, gains, solve_backward,
-                      solve_finite_N, solve_limit)
+                    _population_size, canonical_fingerprint)
+from .riccati import gains, solve_backward, solve_finite_N, solve_limit
 from .sim import (PopulationConfig, _costs, _population_chunks, _replay_lanes,
                   quadrature)
 from .synthesis import LAW_KINDS, make_law, solve_mean_field

@@ -42,6 +42,39 @@ def _number(value, what: str) -> float:
     return x
 
 
+def _as_int(value, what: str) -> int:
+    """value as an int: integral numbers and integer strings pass; a bool, a
+    fraction or anything else is a ModelConfigError."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or isinstance(value, bool) or (
+            not isinstance(value, str) and n != value):
+        raise ModelConfigError(f"{what} must be an integer, got {value!r}")
+    return n
+
+
+def _population_size(N, what: str = "population size", least: int = 1) -> int:
+    """N as an int if it is an integer >= least, not a bool; otherwise a
+    ModelConfigError that names it as `what`."""
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
+        raise ModelConfigError(f"{what} must be an integer, got {N!r}")
+    if N < least:
+        raise ModelConfigError(f"{what} must be >= {least}, got {N!r}")
+    return int(N)
+
+
+def _seed(seed) -> int:
+    """seed as an int if it keys a 64-bit Philox stream: an integer in
+    [0, 2^64), not a bool; otherwise a ModelConfigError."""
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= int(seed) < 2 ** 64):
+        raise ModelConfigError(f"seed must be an integer in [0, 2^64), "
+                               f"got {seed!r}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_k = k*dt on [0, T] with dt = T/M."""
@@ -50,10 +83,11 @@ class TimeGrid:
     M: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.T) and self.T > 0.0):
+        object.__setattr__(self, "T", _number(self.T, "horizon T"))
+        if not self.T > 0.0:
             raise ModelConfigError(f"horizon T must be finite and positive, got {self.T}")
-        if self.M < 2:
-            raise ModelConfigError(f"step count M must be >= 2, got {self.M}")
+        object.__setattr__(self, "M",
+                           _population_size(self.M, "step count M", 2))
 
     @property
     def dt(self) -> float:
@@ -291,19 +325,6 @@ def canonical_fingerprint(data) -> str:
     """sha256 of the canonical JSON encoding; invariant under key reordering."""
     blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _as_int(value, what: str) -> int:
-    """value as an int: integral numbers and integer strings pass; a bool, a
-    fraction or anything else is a ModelConfigError."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or isinstance(value, bool) or (
-            not isinstance(value, str) and n != value):
-        raise ModelConfigError(f"{what} must be an integer, got {value!r}")
-    return n
 
 
 # The model sections' keys: the grid's with their readers, and initial's per

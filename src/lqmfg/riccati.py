@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._pool import _pmap
-from .errors import ModelConfigError, NonSolvableError, SingularGainError
-from .model import CoefficientSet, TimeGrid, half_interp
+from .errors import NonSolvableError, SingularGainError
+from .model import CoefficientSet, TimeGrid, _population_size, half_interp
 
 
 # fixed guards: least |effective control weight|, largest |solution|
@@ -149,16 +149,6 @@ def solve_limit(coeffs: CoefficientSet, grid: TimeGrid) -> RiccatiSolution:
     phi = _rk4_scalar(f_phi, -coeffs.H * coeffs.eta0, grid, "phi")
 
     return RiccatiSolution(grid=grid, P=P, K=K, phi=phi)
-
-
-def _population_size(N, what: str = "population size") -> int:
-    """N as an int if it is an integer >= 1, not a bool; otherwise a
-    ModelConfigError that names it as `what`."""
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
-        raise ModelConfigError(f"{what} must be an integer, got {N!r}")
-    if N < 1:
-        raise ModelConfigError(f"{what} must be >= 1, got {N!r}")
-    return int(N)
 
 
 def solve_finite_N(coeffs: CoefficientSet, N: int,

@@ -13,14 +13,15 @@ replications with _pool._pmap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _pool
 from .errors import ModelConfigError, SimulationDivergedError
-from .model import CoefficientSet, InitialLaw, TimeGrid
-from .riccati import GainSchedule, RiccatiSolution, _population_size
+from .model import (CoefficientSet, InitialLaw, TimeGrid, _population_size,
+                    _seed)
+from .riccati import GainSchedule, RiccatiSolution
 from .synthesis import StrategyLaw
 
 _PURPOSE_AGENT = 0
@@ -47,7 +48,7 @@ def _key(master_seed: int, purpose: int, rep: int, agent) -> np.ndarray:
             and np.all((0 <= agent) & (agent < _MAX_INDEX))):
         raise ModelConfigError("replication and agent indices must be < 2^24")
     key = np.empty((*agent.shape, 2), dtype=np.uint64)
-    key[..., 0] = master_seed
+    key[..., 0] = _seed(master_seed)
     key[..., 1] = (purpose << 48) | (rep << 24) | agent
     return key
 
@@ -69,11 +70,6 @@ def _fresh_philox(key) -> dict:
             "uinteger": 0}
 
 
-def _rekey(bit_gen: np.random.Philox, key) -> None:
-    """Restart bit_gen as a fresh Philox with this key."""
-    bit_gen.state = _fresh_philox(key)
-
-
 @dataclass(frozen=True)
 class PopulationConfig:
     """Population size, replication count, master seed, and initial law."""
@@ -86,15 +82,15 @@ class PopulationConfig:
     def __post_init__(self):
         _population_size(self.N)
         _population_size(self.reps, "replication count")
+        _seed(self.master_seed)
 
 
 @dataclass(frozen=True)
 class PathSet:
-    """One replication on `grid`: states (N, M+1), controls and increments
-    (N, M), population average (M+1).  A replay_agent result instead holds
-    one agent's paths under several laws, each row with its own average.
-    A hand-built path set may leave grid None; it is then checked against
-    a grid by node count only."""
+    """One replication of one population on `grid`: states (N, M+1),
+    controls and increments (N, M), population average (M+1).  A hand-built
+    path set may leave grid None; it is then checked against a grid by node
+    count only."""
 
     rep: int
     states: np.ndarray
@@ -412,34 +408,6 @@ def _replay_lanes(agent: int, reps, x0, dW, others, N: int, laws,
         np.reshape(reps, (-1, 1)), agent)
 
 
-def replay_agent(base: PathSet, i: int, laws, coeffs: CoefficientSet,
-                 grid: TimeGrid) -> PathSet:
-    """Replay agent i under each of several laws against frozen co-players.
-
-    Every replay reuses agent i's recorded initial state and Brownian
-    increments.  Row l of the result is agent i under laws[l], with the
-    population average that path induces; it does not depend on the other
-    laws.
-    """
-    for law in laws:
-        _check_law_grid(law, grid)
-    _check_paths_grid(base, grid)
-    N = base.states.shape[0]
-    if not 0 <= i < N:
-        raise IndexError(f"agent index {i} out of range for N={N}")
-    others = base.states.sum(axis=0) - base.states[i]
-    (states,), (controls,) = _replay_lanes(
-        i, [base.rep], base.states[i, :1], base.increments[i, None],
-        others[None], N, laws, coeffs, grid)
-    # NumPy sums axis 0 one row after another; the same order gives the
-    # replayed population's mean bit for bit without copying the population
-    total = states + base.states[:i].sum(axis=0)
-    for row in base.states[i + 1:]:
-        total += row
-    return PathSet(rep=base.rep, states=states, controls=controls,
-                   increments=base.increments[i], mean=total / N, grid=grid)
-
-
 def quadrature(dt: float, nodes: np.ndarray, cells=None):
     """Trapezoid rule over node values plus rectangle rule over cell values,
     both along the last axis."""
@@ -476,13 +444,6 @@ def costs_all_agents(ps: PathSet, coeffs: CoefficientSet,
     """
     _check_paths_grid(ps, grid)
     return _costs(ps.states, ps.controls, ps.mean, ps.rep, coeffs, grid)
-
-
-def cost_of_agent(ps: PathSet, i: int, coeffs: CoefficientSet,
-                  grid: TimeGrid) -> float:
-    """Cost of agent i on one replication."""
-    return float(costs_all_agents(replace(ps, states=ps.states[i],
-                                          controls=ps.controls[i]), coeffs, grid))
 
 
 def stationarity_residual(paths: list, finN: RiccatiSolution,
@@ -605,24 +566,40 @@ def cost_decomposition(i: int, base_paths: list, law: StrategyLaw,
                        coeffs: CoefficientSet, grid: TimeGrid) -> DecompositionReport:
     """Split agent i's cost under a deviation law against frozen co-players.
 
-    Agent i of each base replication is replayed under `law` (replay_agent)
-    on the same noise.  The quadratic and cross pieces use the deviation
-    increments x_tilde = x_dev - x_base, u_tilde = u_dev - u_base and the
-    undeviated paths; the identity holds pathwise per replication.
+    Agent i of every base replication is replayed under `law` on the same
+    noise, in one _replay_lanes call, and both of its costs are taken
+    against the mean (x + others) / N, others the sum of its co-players'
+    states, as nash_gap takes them.  The quadratic and cross pieces use the
+    deviation increments x_tilde = x_dev - x_base, u_tilde = u_dev - u_base
+    and the undeviated paths; the identity holds pathwise per replication.
     """
     if not base_paths:
         raise ModelConfigError("empty path list")
+    _check_law_grid(law, grid)
     N = base_paths[0].states.shape[0]
-    dev_paths = [replay_agent(ps, i, [law], coeffs, grid) for ps in base_paths]
+    for ps in base_paths:
+        _check_paths_grid(ps, grid)
+        if ps.states.shape[0] != N:
+            raise ModelConfigError(f"path sets of {N} and "
+                                   f"{ps.states.shape[0]} agents")
+    if not 0 <= i < N:
+        raise IndexError(f"agent index {i} out of range for N={N}")
+    reps = np.array([ps.rep for ps in base_paths])
+    xb, ub, dW = (np.stack([getattr(ps, name)[i] for ps in base_paths])
+                  for name in ("states", "controls", "increments"))
+    others = np.stack([ps.states.sum(axis=0) for ps in base_paths]) - xb
+    states, controls = _replay_lanes(i, reps, xb[:, 0], dW, others, N, [law],
+                                     coeffs, grid)
+    xd, ud = states[:, 0], controls[:, 0]
+    mb = (xb + others) / N
+    # the costs first: an overflowing one is a typed error, not a warning below
+    j_dev = _costs(xd, ud, (xd + others) / N, reps, coeffs, grid)
+    j_base = _costs(xb, ub, mb, reps, coeffs, grid)
     nc = coeffs.node_values(grid)
     M, dt = grid.M, grid.dt
     q, r, gam, eta = nc["Q"], nc["R"][:M], nc["Gamma"], nc["eta"]
 
-    xb = np.stack([ps.states[i] for ps in base_paths])
-    ub = np.stack([ps.controls[i] for ps in base_paths])
-    mb = np.stack([ps.mean for ps in base_paths])
-    xt = np.stack([ps.states[0] for ps in dev_paths]) - xb
-    ut = np.stack([ps.controls[0] for ps in dev_paths]) - ub
+    xt, ut = xd - xb, ud - ub
     hat_dev = xb - gam * mb - eta
     hat_end = xb[:, -1] - coeffs.Gamma0 * mb[:, -1] - coeffs.eta0
     keep = 1.0 - gam / N
@@ -631,7 +608,5 @@ def cost_decomposition(i: int, base_paths: list, law: StrategyLaw,
                     + coeffs.H * keep0 ** 2 * xt[:, -1] * xt[:, -1])
     i_cross = (quadrature(dt, q * keep * xt * hat_dev, r * ut * ub)
                + coeffs.H * keep0 * xt[:, -1] * hat_end)
-    j_dev = np.array([costs_all_agents(ps, coeffs, grid)[0] for ps in dev_paths])
-    j_base = np.array([cost_of_agent(ps, i, coeffs, grid) for ps in base_paths])
     return DecompositionReport(agent=i, j_dev=j_dev, j_base=j_base,
                                j_quad=j_quad, i_cross=i_cross)

@@ -18,9 +18,8 @@ from lqmfg.experiments import (DEFAULT_DEVIATIONS, _build_laws, _parse_label,
 from lqmfg.model import (CoefficientSet, InitialLaw, TimeGrid,
                          parse_coefficients, parse_grid, parse_initial_law)
 from lqmfg.riccati import gains, solve_backward, solve_limit
-from lqmfg.sim import (_TILE, PopulationConfig, cost_of_agent,
-                       costs_all_agents, quadrature, replay_agent, simulate,
-                       simulate_reps)
+from lqmfg.sim import (_TILE, PopulationConfig, cost_decomposition,
+                       quadrature, simulate, simulate_reps)
 from lqmfg.synthesis import make_law, solve_mean_field
 from test_acceptance import CLI_CONFIG, MIXED_CONFIG
 
@@ -231,20 +230,22 @@ def test_nash_gap_adds_no_second_calibration_row():
 
 
 def reference_nash_gap(coeffs, N, reps, master_seed, grid, initial):
-    """The study one replication at a time: agent 0 replayed under every
-    law by replay_agent, J(base) from the population's own cost."""
+    """The study from full populations: agent 0's gap J(base) - J(dev)
+    under each law from cost_decomposition over simulate's replications,
+    with its mean and paired standard error."""
     labels = list(DEFAULT_DEVIATIONS) + ["scaled(1)"]
     dec, *laws = _build_laws([("decentralized", None)]
                              + [_parse_label(label) for label in labels],
                              coeffs, grid, initial, N)
     cfg = PopulationConfig(N=N, reps=reps, master_seed=master_seed,
                            initial=initial)
-    gaps = np.array([cost_of_agent(ps, 0, coeffs, grid)
-                     - costs_all_agents(replay_agent(ps, 0, laws, coeffs, grid),
-                                        coeffs, grid)
-                     for ps in simulate_reps(coeffs, dec, cfg, grid)]).T
-    return {label: (d.mean(), d.std(ddof=1) / math.sqrt(reps))
-            for label, d in zip(labels, gaps)}
+    base = simulate(coeffs, dec, cfg, grid)
+    out = {}
+    for label, law in zip(labels, laws):
+        report = cost_decomposition(0, base, law, coeffs, grid)
+        d = report.j_base - report.j_dev
+        out[label] = (float(d.mean()), float(d.std(ddof=1)) / math.sqrt(reps))
+    return out
 
 
 @pytest.mark.parametrize("cfg, N, reps", [
@@ -253,8 +254,9 @@ def reference_nash_gap(coeffs, N, reps, master_seed, grid, initial):
     (CLI_CONFIG, 8, 5),
     (MIXED_CONFIG, 6, 4)], ids=["allones", "criterion-11", "mixed"])
 def test_nash_gap_matches_per_replication_replays(cfg, N, reps):
-    # one batched replay costed against (x + others) / N moves the gaps of
-    # the per-replication study at roundoff only
+    # the mean-only populations and one batched replay of every law give
+    # the gaps and standard errors of full populations and one
+    # decomposition per law, bit for bit: both cost against (x + others) / N
     grid = parse_grid(cfg)
     coeffs = parse_coefficients(cfg, grid)
     initial = parse_initial_law(cfg)
@@ -262,7 +264,7 @@ def test_nash_gap_matches_per_replication_replays(cfg, N, reps):
     want = reference_nash_gap(coeffs, N, reps, 2024, grid, initial)
     assert sorted(want) == [row[0] for row in tab.rows]
     for label, gap, se in tab.rows:
-        np.testing.assert_allclose((gap, se), want[label], rtol=1e-12, atol=0)
+        assert (gap, se) == want[label], label
     assert {r[0]: r for r in tab.rows}["scaled(1)"][1:] == (0.0, 0.0)
 
 
@@ -273,7 +275,7 @@ def test_nash_gap_names_the_replication_that_fails():
     # other costs overflow: every replay runs before any cost, so the path
     # is named.  At seed 7 and M = 1026, replication 3 overflows three steps
     # before replications 1 and 2, and the replays still name replication
-    # 1, the first in order, as one replay per replication does
+    # 1, the first in order, as one decomposition per replication does
     coeffs = CoefficientSet.from_constants(A=100.0, B=1.0, C=1.0, Q=1.0,
                                            R=1.0)
     initial = InitialLaw.uniform(1.0, 2.0)
@@ -289,8 +291,7 @@ def test_nash_gap_names_the_replication_that_fails():
         seen = []
         for ps in simulate(coeffs, dec, cfg, grid):
             try:
-                costs_all_agents(replay_agent(ps, 0, [zero], coeffs, grid),
-                                 coeffs, grid)
+                cost_decomposition(0, [ps], zero, coeffs, grid)
             except SimulationDivergedError as exc:
                 seen.append((exc.rep, exc.step))
         assert seen == failures

@@ -37,6 +37,26 @@ def test_grid_rejects_bad_parameters():
         TimeGrid(T=1.0, M=1)
     with pytest.raises(ModelConfigError):
         TimeGrid(T=float("nan"), M=10)
+    # M is an integer, not a bool or a float; T is a finite number, stored
+    # as a float as CoefficientSet stores its scalars
+    for T, M, message in ((1.0, 10.5, "step count M must be an integer, "
+                           "got 10.5"),
+                          (1.0, 10.0, "step count M must be an integer, "
+                           "got 10.0"),
+                          (1.0, "10", "step count M must be an integer, "
+                           "got '10'"),
+                          (1.0, True, "step count M must be an integer, "
+                           "got True"),
+                          (1.0, 0, "step count M must be >= 2, got 0"),
+                          ("x", 10, "horizon T is not numeric: 'x'"),
+                          (True, 10, "horizon T must be a number, got True"),
+                          (float("inf"), 10, "horizon T must be finite")):
+        with pytest.raises(ModelConfigError, match=message):
+            TimeGrid(T=T, M=M)
+    grid = TimeGrid(T=np.float32(2.0), M=np.int64(10))
+    assert (type(grid.T), type(grid.M)) == (float, int)
+    assert grid == TimeGrid(T=2, M=10)
+    assert TimeGrid(T="1", M=4).T == 1.0
 
 
 def test_constant_profile_everywhere():

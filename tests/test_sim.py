@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from lqmfg import sim
 from lqmfg.errors import ModelConfigError, SimulationDivergedError
 from lqmfg.model import CoefficientSet, InitialLaw, TimeGrid, TimeProfile
 from lqmfg.riccati import gains, solve_finite_N, solve_limit
@@ -18,16 +20,16 @@ from lqmfg.sim import (
     PopulationConfig,
     convexity_probe,
     cost_decomposition,
-    cost_of_agent,
     costs_all_agents,
-    replay_agent,
     simulate,
     simulate_reps,
     stationarity_residual,
     stream,
+    _costs,
     _euler_maruyama,
+    _fresh_philox,
     _key,
-    _rekey,
+    _replay_lanes,
 )
 
 ALL_ONES = CoefficientSet.from_constants(A=1, B=1, C=1, D=1, f=1, g=1,
@@ -78,6 +80,17 @@ def law_feedback(law):
                 lambda k, x: law.k_mean[k] * np.mean(x) + law.k_const[k])
     return (lambda k: law.k_self[k],
             lambda k, x: law.k_mean[k] * law.xbar[k] + law.k_const[k])
+
+
+def replay(ps, i, laws, coeffs, grid):
+    """Agent i of one replication replayed under every law by _replay_lanes:
+    states (L, M+1), controls (L, M), and the sum of its co-players'
+    states."""
+    others = ps.states.sum(axis=0) - ps.states[i]
+    (states,), (controls,) = _replay_lanes(
+        i, [ps.rep], ps.states[i, :1], ps.increments[i, None], others[None],
+        ps.states.shape[0], laws, coeffs, grid)
+    return states, controls, others
 
 
 def replay_feedback(law, others, N):
@@ -195,14 +208,14 @@ def test_replay_rows_match_reference_loop_bit_for_bit(M):
                                initial=InitialLaw.gaussian(5.0, 2.0))
         ps = simulate(ALL_ONES, law, cfg, grid)[0]
         for i in (0, N - 1):
-            batch = replay_agent(ps, i, laws, ALL_ONES, grid)
-            others = ps.states.sum(axis=0) - ps.states[i]
+            batch_states, batch_controls, others = replay(ps, i, laws,
+                                                          ALL_ONES, grid)
             for row, one_law in enumerate(laws):
                 states, controls = reference_paths(
                     nc, grid.dt, ps.states[i, :1], ps.increments[i],
                     *replay_feedback(one_law, others, N))
-                np.testing.assert_array_equal(batch.states[row], states[0])
-                np.testing.assert_array_equal(batch.controls[row],
+                np.testing.assert_array_equal(batch_states[row], states[0])
+                np.testing.assert_array_equal(batch_controls[row],
                                               controls[0])
 
 
@@ -244,8 +257,8 @@ def test_kernel_matches_left_endpoint_loop_to_roundoff(coefficients):
                 law.k_mean, law.k_const, law_mean(law))
             close(ps.states, states)
             close(ps.controls, controls)
-            batch = replay_agent(ps, 1, laws, coeffs, grid)
-            others = ps.states.sum(axis=0) - ps.states[1]
+            batch_states, batch_controls, others = replay(ps, 1, laws,
+                                                          coeffs, grid)
             for row, one_law in enumerate(laws):
                 mean = law_mean(one_law)
                 if one_law.xbar is None:
@@ -253,8 +266,8 @@ def test_kernel_matches_left_endpoint_loop_to_roundoff(coefficients):
                 states, controls = left_endpoint_paths(
                     nc, grid.dt, ps.states[1, :1], ps.increments[1],
                     one_law.k_self, one_law.k_mean, one_law.k_const, mean)
-                close(batch.states[row], states[0])
-                close(batch.controls[row], controls[0])
+                close(batch_states[row], states[0])
+                close(batch_controls[row], controls[0])
 
 
 def test_rekeyed_generator_draws_equal_fresh_streams():
@@ -270,7 +283,7 @@ def test_rekeyed_generator_draws_equal_fresh_streams():
                 rng.integers(0, 2**32, dtype=np.uint32)
             assert bit_gen.state["has_uint32"] == 1
             key = _key(seed, purpose, rep, agent)
-            _rekey(bit_gen, key)
+            bit_gen.state = _fresh_philox(key)
             fresh = stream(seed, purpose, rep, agent)
             state, want = bit_gen.state, fresh.bit_generator.state
             np.testing.assert_array_equal(state["state"]["key"],
@@ -327,6 +340,28 @@ def test_population_config_rejects_sizes_that_are_not_integers():
                      initial=law)
 
 
+def test_library_seeds_are_checked():
+    # a seed keys a 64-bit Philox stream: an integer in [0, 2^64), not a
+    # bool, a fraction or a string
+    law = InitialLaw.point(0.0)
+    grid = TimeGrid(T=1.0, M=4)
+    for seed in (-1, 2**64, 1.5, True, "3", None):
+        message = f"seed must be an integer in \\[0, 2\\^64\\), got {seed!r}"
+        for check in (
+                lambda: PopulationConfig(N=2, reps=1, master_seed=seed,
+                                         initial=law),
+                lambda: stream(seed, 0, 0, 0),
+                lambda: convexity_probe(ALL_ONES, 2, grid, samples=1,
+                                        seed=seed, inner_reps=2)):
+            with pytest.raises(ModelConfigError, match=message):
+                check()
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+        PopulationConfig(N=2, reps=1, master_seed=seed, initial=law)
+        convexity_probe(ALL_ONES, 2, grid, samples=1, seed=seed, inner_reps=2)
+        assert stream(seed, 0, 0, 0).bit_generator.state["state"]["key"][0] \
+            == int(seed)
+
+
 def test_key_builder_bounds_and_rows():
     top = (1 << 24) - 1
     for rep, agent in ((1 << 24, 0), (0, 1 << 24), (-1, 0), (0, -1),
@@ -365,13 +400,13 @@ def test_simulate_and_replay_compare_grids_not_lengths():
         simulate(ALL_ONES, law, cfg, grid)
     ps = simulate(ALL_ONES, law, cfg, law.grid)[0]
     with pytest.raises(ModelConfigError, match="does not match"):
-        replay_agent(ps, 0, [law], ALL_ONES, grid)
+        cost_decomposition(0, [ps], law, ALL_ONES, grid)
 
 
 @pytest.mark.parametrize("other", [TimeGrid(T=1.0, M=100),
                                    TimeGrid(T=10.0, M=50)], ids=["T", "M"])
 def test_path_sets_are_checked_against_their_grid(other):
-    # a population on one grid, replayed or costed on another: another
+    # a population on one grid, decomposed or costed on another: another
     # horizon with the same M, or another M, is a typed configuration error
     grid = TimeGrid(T=10.0, M=100)
     cfg = PopulationConfig(N=3, reps=1, master_seed=1,
@@ -379,11 +414,8 @@ def test_path_sets_are_checked_against_their_grid(other):
     own = decentralized_setup(grid)[2]
     ps = simulate(ALL_ONES, own, cfg, grid)[0]
     assert ps.grid == grid
-    assert replay_agent(ps, 0, [own], ALL_ONES, grid).grid == grid
     law = decentralized_setup(other)[2]
-    for check in (lambda: replay_agent(ps, 0, [law], ALL_ONES, other),
-                  lambda: costs_all_agents(ps, ALL_ONES, other),
-                  lambda: cost_of_agent(ps, 0, ALL_ONES, other),
+    for check in (lambda: costs_all_agents(ps, ALL_ONES, other),
                   lambda: cost_decomposition(0, [ps], law, ALL_ONES, other)):
         with pytest.raises(ModelConfigError, match="path set on"):
             check()
@@ -521,7 +553,7 @@ def test_cost_quadrature_oracle():
     x = np.exp(grid.nodes)[None, :]
     ps = PathSet(rep=0, states=x, controls=np.zeros((1, 1000)),
                  increments=np.zeros((1, 1000)), mean=x[0])
-    assert abs(cost_of_agent(ps, 0, coeffs, grid)
+    assert abs(costs_all_agents(ps, coeffs, grid)[0]
                - (math.e**2 - 1.0) / 4.0) <= 1e-5
 
 
@@ -599,10 +631,9 @@ def test_resimulate_same_law_is_bit_identical():
     paths = simulate(ALL_ONES, law, cfg, grid)
     replay_law = make_law("scaled", gl, xbar=mf, theta=1.0)
     for ps in paths:
-        replay = replay_agent(ps, 3, [replay_law], ALL_ONES, grid)
-        np.testing.assert_array_equal(replay.states[0], ps.states[3])
-        np.testing.assert_array_equal(replay.controls[0], ps.controls[3])
-        np.testing.assert_array_equal(replay.mean[0], ps.mean)
+        states, controls, _ = replay(ps, 3, [replay_law], ALL_ONES, grid)
+        np.testing.assert_array_equal(states[0], ps.states[3])
+        np.testing.assert_array_equal(controls[0], ps.controls[3])
 
 
 def test_resimulate_realized_mean_consistency():
@@ -616,9 +647,8 @@ def test_resimulate_realized_mean_consistency():
     cfg = PopulationConfig(N=N, reps=1, master_seed=4,
                            initial=InitialLaw.uniform(0, 20))
     ps = simulate(ALL_ONES, law, cfg, grid)[0]
-    replay = replay_agent(ps, 0, [law], ALL_ONES, grid)
-    np.testing.assert_allclose(replay.states[0], ps.states[0],
-                               rtol=1e-9, atol=1e-9)
+    states, _, _ = replay(ps, 0, [law], ALL_ONES, grid)
+    np.testing.assert_allclose(states[0], ps.states[0], rtol=1e-9, atol=1e-9)
 
 
 def test_batched_replay_rows_match_single_law_replays():
@@ -637,19 +667,16 @@ def test_batched_replay_rows_match_single_law_replays():
                            initial=InitialLaw.uniform(0, 20))
     for ps in simulate(ALL_ONES, law, cfg, grid):
         for i in (0, 5):
-            batch = replay_agent(ps, i, laws, ALL_ONES, grid)
-            costs = costs_all_agents(batch, ALL_ONES, grid)
+            states, controls, others = replay(ps, i, laws, ALL_ONES, grid)
+            costs = _costs(states, controls, (states + others) / N, ps.rep,
+                           ALL_ONES, grid)
             for row, one_law in enumerate(laws):
-                alone = replay_agent(ps, i, [one_law], ALL_ONES, grid)
-                np.testing.assert_array_equal(batch.states[row], alone.states[0])
-                np.testing.assert_array_equal(batch.controls[row],
-                                              alone.controls[0])
-                np.testing.assert_array_equal(batch.mean[row], alone.mean[0])
-                population = ps.states.copy()
-                population[i] = alone.states[0]
-                np.testing.assert_array_equal(alone.mean[0],
-                                              population.mean(axis=0))
-                assert costs[row] == costs_all_agents(alone, ALL_ONES, grid)[0]
+                alone, alone_u, _ = replay(ps, i, [one_law], ALL_ONES, grid)
+                np.testing.assert_array_equal(states[row], alone[0])
+                np.testing.assert_array_equal(controls[row], alone_u[0])
+                assert costs[row] == _costs(alone, alone_u,
+                                            (alone + others) / N, ps.rep,
+                                            ALL_ONES, grid)[0]
 
 
 def test_cost_decomposition_identity():
@@ -671,6 +698,31 @@ def test_cost_decomposition_identity():
     assert np.all(report.i_cross == 0.0)
 
 
+def test_cost_decomposition_replays_every_replication_at_once():
+    # one replay of all replications and two cost calls, whatever their
+    # number; the law, the paths and the agent index are checked first
+    grid = TimeGrid(T=1.0, M=50)
+    gl, mf, law = decentralized_setup(grid)
+    dev = make_law("scaled", gl, xbar=mf, theta=0.5)
+    cfg = PopulationConfig(N=4, reps=5, master_seed=3,
+                           initial=InitialLaw.uniform(0, 20))
+    base = simulate(ALL_ONES, law, cfg, grid)
+    with mock.patch.object(sim, "_replay_lanes",
+                           wraps=sim._replay_lanes) as lanes, \
+            mock.patch.object(sim, "_costs", wraps=sim._costs) as costs:
+        report = cost_decomposition(2, base, dev, ALL_ONES, grid)
+    assert (lanes.call_count, costs.call_count) == (1, 2)
+    assert report.j_dev.shape == (5,)
+    for i in (-1, 4):
+        with pytest.raises(IndexError, match=f"agent index {i} out of range"):
+            cost_decomposition(i, base, dev, ALL_ONES, grid)
+    other = simulate(ALL_ONES, law, dataclasses.replace(cfg, N=3), grid)
+    with pytest.raises(ModelConfigError, match="path sets of 4 and 3 agents"):
+        cost_decomposition(0, base + other, dev, ALL_ONES, grid)
+    with pytest.raises(ModelConfigError, match="empty path list"):
+        cost_decomposition(0, [], dev, ALL_ONES, grid)
+
+
 def test_decentralized_and_centralized_costs_close():
     grid = TimeGrid(T=10.0, M=500)
     N = 100
@@ -679,7 +731,7 @@ def test_decentralized_and_centralized_costs_close():
     cen = make_law("centralized", gains(fin, ALL_ONES))
     cfg = PopulationConfig(N=N, reps=10, master_seed=11,
                            initial=InitialLaw.uniform(0, 20))
-    cd, cc = (np.mean([cost_of_agent(ps, 0, ALL_ONES, grid)
+    cd, cc = (np.mean([costs_all_agents(ps, ALL_ONES, grid)[0]
                        for ps in simulate(ALL_ONES, law, cfg, grid)])
               for law in (dec, cen))
     # common random numbers pair the two runs, so the gap is O(1/sqrt(N))
