@@ -505,11 +505,9 @@ def convexity_probe(coeffs: CoefficientSet, N: int, grid: TimeGrid,
     A negative minimum (beyond Monte Carlo error) certifies that the
     quadratic form fails to be convex for this model.
     """
-    if samples < 1:
-        raise ModelConfigError(f"need at least one sample, got {samples}")
-    if N < 1 or inner_reps < 1:
-        raise ModelConfigError(f"population size and inner_reps must be "
-                               f">= 1, got N={N}, inner_reps={inner_reps}")
+    samples = _population_size(samples, "number of samples")
+    what = "population size N and inner_reps each"
+    N, inner_reps = _population_size(N, what), _population_size(inner_reps, what)
     nc = coeffs.node_values(grid)
     M, dt = grid.M, grid.dt
     sqdt = math.sqrt(dt)

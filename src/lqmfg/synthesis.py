@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelConfigError, NonSolvableError
+from .errors import ModelConfigError
 from .model import CoefficientSet, TimeGrid, _number, half_interp
-from .riccati import GainSchedule, _rk4_scalar
+from .riccati import GainSchedule, _rk4_affine, _stage_rows
 
 LAW_KINDS = ("decentralized", "centralized", "zero", "scaled",
              "meanfield-informed")
@@ -63,7 +63,8 @@ def solve_mean_field(coeffs: CoefficientSet, gains: GainSchedule,
     dxbar/dt = [A - B(beta+gamma)/alpha] xbar - B delta/alpha + f,
     started from the analytic initial mean xi_bar.  Gains must be the limit
     gains on `grid`; half-step values are linear interpolants of the node
-    schedules, consistent with the profile rule used everywhere else.
+    schedules, consistent with the profile rule used everywhere else.  A
+    path that stops being finite raises NonSolvableError at that node.
     """
     if gains.N is not None:
         raise ModelConfigError("mean-field ODE needs limit gains, "
@@ -78,13 +79,8 @@ def solve_mean_field(coeffs: CoefficientSet, gains: GainSchedule,
     hc = coeffs.half_values(grid)
     lin = hc["A"] - hc["B"] * (bh + gh) / ah
     cst = -hc["B"] * dh / ah + hc["f"]
-    if not (np.all(np.isfinite(lin)) and np.all(np.isfinite(cst))):
-        raise NonSolvableError("mean-field drift is non-finite")
-    # default arguments make the lists fast locals in this hot callback
-    def f(j, y, lin=lin.tolist(), cst=cst.tolist()):
-        return lin[j] * y + cst[j]
-
-    values = _rk4_scalar(f, xi_bar, grid, "mean-field trajectory", math.inf,
+    values = _rk4_affine(_stage_rows(lin, False), _stage_rows(cst, False),
+                         xi_bar, grid, "mean-field trajectory", math.inf,
                          backward=False)
     return MeanFieldPath(grid=grid, values=values)
 

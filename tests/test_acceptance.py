@@ -223,15 +223,19 @@ def test_criterion_11_monte_carlo_csv_bytes_are_pinned(tmp_path):
     # nash-gap was re-pinned when its replays became one batched call whose
     # mean sums (x + others) / N: every gap moved by under 1e-14 relative.
     # All three were re-pinned when the Euler-Maruyama step became the
-    # affine x' = alpha x + beta: every value moved by under 4e-14 relative
+    # affine x' = alpha x + beta: every value moved by under 4e-14 relative.
+    # They were re-pinned again when phi, phi_N and the mean-field path
+    # became affine RK4 maps and (P_N, K_N) took completed-square form: the
+    # gains under them moved at roundoff, and every value by under 3.5e-14
+    # relative (at most 7.6e-15 of its column's largest magnitude)
     pinned = {
-        "simulate": ("summary.csv", "40165fc4e4b6e445a2f2459e8a1b6194"
-                                    "7ff5b6a756d5da90fd34dd1986ada576"),
+        "simulate": ("summary.csv", "1bb0bd17ec6998d1935564e7e4c83f95"
+                                    "ba8df3c599bfd5d9c289e939a9ea5d51"),
         "epsilon-sweep": ("epsilon_sweep.csv",
-                          "8109427278db163670118978feab7c8b"
-                          "f9206e392336792025f58aa31ab7a874"),
-        "nash-gap": ("nash_gap.csv", "7766a01e391d91b8275cb03a767996ff"
-                                     "dd7c8c6a514dde7d823619ea5edb4927"),
+                          "8affc1488439b875586f1f0407dded94"
+                          "26ed5002f1ee6c2a7cf48cf27dc546e1"),
+        "nash-gap": ("nash_gap.csv", "cd7e95bc0a8b3c83646f00ca0fed149f"
+                                     "224469e01453700f932fe13a19de5612"),
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(CLI_CONFIG))
@@ -260,42 +264,46 @@ def test_criterion_11_table_writer_bytes_are_pinned(tmp_path):
     # SHA-256 of every gain, path, law and figure table on a mixed config,
     # captured before the CSV writer took columns instead of rows; the
     # simulate paths and summaries and fig2.csv were re-pinned when the
-    # Euler-Maruyama step became affine (under 5e-14 relative)
+    # Euler-Maruyama step became affine (under 5e-14 relative).  All but
+    # fig1.csv were re-pinned when phi, phi_N and the mean-field path became
+    # affine RK4 maps and (P_N, K_N) took completed-square form: every value
+    # moved by at most 1.3e-15 of its column's largest magnitude, and by
+    # 3.2e-13 relative at most, on entries of delta and k_const near zero
     jobs = (
         ("solve-riccati", ["--population", "6"], {
-            "riccati_limit.csv": "f936353784e3700a446e6caae4b549b3"
-                                 "3f275f362d3a926de5b301c68c2b46ff",
-            "riccati_finite.csv": "6ea6e81a9671c0b1d5bdd3d0b2528fee"
-                                  "c8a9f681dd25dc69a828a6efb5189437"}),
+            "riccati_limit.csv": "8408a807c7028c4a15571f700e36376e"
+                                 "1e923551febca368958d3dfdc8753167",
+            "riccati_finite.csv": "9d887bcd977ea10461533775ef6c95b8"
+                                  "386264eb39e36938b0619cd77af3677e"}),
         ("mean-field", [], {
-            "mean_field.csv": "a410a04ee79732cd4da715d6fc9b6785"
-                              "6e91a2b4897a788d95c414be4bf7e8e5"}),
+            "mean_field.csv": "8bd6da4066fd1a589aae8b7f8d6468ac"
+                              "37f0d5038c0ad96c072bd39be1185975"}),
         ("simulate", ["--law", "scaled", "--theta", "0.3", "--paths"], {
-            "law.csv": "ff33f997107dd2ebb292959bfac6f194"
-                       "426e3836b4ee8a512ebe8ec49d07e919",
-            "summary.csv": "dfdfa19c0c11b3b33eec6294a91a550c"
-                           "1f74392ac4ff5fcae7ac8c0d3fe03f8a",
-            "paths_rep000.csv": "499d19ce42614b41ee1e4cd841ac9e4b"
-                                "c68b21dfc413d615616b193658ff11fa",
-            "paths_rep001.csv": "d0da60268249d830582f5d9837decea1"
-                                "f054325603a3b4898a24225e19a6d0f3"}),
+            "law.csv": "a48cabef64bc765b8335f6bbdd80280a"
+                       "d0c22faa1286ada401e7d7e76e76ae00",
+            "summary.csv": "d1edf8464b2dd5cc6113bb85283749bf"
+                           "5cf80fcc0d6c79442aaa70b4f1fcafc4",
+            "paths_rep000.csv": "0ba097659c51145f6255199915980fa2"
+                                "806224b483312cf689eda6a2450956a8",
+            "paths_rep001.csv": "b81b7eb55a31dc39102f96791a36df52"
+                                "0e13f9bae0a0bac92e0c4a58e285219b"}),
         ("simulate", ["--law", "centralized", "--paths"], {
-            "law.csv": "b13aec5d5cbb5b231252720fa5577d54"
-                       "5e0541b6ccab54e7f0dace932468ae8b",
-            "summary.csv": "91c987d9823a8ea859601320d8f06268"
-                           "dfd051a0e26faafc588ef907d31c5e01",
-            "paths_rep000.csv": "2884ff0c2fbaf9dfc864fa4bddfebbc5"
-                                "f85d744171441331cd5865deef60eda4",
-            "paths_rep001.csv": "6295cc92bbdba85bd5150458a489c154"
-                                "00e4455a49dd6fb484f22063686c83ce"}),
+            "law.csv": "a335c6de3e9d1ce01959dddeec2394d8"
+                       "2fa3b9ec2991ed6ae1e38eebded5d8a2",
+            "summary.csv": "e575a9fc7412a3ec91e6b339443eb36e"
+                           "53dbbfeb9ec2e138b37b240138820e37",
+            "paths_rep000.csv": "2ba97e748248a24d19124a5047c5e21f"
+                                "defcb966bf0363e33ccc66211460d6eb",
+            "paths_rep001.csv": "93e40f2ec71a26fcd7519990b69f0cdf"
+                                "9c77cb160c702ef69875c1996e33c771"}),
         ("riccati-convergence", [], {
-            "riccati_convergence.csv": "c01f54761e8102b3dda22e7e6af1228c"
-                                       "35915ac7cf260203c30eb78d8c9dca4d"}),
+            "riccati_convergence.csv": "731d8d13b8df310a0e5db961b0a24ce5"
+                                       "25a4370075f25af995e9eab62c11daba"}),
         ("figures", [], {
             "fig1.csv": "1312e25a6c437f2bdaeafd63d1b209401"
                         "dd935c57c3c345ec7a374b13e91d999",
-            "fig2.csv": "707b2e47659bea1f4525b3791b4fd57a"
-                        "e780845e805cf4a3b93cb0727651fa46"}),
+            "fig2.csv": "85e133b69552da303350979ac9846e6e"
+                        "9334929db1c256513b414b75d78b7679"}),
     )
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(MIXED_CONFIG))
@@ -315,31 +323,33 @@ def test_criterion_11_table_writer_bytes_are_pinned(tmp_path):
 def test_criterion_11_manifests_are_pinned(tmp_path):
     # SHA-256 of the canonical JSON of each manifest the two pin tests above
     # write, less duration_seconds, plus validate on both configs: the
-    # results, study metadata, config fingerprints and assumption flags
+    # results, study metadata, config fingerprints and assumption flags.
+    # The seven whose results carry a moved solver or Monte Carlo value were
+    # re-pinned with the tables above when the RK4 steps were reordered
     jobs = (
         (CLI_CONFIG, "validate", [], "71207bb98491fbc28a841cf20d833d6e"
                                      "a82a4d2026043d1bf880a491fc75625e"),
-        (CLI_CONFIG, "simulate", [], "9b8e5fd9d88b456315e7290edcdc9a06"
-                                     "fff836815eed70200ad828f0a138a657"),
-        (CLI_CONFIG, "epsilon-sweep", [], "47a700c1658a22a090989a6153aee218"
-                                          "eaad9bb06f8f45d075677ebd2d02a99e"),
-        (CLI_CONFIG, "nash-gap", [], "bae910e4fb0b63ffcf0cc8026a5b7713"
-                                     "10f58a422d2cef4c79e2419488d5841a"),
+        (CLI_CONFIG, "simulate", [], "759f042e3d6235d25c23de07bd900a4e"
+                                     "dee060a46357309acf3e78d2d38fa104"),
+        (CLI_CONFIG, "epsilon-sweep", [], "6c7a49c9a7bbd69297db52f39660f745"
+                                          "cc23337b5f5aa87b685af09c4ab20813"),
+        (CLI_CONFIG, "nash-gap", [], "ea519e769e9ae95a05399a4a13d0ce49"
+                                     "99b59117f85013b672e50073388bdcc4"),
         (MIXED_CONFIG, "validate", [], "636f961932f12b47dbd3381cabdd41ab"
                                        "601dac7760693a8d70596c27f56d4736"),
         (MIXED_CONFIG, "solve-riccati", ["--population", "6"],
          "59774d93b24e8d2aeb15b54b3de82243e421f194b0d4ead11fb79715aae0e01d"),
-        (MIXED_CONFIG, "mean-field", [], "f29a8486f42828837fe5176e601e2b57"
-                                         "2d7907b3328ebf7966da0677269375b5"),
+        (MIXED_CONFIG, "mean-field", [], "22a12d0af1758ddf9fe028846f652e95"
+                                         "28ba12a731eb44062e9b2656def99593"),
         (MIXED_CONFIG, "simulate",
          ["--law", "scaled", "--theta", "0.3", "--paths"],
          "ebc04ef805e5218b0d80dbe8af921bff50feea91fcc6489239b69ee91158d05e"),
         (MIXED_CONFIG, "simulate", ["--law", "centralized", "--paths"],
-         "a5883d173555bc29b0cd7d63d8f288d0b6d729956c8549f0efb111b20252b3aa"),
+         "af0bf2ec6c8795329f0b0c8b4e071127d50322cbb7fb3091f573622fc668b90e"),
         (MIXED_CONFIG, "riccati-convergence", [],
-         "c8d501c49e682fb67522623f8e7f7e854abccd7ba5d0107b2970f74824b121d7"),
-        (MIXED_CONFIG, "figures", [], "841f7a6c713a82861679b4b480ac2bbb"
-                                      "74258c552c399fecf891fd8d0b658903"),
+         "c76a58af1526282cc9d3ca7dab650711905e699f2b7bb0b5ab67448bbc575668"),
+        (MIXED_CONFIG, "figures", [], "0c6d47bc441d2812ac031fbe97a06ebe"
+                                      "3089b0508305a03acfdc11eede293708"),
     )
     for k, (cfg, sub, extra, digest) in enumerate(jobs):
         cfg_path = tmp_path / f"cfg{k}.json"

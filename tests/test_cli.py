@@ -141,6 +141,21 @@ def test_singular_gain_exits_3_and_names_time(tmp_path, capsys):
     assert read_manifest(out)["exit_code"] == 3
 
 
+def test_sign_change_of_the_weight_exits_3_with_manifest(tmp_path, capsys):
+    # R + D^2 P passes through zero where P' has a pole; the steps jump over
+    # it, and solve-riccati once exited 0 with a meaningless P
+    coeffs = dict(A=0, B=1, C=0, D=1, f=0, g=0, Q=1, R=-1.5, Gamma=0,
+                  eta=0, H=1, Gamma0=0, eta0=0)
+    cfg = make_config(tmp_path, coefficients=coeffs,
+                      grid={"T": 1.0037, "M": 200})
+    out = tmp_path / "out"
+    assert run(["solve-riccati", "--config", cfg, "--out-dir", str(out)]) == 3
+    assert "changes sign" in capsys.readouterr().err
+    manifest = read_manifest(out)
+    assert manifest["exit_code"] == 3
+    assert "changes sign" in manifest["error"]
+
+
 def test_simulate_keeps_one_replication_of_paths(tmp_path):
     # 16 replications of 256 agents on 100 steps hold 9.8 MB of states,
     # controls and increments; simulate costs each replication as it

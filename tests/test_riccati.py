@@ -1,20 +1,26 @@
 """Backward solver behaviour: oracles, orders, degeneracies, errors."""
 
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lqmfg.errors import ModelConfigError, NonSolvableError, SingularGainError
-from lqmfg.model import CoefficientSet, TimeGrid
+from lqmfg.model import CoefficientSet, TimeGrid, TimeProfile, half_interp
 from lqmfg.riccati import (
     GainSchedule,
     RiccatiSolution,
+    _rk4_affine,
+    _stage_rows,
     gains,
     solve_finite_N,
     solve_limit,
 )
+from lqmfg.synthesis import solve_mean_field
 
 ALL_ONES = CoefficientSet.from_constants(A=1, B=1, C=1, D=1, f=1, g=1,
                                          Q=1, R=1, Gamma=1, eta=1,
@@ -205,3 +211,285 @@ def test_gains_reject_small_alpha():
     with pytest.raises(SingularGainError) as exc:
         gains(sol, coeffs)
     assert "t=" in str(exc.value)
+
+
+# Reference steppers: the backward sweeps as they were written before the
+# linear equations were stepped as affine maps and (P_N, K_N) in
+# completed-square form.  Every stage calls its right-hand side, the limit
+# solves P, K and phi one after another, and the population system steps
+# (P_N, K_N, phi_N) jointly.
+
+def reference_rk4(f, y0, grid, name, bound=1e8, backward=True):
+    """y' = f(j, y) from y0 at t=T (backward) or t=0; j indexes the half
+    grid.  NonSolvableError once y leaves (-bound, bound)."""
+    M, dt = grid.M, grid.dt
+    if backward:
+        h, o, nodes = -dt, 1, range(M - 1, -1, -1)
+    else:
+        h, o, nodes = dt, -1, range(1, M + 1)
+    out = [0.0] * (M + 1)
+    y = float(y0)
+    out[nodes[0] + o] = y
+    for k in nodes:
+        j = 2 * k
+        k1 = f(j + 2 * o, y)
+        k2 = f(j + o, y + 0.5 * h * k1)
+        k3 = f(j + o, y + 0.5 * h * k2)
+        k4 = f(j, y + h * k3)
+        y = y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        if not -bound < y < bound:
+            raise NonSolvableError(f"{name} left the bound", t=k * dt)
+        out[k] = y
+    return np.asarray(out)
+
+
+def reference_limit(coeffs, grid, weights=None):
+    """(P, K, phi): P, then K from P, then phi from P and K.  The half-grid
+    weights R + D^2 P are appended to `weights` when it is a list."""
+    hc = coeffs.half_values(grid)
+    dt = grid.dt
+    lin = (2.0 * hc["A"] + hc["C"] ** 2).tolist()
+    src = hc["Q"].tolist()
+    num = ((hc["B"] + hc["C"] * hc["D"]) ** 2).tolist()
+    rr = hc["R"].tolist()
+    d2 = (hc["D"] ** 2).tolist()
+
+    def f_p(j, y):
+        den = rr[j] + d2[j] * y
+        if abs(den) < 1e-10:
+            raise SingularGainError("small weight", t=j * dt / 2)
+        return -lin[j] * y - src[j] + num[j] * y * y / den
+
+    P = reference_rk4(f_p, coeffs.H, grid, "P")
+    Ph = half_interp(P)
+    alpha_h = hc["R"] + hc["D"] ** 2 * Ph
+    if weights is not None:
+        weights.extend(alpha_h)
+    beta_h = hc["B"] * Ph + Ph * hc["C"] * hc["D"]
+    k0 = (hc["Q"] * hc["Gamma"]).tolist()
+    k1c = (2.0 * (hc["B"] * beta_h / alpha_h - hc["A"])).tolist()
+    k2c = (hc["B"] ** 2 / alpha_h).tolist()
+    K = reference_rk4(lambda j, y: k0[j] + (k1c[j] + k2c[j] * y) * y,
+                      -coeffs.H * coeffs.Gamma0, grid, "K")
+    Kh = half_interp(K)
+    w = (Kh * hc["B"] + beta_h) / alpha_h
+    p0 = (w * Ph * hc["g"] * hc["D"] - hc["f"] * (Ph + Kh)
+          - hc["C"] * Ph * hc["g"] + hc["Q"] * hc["eta"])
+    p1 = w * hc["B"] - hc["A"]
+    phi = reference_rk4(lambda j, y: p0[j] + p1[j] * y,
+                        -coeffs.H * coeffs.eta0, grid, "phi")
+    return P, K, phi
+
+
+def reference_finite_N(coeffs, N, grid, weights=None):
+    """(P_N, K_N, phi_N) stepped jointly, each stage the full right-hand
+    side of all three.  Every stage's weight is appended to `weights` when
+    it is a list."""
+    hc = coeffs.half_values(grid)
+    M, dt = grid.M, grid.dt
+    h = -dt
+    a, b, c, d, f, g, r, gam, eta = (hc[name] for name in (
+        "A", "B", "C", "D", "f", "g", "R", "Gamma", "eta"))
+    qe = hc["Q"] * (1.0 - gam / N)
+
+    def rhs(j, p, k, ph):
+        s = p + k / N
+        alpha = r[j] + s * d[j] * d[j]
+        if weights is not None:
+            weights.append(alpha)
+        if abs(alpha) < 1e-10:
+            raise SingularGainError("small weight", t=j * dt / 2)
+        beta = b[j] * p + s * c[j] * d[j]
+        gamma = b[j] * k
+        delta = b[j] * ph + s * g[j] * d[j]
+        dp = (-2.0 * a[j] * p + p * b[j] * beta / alpha
+              - c[j] * s * (c[j] - d[j] * beta / alpha) - qe[j])
+        dk = (-2.0 * a[j] * k + p * b[j] * gamma / alpha
+              + k * b[j] * (beta + gamma) / alpha
+              + c[j] * d[j] * s * gamma / alpha + qe[j] * gam[j])
+        dph = (-f[j] * (p + k) - a[j] * ph + (p + k) * b[j] * delta / alpha
+               - c[j] * s * (g[j] - d[j] * delta / alpha) + qe[j] * eta[j])
+        return np.array([dp, dk, dph])
+
+    scale = coeffs.H * (1.0 - coeffs.Gamma0 / N)
+    y = np.array([scale, -scale * coeffs.Gamma0, -scale * coeffs.eta0])
+    out = np.empty((M + 1, 3))
+    out[M] = y
+    for step in range(M - 1, -1, -1):
+        j = 2 * step
+        k1 = rhs(j + 2, *y)
+        k2 = rhs(j + 1, *(y + 0.5 * h * k1))
+        k3 = rhs(j + 1, *(y + 0.5 * h * k2))
+        k4 = rhs(j, *(y + h * k3))
+        y = y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        if not np.all(np.abs(y) < 1e8):
+            raise NonSolvableError("(P_N, K_N, phi_N) left the bound",
+                                   t=step * dt)
+        out[step] = y
+    return out.T
+
+
+def reference_mean_field(coeffs, gs, xi_bar, grid):
+    """The forward mean-field ODE, each stage calling its right-hand side."""
+    hc = coeffs.half_values(grid)
+    ah, bh, gh, dh = (half_interp(x) for x in (gs.alpha, gs.beta, gs.gamma,
+                                                gs.delta))
+    lin = hc["A"] - hc["B"] * (bh + gh) / ah
+    cst = -hc["B"] * dh / ah + hc["f"]
+    return reference_rk4(lambda j, y: lin[j] * y + cst[j], xi_bar, grid,
+                         "mean-field trajectory", math.inf, backward=False)
+
+
+def sup_rel(new, ref):
+    return np.max(np.abs(new - ref)) / max(np.max(np.abs(ref)), 1e-300)
+
+
+@st.composite
+def coefficient_cases(draw):
+    """(coeffs, grid): each profile constant or sampled on the grid as
+    c + a sin(w t + p), A always sampled; R is indefinite in about a quarter
+    of the draws, with D large enough that the weight may keep its sign."""
+    grid = TimeGrid(T=draw(st.floats(0.2, 3.0)), M=draw(st.integers(30, 120)))
+    small = (-1.0, 1.0)
+    ranges = dict(A=small, B=(-1.5, 1.5), C=small, D=small, f=small, g=small,
+                  Q=(0.0, 2.0), R=(0.3, 2.0), Gamma=small, eta=small)
+    if draw(st.booleans()) and draw(st.booleans()):
+        ranges.update(R=(-0.4, -0.1), D=(1.0, 2.0))
+    profiles = {}
+    for name, (lo, hi) in ranges.items():
+        c = draw(st.floats(lo, hi))
+        if name == "A" or draw(st.booleans()):
+            a = draw(st.floats(0.0, 1.0)) * min(c - lo, hi - c)
+            w, p = draw(st.floats(0.5, 20.0)), draw(st.floats(0.0, 6.3))
+            profiles[name] = TimeProfile.sampled(
+                c + a * np.sin(w * grid.nodes + p), grid)
+        else:
+            profiles[name] = TimeProfile.constant(c)
+    coeffs = CoefficientSet(**profiles, H=draw(st.floats(0.2, 2.0)),
+                            Gamma0=draw(st.floats(*small)),
+                            eta0=draw(st.floats(*small)))
+    return coeffs, grid
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=coefficient_cases(), N=st.integers(1, 50))
+def test_solvers_match_the_reference_steppers(case, N):
+    # the limit's P and K take the same steps as the reference, bit for bit;
+    # phi, the population system and the mean-field path are the same RK4
+    # with the arithmetic reordered, so they agree to roundoff
+    coeffs, grid = case
+    try:
+        limit_weights, finite_weights = [], []
+        P, K, phi = reference_limit(coeffs, grid, limit_weights)
+        fin = reference_finite_N(coeffs, N, grid, finite_weights)
+        # the weight keeps one sign at every evaluation the solvers check:
+        # half grid and nodes of the limit, stages and nodes of N players
+        R, D = coeffs.R.node_values(grid), coeffs.D.node_values(grid)
+        for w in (limit_weights, finite_weights, R + D ** 2 * P,
+                  R + D ** 2 * (fin[0] + fin[1] / N)):
+            w = np.asarray(w)
+            assume(np.all(w > 1e-6) or np.all(w < -1e-6))
+        ref_xbar = reference_mean_field(
+            coeffs, gains(RiccatiSolution(grid, P, K, phi), coeffs), 1.5, grid)
+    except (NonSolvableError, SingularGainError):
+        assume(False)
+    lim = solve_limit(coeffs, grid)
+    np.testing.assert_array_equal(lim.P, P)
+    np.testing.assert_array_equal(lim.K, K)
+    assert sup_rel(lim.phi, phi) <= 1e-12
+    new = solve_finite_N(coeffs, N, grid)
+    for got, want in zip((new.P, new.K, new.phi), fin):
+        assert sup_rel(got, want) <= 1e-12
+    xbar = solve_mean_field(coeffs, gains(lim, coeffs), 1.5, grid).values
+    assert sup_rel(xbar, ref_xbar) <= 1e-12
+
+
+@pytest.mark.parametrize("backward", [True, False])
+def test_affine_stepper_matches_the_closed_form(backward):
+    # y' = v y + u with constant v, u: k RK4 steps of size h give
+    # y_k = R(hv)^k (y0 + u/v) - u/v, R the stability polynomial
+    grid = TimeGrid(T=2.0, M=400)
+    v, u, y0 = -1.3, 0.7, 2.0
+    h = -grid.dt if backward else grid.dt
+    z = h * v
+    growth = 1.0 + z + z * z / 2 + z ** 3 / 6 + z ** 4 / 24
+    k = np.arange(grid.M + 1)
+    exact = growth ** k * (y0 + u / v) - u / v
+    y = _rk4_affine(np.full((4, grid.M), v), np.full((4, grid.M), u), y0,
+                    grid, "y", backward=backward)
+    np.testing.assert_allclose(y[::-1] if backward else y, exact,
+                               rtol=1e-13, atol=0.0)
+
+
+def test_affine_stepper_matches_the_reference_on_a_time_varying_equation():
+    # a stage fed the wrong half-grid index shows only when the coefficients
+    # vary in time
+    grid = TimeGrid(T=1.5, M=60)
+    j = np.arange(2 * grid.M + 1)
+    v, u = np.sin(0.37 * j) - 0.5, np.cos(0.11 * j * j)
+    for backward in (True, False):
+        got = _rk4_affine(_stage_rows(v, backward), _stage_rows(u, backward),
+                          0.8, grid, "y", backward=backward)
+        want = reference_rk4(lambda j, y: v[j] * y + u[j], 0.8, grid, "y",
+                             backward=backward)
+        assert sup_rel(got, want) <= 1e-13
+
+
+SAMPLED_A = np.linspace(-0.5, 0.5, 201).tolist()
+
+
+@pytest.mark.parametrize("R, kind", [(0.0, SingularGainError),
+                                     (-1.0, NonSolvableError)])
+def test_errors_match_the_reference_steppers(R, kind):
+    # the identically singular weight and the backward blow-up of R < 0
+    # raise the same error, at most one step apart
+    grid = TimeGrid(T=2.0, M=200)
+    coeffs = CoefficientSet.from_constants(B=1.0, Q=1.0, R=R, H=1.0)
+    coeffs = dataclasses.replace(coeffs,
+                                 A=TimeProfile.sampled(SAMPLED_A, grid))
+    for solve, ref in ((lambda: solve_limit(coeffs, grid),
+                        lambda: reference_limit(coeffs, grid)),
+                       (lambda: solve_finite_N(coeffs, 5, grid),
+                        lambda: reference_finite_N(coeffs, 5, grid))):
+        with pytest.raises(kind) as want:
+            ref()
+        with pytest.raises(kind) as got:
+            solve()
+        assert abs(got.value.t - want.value.t) <= grid.dt
+
+
+SIGN_CHANGE = dict(D=1.0, Q=1.0, R=-1.5, H=1.0)
+
+
+def test_sign_change_of_the_weight_is_reported_where_it_happens():
+    # B = 0 leaves P' = -1, so P = 1 + T - t and R + D^2 P = T - t - 0.5
+    # changes sign at t = T - 0.5, which is no stage's time
+    grid = TimeGrid(T=1.0037, M=100)
+    coeffs = CoefficientSet.from_constants(**SIGN_CHANGE)
+    for solve in (lambda: solve_limit(coeffs, grid),
+                  lambda: solve_finite_N(coeffs, 10, grid)):
+        with pytest.raises(SingularGainError, match="changes sign") as exc:
+            solve()
+        assert abs(exc.value.t - (grid.T - 0.5)) <= grid.dt
+
+
+@pytest.mark.parametrize("M", [200, 400, 800, 1600])
+def test_sign_change_is_reported_where_the_limit_passed_a_pole(M):
+    # with B = 1 the weight R + D^2 P reaches zero at a pole of P' that the
+    # steps jump over; without the sign check P(0) read -1.80, 3.27, -0.12
+    # and -3.01 at these M, with no error
+    grid = TimeGrid(T=1.0037, M=M)
+    coeffs = CoefficientSet.from_constants(B=1.0, **SIGN_CHANGE)
+    with pytest.raises(SingularGainError):
+        solve_limit(coeffs, grid)
+
+
+def test_gains_report_a_sign_change_between_nodes():
+    grid = TimeGrid(T=1.0, M=10)
+    coeffs = CoefficientSet.from_constants(B=1.0, D=1.0, R=-1.5)
+    # the weight P - 1.5 is -0.24 at t = 0.6 and 0.05 at t = 0.5
+    P = np.linspace(3.0, 0.1, 11)
+    z = np.zeros(11)
+    with pytest.raises(SingularGainError, match="changes sign") as exc:
+        gains(RiccatiSolution(grid=grid, P=P, K=z, phi=z), coeffs)
+    assert exc.value.t == pytest.approx(0.5)

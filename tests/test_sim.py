@@ -757,6 +757,19 @@ def test_probe_rejects_empty_population_and_inner_reps():
                             inner_reps=inner_reps)
 
 
+def test_probe_rejects_sizes_that_are_not_integers():
+    # 1.5 samples once raised a raw TypeError from range(); N = 2.5 and
+    # samples=True were accepted
+    grid = TimeGrid(T=1.0, M=20)
+    for kw, what in ((dict(samples=1.5), "samples"),
+                     (dict(samples=True), "samples"),
+                     (dict(N=2.5), "population size"),
+                     (dict(inner_reps=1.5), "inner_reps")):
+        with pytest.raises(ModelConfigError, match=what):
+            convexity_probe(ALL_ONES, grid=grid, seed=5,
+                            **{**dict(N=4, samples=2, inner_reps=4), **kw})
+
+
 def test_probe_detects_indefinite_form():
     grid = TimeGrid(T=10.0, M=200)
     coeffs = CoefficientSet.from_constants(A=1.0, B=1.0, R=-1.0)

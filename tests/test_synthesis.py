@@ -56,12 +56,14 @@ def test_mean_field_refinement():
 
 
 def test_mean_field_blow_up_is_reported_with_time():
-    # xbar' = 100 xbar + 1 from 1 overflows the forward RK4 steps at t = 7.07
+    # xbar' = 100 xbar + 1 from 1: at z = h v = 1 each RK4 step multiplies
+    # xbar by 1 + 1 + 1/2 + 1/6 + 1/24 = 2.7083, so the RK4 solution itself
+    # overflows after ln(1.8e308) / ln(2.7083) = 712.4 steps, at t = 7.13
     grid = TimeGrid(T=10.0, M=1000)
     coeffs = CoefficientSet.from_constants(A=100, R=1, f=1)
     with pytest.raises(NonSolvableError) as exc:
         solve_mean_field(coeffs, limit_gains(coeffs, grid), 1.0, grid)
-    assert exc.value.t == 7.07
+    assert exc.value.t == 7.13
     assert "mean-field trajectory" in str(exc.value)
 
 
