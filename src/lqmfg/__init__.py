@@ -9,11 +9,10 @@ from .model import (CoefficientSet, InitialLaw, TimeGrid, TimeProfile,
                     ValidationReport, canonical_fingerprint, load_config,
                     parse_coefficients, parse_grid, parse_initial_law,
                     validate)
-from .riccati import (GainSchedule, RiccatiSolution, gains, solve_finite_N,
-                      solve_limit)
+from .riccati import (GainSchedule, RiccatiSolution, convexity_margin, gains,
+                      solve_finite_N, solve_limit)
 from .sim import (AdjointCheckReport, DecompositionReport, PathSet,
-                  PopulationConfig, ProbeReport, convexity_probe,
-                  cost_decomposition, costs_all_agents,
+                  PopulationConfig, cost_decomposition, costs_all_agents,
                   simulate, simulate_reps, stationarity_residual, stream)
 from .synthesis import (LAW_KINDS, MeanFieldPath, StrategyLaw, make_law,
                         solve_mean_field)
@@ -24,10 +23,10 @@ __all__ = [
     "AdjointCheckReport", "CoefficientSet", "DecompositionReport",
     "ExperimentTable", "GainSchedule", "InitialLaw", "LAW_KINDS",
     "LqmfgError", "MeanFieldPath", "ModelConfigError", "NonSolvableError",
-    "PathSet", "PopulationConfig", "ProbeReport", "RiccatiSolution",
+    "PathSet", "PopulationConfig", "RiccatiSolution",
     "SimulationDivergedError", "SingularGainError", "StrategyLaw",
     "TimeGrid", "TimeProfile", "ValidationReport", "canonical_fingerprint",
-    "convexity_probe", "cost_decomposition", "costs_all_agents",
+    "convexity_margin", "cost_decomposition", "costs_all_agents",
     "epsilon_sweep", "figure_data", "gains", "load_config", "make_law",
     "nash_gap", "parse_coefficients", "parse_grid", "parse_initial_law",
     "riccati_convergence", "simulate", "simulate_reps", "solve_finite_N",

@@ -28,14 +28,14 @@ import numpy as np
 from . import __version__
 from .errors import (ModelConfigError, NonSolvableError,
                      SimulationDivergedError, SingularGainError)
-from .experiments import (DEFAULT_DEVIATIONS, _build_laws, epsilon_sweep,
-                          figure_data, nash_gap, riccati_convergence,
-                          write_csv)
+from .experiments import (DEFAULT_DEVIATIONS, _build_laws, _convexity,
+                          epsilon_sweep, figure_data, nash_gap,
+                          riccati_convergence, write_csv)
 from .model import (_COEFFICIENT_NAMES, _GRID_KEYS, _INITIAL_KEYS, _as_int,
                     _number, _seed, canonical_fingerprint, load_config,
                     parse_coefficients, parse_grid, parse_initial_law,
                     validate)
-from .riccati import gains, solve_backward
+from .riccati import _least_weight, convexity_margin, gains, solve_backward
 from .sim import PopulationConfig, costs_all_agents, simulate_reps
 
 EXIT_OK = 0
@@ -211,6 +211,7 @@ def _cmd_validate(args, cfg, coeffs, grid, initial, seed):
         "r_indefinite": report.r_indefinite,
         "all_finite": report.all_finite,
         "standing_assumptions_hold": report.a3_holds,
+        **_convexity(*convexity_margin(coeffs, grid)),
     }
     for key, value in results.items():
         print(f"{key}: {value}")
@@ -235,7 +236,10 @@ def _cmd_solve_riccati(args, cfg, coeffs, grid, initial, seed):
                   (grid.nodes, sol.P, sol.K, sol.phi, sched.alpha,
                    sched.beta, sched.gamma, sched.delta), comments)
         outputs.append(path)
-    return outputs, {"population": population}
+    # the limit form of convexity_margin solves this same P, so the limit's
+    # alpha column gives its margin without another solve
+    return outputs, {"population": population,
+                     **_convexity(*_least_weight(tables[0][1]))}
 
 
 def _cmd_mean_field(args, cfg, coeffs, grid, initial, seed):
@@ -276,10 +280,8 @@ def _cmd_simulate(args, cfg, coeffs, grid, initial, seed):
         raise overflow
     per_agent = np.stack(costs)
     means = per_agent.mean(axis=0)
-    if reps > 1:
-        ses = per_agent.std(axis=0, ddof=1) / math.sqrt(reps)
-    else:
-        ses = np.zeros(N)
+    ses = (per_agent.std(axis=0, ddof=1) / math.sqrt(reps) if reps > 1
+           else np.zeros(N))
     summary = os.path.join(args.out_dir, "summary.csv")
     write_csv(summary, ("agent", "mean_cost", "stderr"),
               (range(N), means, ses))
@@ -361,6 +363,11 @@ def _execute(args, manifest) -> int:
                                                        grid, initial, seed)
         manifest["outputs"] = sorted(os.path.basename(p) for p in outputs)
         manifest["results"] = results
+        if results.get("convex") is False:
+            print("note: the cost is not convex in an agent's own control "
+                  "(convexity_margin {convexity_margin:.6g} at t="
+                  "{convexity_margin_t:.6g}): no equilibrium".format(**results),
+                  file=sys.stderr)
     except ModelConfigError as exc:
         code, manifest["error"] = EXIT_CONFIG, str(exc)
     except (SingularGainError, NonSolvableError) as exc:

@@ -18,7 +18,8 @@ from . import _pool
 from .errors import ModelConfigError, SimulationDivergedError
 from .model import (CoefficientSet, InitialLaw, TimeGrid, _number,
                     _population_size, canonical_fingerprint)
-from .riccati import gains, solve_backward, solve_finite_N, solve_limit
+from .riccati import (convexity_margin, gains, solve_backward,
+                      solve_finite_N, solve_limit)
 from .sim import (PopulationConfig, _costs, _population_chunks, _replay_lanes,
                   quadrature)
 from .synthesis import LAW_KINDS, make_law, solve_mean_field
@@ -46,6 +47,12 @@ def _base_metadata(coeffs, grid, master_seed=None) -> dict:
     if master_seed is not None:
         md["master_seed"] = master_seed
     return md
+
+
+def _convexity(margin: float, t: float) -> dict:
+    """A (margin, t) of riccati.convexity_margin as study results."""
+    return {"convexity_margin": margin, "convexity_margin_t": t,
+            "convex": margin > 0.0}
 
 
 def loglog_slope(xs, ys):
@@ -117,11 +124,11 @@ def epsilon_sweep(coeffs: CoefficientSet, Ns, reps: int, master_seed: int,
     # fresh N-agent run, so every N's bytes match a separate simulation
     cfg = PopulationConfig(N=Ns[-1], reps=reps, master_seed=master_seed,
                            initial=initial)
-    chunks = _population_chunks(coeffs, law, cfg, grid, Ns, keep=0)
+    chunks = _population_chunks(coeffs, law, cfg, grid, Ns)
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.array([[quadrature(grid.dt, (total / N - law.xbar) ** 2)
                         for N, total in zip(Ns, sums)]
-                       for call_sums, _, _ in chunks for sums in call_sums])
+                       for call_sums in chunks for sums in call_sums])
     if not np.all(np.isfinite(sq)):
         rep = int(np.argmin(np.isfinite(sq).all(axis=1)))
         raise SimulationDivergedError(
@@ -141,6 +148,7 @@ def epsilon_sweep(coeffs: CoefficientSet, Ns, reps: int, master_seed: int,
     md = _base_metadata(coeffs, grid, master_seed)
     md["reps"] = reps
     md["initial"] = {"kind": initial.kind, "a": initial.a, "b": initial.b}
+    md.update(_convexity(*convexity_margin(coeffs, grid)))
     positive = [(n, e) for n, e, _ in rows if e > 0.0]
     if len(positive) >= 2:
         slope, slope_se = loglog_slope([n for n, _ in positive],
@@ -194,13 +202,13 @@ def nash_gap(coeffs: CoefficientSet, N: int, reps: int, master_seed: int,
 
     All agents play the decentralized law; for each deviation the first
     agent is replayed on the same noise and gap = J(base) - J(deviation) is
-    averaged with its paired standard error.  After every population has
-    run, one kernel call replays all replications under all laws; each
-    replay is costed against the mean (x + others) / N, others the sum of
-    its co-players.  scaled(1) replays the base law bit for bit and J(base)
-    is its cost, so its row is exactly zero and calibrates the pairing; it
-    is added unless the family already holds it (as scaled(theta) with
-    theta = 1, or as decentralized).  Two labels for one deviation, such as
+    averaged with its paired standard error.  Each call of replications, in
+    its worker, runs its populations, replays them all under all laws in
+    one kernel call, and costs each replay against the mean (x + others) /
+    N, others the sum of its co-players.  scaled(1) replays the base law
+    bit for bit and J(base) is its cost, so its row is exactly zero and
+    calibrates the pairing; it is added unless the family already holds it
+    (as scaled(theta) with theta = 1, or as decentralized).  Two labels for one deviation, such as
     scaled(.5) and scaled(0.5), are a ModelConfigError.
     """
     if not deviations:
@@ -222,17 +230,20 @@ def nash_gap(coeffs: CoefficientSet, N: int, reps: int, master_seed: int,
 
     cfg = PopulationConfig(N=N, reps=reps, master_seed=master_seed,
                            initial=initial)
-    # per replication, what agent 0's replays read: its initial state and
-    # increments, and the sum of its co-players' states
-    sums, x0, dW = (np.concatenate(part) for part in zip(
-        *_population_chunks(coeffs, dec, cfg, grid, (1, N), keep=1)))
-    x0, dW = x0[:, 0], dW[:, 0]
-    others = sums[:, 1] - sums[:, 0]
-    states, controls = _replay_lanes(0, np.arange(reps), x0, dW, others, N,
-                                     laws, coeffs, grid)
+
+    def replay_costs(first, sums, x0, dW):
+        # agent 0's replays read its initial state and increments, and the
+        # sum of its co-players' states
+        ids = first + np.arange(len(sums))
+        others = sums[:, 1] - sums[:, 0]
+        states, controls = _replay_lanes(0, ids, x0[:, 0], dW[:, 0], others,
+                                         N, laws, coeffs, grid)
+        return _costs(states, controls, (states + others[:, None]) / N,
+                      ids[:, None], coeffs, grid)
+
+    costs = np.concatenate(_population_chunks(coeffs, dec, cfg, grid, (1, N),
+                                              replay_costs))
     # J(base) is the cost of the scaled(1) lane
-    costs = _costs(states, controls, (states + others[:, None]) / N,
-                   np.arange(reps)[:, None], coeffs, grid)
     gaps = costs[:, same.index(1.0)] - costs.T
     rows = []
     for label in sorted(labels):
@@ -242,6 +253,7 @@ def nash_gap(coeffs: CoefficientSet, N: int, reps: int, master_seed: int,
     md = _base_metadata(coeffs, grid, master_seed)
     md["N"] = N
     md["reps"] = reps
+    md.update(_convexity(*convexity_margin(coeffs, grid, N)))
     best = max(rows, key=lambda r: r[1])
     md["max_gap"] = max(0.0, best[1])
     md["max_gap_label"] = best[0]

@@ -111,21 +111,31 @@ class TimeProfile:
     values: tuple = ()               # sampled profile, length M+1
     grid: TimeGrid | None = None     # sampled profile; None when constant
 
-    @staticmethod
-    def constant(value: float) -> "TimeProfile":
-        return TimeProfile(value=_number(value, "constant coefficient"))
-
-    @staticmethod
-    def sampled(values, grid: TimeGrid) -> "TimeProfile":
+    def __post_init__(self):
+        if self.grid is None:
+            if np.size(self.values):
+                raise ModelConfigError("sampled profile values need a grid")
+            object.__setattr__(self, "value",
+                               _number(self.value, "constant coefficient"))
+            return
+        values = self.values
         if isinstance(values, (list, tuple)):
             values = [_number(v, "sampled profile value") for v in values]
         arr = np.asarray(values, dtype=float)
-        if arr.ndim != 1 or arr.size != grid.M + 1:
+        if arr.ndim != 1 or arr.size != self.grid.M + 1:
             raise ModelConfigError(
-                f"sampled profile needs M+1={grid.M + 1} values, got shape {arr.shape}")
+                f"sampled profile needs M+1={self.grid.M + 1} values, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ModelConfigError("sampled profile contains non-finite values")
-        return TimeProfile(values=tuple(arr.tolist()), grid=grid)
+        object.__setattr__(self, "values", tuple(arr.tolist()))
+
+    @staticmethod
+    def constant(value: float) -> "TimeProfile":
+        return TimeProfile(value=value)
+
+    @staticmethod
+    def sampled(values, grid: TimeGrid) -> "TimeProfile":
+        return TimeProfile(values=values, grid=grid)
 
     @property
     def is_constant(self) -> bool:
@@ -293,16 +303,11 @@ class ValidationReport:
 
 
 def validate(coeffs: CoefficientSet, grid: TimeGrid) -> ValidationReport:
-    """Check state-weight nonnegativity, flag indefinite control weight.
-
-    Raises ModelConfigError if any coefficient value is non-finite; a
-    negative R is permitted and only flagged.
+    """Check state-weight nonnegativity, flag indefinite control weight (a
+    negative R is permitted).  Every coefficient is finite by construction.
     """
     messages = []
     nv = coeffs.node_values(grid)
-    for name, vals in nv.items():
-        if not np.all(np.isfinite(vals)):
-            raise ModelConfigError(f"coefficient {name} has non-finite values")
     q_ok = bool(np.all(nv["Q"] >= 0.0))
     h_ok = coeffs.H >= 0.0
     r_indef = bool(np.any(nv["R"] < 0.0))

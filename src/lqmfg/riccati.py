@@ -18,6 +18,7 @@ RK4 stepper.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from array import array
 from dataclasses import dataclass
@@ -26,7 +27,8 @@ import numpy as np
 
 from ._pool import _pmap
 from .errors import NonSolvableError, SingularGainError
-from .model import CoefficientSet, TimeGrid, _population_size, half_interp
+from .model import (CoefficientSet, TimeGrid, TimeProfile, _population_size,
+                    half_interp)
 
 
 # fixed guards: least |effective control weight|, largest |solution|
@@ -315,3 +317,39 @@ def gains(sol: RiccatiSolution, coeffs: CoefficientSet) -> GainSchedule:
     _check_weight(alpha[::-1], grid.nodes[::-1])
     return GainSchedule(grid=grid, alpha=alpha, beta=beta, gamma=gamma,
                         delta=delta, N=sol.N)
+
+
+def _least_weight(sched: GainSchedule) -> tuple:
+    """The least effective control weight alpha over the nodes and the
+    first node where it occurs."""
+    k = int(np.argmin(sched.alpha))
+    return float(sched.alpha[k]), float(sched.grid.nodes[k])
+
+
+def convexity_margin(coeffs: CoefficientSet, grid: TimeGrid,
+                     N: int | None = None) -> tuple:
+    """(margin, t): the least weight R + D^2 P over the nodes, and its
+    node, of an agent's deviation form against N - 1 frozen co-players (the
+    limit when N is None); its cost is uniformly convex in its own control
+    exactly when the margin is positive.  The form weighs the state by
+    Q (1 - Gamma/N)^2 and the terminal state by H_e = H (1 - Gamma0/N)^2
+    (Q and H in the limit) and has no f, g, eta, Gamma, eta0 or Gamma0, so
+    K = phi = 0 and solve_limit sweeps P only.  A failed sweep has no
+    regular solution: the margin is then min(0, R(T) + D(T)^2 H_e), at the
+    time its error names.
+    """
+    Q, H = coeffs.Q, coeffs.H
+    if N is not None:
+        inv_n = 1.0 / _population_size(N)
+        nv = coeffs.node_values(grid)
+        Q = TimeProfile.sampled(nv["Q"] * (1.0 - nv["Gamma"] * inv_n) ** 2,
+                                grid)
+        H = H * (1.0 - coeffs.Gamma0 * inv_n) ** 2
+    zero = TimeProfile()
+    form = dataclasses.replace(coeffs, Q=Q, H=H, f=zero, g=zero, eta=zero,
+                               Gamma=zero, eta0=0.0, Gamma0=0.0)
+    try:
+        return _least_weight(gains(solve_limit(form, grid), form))
+    except (SingularGainError, NonSolvableError) as exc:
+        R, D = coeffs.R.at(grid.T), coeffs.D.at(grid.T)
+        return min(0.0, R + D * D * H), float(exc.t)

@@ -25,8 +25,6 @@ from .riccati import GainSchedule, RiccatiSolution
 from .synthesis import StrategyLaw
 
 _PURPOSE_AGENT = 0
-_PURPOSE_PROBE_CONTROL = 1
-_PURPOSE_PROBE_NOISE = 2
 
 _MAX_INDEX = 1 << 24
 
@@ -106,18 +104,6 @@ class AdjointCheckReport:
 
     max_abs: float
     max_rel: float
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """Minimum sampled value of the convexity form and its Monte Carlo error."""
-
-    min_value: float
-    min_stderr: float
-    argmin: int
-    values: np.ndarray
-    stderrs: np.ndarray
-    inner_reps: int
 
 
 def _check_law_grid(law: StrategyLaw, grid: TimeGrid) -> None:
@@ -295,16 +281,17 @@ def simulate_reps(coeffs: CoefficientSet, law: StrategyLaw,
 
 def _population_sums(coeffs: CoefficientSet, law: StrategyLaw,
                      cfg: PopulationConfig, grid: TimeGrid, sizes,
-                     first: int, R: int, keep: int):
+                     first: int, R: int, then=None):
     """Replications first..first+R-1 as the lanes of one kernel call.
 
-    Returns (sums, x0, dW): sums (R, len(sizes), M+1), whose row [r, i] is
-    the sum of the first sizes[i] agents' states of replication first + r
-    in agent order, the bits of states[:sizes[i]].sum(axis=0); and the
-    initial states (R, keep) and increments (R, keep, M) of the first keep
-    agents, as simulate_reps draws them.  No (N, M+1) path array is built,
-    so the law's mean must be precomputed and agents do not interact.  A
-    divergence is reported as simulate_reps reports it.
+    Returns sums (R, len(sizes), M+1), whose row [r, i] is the sum of the
+    first sizes[i] agents' states of replication first + r in agent order,
+    the bits of states[:sizes[i]].sum(axis=0); or, given then, what
+    then(first, sums, x0, dW) returns, x0 (R, N) and dW (R, N, M) the
+    initial states and increments as simulate_reps draws them.  No
+    (N, M+1) path array is built, so the law's mean must be precomputed
+    and agents do not interact.  A divergence is reported as simulate_reps
+    reports it.
     """
     N, M = cfg.N, grid.M
     sqdt = math.sqrt(grid.dt)
@@ -341,15 +328,15 @@ def _population_sums(coeffs: CoefficientSet, law: StrategyLaw,
         # simulate_reps does
         _euler_maruyama(nc, grid.dt, x0, dW, feedback,
                         first + np.arange(R)[:, None])
-    # copies, so that the kept agents do not hold the whole buffers
-    return sums, x0[:, :keep].copy(), dW[:, :keep].copy()
+    return sums if then is None else then(first, sums, x0, dW)
 
 
 def _population_chunks(coeffs: CoefficientSet, law: StrategyLaw,
                        cfg: PopulationConfig, grid: TimeGrid, sizes,
-                       keep: int) -> list:
+                       then=None) -> list:
     """_population_sums over all cfg.reps replications, the calls mapped by
-    _pmap: one (sums, x0, dW) per call, in replication order.
+    _pmap, so that `then` runs in the worker too: one result per call, in
+    replication order.
 
     A call holds at most max(1, _LANES // N) replications.  The calls are
     as few as that allows, rounded up to a multiple of the workers _pmap
@@ -368,7 +355,7 @@ def _population_chunks(coeffs: CoefficientSet, law: StrategyLaw,
     # memory its first one freed
     q, rem = divmod(reps, calls)
     bounds = [i * q + min(i, rem) for i in range(calls + 1)]
-    tasks = [(coeffs, law, cfg, grid, sizes, lo, hi - lo, keep)
+    tasks = [(coeffs, law, cfg, grid, sizes, lo, hi - lo, then)
              for lo, hi in zip(bounds, bounds[1:])]
     return _pool._pmap(_population_sums, tasks, seconds)
 
@@ -471,13 +458,10 @@ def stationarity_residual(paths: list, finN: RiccatiSolution,
 
     nc = coeffs.node_values(grid)
     B, C, D, R, g = (nc[n][:M] for n in ("B", "C", "D", "R", "g"))
-    P = finN.P[:M]
-    K = finN.K[:M]
-    phi = finN.phi[:M]
+    P, K, phi = finN.P[:M], finN.K[:M], finN.phi[:M]
     S = P + K / finN.N
 
-    max_abs = 0.0
-    max_rel = 0.0
+    max_abs = max_rel = 0.0
     for ps in paths:
         x = ps.states[:, :M]
         u = ps.controls
@@ -489,51 +473,6 @@ def stationarity_residual(paths: list, finN: RiccatiSolution,
         max_abs = max(max_abs, float(res.max()))
         max_rel = max(max_rel, float((res / scale).max()))
     return AdjointCheckReport(max_abs=max_abs, max_rel=max_rel)
-
-
-def convexity_probe(coeffs: CoefficientSet, N: int, grid: TimeGrid,
-                    samples: int, seed: int,
-                    inner_reps: int = 256) -> ProbeReport:
-    """Monte Carlo lower-bound probe of the convexity form.
-
-    Each sample draws one piecewise-constant control (standard normal per
-    cell), runs the homogeneous perturbation dynamics from zero under
-    inner_reps independent noise paths, and averages
-
-        int [Q (1-Gamma/N)^2 x^2 + R u^2] dt + H (1-Gamma0/N)^2 x(T)^2.
-
-    A negative minimum (beyond Monte Carlo error) certifies that the
-    quadratic form fails to be convex for this model.
-    """
-    samples = _population_size(samples, "number of samples")
-    what = "population size N and inner_reps each"
-    N, inner_reps = _population_size(N, what), _population_size(inner_reps, what)
-    nc = coeffs.node_values(grid)
-    M, dt = grid.M, grid.dt
-    sqdt = math.sqrt(dt)
-    qeff = nc["Q"] * (1.0 - nc["Gamma"] / N) ** 2
-    heff = coeffs.H * (1.0 - coeffs.Gamma0 / N) ** 2
-    # the perturbation dynamics: no forcing, control u fed open loop
-    zero = np.zeros(M + 1)
-    homogeneous = dict(nc, f=zero, g=zero)
-
-    vals = []
-    for s in range(samples):
-        u = stream(seed, _PURPOSE_PROBE_CONTROL, s, 0).standard_normal(M)
-        dW = stream(seed, _PURPOSE_PROBE_NOISE, s, 0) \
-            .standard_normal((inner_reps, M)) * sqdt
-        x, _ = _euler_maruyama(homogeneous, dt, np.zeros(inner_reps), dW,
-                               lambda k0, w: (0.0, u[k0:k0 + w, None]), s)
-        vals.append(quadrature(dt, qeff * x * x, nc["R"][:M] * u * u)
-                    + heff * x[:, -1] * x[:, -1])
-    vals = np.stack(vals)
-    values = vals.mean(axis=1)
-    stderrs = (vals.std(axis=1, ddof=1) / math.sqrt(inner_reps)
-               if inner_reps > 1 else np.zeros(samples))
-    j = int(np.argmin(values))
-    return ProbeReport(min_value=float(values[j]), min_stderr=float(stderrs[j]),
-                       argmin=j, values=values, stderrs=stderrs,
-                       inner_reps=inner_reps)
 
 
 @dataclass(frozen=True)

@@ -72,10 +72,8 @@ def solve_mean_field(coeffs: CoefficientSet, gains: GainSchedule,
     if gains.grid != grid:
         raise ModelConfigError(f"gains on {gains.grid} do not match the "
                                f"mean-field grid {grid}")
-    ah = half_interp(gains.alpha)
-    bh = half_interp(gains.beta)
-    gh = half_interp(gains.gamma)
-    dh = half_interp(gains.delta)
+    ah, bh, gh, dh = (half_interp(x) for x in (gains.alpha, gains.beta,
+                                               gains.gamma, gains.delta))
     hc = coeffs.half_values(grid)
     lin = hc["A"] - hc["B"] * (bh + gh) / ah
     cst = -hc["B"] * dh / ah + hc["f"]

@@ -14,10 +14,11 @@ from lqmfg.cli import run
 from lqmfg.experiments import epsilon_sweep, nash_gap
 from lqmfg.model import (CoefficientSet, InitialLaw, TimeGrid,
                          canonical_fingerprint)
-from lqmfg.riccati import gains, solve_finite_N, solve_limit
-from lqmfg.sim import (PopulationConfig, convexity_probe, cost_decomposition,
-                       simulate, stationarity_residual)
+from lqmfg.riccati import convexity_margin, gains, solve_finite_N, solve_limit
+from lqmfg.sim import (PopulationConfig, cost_decomposition, simulate,
+                       stationarity_residual)
 from lqmfg.synthesis import StrategyLaw, make_law, solve_mean_field
+from oracles import convexity_probe
 
 ALL_ONES = CoefficientSet.from_constants(A=1, B=1, C=1, D=1, f=1, g=1, Q=1,
                                          R=1, Gamma=1, eta=1, H=1, Gamma0=1,
@@ -159,17 +160,22 @@ def test_criterion_09_nash_gap_trend():
 
 
 def test_criterion_10_convexity_probe():
-    # (a) all-ones: sampled minimum not significantly negative;
-    # (b) Q=H=0, R=-1: a negative value is found; < 1 min
+    # (a) all-ones: sampled minimum not significantly negative, and the
+    # exact margin positive, R + D^2 H (1 - 1/N)^2 at T; (b) Q=H=0, R=-1: a
+    # negative value is found, and the margin is R; < 1 min.  The Monte
+    # Carlo probe lives in the tests as the margin's independent oracle
     grid = TimeGrid(T=1.0, M=200)
     report = convexity_probe(ALL_ONES, N=50, grid=grid, samples=64, seed=7)
     assert report.min_value >= -3.0 * report.min_stderr
+    margin, t = convexity_margin(ALL_ONES, grid, 50)
+    assert (margin, t) == (1.0 + (1.0 - 1.0 / 50) ** 2, 1.0)
 
     concave = CoefficientSet.from_constants(A=0.3, B=1, C=0.2, D=0.5, f=0,
                                             g=0, Q=0, R=-1, Gamma=0.5, eta=0,
                                             H=0, Gamma0=0.5, eta0=0)
     report = convexity_probe(concave, N=50, grid=grid, samples=64, seed=7)
     assert report.min_value < 0.0
+    assert convexity_margin(concave, grid, 50) == (-1.0, 0.0)
 
 
 CLI_CONFIG = {
@@ -325,20 +331,23 @@ def test_criterion_11_manifests_are_pinned(tmp_path):
     # write, less duration_seconds, plus validate on both configs: the
     # results, study metadata, config fingerprints and assumption flags.
     # The seven whose results carry a moved solver or Monte Carlo value were
-    # re-pinned with the tables above when the RK4 steps were reordered
+    # re-pinned with the tables above when the RK4 steps were reordered.
+    # validate, solve-riccati, epsilon-sweep, nash-gap and figures were
+    # re-pinned when their results gained convexity_margin,
+    # convexity_margin_t and convex; no table byte moved
     jobs = (
-        (CLI_CONFIG, "validate", [], "71207bb98491fbc28a841cf20d833d6e"
-                                     "a82a4d2026043d1bf880a491fc75625e"),
+        (CLI_CONFIG, "validate", [], "cac8d1708a14740dd30f202cab489922"
+                                     "0f2627d754c14bd8cb5621812fe3e1be"),
         (CLI_CONFIG, "simulate", [], "759f042e3d6235d25c23de07bd900a4e"
                                      "dee060a46357309acf3e78d2d38fa104"),
-        (CLI_CONFIG, "epsilon-sweep", [], "6c7a49c9a7bbd69297db52f39660f745"
-                                          "cc23337b5f5aa87b685af09c4ab20813"),
-        (CLI_CONFIG, "nash-gap", [], "ea519e769e9ae95a05399a4a13d0ce49"
-                                     "99b59117f85013b672e50073388bdcc4"),
-        (MIXED_CONFIG, "validate", [], "636f961932f12b47dbd3381cabdd41ab"
-                                       "601dac7760693a8d70596c27f56d4736"),
+        (CLI_CONFIG, "epsilon-sweep", [], "ae81f3e5457f243ec32250a017c2ffac"
+                                          "04af160e374579d8fe8863888aa4abe1"),
+        (CLI_CONFIG, "nash-gap", [], "2df911f34268cb5bd1320c3e66f1aa65"
+                                     "a33cb0c024e7fcbeee6d85a9697f8e4c"),
+        (MIXED_CONFIG, "validate", [], "2ae160d2c916b50daa0e64f2dd35c977"
+                                       "52283743962ad761bd35aa5995e3abcb"),
         (MIXED_CONFIG, "solve-riccati", ["--population", "6"],
-         "59774d93b24e8d2aeb15b54b3de82243e421f194b0d4ead11fb79715aae0e01d"),
+         "11025ab626d95127f0caafb0fcbf2add582b39ec13d08686647911f10175d419"),
         (MIXED_CONFIG, "mean-field", [], "22a12d0af1758ddf9fe028846f652e95"
                                          "28ba12a731eb44062e9b2656def99593"),
         (MIXED_CONFIG, "simulate",
@@ -348,8 +357,8 @@ def test_criterion_11_manifests_are_pinned(tmp_path):
          "af0bf2ec6c8795329f0b0c8b4e071127d50322cbb7fb3091f573622fc668b90e"),
         (MIXED_CONFIG, "riccati-convergence", [],
          "c76a58af1526282cc9d3ca7dab650711905e699f2b7bb0b5ab67448bbc575668"),
-        (MIXED_CONFIG, "figures", [], "0c6d47bc441d2812ac031fbe97a06ebe"
-                                      "3089b0508305a03acfdc11eede293708"),
+        (MIXED_CONFIG, "figures", [], "cdca7e67719182fc8e798734e6a0c552"
+                                      "0b903459ea8537dfd9228510a55df673"),
     )
     for k, (cfg, sub, extra, digest) in enumerate(jobs):
         cfg_path = tmp_path / f"cfg{k}.json"

@@ -676,3 +676,32 @@ def test_a_dead_pool_worker_exits_5_with_manifest(tmp_path, monkeypatch,
     assert "pool worker" in manifest["error"]
     assert manifest["outputs"] == []
     assert os.listdir(out) == ["manifest.json"]
+
+
+def test_manifests_report_the_convexity_margin(tmp_path, capsys):
+    # criterion 10(b)'s model (Q = H = 0, R = -1) has a cost unbounded below
+    # in the agent's own control: every command still exits 0, and reports
+    # convex false with one note on stderr; all-ones is convex, without one
+    concave = dict(A=0.3, B=1, C=0.2, D=0.5, f=0, g=0, Q=0, R=-1, Gamma=0.5,
+                   eta=0, H=0, Gamma0=0.5, eta0=0)
+    sections = {"epsilon_sweep": {"Ns": [2, 4], "reps": 2},
+                "nash_gap": {"N": 4, "reps": 2}}
+    for coefficients, convex in ((concave, False), (ALL_ONES, True)):
+        cfg = make_config(tmp_path, coefficients=coefficients,
+                          experiments=sections)
+        for sub in ("validate", "solve-riccati", "epsilon-sweep",
+                    "nash-gap"):
+            out = tmp_path / f"{sub}-{convex}"
+            assert run([sub, "--config", cfg, "--out-dir", str(out)]) == 0
+            results = read_manifest(out)["results"]
+            assert results["convex"] is convex
+            assert (results["convexity_margin"] > 0.0) is convex
+            notes = [line for line in capsys.readouterr().err.splitlines()
+                     if line.startswith("note:")]
+            assert len(notes) == (0 if convex else 1), sub
+        if not convex:
+            assert results["convexity_margin"] == -1.0
+    # the limit margin of solve-riccati is its alpha column's least value,
+    # and the terminal weight R + D^2 H of all-ones is 2
+    assert read_manifest(tmp_path / "solve-riccati-True")["results"][
+        "convexity_margin"] == 2.0

@@ -337,8 +337,9 @@ def test_population_sums_match_full_paths(fixture, monkeypatch):
             for lanes in (sim._LANES, 8):
                 with monkeypatch.context() as patch:
                     patch.setattr(sim, "_LANES", lanes)
-                    chunks = sim._population_chunks(coeffs, law, pop, grid,
-                                                    sizes, keep=N)
+                    chunks = sim._population_chunks(
+                        coeffs, law, pop, grid, sizes,
+                        lambda first, *arrays: arrays)
                 calls = -(-5 // max(1, lanes // N))
                 assert [len(sums) for sums, _, _ in chunks] == [
                     5 // calls + (i < 5 % calls) for i in range(calls)]
@@ -374,9 +375,8 @@ def test_population_sums_equal_full_path_sums(case):
     law, = _build_laws([("decentralized", None)], ALL_ONES, grid, UNIFORM)
     pop = PopulationConfig(N=N, reps=reps, master_seed=seed, initial=UNIFORM)
     with mock.patch.object(sim, "_LANES", lanes):
-        chunks = sim._population_chunks(ALL_ONES, law, pop, grid, sizes,
-                                        keep=0)
-    got = np.concatenate([sums for sums, _, _ in chunks])
+        chunks = sim._population_chunks(ALL_ONES, law, pop, grid, sizes)
+    got = np.concatenate(chunks)
     want = [[ps.states[:n].sum(axis=0) for n in sizes]
             for ps in simulate(ALL_ONES, law, pop, grid)]
     assert np.array_equal(got, want)
@@ -402,7 +402,7 @@ def test_population_sums_refuse_a_realized_mean_law():
     cfg = PopulationConfig(N=4, reps=2, master_seed=1, initial=UNIFORM)
     with pytest.raises(ModelConfigError, match="precomputed mean"):
         sim._population_chunks(ALL_ONES, make_law("meanfield-informed", gl),
-                               cfg, grid, (4,), keep=0)
+                               cfg, grid, (4,))
 
 
 def use_scheduler(patch, scheduler):

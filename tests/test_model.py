@@ -19,6 +19,7 @@ from lqmfg.model import (
     parse_initial_law,
     validate,
 )
+from lqmfg.riccati import solve_limit
 
 
 def test_grid_nodes_hit_endpoints_exactly():
@@ -109,6 +110,53 @@ def test_library_constructors_read_numbers_as_the_config_does():
     with pytest.raises(ModelConfigError, match="must be finite, got nan"):
         InitialLaw.point(float("nan"))
     assert TimeProfile.constant("2.5").value == 2.5
+
+
+def solve_with_A(profile):
+    """P(0) of the limit system with A set to profile, at M = 10."""
+    grid = TimeGrid(T=1.0, M=10)
+    coeffs = dataclasses.replace(
+        CoefficientSet.from_constants(B=1.0, Q=1.0, R=1.0, H=1.0), A=profile)
+    return solve_limit(coeffs, grid).P[0]
+
+
+def test_profile_constructor_rejects_a_bool():
+    # True once solved silently as A = 1
+    with pytest.raises(ModelConfigError,
+                       match="constant coefficient must be a number, "
+                             "got True"):
+        solve_with_A(TimeProfile(value=True))
+
+
+def test_profile_constructor_reads_a_numeric_string():
+    # "3" once raised a raw numpy UFuncTypeError in the solver
+    profile = TimeProfile(value="3")
+    assert profile.value == 3.0
+    assert solve_with_A(profile) == solve_with_A(TimeProfile.constant(3.0))
+
+
+def test_profile_constructor_rejects_none():
+    # None once raised a raw TypeError in the solver
+    with pytest.raises(ModelConfigError,
+                       match="constant coefficient is not numeric: None"):
+        solve_with_A(TimeProfile(value=None))
+
+
+def test_profile_constructor_rejects_nan():
+    # nan once raised a misleading NonSolvableError, P left [-1e8, 1e8]
+    with pytest.raises(ModelConfigError,
+                       match="constant coefficient must be finite, got nan"):
+        solve_with_A(TimeProfile(value=float("nan")))
+
+
+def test_profile_constructor_checks_the_sample_count():
+    # two values on a ten-step grid were once accepted
+    with pytest.raises(ModelConfigError,
+                       match="sampled profile needs M\\+1=11 values"):
+        TimeProfile(values=(1.0, 2.0), grid=TimeGrid(1.0, 10))
+    # and without a grid they were read as the constant 0
+    with pytest.raises(ModelConfigError, match="values need a grid"):
+        TimeProfile(values=(1.0, 2.0))
 
 
 def test_coefficient_set_stores_terminal_scalars_as_floats():

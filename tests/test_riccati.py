@@ -16,11 +16,13 @@ from lqmfg.riccati import (
     RiccatiSolution,
     _rk4_affine,
     _stage_rows,
+    convexity_margin,
     gains,
     solve_finite_N,
     solve_limit,
 )
 from lqmfg.synthesis import solve_mean_field
+from oracles import convexity_probe, em_margin
 
 ALL_ONES = CoefficientSet.from_constants(A=1, B=1, C=1, D=1, f=1, g=1,
                                          Q=1, R=1, Gamma=1, eta=1,
@@ -493,3 +495,69 @@ def test_gains_report_a_sign_change_between_nodes():
     with pytest.raises(SingularGainError, match="changes sign") as exc:
         gains(RiccatiSolution(grid=grid, P=P, K=z, phi=z), coeffs)
     assert exc.value.t == pytest.approx(0.5)
+
+
+
+def test_margin_of_a_failed_sweep_agrees_with_the_probe():
+    # the weight R + D^2 P = T - t - 0.5 changes sign at t = 0.5, so the
+    # sweep fails and the margin is the terminal weight R + D^2 H = -0.5;
+    # the Monte Carlo probe of the same form finds a negative value.
+    # Criterion 10 compares the two on all-ones and on its model (b)
+    grid = TimeGrid(T=1.0, M=200)
+    coeffs = CoefficientSet.from_constants(**SIGN_CHANGE)
+    margin, t = convexity_margin(coeffs, grid, 50)
+    assert margin == -0.5
+    assert abs(t - 0.5) <= grid.dt
+    assert convexity_probe(coeffs, 50, grid, samples=64, seed=7).min_value < 0
+
+
+def test_margin_of_a_blown_up_sweep_is_the_terminal_weight():
+    # R < 0 with D = 0: the weight stays -1 while P blows up backward
+    grid = TimeGrid(T=2.0, M=200)
+    coeffs = CoefficientSet.from_constants(B=1.0, Q=1.0, R=-1.0, H=1.0)
+    with pytest.raises(NonSolvableError) as exc:
+        solve_limit(coeffs, grid)
+    assert convexity_margin(coeffs, grid) == (-1.0, exc.value.t)
+
+
+def time_varying(grid):
+    # R dips to 0.2 at t = 0.4; Q and Gamma are sampled too
+    t = grid.nodes
+    base = CoefficientSet.from_constants(A=0.3, B=1.0, C=0.4, D=0.8, f=1.0,
+                                         g=1.0, eta=1.0, H=0.5, Gamma0=0.5,
+                                         eta0=1.0)
+    return dataclasses.replace(
+        base, R=TimeProfile.sampled(0.2 + 0.5 * (t - 0.4) ** 2, grid),
+        Q=TimeProfile.sampled(1.0 + 0.5 * np.sin(4.0 * t), grid),
+        Gamma=TimeProfile.sampled(0.5 + 0.3 * np.cos(2.0 * t), grid))
+
+
+@pytest.mark.parametrize("N", [None, 5])
+def test_margin_converges_to_the_euler_maruyama_recursion(N):
+    # the scheme's own backward Riccati recursion is first order in dt, so
+    # its least weight closes on the margin about 2x per halving of dt
+    gaps = []
+    for M in (200, 400, 800):
+        grid = TimeGrid(T=1.0, M=M)
+        coeffs = time_varying(grid)
+        margin, _ = convexity_margin(coeffs, grid, N)
+        assert margin > 0.0
+        gaps.append(abs(margin - em_margin(coeffs, grid, N)))
+    assert gaps[0] < 5e-3
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 1.8 <= coarse / fine <= 2.2
+
+
+def test_margin_weighs_sampled_profiles_by_the_population():
+    # at N the form is the limit form of Q (1 - Gamma/N)^2 and
+    # H (1 - Gamma0/N)^2 with no forcing, sampled node by node
+    grid = TimeGrid(T=1.0, M=100)
+    coeffs = time_varying(grid)
+    nv = coeffs.node_values(grid)
+    zero = TimeProfile.constant(0.0)
+    form = dataclasses.replace(
+        coeffs, Q=TimeProfile.sampled(nv["Q"] * (1 - nv["Gamma"] / 5) ** 2,
+                                      grid),
+        H=0.5 * (1 - 0.5 / 5) ** 2, Gamma=zero, Gamma0=0.0, f=zero, g=zero)
+    assert convexity_margin(coeffs, grid, 5) == convexity_margin(form, grid)
+    assert convexity_margin(coeffs, grid, 5) != convexity_margin(coeffs, grid)

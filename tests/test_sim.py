@@ -18,7 +18,6 @@ from lqmfg.sim import (
     AdjointCheckReport,
     PathSet,
     PopulationConfig,
-    convexity_probe,
     cost_decomposition,
     costs_all_agents,
     simulate,
@@ -31,6 +30,7 @@ from lqmfg.sim import (
     _key,
     _replay_lanes,
 )
+from oracles import convexity_probe
 
 ALL_ONES = CoefficientSet.from_constants(A=1, B=1, C=1, D=1, f=1, g=1,
                                          Q=1, R=1, Gamma=1, eta=1,
@@ -344,20 +344,16 @@ def test_library_seeds_are_checked():
     # a seed keys a 64-bit Philox stream: an integer in [0, 2^64), not a
     # bool, a fraction or a string
     law = InitialLaw.point(0.0)
-    grid = TimeGrid(T=1.0, M=4)
     for seed in (-1, 2**64, 1.5, True, "3", None):
         message = f"seed must be an integer in \\[0, 2\\^64\\), got {seed!r}"
         for check in (
                 lambda: PopulationConfig(N=2, reps=1, master_seed=seed,
                                          initial=law),
-                lambda: stream(seed, 0, 0, 0),
-                lambda: convexity_probe(ALL_ONES, 2, grid, samples=1,
-                                        seed=seed, inner_reps=2)):
+                lambda: stream(seed, 0, 0, 0)):
             with pytest.raises(ModelConfigError, match=message):
                 check()
     for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
         PopulationConfig(N=2, reps=1, master_seed=seed, initial=law)
-        convexity_probe(ALL_ONES, 2, grid, samples=1, seed=seed, inner_reps=2)
         assert stream(seed, 0, 0, 0).bit_generator.state["state"]["key"][0] \
             == int(seed)
 
@@ -747,27 +743,6 @@ def test_probe_nonnegative_for_convex_data():
     again = convexity_probe(ALL_ONES, 32, grid, samples=8, seed=5,
                             inner_reps=64)
     np.testing.assert_array_equal(report.values, again.values)
-
-
-def test_probe_rejects_empty_population_and_inner_reps():
-    grid = TimeGrid(T=1.0, M=20)
-    for N, inner_reps in ((0, 4), (-1, 4), (4, 0)):
-        with pytest.raises(ModelConfigError, match="inner_reps"):
-            convexity_probe(ALL_ONES, N, grid, samples=2, seed=5,
-                            inner_reps=inner_reps)
-
-
-def test_probe_rejects_sizes_that_are_not_integers():
-    # 1.5 samples once raised a raw TypeError from range(); N = 2.5 and
-    # samples=True were accepted
-    grid = TimeGrid(T=1.0, M=20)
-    for kw, what in ((dict(samples=1.5), "samples"),
-                     (dict(samples=True), "samples"),
-                     (dict(N=2.5), "population size"),
-                     (dict(inner_reps=1.5), "inner_reps")):
-        with pytest.raises(ModelConfigError, match=what):
-            convexity_probe(ALL_ONES, grid=grid, seed=5,
-                            **{**dict(N=4, samples=2, inner_reps=4), **kw})
 
 
 def test_probe_detects_indefinite_form():
