@@ -209,7 +209,6 @@ def _cmd_validate(args, cfg, coeffs, grid, initial, seed):
         "q_nonnegative": report.q_nonnegative,
         "h_nonnegative": report.h_nonnegative,
         "r_indefinite": report.r_indefinite,
-        "all_finite": report.all_finite,
         "standing_assumptions_hold": report.a3_holds,
         **_convexity(*convexity_margin(coeffs, grid)),
     }

@@ -194,26 +194,34 @@ class InitialLaw:
     a: float = 0.0            # uniform: lower; gaussian: mean; point: value
     b: float = 0.0            # uniform: upper; gaussian: variance
 
-    @staticmethod
-    def uniform(a: float, b: float) -> "InitialLaw":
-        a, b = (_number(v, "uniform support bound") for v in (a, b))
-        law = InitialLaw(kind="uniform", a=a, b=b)
+    def __post_init__(self):
+        kind = self.kind
+        if not isinstance(kind, str) or kind not in _INITIAL_KEYS:
+            raise ModelConfigError(f"unknown initial law kind {kind!r}")
+        what = dict(uniform="uniform support bound", point="point mass",
+                    gaussian="gaussian parameter")[kind]
+        a, b = (_number(v, what) for v in (self.a, self.b))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
         # b - a and the mean must be finite too: the sampler draws
         # a + (b - a) u, and the mean-field path starts at the mean
-        if not (math.isfinite(b - a) and a <= b and math.isfinite(law.mean)):
+        if kind == "uniform" and not (
+                math.isfinite(b - a) and a <= b and math.isfinite(self.mean)):
             raise ModelConfigError(f"bad uniform support [{a}, {b}]")
-        return law
+        if kind == "gaussian" and b < 0.0:
+            raise ModelConfigError(f"bad gaussian parameters mean={a}, var={b}")
+
+    @staticmethod
+    def uniform(a: float, b: float) -> "InitialLaw":
+        return InitialLaw(kind="uniform", a=a, b=b)
 
     @staticmethod
     def gaussian(mean: float, var: float) -> "InitialLaw":
-        mean, var = (_number(v, "gaussian parameter") for v in (mean, var))
-        if var < 0.0:
-            raise ModelConfigError(f"bad gaussian parameters mean={mean}, var={var}")
         return InitialLaw(kind="gaussian", a=mean, b=var)
 
     @staticmethod
     def point(c: float) -> "InitialLaw":
-        return InitialLaw(kind="point", a=_number(c, "point mass"))
+        return InitialLaw(kind="point", a=c)
 
     @property
     def mean(self) -> float:
@@ -294,7 +302,6 @@ class ValidationReport:
     q_nonnegative: bool
     h_nonnegative: bool
     r_indefinite: bool
-    all_finite: bool
     messages: tuple
 
     @property
@@ -318,8 +325,7 @@ def validate(coeffs: CoefficientSet, grid: TimeGrid) -> ValidationReport:
     if r_indef:
         messages.append("indefinite control weight: R < 0 at some node (allowed)")
     return ValidationReport(q_nonnegative=q_ok, h_nonnegative=h_ok,
-                            r_indefinite=r_indef, all_finite=True,
-                            messages=tuple(messages))
+                            r_indefinite=r_indef, messages=tuple(messages))
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +379,10 @@ def parse_initial_law(cfg: dict) -> InitialLaw:
     try:
         section = cfg["initial"]
         kind = section["kind"]
-        keys = _INITIAL_KEYS.get(kind) if isinstance(kind, str) else None
-        if keys is not None:
-            return getattr(InitialLaw, kind)(*(section[k] for k in keys))
+        keys = _INITIAL_KEYS.get(kind, ()) if isinstance(kind, str) else ()
+        return InitialLaw(kind, *(section[k] for k in keys))
     except (KeyError, TypeError) as exc:
         raise ModelConfigError(f"bad or missing initial-law section: {exc}") from exc
-    raise ModelConfigError(f"unknown initial law kind {kind!r}")
 
 
 def _unique_keys(pairs) -> dict:

@@ -11,14 +11,16 @@ fixed-step fourth-order Runge-Kutta running backward from t = T:
 
 Stage evaluations at half steps use piecewise-linear interpolation of both
 the model coefficients and the already-computed solution components, the
-same rule the rest of the package uses for time profiles.  The linear
-equations (phi, phi_N, and the forward mean-field ODE) share one affine
-RK4 stepper.
+same rule the rest of the package uses for time profiles.  The nonlinear
+sweeps step inline over one row of coefficient floats per half-grid point,
+and the linear equations (phi, phi_N, and the forward mean-field ODE)
+share one affine RK4 stepper.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -61,26 +63,29 @@ class GainSchedule:
     N: int | None = None
 
 
-def _rk4_scalar(f, out: list, grid: TimeGrid, name: str) -> None:
-    """Integrate y' = f(j, y) backward from out[M] at t=T, writing y(t_k)
-    to out[k]; j indexes the half grid.  Raises NonSolvableError once y
-    leaves (-_BLOW_UP_BOUND, _BLOW_UP_BOUND); out keeps the nodes reached."""
-    M, dt = grid.M, grid.dt
-    h, bound = -dt, _BLOW_UP_BOUND
-    hh, h6, lo = 0.5 * h, h / 6.0, -bound
-    y = out[M]
-    for k in range(M - 1, -1, -1):
-        j = 2 * k
-        k1 = f(j + 2, y)
-        k2 = f(j + 1, y + hh * k1)
-        k3 = f(j + 1, y + hh * k2)
-        k4 = f(j, y + h * k3)
-        y = y + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-        if not lo < y < bound:
-            raise NonSolvableError(
-                f"{name} left [-{bound:g}, {bound:g}] near t={k * dt:.6g}",
-                t=k * dt)
-        out[k] = y
+def _rows(*cols) -> list:
+    """One tuple per half-grid point of the columns' values there, as
+    floats.  A column constant in time, bit for bit, gives every tuple the
+    same float, and when every column is, every point the same tuple."""
+    n = cols[0].size
+    const = [(x.view(np.int64) == x.view(np.int64)[0]).all() for x in cols]
+    if all(const):
+        return [tuple(float(x[0]) for x in cols)] * n
+    return list(zip(*(itertools.repeat(float(x[0]), n) if c else x.tolist()
+                      for x, c in zip(cols, const))))
+
+
+def _blow_up(name: str, t: float, bound: float = _BLOW_UP_BOUND):
+    """The error for `name` leaving (-bound, bound) near time t."""
+    return NonSolvableError(
+        f"{name} left [-{bound:g}, {bound:g}] near t={t:.6g}", t=t)
+
+
+def _small_weight(what: str, j: int, dt: float):
+    """The error for the weight `what` below _ALPHA_MIN at half point j."""
+    t = j * dt / 2
+    return SingularGainError(f"effective control weight |{what}| < "
+                             f"{_ALPHA_MIN:g} at t={t:.6g}", t=t)
 
 
 def _stage_rows(x: np.ndarray, backward: bool = True) -> np.ndarray:
@@ -119,9 +124,7 @@ def _rk4_affine(v: np.ndarray, u: np.ndarray, y0: float, grid: TimeGrid,
     bad = np.flatnonzero(~(np.abs(out[1:]) < bound))
     if bad.size:
         k = M - 1 - int(bad[0]) if backward else int(bad[0]) + 1
-        raise NonSolvableError(
-            f"{name} left [-{bound:g}, {bound:g}] near t={k * dt:.6g}",
-            t=k * dt)
+        raise _blow_up(name, k * dt, bound)
     return out[::-1].copy() if backward else out
 
 
@@ -140,56 +143,81 @@ def _check_weight(alpha: np.ndarray, t: np.ndarray) -> None:
                                 f"t={t[i]:.6g}", t=float(t[i]))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_limit(coeffs: CoefficientSet, grid: TimeGrid) -> RiccatiSolution:
     """Solve the limiting backward system (P, K, phi) on the grid.
 
     P first (rational autonomous form), then K (quadratic, coefficients from
     P), then phi (linear, coefficients from P and K).  Raises
     SingularGainError if the effective weight R + D^2 P falls below
-    _ALPHA_MIN in magnitude or changes sign, NonSolvableError on blow-up.
+    _ALPHA_MIN in magnitude or changes sign, NonSolvableError on blow-up,
+    which is also what a coefficient product that overflows leads to.
     """
     hc = coeffs.half_values(grid)
-    M, dt = grid.M, grid.dt
-    amin = _ALPHA_MIN
+    M, dt, amin, bound = grid.M, grid.dt, _ALPHA_MIN, _BLOW_UP_BOUND
+    h, hh, h6 = -dt, -0.5 * dt, -dt / 6.0
 
     # P' = -(2A + C^2) P - Q + (B + C D)^2 P^2 / (R + D^2 P)
-    lin = (2.0 * hc["A"] + hc["C"] ** 2).tolist()
-    src = hc["Q"].tolist()
-    num = ((hc["B"] + hc["C"] * hc["D"]) ** 2).tolist()
-    rr = hc["R"].tolist()
-    d2 = (hc["D"] ** 2).tolist()
-
-    def f_p(j, y):
-        den = rr[j] + d2[j] * y
-        if -amin < den < amin:
-            raise SingularGainError(
-                f"effective control weight |R + D^2 P| < {amin:g} "
-                f"at t={j * dt / 2:.6g}", t=j * dt / 2)
-        return -lin[j] * y - src[j] + num[j] * y * y / den
-
-    P = [math.nan] * M + [coeffs.H]
+    rows = _rows(2.0 * hc["A"] + hc["C"] ** 2, hc["Q"],
+                 (hc["B"] + hc["C"] * hc["D"]) ** 2, hc["R"], hc["D"] ** 2)
+    y = coeffs.H
+    P = [math.nan] * M + [y]
+    row = rows[2 * M]
     try:
-        _rk4_scalar(f_p, P, grid, "P")
+        for k in range(M - 1, -1, -1):
+            j = 2 * k
+            ((l0, q0, n0, r0, e0), (l1, q1, n1, r1, e1),
+             (l2, q2, n2, r2, e2)) = row, rows[j + 1], rows[j]
+            if -amin < (den := r0 + e0 * y) < amin:
+                raise _small_weight("R + D^2 P", j + 2, dt)
+            k1 = -l0 * y - q0 + n0 * y * y / den
+            y2 = y + hh * k1
+            if -amin < (den := r1 + e1 * y2) < amin:
+                raise _small_weight("R + D^2 P", j + 1, dt)
+            k2 = -l1 * y2 - q1 + n1 * y2 * y2 / den
+            y3 = y + hh * k2
+            if -amin < (den := r1 + e1 * y3) < amin:
+                raise _small_weight("R + D^2 P", j + 1, dt)
+            k3 = -l1 * y3 - q1 + n1 * y3 * y3 / den
+            y4 = y + h * k3
+            if -amin < (den := r2 + e2 * y4) < amin:
+                raise _small_weight("R + D^2 P", j, dt)
+            k4 = -l2 * y4 - q2 + n2 * y4 * y4 / den
+            y = y + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+            if not -bound < y < bound:
+                raise _blow_up("P", k * dt)
+            P[k], row = y, rows[j]
     finally:
         # alpha on the half grid, from P interpolated at half steps; a sign
         # change the sweep passed before a failure is the failure's cause
+        del rows    # each sweep's rows are its peak memory
         Ph = half_interp(P)
         alpha_h = hc["R"] + hc["D"] ** 2 * Ph
         _check_weight(alpha_h[::-1], np.arange(2 * M, -1, -1) * dt / 2)
-    del lin, src, num, rr, d2    # each sweep's lists are its peak memory
     beta_h = hc["B"] * Ph + Ph * hc["C"] * hc["D"]
 
     # K' = Q Gamma + 2[B alpha^-1 beta - A] K + alpha^-1 B^2 K^2
-    k0 = (hc["Q"] * hc["Gamma"]).tolist()
-    k1c = (2.0 * (hc["B"] * beta_h / alpha_h - hc["A"])).tolist()
-    k2c = (hc["B"] ** 2 / alpha_h).tolist()
-
-    def f_k(j, y):
-        return k0[j] + (k1c[j] + k2c[j] * y) * y
-
-    K = [math.nan] * M + [-coeffs.H * coeffs.Gamma0]
-    _rk4_scalar(f_k, K, grid, "K")
-    del k0, k1c, k2c
+    rows = _rows(hc["Q"] * hc["Gamma"],
+                 2.0 * (hc["B"] * beta_h / alpha_h - hc["A"]),
+                 hc["B"] ** 2 / alpha_h)
+    y = -coeffs.H * coeffs.Gamma0
+    K = [math.nan] * M + [y]
+    row = rows[2 * M]
+    for k in range(M - 1, -1, -1):
+        j = 2 * k
+        (u0, v0, w0), (u1, v1, w1), (u2, v2, w2) = row, rows[j + 1], rows[j]
+        k1 = u0 + (v0 + w0 * y) * y
+        y2 = y + hh * k1
+        k2 = u1 + (v1 + w1 * y2) * y2
+        y3 = y + hh * k2
+        k3 = u1 + (v1 + w1 * y3) * y3
+        y4 = y + h * k3
+        k4 = u2 + (v2 + w2 * y4) * y4
+        y = y + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+        if not -bound < y < bound:
+            raise _blow_up("K", k * dt)
+        K[k], row = y, rows[j]
+    del rows
 
     # phi' = [(KB + beta) alpha^-1 B - A] phi
     #        + (KB + beta) alpha^-1 P g D - f (P + K) - C P g + Q eta
@@ -204,82 +232,90 @@ def solve_limit(coeffs: CoefficientSet, grid: TimeGrid) -> RiccatiSolution:
     return RiccatiSolution(grid, np.asarray(P), np.asarray(K), phi)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_finite_N(coeffs: CoefficientSet, N: int,
                    grid: TimeGrid) -> RiccatiSolution:
     """Solve the coupled population system (P_N, K_N, phi_N) for N agents,
     N an integer >= 1: (P_N, K_N) in completed-square form, then phi_N by
-    _rk4_affine from their stage points."""
+    _rk4_affine from their stage points; errors as in solve_limit."""
     N = _population_size(N)
     hc = coeffs.half_values(grid)
-    M, dt = grid.M, grid.dt
-    h = -dt
-    hh, h6 = 0.5 * h, h / 6.0
-    amin, bound, inv_n = _ALPHA_MIN, _BLOW_UP_BOUND, 1.0 / N
-
-    qe = hc["Q"] * (1.0 - hc["Gamma"] * inv_n)
-    rv, d2v, bv, cdv, a2v, c2v, qev, qgv = (x.tolist() for x in (
-        hc["R"], hc["D"] ** 2, hc["B"], hc["C"] * hc["D"], 2.0 * hc["A"],
-        hc["C"] ** 2, qe, qe * hc["Gamma"]))
+    M, dt, amin, bound = grid.M, grid.dt, _ALPHA_MIN, _BLOW_UP_BOUND
+    h, hh, h6, inv_n = -dt, -0.5 * dt, -dt / 6.0, 1.0 / N
 
     # with s = P + K/N, alpha = R + D^2 s, beta = BP + CDs, gamma = BK:
     # P' = -2AP + beta^2/alpha - C^2 s - Q_e, Q_e = Q(1 - Gamma/N), and
-    # K' = -2AK + gamma(2 beta + gamma)/alpha + Q_e Gamma
-    def rhs(j, p, k):
-        s = p + k * inv_n
-        alpha = rv[j] + d2v[j] * s
-        if -amin < alpha < amin:
-            raise SingularGainError(
-                f"effective control weight |alpha_N| < {amin:g} "
-                f"at t={j * dt / 2:.6g}", t=j * dt / 2)
-        beta = bv[j] * p + cdv[j] * s
-        gamma = bv[j] * k
-        return (beta * beta / alpha - a2v[j] * p - c2v[j] * s - qev[j],
-                gamma * (2.0 * beta + gamma) / alpha - a2v[j] * k + qgv[j])
-
+    # K' = -2AK + gamma(2 beta + gamma)/alpha + Q_e Gamma; a row holds
+    # (R, D^2, B, CD, 2A, C^2, Q_e, Q_e Gamma)
+    qe = hc["Q"] * (1.0 - hc["Gamma"] * inv_n)
+    rows = _rows(hc["R"], hc["D"] ** 2, hc["B"], hc["C"] * hc["D"],
+                 2.0 * hc["A"], hc["C"] ** 2, qe, qe * hc["Gamma"])
     scale = coeffs.H * (1.0 - coeffs.Gamma0 * inv_n)
     p, k = scale, -scale * coeffs.Gamma0
     P = array("d", [math.nan] * M + [p])
     K = array("d", [math.nan] * M + [k])
     pts = array("d")    # (P, K) at the four stages of each step taken
+    row = rows[2 * M]
     try:
         for step in range(M - 1, -1, -1):
             j = 2 * step
-            a1, b1 = rhs(j + 2, p, k)
-            p2, k2 = p + hh * a1, k + hh * b1
-            a2, b2 = rhs(j + 1, p2, k2)
-            p3, k3 = p + hh * a2, k + hh * b2
-            a3, b3 = rhs(j + 1, p3, k3)
-            p4, k4 = p + h * a3, k + h * b3
-            a4, b4 = rhs(j, p4, k4)
+            ((r0, e0, b0, x0, a0, c0, q0, g0),
+             (r1, e1, b1, x1, a1, c1, q1, g1),
+             (r2, e2, b2, x2, a2, c2, q2, g2)) = row, rows[j + 1], rows[j]
+            s = p + k * inv_n
+            if -amin < (alpha := r0 + e0 * s) < amin:
+                raise _small_weight("alpha_N", j + 2, dt)
+            beta, gamma = b0 * p + x0 * s, b0 * k
+            dp1 = beta * beta / alpha - a0 * p - c0 * s - q0
+            dk1 = gamma * (2.0 * beta + gamma) / alpha - a0 * k + g0
+            p2, k2 = p + hh * dp1, k + hh * dk1
+            s = p2 + k2 * inv_n
+            if -amin < (alpha := r1 + e1 * s) < amin:
+                raise _small_weight("alpha_N", j + 1, dt)
+            beta, gamma = b1 * p2 + x1 * s, b1 * k2
+            dp2 = beta * beta / alpha - a1 * p2 - c1 * s - q1
+            dk2 = gamma * (2.0 * beta + gamma) / alpha - a1 * k2 + g1
+            p3, k3 = p + hh * dp2, k + hh * dk2
+            s = p3 + k3 * inv_n
+            if -amin < (alpha := r1 + e1 * s) < amin:
+                raise _small_weight("alpha_N", j + 1, dt)
+            beta, gamma = b1 * p3 + x1 * s, b1 * k3
+            dp3 = beta * beta / alpha - a1 * p3 - c1 * s - q1
+            dk3 = gamma * (2.0 * beta + gamma) / alpha - a1 * k3 + g1
+            p4, k4 = p + h * dp3, k + h * dk3
+            s = p4 + k4 * inv_n
+            if -amin < (alpha := r2 + e2 * s) < amin:
+                raise _small_weight("alpha_N", j, dt)
+            beta, gamma = b2 * p4 + x2 * s, b2 * k4
+            dp4 = beta * beta / alpha - a2 * p4 - c2 * s - q2
+            dk4 = gamma * (2.0 * beta + gamma) / alpha - a2 * k4 + g2
             pts.extend((p, k, p2, k2, p3, k3, p4, k4))
-            p = p + h6 * (a1 + 2.0 * (a2 + a3) + a4)
-            k = k + h6 * (b1 + 2.0 * (b2 + b3) + b4)
+            p = p + h6 * (dp1 + 2.0 * (dp2 + dp3) + dp4)
+            k = k + h6 * (dk1 + 2.0 * (dk2 + dk3) + dk4)
             if not (-bound < p < bound and -bound < k < bound):
-                raise NonSolvableError(
-                    f"(P_N, K_N) left [-{bound:g}, {bound:g}] "
-                    f"near t={step * dt:.6g}", t=step * dt)
-            P[step], K[step] = p, k
+                raise _blow_up("(P_N, K_N)", step * dt)
+            P[step], K[step], row = p, k, rows[j]
     finally:
         # the four stage weights of every step taken, in sweep order; a sign
         # change the sweep passed before a failure is the failure's cause
-        del rv, d2v, bv, cdv, a2v, c2v, qev, qgv
+        del rows
         Ps, Ks = np.frombuffer(pts).reshape(-1, 4, 2).T
 
-        def rows(x):
+        def stage(x):
             return _stage_rows(x)[:, :Ps.shape[1]]
 
         S = Ps + Ks * inv_n
-        alpha = rows(hc["R"]) + rows(hc["D"]) ** 2 * S
+        alpha = stage(hc["R"]) + stage(hc["D"]) ** 2 * S
         _check_weight(alpha.T.ravel(),
-                      rows(np.arange(2 * M + 1) * dt / 2).T.ravel())
+                      stage(np.arange(2 * M + 1) * dt / 2).T.ravel())
 
     # phi' = v phi + u with w = (beta + gamma)/alpha, v = B w - A and
     # u = w g D s - f (P + K) - C g s + Q_e eta
-    B, C, D, g = (rows(hc[name]) for name in "BCDg")
+    B, C, D, g = (stage(hc[name]) for name in "BCDg")
     w = (B * (Ps + Ks) + C * D * S) / alpha
-    phi = _rk4_affine(B * w - rows(hc["A"]),
-                      w * g * D * S - rows(hc["f"]) * (Ps + Ks) - C * g * S
-                      + rows(qe * hc["eta"]), -scale * coeffs.eta0, grid,
+    phi = _rk4_affine(B * w - stage(hc["A"]),
+                      w * g * D * S - stage(hc["f"]) * (Ps + Ks) - C * g * S
+                      + stage(qe * hc["eta"]), -scale * coeffs.eta0, grid,
                       "phi_N")
     return RiccatiSolution(grid, np.frombuffer(P), np.frombuffer(K), phi, N)
 
@@ -291,9 +327,10 @@ def solve_backward(coeffs: CoefficientSet, grid: TimeGrid,
     _pmap runs them on one forked worker per CPU when they take long enough
     to pay for it; the first that fails, in order, raises its error."""
     populations = list(populations)
-    # an RK4 step of the limit costs about 3 us, one of N players 5 us (2.9
-    # and 4.7 us measured on a 2-CPU x86-64 machine)
-    seconds = grid.M * sum(3e-6 if N is None else 5e-6 for N in populations)
+    # an RK4 step of the limit costs about 2.5 us, one of N players 3.5 us
+    # (2.3-2.7 and 2.9-3.8 us measured on a 2-CPU x86-64 machine)
+    seconds = grid.M * sum(2.5e-6 if N is None else 3.5e-6
+                           for N in populations)
     return _pmap(lambda N: solve_limit(coeffs, grid) if N is None
                  else solve_finite_N(coeffs, N, grid),
                  [(N,) for N in populations], seconds)

@@ -334,18 +334,19 @@ def test_criterion_11_manifests_are_pinned(tmp_path):
     # re-pinned with the tables above when the RK4 steps were reordered.
     # validate, solve-riccati, epsilon-sweep, nash-gap and figures were
     # re-pinned when their results gained convexity_margin,
-    # convexity_margin_t and convex; no table byte moved
+    # convexity_margin_t and convex, and validate again when it lost
+    # all_finite, which could not be False; no table byte moved
     jobs = (
-        (CLI_CONFIG, "validate", [], "cac8d1708a14740dd30f202cab489922"
-                                     "0f2627d754c14bd8cb5621812fe3e1be"),
+        (CLI_CONFIG, "validate", [], "6b825b127a329c16eee353e077361226"
+                                     "67748c076933abb6c6ea78f6f2f32708"),
         (CLI_CONFIG, "simulate", [], "759f042e3d6235d25c23de07bd900a4e"
                                      "dee060a46357309acf3e78d2d38fa104"),
         (CLI_CONFIG, "epsilon-sweep", [], "ae81f3e5457f243ec32250a017c2ffac"
                                           "04af160e374579d8fe8863888aa4abe1"),
         (CLI_CONFIG, "nash-gap", [], "2df911f34268cb5bd1320c3e66f1aa65"
                                      "a33cb0c024e7fcbeee6d85a9697f8e4c"),
-        (MIXED_CONFIG, "validate", [], "2ae160d2c916b50daa0e64f2dd35c977"
-                                       "52283743962ad761bd35aa5995e3abcb"),
+        (MIXED_CONFIG, "validate", [], "5b01b51c8ea9ecf4e200381970458940"
+                                       "51776b794cf5009829bc07e02cb869ac"),
         (MIXED_CONFIG, "solve-riccati", ["--population", "6"],
          "11025ab626d95127f0caafb0fcbf2add582b39ec13d08686647911f10175d419"),
         (MIXED_CONFIG, "mean-field", [], "22a12d0af1758ddf9fe028846f652e95"

