@@ -9,12 +9,17 @@ fixed-step fourth-order Runge-Kutta running backward from t = T:
 * the population system (P_N, K_N, phi_N) for N agents: P_N and K_N are
   stepped jointly, coupled through the shared effective weight, then phi_N.
 
-Stage evaluations at half steps use piecewise-linear interpolation of both
-the model coefficients and the already-computed solution components, the
-same rule the rest of the package uses for time profiles.  The nonlinear
-sweeps step inline over one row of coefficient floats per half-grid point,
-and the linear equations (phi, phi_N, and the forward mean-field ODE)
-share one affine RK4 stepper.
+Stages at half steps read the coefficients, and in the limit P and K,
+interpolated linearly between nodes; phi_N reads the (P_N, K_N) of its own
+RK4 stages.  The nonlinear sweeps step inline over one row of coefficient
+floats per half-grid point; the linear equations (phi, phi_N, the forward
+mean-field ODE) share one affine RK4 stepper.
+
+The weight rule: every effective control weight alpha, R + D^2 P or
+R + D^2 (P + K/N) for N agents, is finite, at least _ALPHA_MIN in size and
+of the terminal weight's sign; the first that is not raises
+SingularGainError.  The sweeps test each stage's weight inline, and
+_check_weight the weights that K, phi, phi_N and the gains divide by.
 """
 
 from __future__ import annotations
@@ -81,11 +86,14 @@ def _blow_up(name: str, t: float, bound: float = _BLOW_UP_BOUND):
         f"{name} left [-{bound:g}, {bound:g}] near t={t:.6g}", t=t)
 
 
-def _small_weight(what: str, j: int, dt: float):
-    """The error for the weight `what` below _ALPHA_MIN at half point j."""
-    t = j * dt / 2
-    return SingularGainError(f"effective control weight |{what}| < "
-                             f"{_ALPHA_MIN:g} at t={t:.6g}", t=t)
+def _weight_error(alpha: float, t: float):
+    """The error for an effective control weight alpha at time t that breaks
+    the weight rule: not finite, too small, or else of the wrong sign."""
+    what = ("is not finite at" if not math.isfinite(alpha) else
+            f"|alpha| < {_ALPHA_MIN:g} at" if abs(alpha) < _ALPHA_MIN else
+            "changes sign near")
+    return SingularGainError(f"effective control weight {what} t={t:.6g}",
+                             t=t)
 
 
 def _stage_rows(x: np.ndarray, backward: bool = True) -> np.ndarray:
@@ -129,18 +137,13 @@ def _rk4_affine(v: np.ndarray, u: np.ndarray, y0: float, grid: TimeGrid,
 
 
 def _check_weight(alpha: np.ndarray, t: np.ndarray) -> None:
-    """Raise SingularGainError at the first effective control weight alpha,
-    in sweep order, below _ALPHA_MIN in magnitude or of the other sign than
-    the one before it, which means it passed through zero; t holds the
-    time of each weight."""
-    small = np.abs(alpha) < _ALPHA_MIN
-    bad = small | np.r_[False, np.sign(alpha[1:]) * np.sign(alpha[:-1]) < 0]
+    """Raise the _weight_error of the first weight alpha, in sweep order
+    from the terminal one, that breaks the weight rule; t holds its times."""
+    sign = math.copysign(1.0, alpha[0])
+    bad = ~(sign * alpha >= _ALPHA_MIN) | np.isinf(alpha)
     if bad.any():
         i = int(bad.argmax())
-        what = (f"|alpha| < {_ALPHA_MIN:g} at" if small[i]
-                else "changes sign near")
-        raise SingularGainError(f"effective control weight {what} "
-                                f"t={t[i]:.6g}", t=float(t[i]))
+        raise _weight_error(float(alpha[i]), float(t[i]))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -149,9 +152,9 @@ def solve_limit(coeffs: CoefficientSet, grid: TimeGrid) -> RiccatiSolution:
 
     P first (rational autonomous form), then K (quadratic, coefficients from
     P), then phi (linear, coefficients from P and K).  Raises
-    SingularGainError if the effective weight R + D^2 P falls below
-    _ALPHA_MIN in magnitude or changes sign, NonSolvableError on blow-up,
-    which is also what a coefficient product that overflows leads to.
+    SingularGainError at the first weight R + D^2 P that breaks the weight
+    rule, NonSolvableError on blow-up, which is also what an overflow of P
+    or of a coefficient product other than D^2 leads to.
     """
     hc = coeffs.half_values(grid)
     M, dt, amin, bound = grid.M, grid.dt, _ALPHA_MIN, _BLOW_UP_BOUND
@@ -163,37 +166,36 @@ def solve_limit(coeffs: CoefficientSet, grid: TimeGrid) -> RiccatiSolution:
     y = coeffs.H
     P = [math.nan] * M + [y]
     row = rows[2 * M]
-    try:
-        for k in range(M - 1, -1, -1):
-            j = 2 * k
-            ((l0, q0, n0, r0, e0), (l1, q1, n1, r1, e1),
-             (l2, q2, n2, r2, e2)) = row, rows[j + 1], rows[j]
-            if -amin < (den := r0 + e0 * y) < amin:
-                raise _small_weight("R + D^2 P", j + 2, dt)
-            k1 = -l0 * y - q0 + n0 * y * y / den
-            y2 = y + hh * k1
-            if -amin < (den := r1 + e1 * y2) < amin:
-                raise _small_weight("R + D^2 P", j + 1, dt)
-            k2 = -l1 * y2 - q1 + n1 * y2 * y2 / den
-            y3 = y + hh * k2
-            if -amin < (den := r1 + e1 * y3) < amin:
-                raise _small_weight("R + D^2 P", j + 1, dt)
-            k3 = -l1 * y3 - q1 + n1 * y3 * y3 / den
-            y4 = y + h * k3
-            if -amin < (den := r2 + e2 * y4) < amin:
-                raise _small_weight("R + D^2 P", j, dt)
-            k4 = -l2 * y4 - q2 + n2 * y4 * y4 / den
-            y = y + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-            if not -bound < y < bound:
-                raise _blow_up("P", k * dt)
-            P[k], row = y, rows[j]
-    finally:
-        # alpha on the half grid, from P interpolated at half steps; a sign
-        # change the sweep passed before a failure is the failure's cause
-        del rows    # each sweep's rows are its peak memory
-        Ph = half_interp(P)
-        alpha_h = hc["R"] + hc["D"] ** 2 * Ph
-        _check_weight(alpha_h[::-1], np.arange(2 * M, -1, -1) * dt / 2)
+    # one compare tests size and sign; a NaN goes on to the bound check
+    sign = math.copysign(1.0, row[3] + row[4] * y)
+    for k in range(M - 1, -1, -1):
+        j = 2 * k
+        ((l0, q0, n0, r0, e0), (l1, q1, n1, r1, e1),
+         (l2, q2, n2, r2, e2)) = row, rows[j + 1], rows[j]
+        if sign * (den := r0 + e0 * y) < amin:
+            raise _weight_error(den, (j + 2) * dt / 2)
+        k1 = -l0 * y - q0 + n0 * y * y / den
+        y2 = y + hh * k1
+        if sign * (den := r1 + e1 * y2) < amin:
+            raise _weight_error(den, (j + 1) * dt / 2)
+        k2 = -l1 * y2 - q1 + n1 * y2 * y2 / den
+        y3 = y + hh * k2
+        if sign * (den := r1 + e1 * y3) < amin:
+            raise _weight_error(den, (j + 1) * dt / 2)
+        k3 = -l1 * y3 - q1 + n1 * y3 * y3 / den
+        y4 = y + h * k3
+        if sign * (den := r2 + e2 * y4) < amin:
+            raise _weight_error(den, j * dt / 2)
+        k4 = -l2 * y4 - q2 + n2 * y4 * y4 / den
+        y = y + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+        if not -bound < y < bound:
+            raise _blow_up("P", k * dt)
+        P[k], row = y, rows[j]
+    del rows    # each sweep's rows are its peak memory
+    # K and phi divide by alpha at the half steps, from P interpolated
+    Ph = half_interp(P)
+    alpha_h = hc["R"] + hc["D"] ** 2 * Ph
+    _check_weight(alpha_h[::-1], np.arange(2 * M, -1, -1) * dt / 2)
     beta_h = hc["B"] * Ph + Ph * hc["C"] * hc["D"]
 
     # K' = Q Gamma + 2[B alpha^-1 beta - A] K + alpha^-1 B^2 K^2
@@ -254,69 +256,63 @@ def solve_finite_N(coeffs: CoefficientSet, N: int,
     p, k = scale, -scale * coeffs.Gamma0
     P = array("d", [math.nan] * M + [p])
     K = array("d", [math.nan] * M + [k])
-    pts = array("d")    # (P, K) at the four stages of each step taken
+    pts = array("d")    # (P, K) at the four stages of each step
     row = rows[2 * M]
-    try:
-        for step in range(M - 1, -1, -1):
-            j = 2 * step
-            ((r0, e0, b0, x0, a0, c0, q0, g0),
-             (r1, e1, b1, x1, a1, c1, q1, g1),
-             (r2, e2, b2, x2, a2, c2, q2, g2)) = row, rows[j + 1], rows[j]
-            s = p + k * inv_n
-            if -amin < (alpha := r0 + e0 * s) < amin:
-                raise _small_weight("alpha_N", j + 2, dt)
-            beta, gamma = b0 * p + x0 * s, b0 * k
-            dp1 = beta * beta / alpha - a0 * p - c0 * s - q0
-            dk1 = gamma * (2.0 * beta + gamma) / alpha - a0 * k + g0
-            p2, k2 = p + hh * dp1, k + hh * dk1
-            s = p2 + k2 * inv_n
-            if -amin < (alpha := r1 + e1 * s) < amin:
-                raise _small_weight("alpha_N", j + 1, dt)
-            beta, gamma = b1 * p2 + x1 * s, b1 * k2
-            dp2 = beta * beta / alpha - a1 * p2 - c1 * s - q1
-            dk2 = gamma * (2.0 * beta + gamma) / alpha - a1 * k2 + g1
-            p3, k3 = p + hh * dp2, k + hh * dk2
-            s = p3 + k3 * inv_n
-            if -amin < (alpha := r1 + e1 * s) < amin:
-                raise _small_weight("alpha_N", j + 1, dt)
-            beta, gamma = b1 * p3 + x1 * s, b1 * k3
-            dp3 = beta * beta / alpha - a1 * p3 - c1 * s - q1
-            dk3 = gamma * (2.0 * beta + gamma) / alpha - a1 * k3 + g1
-            p4, k4 = p + h * dp3, k + h * dk3
-            s = p4 + k4 * inv_n
-            if -amin < (alpha := r2 + e2 * s) < amin:
-                raise _small_weight("alpha_N", j, dt)
-            beta, gamma = b2 * p4 + x2 * s, b2 * k4
-            dp4 = beta * beta / alpha - a2 * p4 - c2 * s - q2
-            dk4 = gamma * (2.0 * beta + gamma) / alpha - a2 * k4 + g2
-            pts.extend((p, k, p2, k2, p3, k3, p4, k4))
-            p = p + h6 * (dp1 + 2.0 * (dp2 + dp3) + dp4)
-            k = k + h6 * (dk1 + 2.0 * (dk2 + dk3) + dk4)
-            if not (-bound < p < bound and -bound < k < bound):
-                raise _blow_up("(P_N, K_N)", step * dt)
-            P[step], K[step], row = p, k, rows[j]
-    finally:
-        # the four stage weights of every step taken, in sweep order; a sign
-        # change the sweep passed before a failure is the failure's cause
-        del rows
-        Ps, Ks = np.frombuffer(pts).reshape(-1, 4, 2).T
-
-        def stage(x):
-            return _stage_rows(x)[:, :Ps.shape[1]]
-
-        S = Ps + Ks * inv_n
-        alpha = stage(hc["R"]) + stage(hc["D"]) ** 2 * S
-        _check_weight(alpha.T.ravel(),
-                      stage(np.arange(2 * M + 1) * dt / 2).T.ravel())
+    sign = math.copysign(1.0, row[0] + row[1] * (p + k * inv_n))
+    for step in range(M - 1, -1, -1):
+        j = 2 * step
+        ((r0, e0, b0, x0, a0, c0, q0, g0),
+         (r1, e1, b1, x1, a1, c1, q1, g1),
+         (r2, e2, b2, x2, a2, c2, q2, g2)) = row, rows[j + 1], rows[j]
+        s = p + k * inv_n
+        if sign * (alpha := r0 + e0 * s) < amin:
+            raise _weight_error(alpha, (j + 2) * dt / 2)
+        beta, gamma = b0 * p + x0 * s, b0 * k
+        dp1 = beta * beta / alpha - a0 * p - c0 * s - q0
+        dk1 = gamma * (2.0 * beta + gamma) / alpha - a0 * k + g0
+        p2, k2 = p + hh * dp1, k + hh * dk1
+        s = p2 + k2 * inv_n
+        if sign * (alpha := r1 + e1 * s) < amin:
+            raise _weight_error(alpha, (j + 1) * dt / 2)
+        beta, gamma = b1 * p2 + x1 * s, b1 * k2
+        dp2 = beta * beta / alpha - a1 * p2 - c1 * s - q1
+        dk2 = gamma * (2.0 * beta + gamma) / alpha - a1 * k2 + g1
+        p3, k3 = p + hh * dp2, k + hh * dk2
+        s = p3 + k3 * inv_n
+        if sign * (alpha := r1 + e1 * s) < amin:
+            raise _weight_error(alpha, (j + 1) * dt / 2)
+        beta, gamma = b1 * p3 + x1 * s, b1 * k3
+        dp3 = beta * beta / alpha - a1 * p3 - c1 * s - q1
+        dk3 = gamma * (2.0 * beta + gamma) / alpha - a1 * k3 + g1
+        p4, k4 = p + h * dp3, k + h * dk3
+        s = p4 + k4 * inv_n
+        if sign * (alpha := r2 + e2 * s) < amin:
+            raise _weight_error(alpha, j * dt / 2)
+        beta, gamma = b2 * p4 + x2 * s, b2 * k4
+        dp4 = beta * beta / alpha - a2 * p4 - c2 * s - q2
+        dk4 = gamma * (2.0 * beta + gamma) / alpha - a2 * k4 + g2
+        pts.extend((p, k, p2, k2, p3, k3, p4, k4))
+        p = p + h6 * (dp1 + 2.0 * (dp2 + dp3) + dp4)
+        k = k + h6 * (dk1 + 2.0 * (dk2 + dk3) + dk4)
+        if not (-bound < p < bound and -bound < k < bound):
+            raise _blow_up("(P_N, K_N)", step * dt)
+        P[step], K[step], row = p, k, rows[j]
+    del rows
+    # phi_N divides by the stage weights
+    Ps, Ks = np.frombuffer(pts).reshape(-1, 4, 2).T
+    S = Ps + Ks * inv_n
+    A, B, C, D, R, f, g = (_stage_rows(hc[name]) for name in "ABCDRfg")
+    alpha = R + D ** 2 * S
+    _check_weight(alpha.T.ravel(),
+                  _stage_rows(np.arange(2 * M + 1) * dt / 2).T.ravel())
 
     # phi' = v phi + u with w = (beta + gamma)/alpha, v = B w - A and
     # u = w g D s - f (P + K) - C g s + Q_e eta
-    B, C, D, g = (stage(hc[name]) for name in "BCDg")
     w = (B * (Ps + Ks) + C * D * S) / alpha
-    phi = _rk4_affine(B * w - stage(hc["A"]),
-                      w * g * D * S - stage(hc["f"]) * (Ps + Ks) - C * g * S
-                      + stage(qe * hc["eta"]), -scale * coeffs.eta0, grid,
-                      "phi_N")
+    phi = _rk4_affine(B * w - A,
+                      w * g * D * S - f * (Ps + Ks) - C * g * S
+                      + _stage_rows(qe * hc["eta"]), -scale * coeffs.eta0,
+                      grid, "phi_N")
     return RiccatiSolution(grid, np.frombuffer(P), np.frombuffer(K), phi, N)
 
 
@@ -347,11 +343,13 @@ def gains(sol: RiccatiSolution, coeffs: CoefficientSet) -> GainSchedule:
     nv = coeffs.node_values(grid)
     B, D = nv["B"], nv["D"]
     S = sol.P if sol.N is None else sol.P + sol.K / sol.N
-    alpha = nv["R"] + S * D * D
+    # an overflow gives the non-finite weight that _check_weight reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = nv["R"] + S * D * D
+    _check_weight(alpha[::-1], grid.nodes[::-1])
     beta = B * sol.P + S * nv["C"] * D
     gamma = B * sol.K
     delta = B * sol.phi + S * nv["g"] * D
-    _check_weight(alpha[::-1], grid.nodes[::-1])
     return GainSchedule(grid=grid, alpha=alpha, beta=beta, gamma=gamma,
                         delta=delta, N=sol.N)
 

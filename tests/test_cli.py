@@ -156,6 +156,22 @@ def test_sign_change_of_the_weight_exits_3_with_manifest(tmp_path, capsys):
     assert "changes sign" in manifest["error"]
 
 
+def test_an_infinite_weight_exits_3_with_manifest(tmp_path, capsys):
+    # D^2 overflows, so R + D^2 P is inf; solve-riccati once exited 0 with
+    # alpha = inf in its CSV and every gain 0
+    coeffs = dict(ALL_ONES, A=0, C=0, D=1e200, f=0, g=0, Gamma=0, eta=0,
+                  Gamma0=0, eta0=0)
+    cfg = make_config(tmp_path, coefficients=coeffs,
+                      grid={"T": 1.0, "M": 2})
+    out = tmp_path / "out"
+    assert run(["solve-riccati", "--config", cfg, "--out-dir", str(out)]) == 3
+    assert "weight is not finite at t=1" in capsys.readouterr().err
+    manifest = read_manifest(out)
+    assert manifest["exit_code"] == 3
+    assert "is not finite" in manifest["error"]
+    assert manifest["outputs"] == []
+
+
 def test_simulate_keeps_one_replication_of_paths(tmp_path):
     # 16 replications of 256 agents on 100 steps hold 9.8 MB of states,
     # controls and increments; simulate costs each replication as it
@@ -484,6 +500,7 @@ def test_config_file_faults_exit_2_with_manifest(tmp_path, capsys):
          "config key 'M' is given twice"),
         (valid.replace('"seed"', '"sed"').encode(),
          "unknown config key sed; did you mean 'seed'?"),
+        (b"[1, 2]", "config root must be a JSON object"),
     )
     for k, (data, message) in enumerate(cases):
         cfg = tmp_path / f"cfg{k}.json"

@@ -147,6 +147,10 @@ def test_profile_constructor_rejects_nan():
     with pytest.raises(ModelConfigError,
                        match="constant coefficient must be finite, got nan"):
         solve_with_A(TimeProfile(value=float("nan")))
+    # an array of samples is checked whole, not value by value
+    with pytest.raises(ModelConfigError,
+                       match="sampled profile contains non-finite values"):
+        TimeProfile.sampled(np.array([1.0, np.inf, 1.0]), TimeGrid(1.0, 2))
 
 
 def test_profile_constructor_checks_the_sample_count():
@@ -302,8 +306,14 @@ def test_config_missing_pieces():
         parse_grid({})
     with pytest.raises(ModelConfigError):
         parse_coefficients({"coefficients": {"A": 1.0}}, TimeGrid(T=1.0, M=2))
+    with pytest.raises(ModelConfigError,
+                       match="missing or malformed 'coefficients' section"):
+        parse_coefficients({}, TimeGrid(T=1.0, M=2))
     with pytest.raises(ModelConfigError):
         parse_initial_law({"initial": {"kind": "binomial"}})
+    with pytest.raises(ModelConfigError,
+                       match="bad or missing initial-law section"):
+        parse_initial_law({})
 
 
 def test_fingerprint_invariant_under_key_order():
