@@ -11,25 +11,22 @@ from .model import (CoefficientSet, InitialLaw, TimeGrid, TimeProfile,
                     validate)
 from .riccati import (GainSchedule, RiccatiSolution, convexity_margin, gains,
                       solve_finite_N, solve_limit)
-from .sim import (AdjointCheckReport, DecompositionReport, PathSet,
-                  PopulationConfig, cost_decomposition, costs_all_agents,
-                  simulate, simulate_reps, stationarity_residual, stream)
+from .sim import (PathSet, PopulationConfig, costs_all_agents, simulate,
+                  simulate_reps, stream)
 from .synthesis import (LAW_KINDS, MeanFieldPath, StrategyLaw, make_law,
                         solve_mean_field)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjointCheckReport", "CoefficientSet", "DecompositionReport",
-    "ExperimentTable", "GainSchedule", "InitialLaw", "LAW_KINDS",
-    "LqmfgError", "MeanFieldPath", "ModelConfigError", "NonSolvableError",
-    "PathSet", "PopulationConfig", "RiccatiSolution",
+    "CoefficientSet", "ExperimentTable", "GainSchedule", "InitialLaw",
+    "LAW_KINDS", "LqmfgError", "MeanFieldPath", "ModelConfigError",
+    "NonSolvableError", "PathSet", "PopulationConfig", "RiccatiSolution",
     "SimulationDivergedError", "SingularGainError", "StrategyLaw",
     "TimeGrid", "TimeProfile", "ValidationReport", "canonical_fingerprint",
-    "convexity_margin", "cost_decomposition", "costs_all_agents",
-    "epsilon_sweep", "figure_data", "gains", "load_config", "make_law",
-    "nash_gap", "parse_coefficients", "parse_grid", "parse_initial_law",
-    "riccati_convergence", "simulate", "simulate_reps", "solve_finite_N",
-    "solve_limit", "solve_mean_field", "stationarity_residual", "stream",
-    "validate",
+    "convexity_margin", "costs_all_agents", "epsilon_sweep", "figure_data",
+    "gains", "load_config", "make_law", "nash_gap", "parse_coefficients",
+    "parse_grid", "parse_initial_law", "riccati_convergence", "simulate",
+    "simulate_reps", "solve_finite_N", "solve_limit", "solve_mean_field",
+    "stream", "validate",
 ]

@@ -10,11 +10,14 @@ class ModelConfigError(LqmfgError):
 
 
 class SingularGainError(LqmfgError):
-    """Effective control weight alpha fell below the fixed threshold."""
+    """An effective control weight alpha broke the weight rule at time t:
+    not finite, below the fixed threshold in size, or of the wrong sign."""
 
-    def __init__(self, message: str, t: float | None = None):
+    def __init__(self, message: str, t: float | None = None,
+                 alpha: float | None = None):
         super().__init__(message)
         self.t = t
+        self.alpha = alpha
 
 
 class NonSolvableError(LqmfgError):

@@ -18,8 +18,9 @@ mean-field ODE) share one affine RK4 stepper.
 The weight rule: every effective control weight alpha, R + D^2 P or
 R + D^2 (P + K/N) for N agents, is finite, at least _ALPHA_MIN in size and
 of the terminal weight's sign; the first that is not raises
-SingularGainError.  The sweeps test each stage's weight inline, and
-_check_weight the weights that K, phi, phi_N and the gains divide by.
+SingularGainError.  _check_weight tests each sweep's terminal weight and
+the weights that K, phi, phi_N and the gains divide by; the sweeps test
+each stage's weight inline.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def _weight_error(alpha: float, t: float):
             f"|alpha| < {_ALPHA_MIN:g} at" if abs(alpha) < _ALPHA_MIN else
             "changes sign near")
     return SingularGainError(f"effective control weight {what} t={t:.6g}",
-                             t=t)
+                             t=t, alpha=alpha)
 
 
 def _stage_rows(x: np.ndarray, backward: bool = True) -> np.ndarray:
@@ -166,8 +167,11 @@ def solve_limit(coeffs: CoefficientSet, grid: TimeGrid) -> RiccatiSolution:
     y = coeffs.H
     P = [math.nan] * M + [y]
     row = rows[2 * M]
-    # one compare tests size and sign; a NaN goes on to the bound check
-    sign = math.copysign(1.0, row[3] + row[4] * y)
+    # the terminal weight by the whole rule, then one compare per stage
+    # tests size and sign; a NaN goes on to the bound check
+    den = row[3] + row[4] * y
+    _check_weight(np.array([den]), np.array([M * dt]))
+    sign = math.copysign(1.0, den)
     for k in range(M - 1, -1, -1):
         j = 2 * k
         ((l0, q0, n0, r0, e0), (l1, q1, n1, r1, e1),
@@ -258,7 +262,9 @@ def solve_finite_N(coeffs: CoefficientSet, N: int,
     K = array("d", [math.nan] * M + [k])
     pts = array("d")    # (P, K) at the four stages of each step
     row = rows[2 * M]
-    sign = math.copysign(1.0, row[0] + row[1] * (p + k * inv_n))
+    alpha = row[0] + row[1] * (p + k * inv_n)
+    _check_weight(np.array([alpha]), np.array([M * dt]))
+    sign = math.copysign(1.0, alpha)
     for step in range(M - 1, -1, -1):
         j = 2 * step
         ((r0, e0, b0, x0, a0, c0, q0, g0),
@@ -371,7 +377,8 @@ def convexity_margin(coeffs: CoefficientSet, grid: TimeGrid,
     (Q and H in the limit) and has no f, g, eta, Gamma, eta0 or Gamma0, so
     K = phi = 0 and solve_limit sweeps P only.  A failed sweep has no
     regular solution: the margin is then min(0, R(T) + D(T)^2 H_e), at the
-    time its error names.
+    time its error names, unless the failure is a weight that is not
+    finite, whose SingularGainError is raised.
     """
     Q, H = coeffs.Q, coeffs.H
     if N is not None:
@@ -386,5 +393,7 @@ def convexity_margin(coeffs: CoefficientSet, grid: TimeGrid,
     try:
         return _least_weight(gains(solve_limit(form, grid), form))
     except (SingularGainError, NonSolvableError) as exc:
+        if isinstance(exc, SingularGainError) and not math.isfinite(exc.alpha):
+            raise
         R, D = coeffs.R.at(grid.T), coeffs.D.at(grid.T)
         return min(0.0, R + D * D * H), float(exc.t)

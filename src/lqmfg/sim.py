@@ -1,4 +1,4 @@
-"""Population simulation, cost evaluation, and optimality diagnostics.
+"""Population simulation and cost evaluation.
 
 States advance by Euler-Maruyama on the solver grid with left-endpoint
 feedback controls, each step the affine map x' = alpha x + beta of _affine.
@@ -21,7 +21,6 @@ from . import _pool
 from .errors import ModelConfigError, SimulationDivergedError
 from .model import (CoefficientSet, InitialLaw, TimeGrid, _population_size,
                     _seed)
-from .riccati import GainSchedule, RiccatiSolution
 from .synthesis import StrategyLaw
 
 _PURPOSE_AGENT = 0
@@ -96,14 +95,6 @@ class PathSet:
     increments: np.ndarray
     mean: np.ndarray
     grid: TimeGrid | None = None
-
-
-@dataclass(frozen=True)
-class AdjointCheckReport:
-    """Worst stationarity residual over agents and time, absolute and relative."""
-
-    max_abs: float
-    max_rel: float
 
 
 def _check_law_grid(law: StrategyLaw, grid: TimeGrid) -> None:
@@ -431,119 +422,3 @@ def costs_all_agents(ps: PathSet, coeffs: CoefficientSet,
     """
     _check_paths_grid(ps, grid)
     return _costs(ps.states, ps.controls, ps.mean, ps.rep, coeffs, grid)
-
-
-def stationarity_residual(paths: list, finN: RiccatiSolution,
-                          gains_N: GainSchedule,
-                          coeffs: CoefficientSet) -> AdjointCheckReport:
-    """Residual of B p + D q + R u along recorded centralized paths.
-
-    p and q are rebuilt from the population Riccati solution at every node;
-    for correctly derived gains the residual is a floating-point zero, and a
-    perturbed gain shows up as a residual proportional to the perturbation.
-    """
-    if finN.N is None or finN.N != gains_N.N:
-        raise ModelConfigError("stationarity check needs a finite-population "
-                               "solution and gains for the same N")
-    if not paths:
-        raise ModelConfigError("empty path list")
-    grid = finN.grid
-    M = grid.M
-    for ps in paths:
-        N = ps.states.shape[0]
-        if N != finN.N:
-            raise ModelConfigError(f"paths have {N} agents but solution is "
-                                   f"for N={finN.N}")
-        _check_paths_grid(ps, grid)
-
-    nc = coeffs.node_values(grid)
-    B, C, D, R, g = (nc[n][:M] for n in ("B", "C", "D", "R", "g"))
-    P, K, phi = finN.P[:M], finN.K[:M], finN.phi[:M]
-    S = P + K / finN.N
-
-    max_abs = max_rel = 0.0
-    for ps in paths:
-        x = ps.states[:, :M]
-        u = ps.controls
-        m = ps.mean[:M]
-        p_adj = P * x + K * m + phi
-        q_adj = S * (C * x + D * u + g)
-        res = np.abs(B * p_adj + D * q_adj + R * u)
-        scale = np.maximum(np.abs(R * u), 1.0)
-        max_abs = max(max_abs, float(res.max()))
-        max_rel = max(max_rel, float((res / scale).max()))
-    return AdjointCheckReport(max_abs=max_abs, max_rel=max_rel)
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Per-replication pieces of the deviation cost identity.
-
-    j_dev = j_base + j_quad + i_cross up to floating-point error: j_quad is
-    the pure quadratic cost of the deviation increment and i_cross collects
-    the cross terms against the undeviated optimum.
-    """
-
-    agent: int
-    j_dev: np.ndarray
-    j_base: np.ndarray
-    j_quad: np.ndarray
-    i_cross: np.ndarray
-
-    @property
-    def residuals(self) -> np.ndarray:
-        return np.abs(self.j_dev - self.j_base - self.j_quad - self.i_cross)
-
-    @property
-    def max_residual(self) -> float:
-        return float(self.residuals.max())
-
-
-def cost_decomposition(i: int, base_paths: list, law: StrategyLaw,
-                       coeffs: CoefficientSet, grid: TimeGrid) -> DecompositionReport:
-    """Split agent i's cost under a deviation law against frozen co-players.
-
-    Agent i of every base replication is replayed under `law` on the same
-    noise, in one _replay_lanes call, and both of its costs are taken
-    against the mean (x + others) / N, others the sum of its co-players'
-    states, as nash_gap takes them.  The quadratic and cross pieces use the
-    deviation increments x_tilde = x_dev - x_base, u_tilde = u_dev - u_base
-    and the undeviated paths; the identity holds pathwise per replication.
-    """
-    if not base_paths:
-        raise ModelConfigError("empty path list")
-    _check_law_grid(law, grid)
-    N = base_paths[0].states.shape[0]
-    for ps in base_paths:
-        _check_paths_grid(ps, grid)
-        if ps.states.shape[0] != N:
-            raise ModelConfigError(f"path sets of {N} and "
-                                   f"{ps.states.shape[0]} agents")
-    if not 0 <= i < N:
-        raise IndexError(f"agent index {i} out of range for N={N}")
-    reps = np.array([ps.rep for ps in base_paths])
-    xb, ub, dW = (np.stack([getattr(ps, name)[i] for ps in base_paths])
-                  for name in ("states", "controls", "increments"))
-    others = np.stack([ps.states.sum(axis=0) for ps in base_paths]) - xb
-    states, controls = _replay_lanes(i, reps, xb[:, 0], dW, others, N, [law],
-                                     coeffs, grid)
-    xd, ud = states[:, 0], controls[:, 0]
-    mb = (xb + others) / N
-    # the costs first: an overflowing one is a typed error, not a warning below
-    j_dev = _costs(xd, ud, (xd + others) / N, reps, coeffs, grid)
-    j_base = _costs(xb, ub, mb, reps, coeffs, grid)
-    nc = coeffs.node_values(grid)
-    M, dt = grid.M, grid.dt
-    q, r, gam, eta = nc["Q"], nc["R"][:M], nc["Gamma"], nc["eta"]
-
-    xt, ut = xd - xb, ud - ub
-    hat_dev = xb - gam * mb - eta
-    hat_end = xb[:, -1] - coeffs.Gamma0 * mb[:, -1] - coeffs.eta0
-    keep = 1.0 - gam / N
-    keep0 = 1.0 - coeffs.Gamma0 / N
-    j_quad = 0.5 * (quadrature(dt, q * keep ** 2 * xt * xt, r * ut * ut)
-                    + coeffs.H * keep0 ** 2 * xt[:, -1] * xt[:, -1])
-    i_cross = (quadrature(dt, q * keep * xt * hat_dev, r * ut * ub)
-               + coeffs.H * keep0 * xt[:, -1] * hat_end)
-    return DecompositionReport(agent=i, j_dev=j_dev, j_base=j_base,
-                               j_quad=j_quad, i_cross=i_cross)

@@ -1,9 +1,15 @@
-"""Independent oracles for the convexity margin (riccati.convexity_margin).
+"""Independent oracles for the convexity margin and the paper's derivation.
 
-convexity_probe is a Monte Carlo lower-bound probe of the deviation form;
-em_margin is the exact backward Riccati recursion of the same form under
-the Euler-Maruyama scheme the simulations use.  Neither shares the margin's
-RK4 solve.
+For the margin (riccati.convexity_margin): convexity_probe is a Monte Carlo
+lower-bound probe of the deviation form, and em_margin is the exact
+backward Riccati recursion of the same form under the Euler-Maruyama scheme
+the simulations use.  Neither shares the margin's RK4 solve.
+
+For the derivation behind the epsilon-Nash proof: stationarity_residual
+checks the first-order condition B p + D q + R u = 0 along centralized
+paths, and cost_decomposition the expansion of a deviating agent's cost
+into its base cost, a quadratic term and a cross term.  Each takes the
+inputs a test builds for it and checks nothing else about them.
 """
 
 import math
@@ -12,7 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from lqmfg.model import CoefficientSet, TimeGrid, _population_size
-from lqmfg.sim import _euler_maruyama, quadrature, stream
+from lqmfg.riccati import RiccatiSolution
+from lqmfg.sim import (_costs, _euler_maruyama, _replay_lanes, quadrature,
+                       stream)
+from lqmfg.synthesis import StrategyLaw
 
 _PURPOSE_PROBE_CONTROL = 1
 _PURPOSE_PROBE_NOISE = 2
@@ -106,3 +115,101 @@ def em_margin(coeffs: CoefficientSet, grid: TimeGrid, N=None) -> float:
         cross = P * (a * b + dt * C[k] * D[k])
         P = dt * Q[k] + P * (a * a + dt * C[k] ** 2) - cross * cross / (dt * weight)
     return least
+
+
+@dataclass(frozen=True)
+class AdjointCheckReport:
+    """Worst stationarity residual over agents and time, absolute and relative."""
+
+    max_abs: float
+    max_rel: float
+
+
+def stationarity_residual(paths: list, finN: RiccatiSolution,
+                          coeffs: CoefficientSet) -> AdjointCheckReport:
+    """Residual of B p + D q + R u along recorded centralized paths of
+    finN.N agents on finN's grid.
+
+    p and q are rebuilt from the population Riccati solution at every node;
+    for correctly derived gains the residual is a floating-point zero, and a
+    perturbed gain shows up as a residual proportional to the perturbation.
+    """
+    M = finN.grid.M
+    nc = coeffs.node_values(finN.grid)
+    B, C, D, R, g = (nc[n][:M] for n in ("B", "C", "D", "R", "g"))
+    P, K, phi = finN.P[:M], finN.K[:M], finN.phi[:M]
+    S = P + K / finN.N
+
+    max_abs = max_rel = 0.0
+    for ps in paths:
+        x = ps.states[:, :M]
+        u = ps.controls
+        p_adj = P * x + K * ps.mean[:M] + phi
+        q_adj = S * (C * x + D * u + g)
+        res = np.abs(B * p_adj + D * q_adj + R * u)
+        scale = np.maximum(np.abs(R * u), 1.0)
+        max_abs = max(max_abs, float(res.max()))
+        max_rel = max(max_rel, float((res / scale).max()))
+    return AdjointCheckReport(max_abs=max_abs, max_rel=max_rel)
+
+
+@dataclass(frozen=True)
+class DecompositionReport:
+    """Per-replication pieces of the deviation cost identity.
+
+    j_dev = j_base + j_quad + i_cross up to floating-point error: j_quad is
+    the pure quadratic cost of the deviation increment and i_cross collects
+    the cross terms against the undeviated optimum.
+    """
+
+    j_dev: np.ndarray
+    j_base: np.ndarray
+    j_quad: np.ndarray
+    i_cross: np.ndarray
+
+    @property
+    def max_residual(self) -> float:
+        return float(np.abs(self.j_dev - self.j_base - self.j_quad
+                            - self.i_cross).max())
+
+
+def cost_decomposition(i: int, base_paths: list, law: StrategyLaw,
+                       coeffs: CoefficientSet,
+                       grid: TimeGrid) -> DecompositionReport:
+    """Split agent i's cost under a deviation law against frozen co-players.
+
+    Agent i of every base replication (one population size, on grid) is
+    replayed under `law` on the same noise, in one _replay_lanes call, and
+    both of its costs are taken against the mean (x + others) / N, others
+    the sum of its co-players' states, as nash_gap takes them.  The
+    quadratic and cross pieces use the deviation increments
+    x_tilde = x_dev - x_base, u_tilde = u_dev - u_base and the undeviated
+    paths; the identity holds pathwise per replication.
+    """
+    N = base_paths[0].states.shape[0]
+    reps = np.array([ps.rep for ps in base_paths])
+    xb, ub, dW = (np.stack([getattr(ps, name)[i] for ps in base_paths])
+                  for name in ("states", "controls", "increments"))
+    others = np.stack([ps.states.sum(axis=0) for ps in base_paths]) - xb
+    states, controls = _replay_lanes(i, reps, xb[:, 0], dW, others, N, [law],
+                                     coeffs, grid)
+    xd, ud = states[:, 0], controls[:, 0]
+    mb = (xb + others) / N
+    # the costs first: an overflowing one is a typed error, not a warning below
+    j_dev = _costs(xd, ud, (xd + others) / N, reps, coeffs, grid)
+    j_base = _costs(xb, ub, mb, reps, coeffs, grid)
+    nc = coeffs.node_values(grid)
+    M, dt = grid.M, grid.dt
+    q, r, gam, eta = nc["Q"], nc["R"][:M], nc["Gamma"], nc["eta"]
+
+    xt, ut = xd - xb, ud - ub
+    hat_dev = xb - gam * mb - eta
+    hat_end = xb[:, -1] - coeffs.Gamma0 * mb[:, -1] - coeffs.eta0
+    keep = 1.0 - gam / N
+    keep0 = 1.0 - coeffs.Gamma0 / N
+    j_quad = 0.5 * (quadrature(dt, q * keep ** 2 * xt * xt, r * ut * ut)
+                    + coeffs.H * keep0 ** 2 * xt[:, -1] * xt[:, -1])
+    i_cross = (quadrature(dt, q * keep * xt * hat_dev, r * ut * ub)
+               + coeffs.H * keep0 * xt[:, -1] * hat_end)
+    return DecompositionReport(j_dev=j_dev, j_base=j_base, j_quad=j_quad,
+                               i_cross=i_cross)

@@ -7,6 +7,8 @@ import subprocess
 import sys
 import tracemalloc
 
+import pytest
+
 import lqmfg.experiments as experiments
 from lqmfg import _pool, riccati
 from lqmfg.cli import _CONFIG, _KEYS, _SECTIONS, run
@@ -170,6 +172,29 @@ def test_an_infinite_weight_exits_3_with_manifest(tmp_path, capsys):
     assert manifest["exit_code"] == 3
     assert "is not finite" in manifest["error"]
     assert manifest["outputs"] == []
+
+
+@pytest.mark.parametrize("H, D, M, t", [(0, 1e200, 2, 1), (1, 1e200, 2, 1),
+                                        (1, [1, 1, 1e200, 1, 1], 4, 0.625)],
+                         ids=["H0", "H1", "interior"])
+def test_validate_and_solve_riccati_agree_on_a_weight_that_is_not_finite(
+        tmp_path, capsys, H, D, M, t):
+    # D^2 overflows: with H = 0 the terminal weight R + inf 0 is NaN, with
+    # H = 1 it is inf, and a D sampled large at t = 0.5 makes the half-step
+    # weight at t = 0.625 inf.  validate once exited 0 with a "not convex"
+    # note, reading the failed sweep as non-convexity
+    coeffs = dict(ALL_ONES, A=0, C=0, D=D, f=0, g=0, Gamma=0, eta=0, H=H,
+                  Gamma0=0, eta0=0)
+    cfg = make_config(tmp_path, coefficients=coeffs,
+                      grid={"T": 1.0, "M": M})
+    message = f"effective control weight is not finite at t={t:g}"
+    for command in ("validate", "solve-riccati"):
+        out = tmp_path / command
+        assert run([command, "--config", cfg, "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        manifest = read_manifest(out)
+        assert (manifest["exit_code"], manifest["error"]) == (3, message)
+        assert manifest["outputs"] == []
 
 
 def test_simulate_keeps_one_replication_of_paths(tmp_path):

@@ -18,9 +18,10 @@ from lqmfg.experiments import (DEFAULT_DEVIATIONS, _build_laws, _parse_label,
 from lqmfg.model import (CoefficientSet, InitialLaw, TimeGrid,
                          parse_coefficients, parse_grid, parse_initial_law)
 from lqmfg.riccati import gains, solve_backward, solve_limit
-from lqmfg.sim import (_TILE, PopulationConfig, cost_decomposition,
-                       quadrature, simulate, simulate_reps)
+from lqmfg.sim import (_TILE, PopulationConfig, quadrature, simulate,
+                       simulate_reps)
 from lqmfg.synthesis import make_law, solve_mean_field
+from oracles import cost_decomposition
 from test_acceptance import CLI_CONFIG, MIXED_CONFIG
 
 ALL_ONES = CoefficientSet.from_constants(A=1, B=1, C=1, D=1, f=1, g=1, Q=1,

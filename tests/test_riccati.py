@@ -495,19 +495,25 @@ def test_a_coefficient_whose_square_overflows_is_a_solver_error(name):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_weight_whose_square_overflows_is_not_finite():
     # D^2 overflows, so R + D^2 P is inf everywhere; P was once solved as
-    # if there were no control, and gains gave alpha = inf and zero gains
+    # if there were no control, and gains gave alpha = inf and zero gains.
+    # With H = 0 the terminal weight R + inf 0 is NaN, which both sweeps
+    # once passed on to report a blow-up of P at t=0.5.  convexity_margin
+    # once read either failed sweep as the margin min(0, R + D^2 H) = 0
     grid = TimeGrid(T=1.0, M=2)
-    coeffs = CoefficientSet.from_constants(B=1.0, D=1e200, Q=1.0, R=1.0,
-                                           H=1.0)
     z = np.zeros(3)
     sol = RiccatiSolution(grid, np.array([2.0, 1.5, 1.0]), z, z)
-    for solve in (lambda: solve_limit(coeffs, grid),
-                  lambda: solve_finite_N(coeffs, 4, grid),
-                  lambda: gains(sol, coeffs)):
-        with pytest.raises(SingularGainError,
-                           match="weight is not finite at t=1$") as exc:
-            solve()
-        assert exc.value.t == 1.0
+    for H in (1.0, 0.0):
+        coeffs = CoefficientSet.from_constants(B=1.0, D=1e200, Q=1.0, R=1.0,
+                                               H=H)
+        for solve in (lambda: solve_limit(coeffs, grid),
+                      lambda: solve_finite_N(coeffs, 4, grid),
+                      lambda: gains(sol, coeffs),
+                      lambda: convexity_margin(coeffs, grid),
+                      lambda: convexity_margin(coeffs, grid, 4)):
+            with pytest.raises(SingularGainError,
+                               match="weight is not finite at t=1$") as exc:
+                solve()
+            assert exc.value.t == 1.0
 
 
 # B = 0 and A = 0.5 give P' = -P - 1, so P = 2 e^(T - t) - 1 and the weight

@@ -2,12 +2,10 @@
 
 import dataclasses
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from lqmfg import sim
 from lqmfg.errors import ModelConfigError, SimulationDivergedError
 from lqmfg.model import CoefficientSet, InitialLaw, TimeGrid, TimeProfile
 from lqmfg.riccati import gains, solve_finite_N, solve_limit
@@ -15,14 +13,11 @@ from lqmfg.synthesis import make_law, solve_mean_field
 from lqmfg.sim import (
     _PURPOSE_AGENT,
     _TILE,
-    AdjointCheckReport,
     PathSet,
     PopulationConfig,
-    cost_decomposition,
     costs_all_agents,
     simulate,
     simulate_reps,
-    stationarity_residual,
     stream,
     _costs,
     _euler_maruyama,
@@ -30,7 +25,8 @@ from lqmfg.sim import (
     _key,
     _replay_lanes,
 )
-from oracles import convexity_probe
+from oracles import (AdjointCheckReport, convexity_probe,
+                     cost_decomposition, stationarity_residual)
 
 ALL_ONES = CoefficientSet.from_constants(A=1, B=1, C=1, D=1, f=1, g=1,
                                          Q=1, R=1, Gamma=1, eta=1,
@@ -394,27 +390,21 @@ def test_simulate_and_replay_compare_grids_not_lengths():
                            initial=InitialLaw.point(1.0))
     with pytest.raises(ModelConfigError, match="does not match"):
         simulate(ALL_ONES, law, cfg, grid)
-    ps = simulate(ALL_ONES, law, cfg, law.grid)[0]
-    with pytest.raises(ModelConfigError, match="does not match"):
-        cost_decomposition(0, [ps], law, ALL_ONES, grid)
 
 
 @pytest.mark.parametrize("other", [TimeGrid(T=1.0, M=100),
                                    TimeGrid(T=10.0, M=50)], ids=["T", "M"])
 def test_path_sets_are_checked_against_their_grid(other):
-    # a population on one grid, decomposed or costed on another: another
-    # horizon with the same M, or another M, is a typed configuration error
+    # a population on one grid, costed on another: another horizon with
+    # the same M, or another M, is a typed configuration error
     grid = TimeGrid(T=10.0, M=100)
     cfg = PopulationConfig(N=3, reps=1, master_seed=1,
                            initial=InitialLaw.point(1.0))
     own = decentralized_setup(grid)[2]
     ps = simulate(ALL_ONES, own, cfg, grid)[0]
     assert ps.grid == grid
-    law = decentralized_setup(other)[2]
-    for check in (lambda: costs_all_agents(ps, ALL_ONES, other),
-                  lambda: cost_decomposition(0, [ps], law, ALL_ONES, other)):
-        with pytest.raises(ModelConfigError, match="path set on"):
-            check()
+    with pytest.raises(ModelConfigError, match="path set on"):
+        costs_all_agents(ps, ALL_ONES, other)
 
 
 def test_noise_free_single_agent_is_euler():
@@ -562,13 +552,13 @@ def test_stationarity_identity_and_negative_control():
     cfg = PopulationConfig(N=N, reps=3, master_seed=2026,
                            initial=InitialLaw.uniform(0, 20))
     paths = simulate(ALL_ONES, law, cfg, grid)
-    report = stationarity_residual(paths, fin, gn, ALL_ONES)
+    report = stationarity_residual(paths, fin, ALL_ONES)
     assert isinstance(report, AdjointCheckReport)
     assert report.max_rel <= 1e-9
 
     perturbed = dataclasses.replace(law, k_self=law.k_self + 1e-3)
     paths_bad = simulate(ALL_ONES, perturbed, cfg, grid)
-    report_bad = stationarity_residual(paths_bad, fin, gn, ALL_ONES)
+    report_bad = stationarity_residual(paths_bad, fin, ALL_ONES)
     assert report_bad.max_rel >= 1e-4
 
 
@@ -584,39 +574,8 @@ def test_stationarity_residual_zero_without_control_channels():
     cfg = PopulationConfig(N=N, reps=2, master_seed=9,
                            initial=InitialLaw.uniform(0, 1))
     paths = simulate(coeffs, law, cfg, grid)
-    report = stationarity_residual(paths, fin, gn, coeffs)
+    report = stationarity_residual(paths, fin, coeffs)
     assert report.max_abs == 0.0
-
-
-def test_stationarity_structural_mismatches():
-    grid = TimeGrid(T=1.0, M=50)
-    fin = solve_finite_N(ALL_ONES, 4, grid)
-    gn = gains(fin, ALL_ONES)
-    lim = solve_limit(ALL_ONES, grid)
-    gl = gains(lim, ALL_ONES)
-    law = make_law("centralized", gn)
-    cfg = PopulationConfig(N=4, reps=1, master_seed=1,
-                           initial=InitialLaw.point(1.0))
-    paths = simulate(ALL_ONES, law, cfg, grid)
-    with pytest.raises(ModelConfigError):
-        stationarity_residual(paths, lim, gl, ALL_ONES)
-    other = solve_finite_N(ALL_ONES, 6, grid)
-    with pytest.raises(ModelConfigError):
-        stationarity_residual(paths, other, gains(other, ALL_ONES), ALL_ONES)
-    # every path set is checked, not only the first: one of 6 agents, and
-    # one of 4 agents on a grid with as many nodes but another horizon
-    six = simulate(ALL_ONES, make_law("centralized", gains(other, ALL_ONES)),
-                   PopulationConfig(N=6, reps=1, master_seed=1,
-                                    initial=InitialLaw.point(1.0)), grid)
-    with pytest.raises(ModelConfigError, match="6 agents"):
-        stationarity_residual(paths + six, fin, gn, ALL_ONES)
-    longer = TimeGrid(T=2.0, M=50)
-    fin2 = solve_finite_N(ALL_ONES, 4, longer)
-    stretched = simulate(ALL_ONES, make_law("centralized",
-                                            gains(fin2, ALL_ONES)),
-                         cfg, longer)
-    with pytest.raises(ModelConfigError, match="path set on"):
-        stationarity_residual(paths + stretched, fin, gn, ALL_ONES)
 
 
 def test_resimulate_same_law_is_bit_identical():
@@ -692,31 +651,6 @@ def test_cost_decomposition_identity():
     assert report.max_residual == 0.0
     assert np.all(report.j_quad == 0.0)
     assert np.all(report.i_cross == 0.0)
-
-
-def test_cost_decomposition_replays_every_replication_at_once():
-    # one replay of all replications and two cost calls, whatever their
-    # number; the law, the paths and the agent index are checked first
-    grid = TimeGrid(T=1.0, M=50)
-    gl, mf, law = decentralized_setup(grid)
-    dev = make_law("scaled", gl, xbar=mf, theta=0.5)
-    cfg = PopulationConfig(N=4, reps=5, master_seed=3,
-                           initial=InitialLaw.uniform(0, 20))
-    base = simulate(ALL_ONES, law, cfg, grid)
-    with mock.patch.object(sim, "_replay_lanes",
-                           wraps=sim._replay_lanes) as lanes, \
-            mock.patch.object(sim, "_costs", wraps=sim._costs) as costs:
-        report = cost_decomposition(2, base, dev, ALL_ONES, grid)
-    assert (lanes.call_count, costs.call_count) == (1, 2)
-    assert report.j_dev.shape == (5,)
-    for i in (-1, 4):
-        with pytest.raises(IndexError, match=f"agent index {i} out of range"):
-            cost_decomposition(i, base, dev, ALL_ONES, grid)
-    other = simulate(ALL_ONES, law, dataclasses.replace(cfg, N=3), grid)
-    with pytest.raises(ModelConfigError, match="path sets of 4 and 3 agents"):
-        cost_decomposition(0, base + other, dev, ALL_ONES, grid)
-    with pytest.raises(ModelConfigError, match="empty path list"):
-        cost_decomposition(0, [], dev, ALL_ONES, grid)
 
 
 def test_decentralized_and_centralized_costs_close():
