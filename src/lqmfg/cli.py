@@ -28,9 +28,10 @@ import numpy as np
 from . import __version__
 from .errors import (ModelConfigError, NonSolvableError,
                      SimulationDivergedError, SingularGainError)
-from .experiments import (DEFAULT_DEVIATIONS, _build_laws, _convexity,
-                          epsilon_sweep, figure_data, nash_gap,
-                          riccati_convergence, write_csv)
+from .experiments import (_SECONDS_PER_CELL, DEFAULT_DEVIATIONS, _build_laws,
+                          _convexity, _csv_text, _write_text, epsilon_sweep,
+                          figure_data, nash_gap, riccati_convergence,
+                          write_csv)
 from .model import (_COEFFICIENT_NAMES, _GRID_KEYS, _INITIAL_KEYS, _as_int,
                     _number, _seed, canonical_fingerprint, load_config,
                     parse_coefficients, parse_grid, parse_initial_law,
@@ -220,25 +221,31 @@ def _cmd_validate(args, cfg, coeffs, grid, initial, seed):
 
 
 def _cmd_solve_riccati(args, cfg, coeffs, grid, initial, seed):
-    # both systems are solved, and their gains formed, before any CSV is
-    # written: a failed run leaves no table behind
+    # each table is solved, its gains formed and its rows formatted in one
+    # worker, and no file is written before both solves succeed: a failed
+    # run leaves no table behind
     population = _settings(args, cfg, "solve_riccati")["N"]
-    tables = [(sol, gains(sol, coeffs)) for sol in solve_backward(
-        coeffs, grid, [None] if population is None else [None, population])]
+
+    def table(sol):
+        sched = gains(sol, coeffs)
+        return _least_weight(sched), _csv_text(
+            ("t", "P", "K", "phi", "alpha", "beta", "gamma", "delta"),
+            (grid.nodes, sol.P, sol.K, sol.phi, sched.alpha, sched.beta,
+             sched.gamma, sched.delta),
+            () if sol.N is None else (f"N = {sol.N}",))
+
+    tables = solve_backward(
+        coeffs, grid, [None] if population is None else [None, population],
+        then=table, then_seconds=8 * (grid.M + 1) * _SECONDS_PER_CELL)
     outputs = []
-    for (sol, sched), name, comments in zip(
-            tables, ("riccati_limit.csv", "riccati_finite.csv"),
-            ((), (f"N = {population}",))):
-        path = os.path.join(args.out_dir, name)
-        write_csv(path, ("t", "P", "K", "phi", "alpha", "beta", "gamma",
-                         "delta"),
-                  (grid.nodes, sol.P, sol.K, sol.phi, sched.alpha,
-                   sched.beta, sched.gamma, sched.delta), comments)
-        outputs.append(path)
+    for (_, text), name in zip(tables, ("riccati_limit.csv",
+                                        "riccati_finite.csv")):
+        outputs.append(os.path.join(args.out_dir, name))
+        _write_text(outputs[-1], text)
     # the limit form of convexity_margin solves this same P, so the limit's
     # alpha column gives its margin without another solve
     return outputs, {"population": population,
-                     **_convexity(*_least_weight(tables[0][1]))}
+                     **_convexity(*tables[0][0])}
 
 
 def _cmd_mean_field(args, cfg, coeffs, grid, initial, seed):

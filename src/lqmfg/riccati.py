@@ -11,9 +11,10 @@ fixed-step fourth-order Runge-Kutta running backward from t = T:
 
 Stages at half steps read the coefficients, and in the limit P and K,
 interpolated linearly between nodes; phi_N reads the (P_N, K_N) of its own
-RK4 stages.  The nonlinear sweeps step inline over one row of coefficient
-floats per half-grid point; the linear equations (phi, phi_N, the forward
-mean-field ODE) share one affine RK4 stepper.
+RK4 stages, which the sweep does not keep: they are rebuilt from its nodes
+for all steps at once, bit for bit.  The nonlinear sweeps step inline over
+one row of coefficient floats per half-grid point; the linear equations
+(phi, phi_N, the forward mean-field ODE) share one affine RK4 stepper.
 
 The weight rule: every effective control weight alpha, R + D^2 P or
 R + D^2 (P + K/N) for N agents, is finite, at least _ALPHA_MIN in size and
@@ -238,12 +239,35 @@ def solve_limit(coeffs: CoefficientSet, grid: TimeGrid) -> RiccatiSolution:
     return RiccatiSolution(grid, np.asarray(P), np.asarray(K), phi)
 
 
+def _stage_points(P: np.ndarray, K: np.ndarray, cols, inv_n: float,
+                  dt: float) -> tuple:
+    """The (P_N, K_N) of solve_finite_N's sweep at RK4 stages 1-4 (rows) of
+    each step (columns, in sweep order), formed for all steps at once from
+    the nodes P and K by the sweep's own expressions in its order, so they
+    are its floats bit for bit; cols are the sweep's half-grid columns
+    (R, D^2, B, CD, 2A, C^2, Q_e, Q_e Gamma)."""
+    R, E, B, X, A2, C2, Q, G = (_stage_rows(x) for x in cols)
+    p, k = P[:0:-1], K[:0:-1]
+    Ps, Ks = [p], [k]
+    for i, h in enumerate((-0.5 * dt, -0.5 * dt, -dt)):
+        pi, ki = Ps[i], Ks[i]
+        s = pi + ki * inv_n
+        alpha = R[i] + E[i] * s
+        beta, gamma = B[i] * pi + X[i] * s, B[i] * ki
+        dp = beta * beta / alpha - A2[i] * pi - C2[i] * s - Q[i]
+        dk = gamma * (2.0 * beta + gamma) / alpha - A2[i] * ki + G[i]
+        Ps.append(p + h * dp)
+        Ks.append(k + h * dk)
+    return np.stack(Ps), np.stack(Ks)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def solve_finite_N(coeffs: CoefficientSet, N: int,
                    grid: TimeGrid) -> RiccatiSolution:
     """Solve the coupled population system (P_N, K_N, phi_N) for N agents,
     N an integer >= 1: (P_N, K_N) in completed-square form, then phi_N by
-    _rk4_affine from their stage points; errors as in solve_limit."""
+    _rk4_affine from their stage points, which the sweep does not keep:
+    _stage_points forms them from its nodes; errors as in solve_limit."""
     N = _population_size(N)
     hc = coeffs.half_values(grid)
     M, dt, amin, bound = grid.M, grid.dt, _ALPHA_MIN, _BLOW_UP_BOUND
@@ -254,13 +278,13 @@ def solve_finite_N(coeffs: CoefficientSet, N: int,
     # K' = -2AK + gamma(2 beta + gamma)/alpha + Q_e Gamma; a row holds
     # (R, D^2, B, CD, 2A, C^2, Q_e, Q_e Gamma)
     qe = hc["Q"] * (1.0 - hc["Gamma"] * inv_n)
-    rows = _rows(hc["R"], hc["D"] ** 2, hc["B"], hc["C"] * hc["D"],
-                 2.0 * hc["A"], hc["C"] ** 2, qe, qe * hc["Gamma"])
+    cols = (hc["R"], hc["D"] ** 2, hc["B"], hc["C"] * hc["D"], 2.0 * hc["A"],
+            hc["C"] ** 2, qe, qe * hc["Gamma"])
+    rows = _rows(*cols)
     scale = coeffs.H * (1.0 - coeffs.Gamma0 * inv_n)
     p, k = scale, -scale * coeffs.Gamma0
     P = array("d", [math.nan] * M + [p])
     K = array("d", [math.nan] * M + [k])
-    pts = array("d")    # (P, K) at the four stages of each step
     row = rows[2 * M]
     alpha = row[0] + row[1] * (p + k * inv_n)
     _check_weight(np.array([alpha]), np.array([M * dt]))
@@ -297,7 +321,6 @@ def solve_finite_N(coeffs: CoefficientSet, N: int,
         beta, gamma = b2 * p4 + x2 * s, b2 * k4
         dp4 = beta * beta / alpha - a2 * p4 - c2 * s - q2
         dk4 = gamma * (2.0 * beta + gamma) / alpha - a2 * k4 + g2
-        pts.extend((p, k, p2, k2, p3, k3, p4, k4))
         p = p + h6 * (dp1 + 2.0 * (dp2 + dp3) + dp4)
         k = k + h6 * (dk1 + 2.0 * (dk2 + dk3) + dk4)
         if not (-bound < p < bound and -bound < k < bound):
@@ -305,7 +328,8 @@ def solve_finite_N(coeffs: CoefficientSet, N: int,
         P[step], K[step], row = p, k, rows[j]
     del rows
     # phi_N divides by the stage weights
-    Ps, Ks = np.frombuffer(pts).reshape(-1, 4, 2).T
+    Ps, Ks = _stage_points(np.frombuffer(P), np.frombuffer(K), cols, inv_n,
+                           dt)
     S = Ps + Ks * inv_n
     A, B, C, D, R, f, g = (_stage_rows(hc[name]) for name in "ABCDRfg")
     alpha = R + D ** 2 * S
@@ -322,20 +346,26 @@ def solve_finite_N(coeffs: CoefficientSet, N: int,
     return RiccatiSolution(grid, np.frombuffer(P), np.frombuffer(K), phi, N)
 
 
-def solve_backward(coeffs: CoefficientSet, grid: TimeGrid,
-                   populations) -> list:
+def solve_backward(coeffs: CoefficientSet, grid: TimeGrid, populations, *,
+                   then=None, then_seconds: float = 0.0) -> list:
     """solve_limit for each None of `populations` and solve_finite_N for
-    each population size N, in order.  The solves are independent, so
-    _pmap runs them on one forked worker per CPU when they take long enough
-    to pay for it; the first that fails, in order, raises its error."""
+    each population size N, in order; given then, then(solution) in place
+    of each solution, run where that solve ran, and then_seconds its
+    estimated time.  The solves are independent, so _pmap runs them on one
+    forked worker per CPU when they take long enough to pay for it; the
+    first that fails, in order, raises its error."""
     populations = list(populations)
-    # an RK4 step of the limit costs about 2.5 us, one of N players 3.5 us
-    # (2.3-2.7 and 2.9-3.8 us measured on a 2-CPU x86-64 machine)
-    seconds = grid.M * sum(2.5e-6 if N is None else 3.5e-6
-                           for N in populations)
-    return _pmap(lambda N: solve_limit(coeffs, grid) if N is None
-                 else solve_finite_N(coeffs, N, grid),
-                 [(N,) for N in populations], seconds)
+    # an RK4 step of the limit costs about 2.5 us, one of N players 2.7 us
+    # (2.3-3.4 and 2.6-3.5 us measured on a 2-CPU x86-64 machine)
+    seconds = sum(grid.M * (2.5e-6 if N is None else 2.7e-6) + then_seconds
+                  for N in populations)
+
+    def solve(N):
+        sol = (solve_limit(coeffs, grid) if N is None
+               else solve_finite_N(coeffs, N, grid))
+        return sol if then is None else then(sol)
+
+    return _pmap(solve, [(N,) for N in populations], seconds)
 
 
 def gains(sol: RiccatiSolution, coeffs: CoefficientSet) -> GainSchedule:

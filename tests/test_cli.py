@@ -12,7 +12,7 @@ import pytest
 import lqmfg.experiments as experiments
 from lqmfg import _pool, riccati
 from lqmfg.cli import _CONFIG, _KEYS, _SECTIONS, run
-from lqmfg.model import _INITIAL_KEYS
+from lqmfg.model import _INITIAL_KEYS, parse_coefficients, parse_grid
 
 ALL_ONES = {name: 1 for name in
             ("A", "B", "C", "D", "f", "g", "Q", "R", "Gamma", "eta", "H",
@@ -718,6 +718,66 @@ def test_a_dead_pool_worker_exits_5_with_manifest(tmp_path, monkeypatch,
     assert "pool worker" in manifest["error"]
     assert manifest["outputs"] == []
     assert os.listdir(out) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("scheduler", ("in-process", "pool"))
+def test_a_failed_population_solve_leaves_no_table(tmp_path, monkeypatch,
+                                                   capsys, scheduler):
+    # the limit solves and its table is formatted, but the N = 2 weight
+    # changes sign: the run exits 3 and writes neither table
+    from test_experiments import use_scheduler
+    use_scheduler(monkeypatch, scheduler)
+    cfg = make_config(tmp_path, coefficients=dict(ALL_ONES, R=0.1,
+                                                  Gamma0=1.5),
+                      grid={"T": 1.0, "M": 50})
+    limit, out = tmp_path / "limit", tmp_path / "out"
+    assert run(["solve-riccati", "--config", cfg, "--out-dir", str(limit)]) == 0
+    assert run(["solve-riccati", "--config", cfg, "--out-dir", str(out),
+                "--population", "2"]) == 3
+    assert "changes sign near t=0.5" in capsys.readouterr().err
+    manifest = read_manifest(out)
+    assert (manifest["exit_code"], manifest["outputs"]) == (3, [])
+    assert os.listdir(out) == ["manifest.json"]
+
+
+def test_solve_riccati_writes_the_same_bytes_in_process_and_on_a_pool(
+        tmp_path, monkeypatch):
+    # in process; on the pool, each table solved and formatted in its own
+    # worker; and the limit alone on the pool, solved in process with its
+    # rows formatted by two workers.  Every table is write_csv's over the
+    # solve_backward solutions and their gains
+    from test_acceptance import MIXED_CONFIG
+    from test_experiments import use_scheduler
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(MIXED_CONFIG))
+    names = ("riccati_limit.csv", "riccati_finite.csv")
+    got = {}
+    for scheduler, population in (("in-process", "7"), ("pool", "7"),
+                                  ("pool", None)):
+        out = tmp_path / f"{scheduler}-{population}"
+        with monkeypatch.context() as patch:
+            use_scheduler(patch, scheduler)
+            assert run(["solve-riccati", "--config", str(cfg), "--out-dir",
+                        str(out)] + (["--population", population]
+                                     if population else [])) == 0
+        got[scheduler, population] = {
+            name: (out / name).read_bytes() for name in names
+            if (out / name).exists()}
+    grid = parse_grid(MIXED_CONFIG)
+    coeffs = parse_coefficients(MIXED_CONFIG, grid)
+    want = {}
+    for sol, name, comments in zip(
+            riccati.solve_backward(coeffs, grid, [None, 7]), names,
+            ((), ("N = 7",))):
+        sched = riccati.gains(sol, coeffs)
+        experiments.write_csv(
+            tmp_path / name, ("t", "P", "K", "phi", "alpha", "beta", "gamma",
+                              "delta"),
+            (grid.nodes, sol.P, sol.K, sol.phi, sched.alpha, sched.beta,
+             sched.gamma, sched.delta), comments)
+        want[name] = (tmp_path / name).read_bytes()
+    assert got["in-process", "7"] == got["pool", "7"] == want
+    assert got["pool", None] == {"riccati_limit.csv": want[names[0]]}
 
 
 def test_manifests_report_the_convexity_margin(tmp_path, capsys):
