@@ -228,7 +228,7 @@ def _cmd_solve_riccati(args, cfg, coeffs, grid, initial, seed):
 
     def table(sol):
         sched = gains(sol, coeffs)
-        return _least_weight(sched), _csv_text(
+        return _least_weight(sched.alpha, grid), _csv_text(
             ("t", "P", "K", "phi", "alpha", "beta", "gamma", "delta"),
             (grid.nodes, sol.P, sol.K, sol.phi, sched.alpha, sched.beta,
              sched.gamma, sched.delta),

@@ -22,7 +22,7 @@ from .riccati import (convexity_margin, gains, solve_backward,
                       solve_finite_N, solve_limit)
 from .sim import (PopulationConfig, _costs, _population_chunks, _replay_lanes,
                   quadrature)
-from .synthesis import LAW_KINDS, make_law, solve_mean_field
+from .synthesis import LAW_KINDS, _zero_law, make_law, solve_mean_field
 
 DEFAULT_DEVIATIONS = ("zero", "scaled(0.25)", "scaled(0.5)", "scaled(0.75)",
                       "scaled(1.25)", "scaled(1.5)", "meanfield-informed",
@@ -77,18 +77,20 @@ def _build_laws(specs, coeffs: CoefficientSet, grid: TimeGrid,
     """One StrategyLaw per (kind, theta) spec.
 
     The limit gains, the mean-field path and the N-player gains are each
-    solved once, and only if some requested kind needs them.
+    solved once, and only if some requested kind needs them; the zero law
+    needs none.
     """
     kinds = {kind for kind, _ in specs}
     gl = mf = gn = None
-    if kinds - {"centralized"}:
+    if kinds & {"decentralized", "scaled", "meanfield-informed"}:
         gl = gains(solve_limit(coeffs, grid), coeffs)
     if kinds & {"decentralized", "scaled"}:
         mf = solve_mean_field(coeffs, gl, initial.mean, grid)
     if "centralized" in kinds:
         gn = gains(solve_finite_N(coeffs, N, grid), coeffs)
-    return [make_law(kind, gn if kind == "centralized" else gl, xbar=mf,
-                     theta=theta) for kind, theta in specs]
+    return [_zero_law(grid) if kind == "zero"
+            else make_law(kind, gn if kind == "centralized" else gl, xbar=mf,
+                          theta=theta) for kind, theta in specs]
 
 
 def _parse_label(label: str):
@@ -354,8 +356,6 @@ def figure_data(coeffs: CoefficientSet, grid: TimeGrid, sweep,
     write_csv(p2, sweep.columns, zip(*sweep.rows))
     written = [p1, p2]
     for name, script in (("fig1.gp", _FIG1_SCRIPT), ("fig2.gp", _FIG2_SCRIPT)):
-        path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(script)
-        written.append(path)
+        written.append(os.path.join(out_dir, name))
+        _write_text(written[-1], script)
     return written

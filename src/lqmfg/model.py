@@ -141,15 +141,6 @@ class TimeProfile:
     def is_constant(self) -> bool:
         return self.grid is None
 
-    def at(self, t: float) -> float:
-        """Evaluate at time t; exact at nodes, linear between them."""
-        if self.is_constant:
-            return self.value
-        grid = self.grid
-        if t < 0.0 or t > grid.T:
-            raise ModelConfigError(f"time {t} outside [0, {grid.T}]")
-        return float(np.interp(t, grid.nodes, self.values))
-
     def node_values(self, grid: TimeGrid) -> np.ndarray:
         """Values at the M+1 nodes of `grid` (must match the sampling grid)."""
         if self.is_constant:
@@ -160,8 +151,8 @@ class TimeProfile:
     def half_values(self, grid: TimeGrid) -> np.ndarray:
         """Values at the 2M+1 half-grid points t_j = j*dt/2.
 
-        Odd indices are cell midpoints, obtained by the same piecewise-linear
-        rule as `at`; this is what the RK4 stages consume.
+        Odd indices are cell midpoints, the mean of their two nodes; this is
+        what the RK4 stages consume.
         """
         if self.is_constant:
             return np.full(2 * grid.M + 1, self.value)

@@ -5,7 +5,8 @@ fixed-step fourth-order Runge-Kutta running backward from t = T:
 
 * the limiting system (P, K, phi), integrated sequentially: P satisfies an
   autonomous rational equation, K a quadratic equation with coefficients
-  built from P, and phi a linear equation built from P and K;
+  built from P, and phi a linear equation built from P and K; the P
+  stepper also sweeps the convexity margin's deviation form;
 * the population system (P_N, K_N, phi_N) for N agents: P_N and K_N are
   stepped jointly, coupled through the shared effective weight, then phi_N.
 
@@ -20,13 +21,13 @@ The weight rule: every effective control weight alpha, R + D^2 P or
 R + D^2 (P + K/N) for N agents, is finite, at least _ALPHA_MIN in size and
 of the terminal weight's sign; the first that is not raises
 SingularGainError.  _check_weight tests each sweep's terminal weight and
-the weights that K, phi, phi_N and the gains divide by; the sweeps test
-each stage's weight inline.
+the weights that K, phi and phi_N divide by, and _node_weight forms and
+tests the node weights of the gains and of the convexity margin; the
+sweeps test each stage's weight inline.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from array import array
@@ -36,8 +37,7 @@ import numpy as np
 
 from ._pool import _pmap
 from .errors import NonSolvableError, SingularGainError
-from .model import (CoefficientSet, TimeGrid, TimeProfile, _population_size,
-                    half_interp)
+from .model import CoefficientSet, TimeGrid, _population_size, half_interp
 
 
 # fixed guards: least |effective control weight|, largest |solution|
@@ -149,23 +149,20 @@ def _check_weight(alpha: np.ndarray, t: np.ndarray) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def solve_limit(coeffs: CoefficientSet, grid: TimeGrid) -> RiccatiSolution:
-    """Solve the limiting backward system (P, K, phi) on the grid.
-
-    P first (rational autonomous form), then K (quadratic, coefficients from
-    P), then phi (linear, coefficients from P and K).  Raises
-    SingularGainError at the first weight R + D^2 P that breaks the weight
-    rule, NonSolvableError on blow-up, which is also what an overflow of P
-    or of a coefficient product other than D^2 leads to.
-    """
-    hc = coeffs.half_values(grid)
+def _sweep_P(hc: dict, Q: np.ndarray, H: float, grid: TimeGrid) -> tuple:
+    """The limit's P at the nodes, P interpolated to the half-grid points
+    and the weight R + D^2 P there, which K and phi divide by, from the
+    half-grid samples hc with state weight Q (half-grid) and terminal
+    weight H.  Raises SingularGainError at the first weight that breaks the
+    weight rule, NonSolvableError on blow-up, which is also what an
+    overflow of P or of a coefficient product other than D^2 leads to."""
     M, dt, amin, bound = grid.M, grid.dt, _ALPHA_MIN, _BLOW_UP_BOUND
     h, hh, h6 = -dt, -0.5 * dt, -dt / 6.0
 
     # P' = -(2A + C^2) P - Q + (B + C D)^2 P^2 / (R + D^2 P)
-    rows = _rows(2.0 * hc["A"] + hc["C"] ** 2, hc["Q"],
+    rows = _rows(2.0 * hc["A"] + hc["C"] ** 2, Q,
                  (hc["B"] + hc["C"] * hc["D"]) ** 2, hc["R"], hc["D"] ** 2)
-    y = coeffs.H
+    y = H
     P = [math.nan] * M + [y]
     row = rows[2 * M]
     # the terminal weight by the whole rule, then one compare per stage
@@ -197,10 +194,24 @@ def solve_limit(coeffs: CoefficientSet, grid: TimeGrid) -> RiccatiSolution:
             raise _blow_up("P", k * dt)
         P[k], row = y, rows[j]
     del rows    # each sweep's rows are its peak memory
-    # K and phi divide by alpha at the half steps, from P interpolated
     Ph = half_interp(P)
     alpha_h = hc["R"] + hc["D"] ** 2 * Ph
     _check_weight(alpha_h[::-1], np.arange(2 * M, -1, -1) * dt / 2)
+    return np.asarray(P), Ph, alpha_h
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def solve_limit(coeffs: CoefficientSet, grid: TimeGrid) -> RiccatiSolution:
+    """Solve the limiting backward system (P, K, phi) on the grid.
+
+    P first (_sweep_P), then K (quadratic, coefficients from P), then phi
+    (linear, coefficients from P and K); errors as in _sweep_P, and
+    NonSolvableError on a blow-up of K or phi.
+    """
+    hc = coeffs.half_values(grid)
+    M, dt, bound = grid.M, grid.dt, _BLOW_UP_BOUND
+    h, hh, h6 = -dt, -0.5 * dt, -dt / 6.0
+    P, Ph, alpha_h = _sweep_P(hc, hc["Q"], coeffs.H, grid)
     beta_h = hc["B"] * Ph + Ph * hc["C"] * hc["D"]
 
     # K' = Q Gamma + 2[B alpha^-1 beta - A] K + alpha^-1 B^2 K^2
@@ -236,7 +247,7 @@ def solve_limit(coeffs: CoefficientSet, grid: TimeGrid) -> RiccatiSolution:
     phi = _rk4_affine(_stage_rows(p1), _stage_rows(p0),
                       -coeffs.H * coeffs.eta0, grid, "phi")
 
-    return RiccatiSolution(grid, np.asarray(P), np.asarray(K), phi)
+    return RiccatiSolution(grid, P, np.asarray(K), phi)
 
 
 def _stage_points(P: np.ndarray, K: np.ndarray, cols, inv_n: float,
@@ -368,6 +379,15 @@ def solve_backward(coeffs: CoefficientSet, grid: TimeGrid, populations, *,
     return _pmap(solve, [(N,) for N in populations], seconds)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _node_weight(R, D, S, grid: TimeGrid) -> np.ndarray:
+    """The weight R + S D^2 at the nodes, S = P or P + K/N, checked by the
+    weight rule; an overflow gives the non-finite weight it reports."""
+    alpha = R + S * D * D
+    _check_weight(alpha[::-1], grid.nodes[::-1])
+    return alpha
+
+
 def gains(sol: RiccatiSolution, coeffs: CoefficientSet) -> GainSchedule:
     """Gain schedule at the grid nodes for either solution.
 
@@ -379,10 +399,7 @@ def gains(sol: RiccatiSolution, coeffs: CoefficientSet) -> GainSchedule:
     nv = coeffs.node_values(grid)
     B, D = nv["B"], nv["D"]
     S = sol.P if sol.N is None else sol.P + sol.K / sol.N
-    # an overflow gives the non-finite weight that _check_weight reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        alpha = nv["R"] + S * D * D
-    _check_weight(alpha[::-1], grid.nodes[::-1])
+    alpha = _node_weight(nv["R"], D, S, grid)
     beta = B * sol.P + S * nv["C"] * D
     gamma = B * sol.K
     delta = B * sol.phi + S * nv["g"] * D
@@ -390,11 +407,11 @@ def gains(sol: RiccatiSolution, coeffs: CoefficientSet) -> GainSchedule:
                         delta=delta, N=sol.N)
 
 
-def _least_weight(sched: GainSchedule) -> tuple:
+def _least_weight(alpha: np.ndarray, grid: TimeGrid) -> tuple:
     """The least effective control weight alpha over the nodes and the
     first node where it occurs."""
-    k = int(np.argmin(sched.alpha))
-    return float(sched.alpha[k]), float(sched.grid.nodes[k])
+    k = int(np.argmin(alpha))
+    return float(alpha[k]), float(grid.nodes[k])
 
 
 def convexity_margin(coeffs: CoefficientSet, grid: TimeGrid,
@@ -402,28 +419,24 @@ def convexity_margin(coeffs: CoefficientSet, grid: TimeGrid,
     """(margin, t): the least weight R + D^2 P over the nodes, and its
     node, of an agent's deviation form against N - 1 frozen co-players (the
     limit when N is None); its cost is uniformly convex in its own control
-    exactly when the margin is positive.  The form weighs the state by
-    Q (1 - Gamma/N)^2 and the terminal state by H_e = H (1 - Gamma0/N)^2
-    (Q and H in the limit) and has no f, g, eta, Gamma, eta0 or Gamma0, so
-    K = phi = 0 and solve_limit sweeps P only.  A failed sweep has no
+    exactly when the margin is positive.  The form's P is _sweep_P's with
+    the state weight Q (1 - Gamma/N)^2, taken at the nodes, and the
+    terminal weight H_e = H (1 - Gamma0/N)^2.  A failed sweep has no
     regular solution: the margin is then min(0, R(T) + D(T)^2 H_e), at the
     time its error names, unless the failure is a weight that is not
     finite, whose SingularGainError is raised.
     """
-    Q, H = coeffs.Q, coeffs.H
+    hc = coeffs.half_values(grid)
+    Q, H, R, D = hc["Q"], coeffs.H, hc["R"][::2], hc["D"][::2]
     if N is not None:
         inv_n = 1.0 / _population_size(N)
-        nv = coeffs.node_values(grid)
-        Q = TimeProfile.sampled(nv["Q"] * (1.0 - nv["Gamma"] * inv_n) ** 2,
-                                grid)
+        Q = half_interp(hc["Q"][::2] * (1.0 - hc["Gamma"][::2] * inv_n) ** 2)
         H = H * (1.0 - coeffs.Gamma0 * inv_n) ** 2
-    zero = TimeProfile()
-    form = dataclasses.replace(coeffs, Q=Q, H=H, f=zero, g=zero, eta=zero,
-                               Gamma=zero, eta0=0.0, Gamma0=0.0)
     try:
-        return _least_weight(gains(solve_limit(form, grid), form))
+        P = _sweep_P(hc, Q, H, grid)[0]
+        return _least_weight(_node_weight(R, D, P, grid), grid)
     except (SingularGainError, NonSolvableError) as exc:
         if isinstance(exc, SingularGainError) and not math.isfinite(exc.alpha):
             raise
-        R, D = coeffs.R.at(grid.T), coeffs.D.at(grid.T)
+        R, D = float(R[-1]), float(D[-1])
         return min(0.0, R + D * D * H), float(exc.t)

@@ -83,6 +83,12 @@ def solve_mean_field(coeffs: CoefficientSet, gains: GainSchedule,
     return MeanFieldPath(grid=grid, values=values)
 
 
+def _zero_law(grid: TimeGrid) -> StrategyLaw:
+    """The law u = 0 on the grid; it reads no gains."""
+    z = np.zeros(grid.M + 1)
+    return StrategyLaw("zero", grid, z, z.copy(), z.copy())
+
+
 def make_law(kind: str, gains: GainSchedule,
              xbar: MeanFieldPath | None = None,
              theta: float | None = None) -> StrategyLaw:
@@ -96,26 +102,15 @@ def make_law(kind: str, gains: GainSchedule,
     if kind not in LAW_KINDS:
         raise ModelConfigError(f"unknown strategy kind {kind!r}")
     grid = gains.grid
-
     if kind == "zero":
-        z = np.zeros(gains.alpha.size)
-        return StrategyLaw(kind=kind, grid=grid, k_self=z, k_mean=z.copy(),
-                           k_const=z.copy())
-
+        return _zero_law(grid)
+    if (kind == "centralized") != (gains.N is not None):
+        need = "limit" if gains.N is not None else "finite-population"
+        raise ModelConfigError(f"{kind} law needs {need} gains")
     k_self = -gains.beta / gains.alpha
     k_mean = -gains.gamma / gains.alpha
     k_const = -gains.delta / gains.alpha
-
-    if kind == "centralized":
-        if gains.N is None:
-            raise ModelConfigError("centralized law needs finite-population gains")
-        return StrategyLaw(kind=kind, grid=grid, k_self=k_self, k_mean=k_mean,
-                           k_const=k_const)
-
-    if gains.N is not None:
-        raise ModelConfigError(f"{kind} law needs limit gains")
-
-    if kind == "meanfield-informed":
+    if kind in ("centralized", "meanfield-informed"):
         return StrategyLaw(kind=kind, grid=grid, k_self=k_self, k_mean=k_mean,
                            k_const=k_const)
 

@@ -623,6 +623,7 @@ def test_laws_solve_only_the_systems_they_need(tmp_path, monkeypatch):
         "simulate": {"N": 3, "reps": 1},
         "nash_gap": {"N": 3, "reps": 2, "deviations": ["zero", "scaled(.5)"]}})
     cases = (
+        ("solve_limit", ["simulate", "--law", "zero"]),
         ("solve_mean_field", ["simulate", "--law", "zero"]),
         ("solve_mean_field", ["simulate", "--law", "meanfield-informed"]),
         ("solve_limit", ["simulate", "--law", "centralized"]),
@@ -634,6 +635,45 @@ def test_laws_solve_only_the_systems_they_need(tmp_path, monkeypatch):
             patch.setattr(experiments, name, unneeded)
             assert run(argv + ["--config", cfg,
                                "--out-dir", str(tmp_path / f"out{k}")]) == 0
+
+
+def test_zero_law_runs_where_the_riccati_equation_blows_up(tmp_path, capsys):
+    # R < 0 with D = 0: P blows up backward near t = 1.2, so every law that
+    # reads gains exits 3; the zero law reads none, and once exited 3 too
+    coeffs = dict({name: 0 for name in ALL_ONES}, B=1, Q=1, H=1, R=-1, g=1)
+    cfg = make_config(tmp_path, coefficients=coeffs, grid={"T": 2.0, "M": 200},
+                      initial={"kind": "point", "value": 1.0},
+                      experiments={"simulate": {"N": 3, "reps": 2}})
+    out = tmp_path / "out"
+    assert run(["simulate", "--law", "decentralized", "--config", cfg,
+                "--out-dir", str(out)]) == 3
+    assert "P left" in capsys.readouterr().err
+    assert run(["simulate", "--law", "zero", "--config", cfg,
+                "--out-dir", str(out)]) == 0
+    manifest = read_manifest(out)
+    assert manifest["exit_code"] == 0
+    assert manifest["results"]["law"] == "zero"
+    rows = (out / "law.csv").read_text().splitlines()[3:]
+    assert len(rows) == 201
+    assert all(row.endswith(",0.0,0.0,0.0") for row in rows)
+
+
+def test_validate_and_solve_riccati_report_one_limit_margin(tmp_path):
+    # validate sweeps the deviation form's P, solve-riccati reads the least
+    # of the limit's alpha column: on every committed config they agree
+    configs = os.path.join(os.path.dirname(__file__), "..", "configs")
+    names = sorted(n for n in os.listdir(configs) if n.endswith(".json"))
+    assert names
+    for name in names:
+        cfg = os.path.join(configs, name)
+        margins = []
+        for sub in ("validate", "solve-riccati"):
+            out = tmp_path / name / sub
+            assert run([sub, "--config", cfg, "--out-dir", str(out)]) == 0
+            results = read_manifest(out)["results"]
+            margins.append((results["convexity_margin"],
+                            results["convexity_margin_t"]))
+        assert margins[0] == margins[1], name
 
 
 def test_empty_population_list_exits_2_with_manifest(tmp_path, capsys):

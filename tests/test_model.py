@@ -61,28 +61,19 @@ def test_grid_rejects_bad_parameters():
 
 
 def test_constant_profile_everywhere():
+    grid = TimeGrid(T=1.0, M=3)
     p = TimeProfile.constant(3.5)
-    assert p.at(0.0) == 3.5
-    assert p.at(0.7231) == 3.5
+    np.testing.assert_array_equal(p.node_values(grid), np.full(4, 3.5))
+    np.testing.assert_array_equal(p.half_values(grid), np.full(7, 3.5))
 
 
 def test_sampled_profile_exact_at_nodes_linear_between():
     grid = TimeGrid(T=1.0, M=4)
     vals = [0.0, 1.0, 4.0, 9.0, 16.0]
     p = TimeProfile.sampled(vals, grid)
-    for t, v in zip(grid.nodes, vals):
-        assert p.at(t) == v
+    np.testing.assert_array_equal(p.node_values(grid), vals)
     # midpoint of [0.25, 0.5] is the average of the endpoints
-    assert p.at(0.375) == pytest.approx(2.5, rel=1e-15)
-
-
-def test_sampled_profile_rejects_out_of_range_time():
-    grid = TimeGrid(T=1.0, M=4)
-    p = TimeProfile.sampled(np.zeros(5), grid)
-    with pytest.raises(ModelConfigError):
-        p.at(1.5)
-    with pytest.raises(ModelConfigError):
-        p.at(-0.1)
+    assert p.half_values(grid)[3] == pytest.approx(2.5, rel=1e-15)
 
 
 def test_sampled_profile_wrong_length():
@@ -296,7 +287,7 @@ def test_config_roundtrip(tmp_path):
     assert grid.T == 2.0 and grid.M == 8
     coeffs = parse_coefficients(cfg, grid)
     assert not coeffs.Gamma.is_constant
-    assert coeffs.Gamma.at(2.0) == 0.8
+    assert coeffs.Gamma.node_values(grid)[-1] == 0.8
     law = parse_initial_law(cfg)
     assert law.mean == 10.0
 

@@ -1,7 +1,9 @@
 """Backward solver behaviour: oracles, orders, degeneracies, errors."""
 
 import dataclasses
+import json
 import math
+import os
 import re
 
 import numpy as np
@@ -10,10 +12,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lqmfg.errors import ModelConfigError, NonSolvableError, SingularGainError
-from lqmfg.model import CoefficientSet, TimeGrid, TimeProfile, half_interp
+from lqmfg.model import (CoefficientSet, TimeGrid, TimeProfile, half_interp,
+                         parse_coefficients)
 from lqmfg.riccati import (
     GainSchedule,
     RiccatiSolution,
+    _least_weight,
     _rk4_affine,
     _stage_rows,
     convexity_margin,
@@ -566,7 +570,6 @@ def test_errors_match_the_reference_steppers(R, kind):
             assert abs(got.value.t - want.value.t) <= grid.dt
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", ["B", "C"])
 def test_a_coefficient_whose_square_overflows_is_a_solver_error(name):
     # 1.34e154 squares past the largest float; the overflow once escaped
@@ -581,7 +584,6 @@ def test_a_coefficient_whose_square_overflows_is_a_solver_error(name):
         solve_finite_N(coeffs, 4, grid)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_weight_whose_square_overflows_is_not_finite():
     # D^2 overflows, so R + D^2 P is inf everywhere; P was once solved as
     # if there were no control, and gains gave alpha = inf and zero gains.
@@ -729,16 +731,57 @@ def test_margin_converges_to_the_euler_maruyama_recursion(N):
         assert 1.8 <= coarse / fine <= 2.2
 
 
-def test_margin_weighs_sampled_profiles_by_the_population():
-    # at N the form is the limit form of Q (1 - Gamma/N)^2 and
-    # H (1 - Gamma0/N)^2 with no forcing, sampled node by node
-    grid = TimeGrid(T=1.0, M=100)
-    coeffs = time_varying(grid)
-    nv = coeffs.node_values(grid)
+def deviation_form_margin(coeffs, grid, N=None):
+    """The margin by its definition: the least node weight of the limit
+    solve of agent i's deviation form, a model with no forcing whose state
+    weight is Q (1 - Gamma/N)^2 sampled at the nodes and terminal weight
+    H (1 - Gamma0/N)^2, or min(0, R(T) + D(T)^2 H_e) if that solve fails"""
+    Q, H = coeffs.Q, coeffs.H
+    if N is not None:
+        inv_n = 1.0 / N
+        nv = coeffs.node_values(grid)
+        Q = TimeProfile.sampled(nv["Q"] * (1.0 - nv["Gamma"] * inv_n) ** 2,
+                                grid)
+        H = H * (1.0 - coeffs.Gamma0 * inv_n) ** 2
     zero = TimeProfile.constant(0.0)
-    form = dataclasses.replace(
-        coeffs, Q=TimeProfile.sampled(nv["Q"] * (1 - nv["Gamma"] / 5) ** 2,
-                                      grid),
-        H=0.5 * (1 - 0.5 / 5) ** 2, Gamma=zero, Gamma0=0.0, f=zero, g=zero)
-    assert convexity_margin(coeffs, grid, 5) == convexity_margin(form, grid)
+    form = dataclasses.replace(coeffs, Q=Q, H=H, f=zero, g=zero, eta=zero,
+                               Gamma=zero, eta0=0.0, Gamma0=0.0)
+    try:
+        return _least_weight(gains(solve_limit(form, grid), form).alpha, grid)
+    except (SingularGainError, NonSolvableError) as exc:
+        if isinstance(exc, SingularGainError) and not math.isfinite(exc.alpha):
+            raise
+        R = float(coeffs.R.node_values(grid)[-1])
+        D = float(coeffs.D.node_values(grid)[-1])
+        return min(0.0, R + D * D * H), float(exc.t)
+
+
+def outcome(f):
+    try:
+        return f()
+    except (SingularGainError, NonSolvableError) as exc:
+        return type(exc).__name__, str(exc), exc.t
+
+
+def test_margin_is_the_deviation_form_margin_bit_for_bit():
+    # the margin sweeps only P, with the form's weights; its value, node
+    # and error are those of the whole form's limit solve.  SIGN_CHANGE
+    # and the blow-up fail their sweeps, D = 1e200 fails on an infinite
+    # weight
+    grid = TimeGrid(T=2.0, M=200)
+    path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "indefinite.json")
+    with open(path) as fh:
+        indefinite = parse_coefficients(json.load(fh), grid)
+    c = CoefficientSet.from_constants
+    models = (ALL_ONES, indefinite, time_varying(grid), c(**SIGN_CHANGE),
+              c(B=1.0, Q=1.0, R=-1.0, H=1.0),
+              c(B=1.0, D=1e200, Q=1.0, R=1.0, H=1.0))
+    for coeffs in models:
+        for N in (None, 1, 2, 5, 256):
+            got = outcome(lambda: convexity_margin(coeffs, grid, N))
+            want = outcome(lambda: deviation_form_margin(coeffs, grid, N))
+            assert repr(got) == repr(want), N
+            assert [type(x) for x in got] == [type(x) for x in want]
+    coeffs = time_varying(grid)
     assert convexity_margin(coeffs, grid, 5) != convexity_margin(coeffs, grid)
