@@ -1,5 +1,6 @@
-"""A fork pool for independent work: the backward solves, the Monte Carlo
-chunks and the CSV formatting.
+"""A fork pool for independent work: the backward solves, with the gain
+tables solve-riccati writes where they are solved, and the Monte Carlo
+chunks.
 
 _pmap runs its tasks on one forked worker process per CPU of the process's
 affinity mask (taskset -c 0 gives a one-CPU run) when the estimated work

@@ -29,9 +29,8 @@ from . import __version__
 from .errors import (ModelConfigError, NonSolvableError,
                      SimulationDivergedError, SingularGainError)
 from .experiments import (_SECONDS_PER_CELL, DEFAULT_DEVIATIONS, _build_laws,
-                          _convexity, _csv_text, _write_text, epsilon_sweep,
-                          figure_data, nash_gap, riccati_convergence,
-                          write_csv)
+                          _convexity, epsilon_sweep, figure_data, nash_gap,
+                          riccati_convergence, write_csv)
 from .model import (_COEFFICIENT_NAMES, _GRID_KEYS, _INITIAL_KEYS, _as_int,
                     _number, _seed, canonical_fingerprint, load_config,
                     parse_coefficients, parse_grid, parse_initial_law,
@@ -221,31 +220,37 @@ def _cmd_validate(args, cfg, coeffs, grid, initial, seed):
 
 
 def _cmd_solve_riccati(args, cfg, coeffs, grid, initial, seed):
-    # each table is solved, its gains formed and its rows formatted in one
-    # worker, and no file is written before both solves succeed: a failed
-    # run leaves no table behind
+    # each table is solved, its gains formed and its rows written to a .part
+    # file in one worker; the parts take their names once both solves
+    # succeed, so a failed run leaves an earlier run's tables as they were
     population = _settings(args, cfg, "solve_riccati")["N"]
+    populations = [None] if population is None else [None, population]
+    outputs = [os.path.join(args.out_dir, name) for name in
+               ("riccati_limit.csv", "riccati_finite.csv")[:len(populations)]]
 
     def table(sol):
         sched = gains(sol, coeffs)
-        return _least_weight(sched.alpha, grid), _csv_text(
-            ("t", "P", "K", "phi", "alpha", "beta", "gamma", "delta"),
-            (grid.nodes, sol.P, sol.K, sol.phi, sched.alpha, sched.beta,
-             sched.gamma, sched.delta),
-            () if sol.N is None else (f"N = {sol.N}",))
+        write_csv(outputs[sol.N is not None] + ".part",
+                  ("t", "P", "K", "phi", "alpha", "beta", "gamma", "delta"),
+                  (grid.nodes, sol.P, sol.K, sol.phi, sched.alpha, sched.beta,
+                   sched.gamma, sched.delta),
+                  () if sol.N is None else (f"N = {sol.N}",))
+        return _least_weight(sched.alpha, grid)
 
-    tables = solve_backward(
-        coeffs, grid, [None] if population is None else [None, population],
-        then=table, then_seconds=8 * (grid.M + 1) * _SECONDS_PER_CELL)
-    outputs = []
-    for (_, text), name in zip(tables, ("riccati_limit.csv",
-                                        "riccati_finite.csv")):
-        outputs.append(os.path.join(args.out_dir, name))
-        _write_text(outputs[-1], text)
+    try:
+        margins = solve_backward(
+            coeffs, grid, populations, then=table,
+            then_seconds=8 * (grid.M + 1) * _SECONDS_PER_CELL)
+    except BaseException:
+        for path in outputs:
+            if os.path.exists(path + ".part"):
+                os.remove(path + ".part")
+        raise
+    for path in outputs:
+        os.replace(path + ".part", path)
     # the limit form of convexity_margin solves this same P, so the limit's
     # alpha column gives its margin without another solve
-    return outputs, {"population": population,
-                     **_convexity(*tables[0][0])}
+    return outputs, {"population": population, **_convexity(*margins[0])}
 
 
 def _cmd_mean_field(args, cfg, coeffs, grid, initial, seed):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _pool
 from .errors import ModelConfigError, SimulationDivergedError
 from .model import (CoefficientSet, InitialLaw, TimeGrid, _number,
                     _population_size, canonical_fingerprint)
@@ -279,44 +278,31 @@ def _cell(v) -> str:
     return str(v)
 
 
-# a float64 cell's shortest repr, joined into its row, costs about 0.8 us,
-# the other cells less (0.65-1.3 us measured on the M = 50 000 gain tables,
-# on a 2-CPU x86-64 machine)
+# a float64 cell's shortest repr, joined into its row and written, costs
+# about 0.8 us, the other cells less (0.65-1.3 us measured on the M = 50 000
+# gain tables, on a 2-CPU x86-64 machine)
 _SECONDS_PER_CELL = 0.8e-6
-
-
-def _csv_text(header, columns, comments=()) -> str:
-    """The text of a CSV with '#'-prefixed comment lines and one column per
-    entry of columns; floats use the shortest round-trip representation so
-    identical data gives identical bytes.  The rows are formatted in one
-    block per CPU, on forked workers (_pool._pmap) when the table is large
-    enough to pay for them."""
-    columns = [col if isinstance(col, np.ndarray) else list(col)
-               for col in columns]
-    n = min(map(len, columns), default=0)
-    k = _pool._cpus()
-    bounds = [n * i // k for i in range(k + 1)]
-
-    def block(lo, hi):
-        cells = [map(repr, col[lo:hi].tolist())
-                 if isinstance(col, np.ndarray) and col.dtype == np.float64
-                 else map(_cell, col[lo:hi]) for col in columns]
-        return "".join([",".join(row) + "\n" for row in zip(*cells)])
-
-    blocks = _pool._pmap(block, list(zip(bounds, bounds[1:])),
-                         n * len(columns) * _SECONDS_PER_CELL)
-    return "".join([f"# {comment}\n" for comment in comments]
-                   + [",".join(header) + "\n"] + blocks)
-
-
-def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+# rows formatted and written at a time, about 0.6 MB of a gain table's text
+_BLOCK_ROWS = 4096
 
 
 def write_csv(path, header, columns, comments=()) -> None:
-    """Write the CSV that _csv_text formats to path."""
-    _write_text(path, _csv_text(header, columns, comments))
+    """Write a CSV with '#'-prefixed comment lines and one column per entry
+    of columns to path; floats use the shortest round-trip representation,
+    so identical data gives identical bytes.  Each block of _BLOCK_ROWS rows
+    is written before the next is formatted."""
+    columns = [col if isinstance(col, np.ndarray) else list(col)
+               for col in columns]
+    n = min(map(len, columns), default=0)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join([f"# {comment}\n" for comment in comments]
+                         + [",".join(header) + "\n"]))
+        for lo in range(0, n, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, n)
+            cells = [map(repr, col[lo:hi].tolist())
+                     if isinstance(col, np.ndarray) and col.dtype == np.float64
+                     else map(_cell, col[lo:hi]) for col in columns]
+            fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
 
 
 _FIG1_SCRIPT = """set datafile separator comma
@@ -357,5 +343,6 @@ def figure_data(coeffs: CoefficientSet, grid: TimeGrid, sweep,
     written = [p1, p2]
     for name, script in (("fig1.gp", _FIG1_SCRIPT), ("fig2.gp", _FIG2_SCRIPT)):
         written.append(os.path.join(out_dir, name))
-        _write_text(written[-1], script)
+        with open(written[-1], "w", encoding="utf-8", newline="") as fh:
+            fh.write(script)
     return written

@@ -414,6 +414,7 @@ def _least_weight(alpha: np.ndarray, grid: TimeGrid) -> tuple:
     return float(alpha[k]), float(grid.nodes[k])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def convexity_margin(coeffs: CoefficientSet, grid: TimeGrid,
                      N: int | None = None) -> tuple:
     """(margin, t): the least weight R + D^2 P over the nodes, and its
@@ -421,17 +422,22 @@ def convexity_margin(coeffs: CoefficientSet, grid: TimeGrid,
     limit when N is None); its cost is uniformly convex in its own control
     exactly when the margin is positive.  The form's P is _sweep_P's with
     the state weight Q (1 - Gamma/N)^2, taken at the nodes, and the
-    terminal weight H_e = H (1 - Gamma0/N)^2.  A failed sweep has no
-    regular solution: the margin is then min(0, R(T) + D(T)^2 H_e), at the
-    time its error names, unless the failure is a weight that is not
-    finite, whose SingularGainError is raised.
+    terminal weight H_e = H (1 - Gamma0/N)^2 (a zero weight stays zero, an
+    overflowing square gives inf).  A failed sweep has no regular solution:
+    the margin is then min(0, R(T) + D(T)^2 H_e), at the time its error
+    names, unless the failure is a weight that is not finite, whose
+    SingularGainError is raised.
     """
     hc = coeffs.half_values(grid)
     Q, H, R, D = hc["Q"], coeffs.H, hc["R"][::2], hc["D"][::2]
     if N is not None:
         inv_n = 1.0 / _population_size(N)
-        Q = half_interp(hc["Q"][::2] * (1.0 - hc["Gamma"][::2] * inv_n) ** 2)
-        H = H * (1.0 - coeffs.Gamma0 * inv_n) ** 2
+        q = hc["Q"][::2]
+        Q = half_interp(np.where(
+            q == 0.0, q, q * (1.0 - hc["Gamma"][::2] * inv_n) ** 2))
+        # numpy's scalar power is Python's C pow, without its OverflowError
+        if H != 0.0:
+            H = float(H * (1.0 - np.float64(coeffs.Gamma0) * inv_n) ** 2)
     try:
         P = _sweep_P(hc, Q, H, grid)[0]
         return _least_weight(_node_weight(R, D, P, grid), grid)

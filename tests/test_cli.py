@@ -736,20 +736,38 @@ def test_importing_the_cli_loads_no_multiprocessing():
     assert out.stdout.strip() == "[]"
 
 
+def solve_riccati_tables(cfg, out):
+    """Run a successful solve-riccati --population 10 into out; returns its
+    tables' bytes by name."""
+    assert run(["solve-riccati", "--config", cfg, "--out-dir", str(out),
+                "--population", "10"]) == 0
+    return {path.name: path.read_bytes() for path in out.glob("*.csv")}
+
+
+def assert_tables_kept(out, tables):
+    """out holds the tables of an earlier run, byte for byte, its failed
+    run's manifest, and no .part file."""
+    assert sorted(os.listdir(out)) == sorted(["manifest.json", *tables])
+    assert {name: (out / name).read_bytes() for name in tables} == tables
+
+
 def test_a_dead_pool_worker_exits_5_with_manifest(tmp_path, monkeypatch,
                                                   capsys):
     # the finite-N solve SIGKILLs its worker: the run names the dead worker,
-    # exits 5 and leaves no CSV, though the limit solve succeeded
+    # exits 5 and removes the limit's part, though the limit solve
+    # succeeded; an earlier run's tables stay as they were
     from test_experiments import use_scheduler
     use_scheduler(monkeypatch, "pool")
+    cfg = make_config(tmp_path)
+    out = tmp_path / "out"
+    tables = solve_riccati_tables(cfg, out)
+    assert len(tables) == 2
 
     def die(*args):
         assert _pool._in_worker
         os.kill(os.getpid(), signal.SIGKILL)
 
     monkeypatch.setattr(riccati, "solve_finite_N", die)
-    cfg = make_config(tmp_path)
-    out = tmp_path / "out"
     assert run(["solve-riccati", "--config", cfg, "--out-dir", str(out),
                 "--population", "10"]) == 5
     assert "exited with status -9" in capsys.readouterr().err
@@ -757,14 +775,15 @@ def test_a_dead_pool_worker_exits_5_with_manifest(tmp_path, monkeypatch,
     assert manifest["exit_code"] == 5
     assert "pool worker" in manifest["error"]
     assert manifest["outputs"] == []
-    assert os.listdir(out) == ["manifest.json"]
+    assert_tables_kept(out, tables)
 
 
 @pytest.mark.parametrize("scheduler", ("in-process", "pool"))
 def test_a_failed_population_solve_leaves_no_table(tmp_path, monkeypatch,
                                                    capsys, scheduler):
-    # the limit solves and its table is formatted, but the N = 2 weight
-    # changes sign: the run exits 3 and writes neither table
+    # the limit solves and its part is written, but the N = 2 weight
+    # changes sign: the run exits 3, writes neither table and leaves the
+    # tables of an earlier N = 10 run as they were
     from test_experiments import use_scheduler
     use_scheduler(monkeypatch, scheduler)
     cfg = make_config(tmp_path, coefficients=dict(ALL_ONES, R=0.1,
@@ -778,14 +797,32 @@ def test_a_failed_population_solve_leaves_no_table(tmp_path, monkeypatch,
     manifest = read_manifest(out)
     assert (manifest["exit_code"], manifest["outputs"]) == (3, [])
     assert os.listdir(out) == ["manifest.json"]
+    tables = solve_riccati_tables(cfg, out)
+    assert run(["solve-riccati", "--config", cfg, "--out-dir", str(out),
+                "--population", "2"]) == 3
+    assert_tables_kept(out, tables)
+
+
+def test_nash_gap_runs_where_the_deviation_weight_square_overflows(tmp_path):
+    # H = 0 with Gamma0 / N = 5e199: the convexity margin used to end in an
+    # OverflowError traceback after the limit solve, with no manifest
+    cfg = make_config(tmp_path, coefficients=dict(ALL_ONES, H=0,
+                                                  Gamma0=1e200))
+    out = tmp_path / "out"
+    assert run(["nash-gap", "--config", cfg, "--out-dir", str(out),
+                "--population", "2", "--reps", "2", "--grid-steps",
+                "50"]) == 0
+    manifest = read_manifest(out)
+    assert manifest["exit_code"] == 0
+    assert manifest["results"]["convex"] is True
 
 
 def test_solve_riccati_writes_the_same_bytes_in_process_and_on_a_pool(
         tmp_path, monkeypatch):
-    # in process; on the pool, each table solved and formatted in its own
-    # worker; and the limit alone on the pool, solved in process with its
-    # rows formatted by two workers.  Every table is write_csv's over the
-    # solve_backward solutions and their gains
+    # in process; on the pool, each table solved and written in its own
+    # worker; and the limit alone on the pool, which runs in process.  Every
+    # table is write_csv's over the solve_backward solutions and their
+    # gains
     from test_acceptance import MIXED_CONFIG
     from test_experiments import use_scheduler
     cfg = tmp_path / "cfg.json"

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from lqmfg import _pool, sim
 from lqmfg.errors import ModelConfigError, SimulationDivergedError
-from lqmfg.experiments import (DEFAULT_DEVIATIONS, _build_laws, _parse_label,
-                               epsilon_sweep, figure_data, loglog_slope,
-                               nash_gap, riccati_convergence, write_csv)
+from lqmfg.experiments import (_BLOCK_ROWS, DEFAULT_DEVIATIONS, _build_laws,
+                               _parse_label, epsilon_sweep, figure_data,
+                               loglog_slope, nash_gap, riccati_convergence,
+                               write_csv)
 from lqmfg.model import (CoefficientSet, InitialLaw, TimeGrid,
                          parse_coefficients, parse_grid, parse_initial_law)
 from lqmfg.riccati import gains, solve_backward, solve_limit
@@ -523,34 +524,27 @@ def test_backward_solves_match_in_process_and_on_a_pool(monkeypatch):
     assert [r[0] for r in tab.rows] == [3, 10, 40, math.inf]
 
 
-def test_write_csv_matches_in_process_and_on_a_pool(monkeypatch, tmp_path):
-    # 1 001 rows of mixed columns: one block in process, three on the pool
-    n = 1001
+def test_write_csv_matches_one_piece_at_block_edges(tmp_path):
+    # mixed columns of 0, 1, one block - 1, one block and one block + 1
+    # rows, each against the whole table formatted here in one piece
+    block = _BLOCK_ROWS
     rng = np.random.default_rng(3)
-    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
-    floats[:3] = (math.inf, -0.0, 0.1 + 0.2)
-    flags = [k % 3 == 0 for k in range(n)]
     header = ("f", "i", "b", "s", "n", "h")
-
-    def columns():
-        return (floats, range(n), tuple(flags),
-                (f"s{k}" for k in range(n)), np.arange(n, dtype=np.int64),
-                np.linspace(0.0, 1.0, n, dtype=np.float32))
-
-    data = {}
-    for scheduler, cpus in (("in-process", 1), ("pool", 3)):
-        with monkeypatch.context() as patch:
-            use_scheduler(patch, scheduler)
-            patch.setattr(_pool, "_cpus", lambda: cpus)
-            path = tmp_path / f"{scheduler}.csv"
-            write_csv(path, header, columns(), ("first", "N = 7"))
-            data[scheduler] = path.read_bytes()
-    assert data["in-process"] == data["pool"]
-    h = np.linspace(0.0, 1.0, n, dtype=np.float32)
-    want = ["# first", "# N = 7", ",".join(header)] + [
-        f"{float(floats[k])!r},{k},{str(flags[k]).lower()},s{k},{k},"
-        f"{float(h[k])!r}" for k in range(n)]
-    assert data["pool"].decode() == "\n".join(want) + "\n"
+    for n in (0, 1, block - 1, block, block + 1):
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        floats[:3] = (math.inf, -0.0, 0.1 + 0.2)[:n]
+        flags = [k % 3 == 0 for k in range(n)]
+        halves = np.linspace(0.0, 1.0, n, dtype=np.float32)
+        path = tmp_path / f"{n}.csv"
+        write_csv(path, header,
+                  (floats, range(n), tuple(flags),
+                   (f"s{k}" for k in range(n)), np.arange(n, dtype=np.int64),
+                   halves), ("first", "N = 7"))
+        want = "".join(
+            ["# first\n# N = 7\n", ",".join(header) + "\n"]
+            + [f"{float(floats[k])!r},{k},{str(flags[k]).lower()},s{k},{k},"
+               f"{float(halves[k])!r}\n" for k in range(n)])
+        assert path.read_bytes() == want.encode(), n
 
 
 def test_studies_match_in_process_and_on_a_pool(monkeypatch):

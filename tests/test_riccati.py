@@ -785,3 +785,17 @@ def test_margin_is_the_deviation_form_margin_bit_for_bit():
             assert [type(x) for x in got] == [type(x) for x in want]
     coeffs = time_varying(grid)
     assert convexity_margin(coeffs, grid, 5) != convexity_margin(coeffs, grid)
+
+
+@pytest.mark.parametrize("weight, gamma", [("H", "Gamma0"), ("Q", "Gamma")])
+def test_a_zero_deviation_weight_stays_zero_whatever_gamma(weight, gamma):
+    # (1 - 1e200/N)^2 overflows, and 0 times it used to raise OverflowError
+    # (H) or give NaN (Q); the zero weight cannot depend on Gamma/N
+    grid = TimeGrid(T=2.0, M=50)
+    for N in (1, 2, 5):
+        got, want = (
+            convexity_margin(CoefficientSet.from_constants(
+                **dict(ALL_ONES.to_dict(), **{weight: 0.0, gamma: g})),
+                grid, N)
+            for g in (1e200, 1.0))
+        assert repr(got) == repr(want), N
