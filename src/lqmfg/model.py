@@ -142,26 +142,24 @@ class TimeProfile:
         return self.grid is None
 
     def node_values(self, grid: TimeGrid) -> np.ndarray:
-        """Values at the M+1 nodes of `grid` (must match the sampling grid)."""
+        """Values at the M+1 nodes of `grid` (must match the sampling grid);
+        a constant profile's are a read-only view of its one value."""
         if self.is_constant:
-            return np.full(grid.M + 1, self.value)
-        self._check_alignment(grid)
+            return np.broadcast_to(self.value, grid.M + 1)
+        if self.grid != grid:
+            raise ModelConfigError("sampled profile is not aligned to the requested grid")
         return np.asarray(self.values, dtype=float)
 
     def half_values(self, grid: TimeGrid) -> np.ndarray:
-        """Values at the 2M+1 half-grid points t_j = j*dt/2.
+        """Values at the 2M+1 half-grid points t_j = j*dt/2, a read-only
+        view for a constant profile as at the nodes.
 
         Odd indices are cell midpoints, the mean of their two nodes; this is
         what the RK4 stages consume.
         """
         if self.is_constant:
-            return np.full(2 * grid.M + 1, self.value)
-        self._check_alignment(grid)
-        return half_interp(self.values)
-
-    def _check_alignment(self, grid: TimeGrid) -> None:
-        if self.grid != grid:
-            raise ModelConfigError("sampled profile is not aligned to the requested grid")
+            return np.broadcast_to(self.value, 2 * grid.M + 1)
+        return half_interp(self.node_values(grid))
 
 
 def half_interp(node_vals) -> np.ndarray:

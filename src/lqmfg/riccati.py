@@ -10,12 +10,12 @@ fixed-step fourth-order Runge-Kutta running backward from t = T:
 * the population system (P_N, K_N, phi_N) for N agents: P_N and K_N are
   stepped jointly, coupled through the shared effective weight, then phi_N.
 
-Stages at half steps read the coefficients, and in the limit P and K,
-interpolated linearly between nodes; phi_N reads the (P_N, K_N) of its own
-RK4 stages, which the sweep does not keep: they are rebuilt from its nodes
-for all steps at once, bit for bit.  The nonlinear sweeps step inline over
-one row of coefficient floats per half-grid point; the linear equations
-(phi, phi_N, the forward mean-field ODE) share one affine RK4 stepper.
+Stages at half steps read views of the coefficients, and in the limit P
+and K, interpolated linearly between nodes; phi_N reads the (P_N, K_N) of
+its own RK4 stages, which the sweep does not keep: they are rebuilt from
+its nodes a stage at a time, bit for bit.  The nonlinear sweeps step inline
+over one row of coefficient floats per half-grid point; the linear
+equations (phi, phi_N, the mean-field ODE) share one affine RK4 stepper.
 
 The weight rule: every effective control weight alpha, R + D^2 P or
 R + D^2 (P + K/N) for N agents, is finite, at least _ALPHA_MIN in size and
@@ -98,22 +98,22 @@ def _weight_error(alpha: float, t: float):
                              t=t, alpha=alpha)
 
 
-def _stage_rows(x: np.ndarray, backward: bool = True) -> np.ndarray:
-    """The half-grid samples x at RK4 stages 1-4 (rows) of each step
-    (columns, in sweep order): the step's start node, its midpoint twice,
+def _stage_rows(x: np.ndarray, backward: bool = True) -> tuple:
+    """Views of the half-grid samples x at RK4 stages 1-4 of each step
+    (entries, in sweep order): the step's start node, its midpoint twice,
     and its end node."""
     x = x[::-1] if backward else x
-    return np.stack((x[:-1:2], x[1::2], x[1::2], x[2::2]))
+    return x[:-1:2], x[1::2], x[1::2], x[2::2]
 
 
 def _rk4_affine(v: np.ndarray, u: np.ndarray, y0: float, grid: TimeGrid,
                 name: str, bound: float = _BLOW_UP_BOUND,
                 backward: bool = True) -> np.ndarray:
     """Classical RK4 for the linear y' = v y + u from y0 at t=T (backward)
-    or t=0, returning y at the nodes; v and u are laid out as _stage_rows
-    lays them out.  With stage slopes k_i = c_i y + d_i a step is exactly
-    y <- a y + b, and a and b are formed for all steps at once.  Raises
-    NonSolvableError at the first node where y leaves (-bound, bound).
+    or t=0, returning y at the nodes; v and u are any four rows each, as
+    _stage_rows gives them.  With stage slopes k_i = c_i y + d_i a step is
+    exactly y <- a y + b, and a and b are formed for all steps at once.
+    Raises NonSolvableError at the first node where y leaves (-bound, bound).
     """
     M, dt = grid.M, grid.dt
     h = -dt if backward else dt
@@ -251,25 +251,24 @@ def solve_limit(coeffs: CoefficientSet, grid: TimeGrid) -> RiccatiSolution:
 
 
 def _stage_points(P: np.ndarray, K: np.ndarray, cols, inv_n: float,
-                  dt: float) -> tuple:
-    """The (P_N, K_N) of solve_finite_N's sweep at RK4 stages 1-4 (rows) of
-    each step (columns, in sweep order), formed for all steps at once from
-    the nodes P and K by the sweep's own expressions in its order, so they
-    are its floats bit for bit; cols are the sweep's half-grid columns
-    (R, D^2, B, CD, 2A, C^2, Q_e, Q_e Gamma)."""
+                  dt: float):
+    """Yield (P_N, K_N, s = P_N + K_N/N, alpha = R + D^2 s) of
+    solve_finite_N's sweep at RK4 stage 1, 2, 3, then 4 of each step (in
+    sweep order), formed for all steps at once from the nodes P and K by the
+    sweep's own expressions in its order, so they are its floats bit for
+    bit; cols are its half-grid (R, D^2, B, CD, 2A, C^2, Q_e, Q_e Gamma)."""
     R, E, B, X, A2, C2, Q, G = (_stage_rows(x) for x in cols)
-    p, k = P[:0:-1], K[:0:-1]
-    Ps, Ks = [p], [k]
-    for i, h in enumerate((-0.5 * dt, -0.5 * dt, -dt)):
-        pi, ki = Ps[i], Ks[i]
+    pi, ki = p, k = P[:0:-1], K[:0:-1]
+    for i, h in enumerate((-0.5 * dt, -0.5 * dt, -dt, None)):
         s = pi + ki * inv_n
         alpha = R[i] + E[i] * s
+        yield pi, ki, s, alpha
+        if h is None:
+            return
         beta, gamma = B[i] * pi + X[i] * s, B[i] * ki
         dp = beta * beta / alpha - A2[i] * pi - C2[i] * s - Q[i]
         dk = gamma * (2.0 * beta + gamma) / alpha - A2[i] * ki + G[i]
-        Ps.append(p + h * dp)
-        Ks.append(k + h * dk)
-    return np.stack(Ps), np.stack(Ks)
+        pi, ki = p + h * dp, k + h * dk
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -278,7 +277,7 @@ def solve_finite_N(coeffs: CoefficientSet, N: int,
     """Solve the coupled population system (P_N, K_N, phi_N) for N agents,
     N an integer >= 1: (P_N, K_N) in completed-square form, then phi_N by
     _rk4_affine from their stage points, which the sweep does not keep:
-    _stage_points forms them from its nodes; errors as in solve_limit."""
+    _stage_points forms them a stage at a time; errors as in solve_limit."""
     N = _population_size(N)
     hc = coeffs.half_values(grid)
     M, dt, amin, bound = grid.M, grid.dt, _ALPHA_MIN, _BLOW_UP_BOUND
@@ -338,22 +337,21 @@ def solve_finite_N(coeffs: CoefficientSet, N: int,
             raise _blow_up("(P_N, K_N)", step * dt)
         P[step], K[step], row = p, k, rows[j]
     del rows
-    # phi_N divides by the stage weights
-    Ps, Ks = _stage_points(np.frombuffer(P), np.frombuffer(K), cols, inv_n,
-                           dt)
-    S = Ps + Ks * inv_n
-    A, B, C, D, R, f, g = (_stage_rows(hc[name]) for name in "ABCDRfg")
-    alpha = R + D ** 2 * S
-    _check_weight(alpha.T.ravel(),
-                  _stage_rows(np.arange(2 * M + 1) * dt / 2).T.ravel())
-
     # phi' = v phi + u with w = (beta + gamma)/alpha, v = B w - A and
-    # u = w g D s - f (P + K) - C g s + Q_e eta
-    w = (B * (Ps + Ks) + C * D * S) / alpha
-    phi = _rk4_affine(B * w - A,
-                      w * g * D * S - f * (Ps + Ks) - C * g * S
-                      + _stage_rows(qe * hc["eta"]), -scale * coeffs.eta0,
-                      grid, "phi_N")
+    # u = w g D s - f (P + K) - C g s + Q_e eta, a stage at a time
+    A, B, C, D, f, g = (_stage_rows(hc[name]) for name in "ABCDfg")
+    qeta, v, u, alphas = _stage_rows(qe * hc["eta"]), [], [], []
+    for i, (p, k, s, alpha) in enumerate(_stage_points(
+            np.frombuffer(P), np.frombuffer(K), cols, inv_n, dt)):
+        w = (B[i] * (p + k) + C[i] * D[i] * s) / alpha
+        v.append(B[i] * w - A[i])
+        u.append(w * g[i] * D[i] * s - f[i] * (p + k) - C[i] * g[i] * s
+                 + qeta[i])
+        alphas.append(alpha)
+    # phi_N divides by the stage weights, checked in sweep order
+    t = _stage_rows(np.arange(2 * M + 1) * dt / 2)
+    _check_weight(np.stack(alphas, 1).ravel(), np.stack(t, 1).ravel())
+    phi = _rk4_affine(v, u, -scale * coeffs.eta0, grid, "phi_N")
     return RiccatiSolution(grid, np.frombuffer(P), np.frombuffer(K), phi, N)
 
 

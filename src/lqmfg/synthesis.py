@@ -63,8 +63,9 @@ def solve_mean_field(coeffs: CoefficientSet, gains: GainSchedule,
     dxbar/dt = [A - B(beta+gamma)/alpha] xbar - B delta/alpha + f,
     started from the analytic initial mean xi_bar.  Gains must be the limit
     gains on `grid`; half-step values are linear interpolants of the node
-    schedules, consistent with the profile rule used everywhere else.  A
-    path that stops being finite raises NonSolvableError at that node.
+    schedules, as for the profiles.  An initial mean that is not a finite
+    number is a ModelConfigError; a path that stops being finite raises
+    NonSolvableError at that node.
     """
     if gains.N is not None:
         raise ModelConfigError("mean-field ODE needs limit gains, "
@@ -72,6 +73,7 @@ def solve_mean_field(coeffs: CoefficientSet, gains: GainSchedule,
     if gains.grid != grid:
         raise ModelConfigError(f"gains on {gains.grid} do not match the "
                                f"mean-field grid {grid}")
+    xi_bar = _number(xi_bar, "initial mean")
     ah, bh, gh, dh = (half_interp(x) for x in (gains.alpha, gains.beta,
                                                gains.gamma, gains.delta))
     hc = coeffs.half_values(grid)

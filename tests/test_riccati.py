@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -381,14 +382,19 @@ def reference_sweep_stages(coeffs, N, grid):
             np.array(Ks).T)
 
 
+def sampled_coeffs(grid):
+    """Sampled A and g on grid, indefinite R."""
+    j = np.arange(grid.M + 1)
+    return dataclasses.replace(
+        CoefficientSet.from_constants(B=1.2, C=0.3, D=2.0, f=0.2, Q=1.0,
+                                      R=-0.2, Gamma=0.8, eta=1.0, H=1.0,
+                                      Gamma0=0.6, eta0=0.5),
+        A=TimeProfile.sampled(np.sin(j / 7.0), grid),
+        g=TimeProfile.sampled(np.cos(j / 5.0), grid))
+
+
 SAMPLED_GRID = TimeGrid(T=1.0, M=300)
-# sampled A and g, indefinite R
-SAMPLED = dataclasses.replace(
-    CoefficientSet.from_constants(B=1.2, C=0.3, D=2.0, f=0.2, Q=1.0, R=-0.2,
-                                  Gamma=0.8, eta=1.0, H=1.0, Gamma0=0.6,
-                                  eta0=0.5),
-    A=TimeProfile.sampled(np.sin(np.arange(301) / 7.0), SAMPLED_GRID),
-    g=TimeProfile.sampled(np.cos(np.arange(301) / 5.0), SAMPLED_GRID))
+SAMPLED = sampled_coeffs(SAMPLED_GRID)
 
 
 @pytest.mark.parametrize("coeffs, N, grid", [
@@ -397,23 +403,49 @@ SAMPLED = dataclasses.replace(
     (SAMPLED, 6, SAMPLED_GRID)], ids=["allones", "mixed", "sampled"])
 def test_stage_points_are_the_sweeps_own_floats(coeffs, N, grid,
                                                 monkeypatch):
-    # phi_N reads the (P_N, K_N) stage points, which _stage_points forms for
-    # all steps at once after the sweep: they must be, bit for bit, the
-    # floats a step-by-step sweep forms
+    # phi_N reads the (P_N, K_N) stage points, which _stage_points forms
+    # after the sweep for all steps at once, one stage at a time: they must
+    # be, bit for bit, the floats a step-by-step sweep forms
     from lqmfg import riccati
-    got = []
+    stages = []
 
     def record(*args):
-        got.append(stage_points(*args))
-        return got[-1]
+        for points in stage_points(*args):
+            stages.append(points[:2])
+            yield points
 
     stage_points = riccati._stage_points
     monkeypatch.setattr(riccati, "_stage_points", record)
     sol = solve_finite_N(coeffs, N, grid)
     want = reference_sweep_stages(coeffs, N, grid)
-    for got_x, want_x in zip((sol.P, sol.K, *got[0]), want):
+    got = (sol.P, sol.K, *(np.array(rows) for rows in zip(*stages)))
+    assert len(stages) == 4
+    for got_x, want_x in zip(got, want, strict=True):
         assert got_x.shape == want_x.shape
         assert got_x.tobytes() == want_x.tobytes()
+
+
+def test_solver_peaks_hold_no_stage_stacks_or_profile_copies():
+    # a constant profile's samples are a zero-stride view of its value, and
+    # phi_N reads the stage points one stage at a time, so neither solver
+    # holds a (4, M) stack of stage coefficients or points; the bounds are
+    # floats per grid step of tracemalloc's peak
+    grid = TimeGrid(T=1.0, M=10_000)
+    c = TimeProfile.constant(0.1 + 0.2)
+    for got, size in ((c.node_values(grid), grid.M + 1),
+                      (c.half_values(grid), 2 * grid.M + 1)):
+        assert got.strides == (0,) and not got.flags.writeable
+        assert got.tobytes() == np.full(size, 0.1 + 0.2).tobytes()
+    for coeffs in (ALL_ONES, sampled_coeffs(grid)):
+        for solve, bound in ((lambda: solve_finite_N(coeffs, 80, grid), 80),
+                             (lambda: solve_limit(coeffs, grid), 60)):
+            tracemalloc.start()
+            try:
+                solve()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * 8 * grid.M
 
 
 def reference_mean_field(coeffs, gs, xi_bar, grid):

@@ -55,6 +55,23 @@ def test_mean_field_refinement():
     assert 3.2 <= d1 / d2 <= 20.0
 
 
+@pytest.mark.parametrize("xi_bar", [np.nan, np.inf, -np.inf, True, "abc"])
+def test_mean_field_reads_its_initial_mean_as_a_finite_number(xi_bar):
+    # the initial mean is read as a config number is: not as a blow-up of
+    # the ODE near t = 0, not as 1.0, not as a bare ValueError
+    grid = TimeGrid(T=1.0, M=10)
+    with pytest.raises(ModelConfigError, match="initial mean"):
+        solve_mean_field(ALL_ONES, limit_gains(ALL_ONES, grid), xi_bar, grid)
+
+
+def test_mean_field_keeps_a_finite_initial_mean_bit_for_bit():
+    grid = TimeGrid(T=1.0, M=10)
+    gs = limit_gains(ALL_ONES, grid)
+    for xi_bar in (0.1 + 0.2, -5e-324, np.float64(1.0) / 3.0, 7):
+        mf = solve_mean_field(ALL_ONES, gs, xi_bar, grid)
+        assert mf.values[0].tobytes() == np.float64(xi_bar).tobytes()
+
+
 def test_mean_field_blow_up_is_reported_with_time():
     # xbar' = 100 xbar + 1 from 1: at z = h v = 1 each RK4 step multiplies
     # xbar by 1 + 1 + 1/2 + 1/6 + 1/24 = 2.7083, so the RK4 solution itself
