@@ -9,7 +9,8 @@ failures onto stable exit codes:
     2  configuration problem (bad flags, missing or malformed config)
     3  solver failure (singular gain denominator, backward blow-up)
     4  simulation divergence
-    5  I/O failure, or a worker process that died (ChildProcessError)
+    5  I/O failure, a worker process that died (ChildProcessError), or
+       a run too large for the machine's memory (MemoryError)
 
 The manifest is written even when the run fails, with an "error" field.
 """
@@ -264,6 +265,7 @@ def _cmd_mean_field(args, cfg, coeffs, grid, initial, seed):
 def _cmd_simulate(args, cfg, coeffs, grid, initial, seed):
     s = _settings(args, cfg, "simulate")
     N, reps = s["N"], s["reps"]
+    pop = PopulationConfig(N=N, reps=reps, master_seed=seed, initial=initial)
     law, = _build_laws([(s["law"], s["theta"])], coeffs, grid, initial, N)
 
     outputs = [os.path.join(args.out_dir, "law.csv")]
@@ -271,7 +273,6 @@ def _cmd_simulate(args, cfg, coeffs, grid, initial, seed):
               (grid.nodes, law.k_self, law.k_mean, law.k_const),
               (f"kind = {law.label}", f"mean_source = {law.mean_source}"))
 
-    pop = PopulationConfig(N=N, reps=reps, master_seed=seed, initial=initial)
     width = max(3, len(str(reps - 1)))
     columns = ("t",) + tuple(f"agent{i}" for i in range(N))
     costs, overflow = [], None
@@ -387,6 +388,8 @@ def _execute(args, manifest) -> int:
         code, manifest["error"] = EXIT_DIVERGED, str(exc)
     except OSError as exc:
         code, manifest["error"] = EXIT_IO, str(exc)
+    except MemoryError as exc:
+        code, manifest["error"] = EXIT_IO, str(exc) or "out of memory"
     return code
 
 

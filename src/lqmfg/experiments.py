@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ModelConfigError, SimulationDivergedError
 from .model import (CoefficientSet, InitialLaw, TimeGrid, _number,
                     _population_size, canonical_fingerprint)
-from .riccati import (convexity_margin, gains, solve_backward,
+from .riccati import (_least_weight, convexity_margin, gains, solve_backward,
                       solve_finite_N, solve_limit)
 from .sim import (PopulationConfig, _costs, _population_chunks, _replay_lanes,
                   quadrature)
@@ -120,11 +120,14 @@ def epsilon_sweep(coeffs: CoefficientSet, Ns, reps: int, master_seed: int,
         raise ModelConfigError("population sizes must be >= 1, got []")
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ModelConfigError("population sizes must be strictly increasing")
-    law, = _build_laws([("decentralized", None)], coeffs, grid, initial)
-    # the prefix sums add the same rows in the same order as the mean of a
-    # fresh N-agent run, so every N's bytes match a separate simulation
     cfg = PopulationConfig(N=Ns[-1], reps=reps, master_seed=master_seed,
                            initial=initial)
+    # the limit gains give the law and the limit's convexity margin
+    gl = gains(solve_limit(coeffs, grid), coeffs)
+    law = make_law("decentralized", gl,
+                   solve_mean_field(coeffs, gl, initial.mean, grid))
+    # the prefix sums add the same rows in the same order as the mean of a
+    # fresh N-agent run, so every N's bytes match a separate simulation
     chunks = _population_chunks(coeffs, law, cfg, grid, Ns)
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.array([[quadrature(grid.dt, (total / N - law.xbar) ** 2)
@@ -149,7 +152,7 @@ def epsilon_sweep(coeffs: CoefficientSet, Ns, reps: int, master_seed: int,
     md = _base_metadata(coeffs, grid, master_seed)
     md["reps"] = reps
     md["initial"] = {"kind": initial.kind, "a": initial.a, "b": initial.b}
-    md.update(_convexity(*convexity_margin(coeffs, grid)))
+    md.update(_convexity(*_least_weight(gl.alpha, grid)))
     positive = [(n, e) for n, e, _ in rows if e > 0.0]
     if len(positive) >= 2:
         slope, slope_se = loglog_slope([n for n, _ in positive],
@@ -226,11 +229,10 @@ def nash_gap(coeffs: CoefficientSet, N: int, reps: int, master_seed: int,
         labels.append("scaled(1)")
         specs.append(("scaled", 1.0))
         same.append(1.0)
-    dec, *laws = _build_laws([("decentralized", None)] + specs,
-                             coeffs, grid, initial, N)
-
     cfg = PopulationConfig(N=N, reps=reps, master_seed=master_seed,
                            initial=initial)
+    dec, *laws = _build_laws([("decentralized", None)] + specs,
+                             coeffs, grid, initial, N)
 
     def replay_costs(first, sums, x0, dW):
         # agent 0's replays read its initial state and increments, and the

@@ -13,9 +13,10 @@ fixed-step fourth-order Runge-Kutta running backward from t = T:
 Stages at half steps read views of the coefficients, and in the limit P
 and K, interpolated linearly between nodes; phi_N reads the (P_N, K_N) of
 its own RK4 stages, which the sweep does not keep: they are rebuilt from
-its nodes a stage at a time, bit for bit.  The nonlinear sweeps step inline
-over one row of coefficient floats per half-grid point; the linear
-equations (phi, phi_N, the mean-field ODE) share one affine RK4 stepper.
+its nodes a stage at a time, bit for bit.  The nonlinear sweeps step inline,
+each RK4 step reading one tuple of coefficient floats at its start node,
+midpoint and end node (_steps); the linear equations (phi, phi_N, the
+mean-field ODE) share one affine RK4 stepper.
 
 The weight rule: every effective control weight alpha, R + D^2 P or
 R + D^2 (P + K/N) for N agents, is finite, at least _ALPHA_MIN in size and
@@ -70,18 +71,6 @@ class GainSchedule:
     N: int | None = None
 
 
-def _rows(*cols) -> list:
-    """One tuple per half-grid point of the columns' values there, as
-    floats.  A column constant in time, bit for bit, gives every tuple the
-    same float, and when every column is, every point the same tuple."""
-    n = cols[0].size
-    const = [(x.view(np.int64) == x.view(np.int64)[0]).all() for x in cols]
-    if all(const):
-        return [tuple(float(x[0]) for x in cols)] * n
-    return list(zip(*(itertools.repeat(float(x[0]), n) if c else x.tolist()
-                      for x, c in zip(cols, const))))
-
-
 def _blow_up(name: str, t: float, bound: float = _BLOW_UP_BOUND):
     """The error for `name` leaving (-bound, bound) near time t."""
     return NonSolvableError(
@@ -99,11 +88,26 @@ def _weight_error(alpha: float, t: float):
 
 
 def _stage_rows(x: np.ndarray, backward: bool = True) -> tuple:
-    """Views of the half-grid samples x at RK4 stages 1-4 of each step
-    (entries, in sweep order): the step's start node, its midpoint twice,
-    and its end node."""
+    """Views (slices, of a list) of the half-grid samples x at RK4 stages
+    1-4 of each step (entries, in sweep order): the step's start node, its
+    midpoint twice, and its end node."""
     x = x[::-1] if backward else x
     return x[:-1:2], x[1::2], x[1::2], x[2::2]
+
+
+def _steps(*cols):
+    """One flat tuple of floats per RK4 step, in sweep order: every
+    half-grid column's value at the step's start node, then at its
+    midpoint, then at its end node (_stage_rows' stages 1, 2 and 4).  A
+    column constant in time, bit for bit, repeats one float, and when every
+    column is, one tuple repeats without end."""
+    const = [(x.view(np.int64) == x.view(np.int64)[0]).all() for x in cols]
+    if all(const):
+        return itertools.repeat(tuple(float(x[0]) for x in cols) * 3)
+    # a sampled column's floats are built once, and its stages slice them
+    stages = [(itertools.repeat(float(x[0])),) * 4 if c
+              else _stage_rows(x.tolist()) for x, c in zip(cols, const)]
+    return zip(*(s[i] for i in (0, 1, 3) for s in stages))
 
 
 def _rk4_affine(v: np.ndarray, u: np.ndarray, y0: float, grid: TimeGrid,
@@ -160,20 +164,18 @@ def _sweep_P(hc: dict, Q: np.ndarray, H: float, grid: TimeGrid) -> tuple:
     h, hh, h6 = -dt, -0.5 * dt, -dt / 6.0
 
     # P' = -(2A + C^2) P - Q + (B + C D)^2 P^2 / (R + D^2 P)
-    rows = _rows(2.0 * hc["A"] + hc["C"] ** 2, Q,
-                 (hc["B"] + hc["C"] * hc["D"]) ** 2, hc["R"], hc["D"] ** 2)
-    y = H
+    steps = _steps(2.0 * hc["A"] + hc["C"] ** 2, Q,
+                   (hc["B"] + hc["C"] * hc["D"]) ** 2, hc["R"], hc["D"] ** 2)
+    y, d = H, float(hc["D"][-1])
     P = [math.nan] * M + [y]
-    row = rows[2 * M]
     # the terminal weight by the whole rule, then one compare per stage
     # tests size and sign; a NaN goes on to the bound check
-    den = row[3] + row[4] * y
+    den = float(hc["R"][-1]) + d * d * y
     _check_weight(np.array([den]), np.array([M * dt]))
     sign = math.copysign(1.0, den)
-    for k in range(M - 1, -1, -1):
+    for k, (l0, q0, n0, r0, e0, l1, q1, n1, r1, e1,
+            l2, q2, n2, r2, e2) in zip(range(M - 1, -1, -1), steps):
         j = 2 * k
-        ((l0, q0, n0, r0, e0), (l1, q1, n1, r1, e1),
-         (l2, q2, n2, r2, e2)) = row, rows[j + 1], rows[j]
         if sign * (den := r0 + e0 * y) < amin:
             raise _weight_error(den, (j + 2) * dt / 2)
         k1 = -l0 * y - q0 + n0 * y * y / den
@@ -192,8 +194,8 @@ def _sweep_P(hc: dict, Q: np.ndarray, H: float, grid: TimeGrid) -> tuple:
         y = y + h6 * (k1 + 2.0 * (k2 + k3) + k4)
         if not -bound < y < bound:
             raise _blow_up("P", k * dt)
-        P[k], row = y, rows[j]
-    del rows    # each sweep's rows are its peak memory
+        P[k] = y
+    del steps   # each sweep's floats are its peak memory
     Ph = half_interp(P)
     alpha_h = hc["R"] + hc["D"] ** 2 * Ph
     _check_weight(alpha_h[::-1], np.arange(2 * M, -1, -1) * dt / 2)
@@ -215,15 +217,13 @@ def solve_limit(coeffs: CoefficientSet, grid: TimeGrid) -> RiccatiSolution:
     beta_h = hc["B"] * Ph + Ph * hc["C"] * hc["D"]
 
     # K' = Q Gamma + 2[B alpha^-1 beta - A] K + alpha^-1 B^2 K^2
-    rows = _rows(hc["Q"] * hc["Gamma"],
-                 2.0 * (hc["B"] * beta_h / alpha_h - hc["A"]),
-                 hc["B"] ** 2 / alpha_h)
+    steps = _steps(hc["Q"] * hc["Gamma"],
+                   2.0 * (hc["B"] * beta_h / alpha_h - hc["A"]),
+                   hc["B"] ** 2 / alpha_h)
     y = -coeffs.H * coeffs.Gamma0
     K = [math.nan] * M + [y]
-    row = rows[2 * M]
-    for k in range(M - 1, -1, -1):
-        j = 2 * k
-        (u0, v0, w0), (u1, v1, w1), (u2, v2, w2) = row, rows[j + 1], rows[j]
+    for k, (u0, v0, w0, u1, v1, w1, u2, v2, w2) in zip(range(M - 1, -1, -1),
+                                                       steps):
         k1 = u0 + (v0 + w0 * y) * y
         y2 = y + hh * k1
         k2 = u1 + (v1 + w1 * y2) * y2
@@ -234,8 +234,8 @@ def solve_limit(coeffs: CoefficientSet, grid: TimeGrid) -> RiccatiSolution:
         y = y + h6 * (k1 + 2.0 * (k2 + k3) + k4)
         if not -bound < y < bound:
             raise _blow_up("K", k * dt)
-        K[k], row = y, rows[j]
-    del rows
+        K[k] = y
+    del steps
 
     # phi' = [(KB + beta) alpha^-1 B - A] phi
     #        + (KB + beta) alpha^-1 P g D - f (P + K) - C P g + Q eta
@@ -285,25 +285,22 @@ def solve_finite_N(coeffs: CoefficientSet, N: int,
 
     # with s = P + K/N, alpha = R + D^2 s, beta = BP + CDs, gamma = BK:
     # P' = -2AP + beta^2/alpha - C^2 s - Q_e, Q_e = Q(1 - Gamma/N), and
-    # K' = -2AK + gamma(2 beta + gamma)/alpha + Q_e Gamma; a row holds
+    # K' = -2AK + gamma(2 beta + gamma)/alpha + Q_e Gamma; the columns are
     # (R, D^2, B, CD, 2A, C^2, Q_e, Q_e Gamma)
     qe = hc["Q"] * (1.0 - hc["Gamma"] * inv_n)
     cols = (hc["R"], hc["D"] ** 2, hc["B"], hc["C"] * hc["D"], 2.0 * hc["A"],
             hc["C"] ** 2, qe, qe * hc["Gamma"])
-    rows = _rows(*cols)
     scale = coeffs.H * (1.0 - coeffs.Gamma0 * inv_n)
     p, k = scale, -scale * coeffs.Gamma0
     P = array("d", [math.nan] * M + [p])
     K = array("d", [math.nan] * M + [k])
-    row = rows[2 * M]
-    alpha = row[0] + row[1] * (p + k * inv_n)
+    alpha = float(cols[0][-1]) + float(cols[1][-1]) * (p + k * inv_n)
     _check_weight(np.array([alpha]), np.array([M * dt]))
     sign = math.copysign(1.0, alpha)
-    for step in range(M - 1, -1, -1):
+    for step, (r0, e0, b0, x0, a0, c0, q0, g0, r1, e1, b1, x1, a1, c1, q1, g1,
+               r2, e2, b2, x2, a2, c2, q2, g2) in zip(range(M - 1, -1, -1),
+                                                      _steps(*cols)):
         j = 2 * step
-        ((r0, e0, b0, x0, a0, c0, q0, g0),
-         (r1, e1, b1, x1, a1, c1, q1, g1),
-         (r2, e2, b2, x2, a2, c2, q2, g2)) = row, rows[j + 1], rows[j]
         s = p + k * inv_n
         if sign * (alpha := r0 + e0 * s) < amin:
             raise _weight_error(alpha, (j + 2) * dt / 2)
@@ -335,8 +332,7 @@ def solve_finite_N(coeffs: CoefficientSet, N: int,
         k = k + h6 * (dk1 + 2.0 * (dk2 + dk3) + dk4)
         if not (-bound < p < bound and -bound < k < bound):
             raise _blow_up("(P_N, K_N)", step * dt)
-        P[step], K[step], row = p, k, rows[j]
-    del rows
+        P[step], K[step] = p, k
     # phi' = v phi + u with w = (beta + gamma)/alpha, v = B w - A and
     # u = w g D s - f (P + K) - C g s + Q_e eta, a stage at a time
     A, B, C, D, f, g = (_stage_rows(hc[name]) for name in "ABCDfg")
@@ -351,6 +347,7 @@ def solve_finite_N(coeffs: CoefficientSet, N: int,
     # phi_N divides by the stage weights, checked in sweep order
     t = _stage_rows(np.arange(2 * M + 1) * dt / 2)
     _check_weight(np.stack(alphas, 1).ravel(), np.stack(t, 1).ravel())
+    del cols, alphas, t    # phi_N's step reads none of them
     phi = _rk4_affine(v, u, -scale * coeffs.eta0, grid, "phi_N")
     return RiccatiSolution(grid, np.frombuffer(P), np.frombuffer(K), phi, N)
 

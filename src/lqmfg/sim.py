@@ -28,7 +28,7 @@ _PURPOSE_AGENT = 0
 _MAX_INDEX = 1 << 24
 
 _TILE = 64     # kernel time steps per tile
-_BLOCK = 128   # paths per block of a tile transpose
+_BLOCK = 128   # paths per block of the increments' transpose
 _LANES = 2048  # paths per kernel call of the mean-only population path
 
 # Serial cost of one agent-step of _population_sums, draws included (25-30 ns
@@ -77,8 +77,11 @@ class PopulationConfig:
     initial: InitialLaw
 
     def __post_init__(self):
-        _population_size(self.N)
-        _population_size(self.reps, "replication count")
+        # agent and replication indices key the streams (_key)
+        for n, what in ((self.N, "population size"),
+                        (self.reps, "replication count")):
+            if _population_size(n, what) > _MAX_INDEX:
+                raise ModelConfigError(f"{what} must be <= 2^24, got {n!r}")
         _seed(self.master_seed)
 
 
@@ -203,7 +206,7 @@ def _euler_maruyama(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
     whose paths end non-finite, its first non-finite step, and `agent`, or
     else the first path non-finite at that step (its index on the last
     axis).  The controls are formed a tile at a time as e x + kappa, and
-    the tiles go out transposed in blocks of _BLOCK paths.
+    each tile goes out in one transposed copy.
     """
     n, M = x0.size, dW.shape[-1]
     states = np.empty((n, M + 1))
@@ -215,9 +218,8 @@ def _euler_maruyama(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
         uv = np.multiply(e, xs[:w].reshape(w, *x0.shape),
                          out=us[:w].reshape(w, *x0.shape))
         np.add(uv, kappa, out=uv)
-        for j in range(0, n, _BLOCK):
-            states[j:j + _BLOCK, k0 + 1:k0 + w + 1] = xs[1:w + 1, j:j + _BLOCK].T
-            controls[j:j + _BLOCK, k0:k0 + w] = us[:w, j:j + _BLOCK].T
+        states[:, k0 + 1:k0 + w + 1] = xs[1:w + 1].T
+        controls[:, k0:k0 + w] = us[:w].T
 
     end = _step_tiles(nc, dt, x0, dW, feedback, sink, k_mean)
     # a non-finite state stays non-finite, so checking the end state suffices

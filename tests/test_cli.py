@@ -7,10 +7,11 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import lqmfg.experiments as experiments
-from lqmfg import _pool, riccati
+from lqmfg import _pool, riccati, sim
 from lqmfg.cli import _CONFIG, _KEYS, _SECTIONS, run
 from lqmfg.model import _INITIAL_KEYS, parse_coefficients, parse_grid
 
@@ -660,20 +661,67 @@ def test_zero_law_runs_where_the_riccati_equation_blows_up(tmp_path, capsys):
 
 def test_validate_and_solve_riccati_report_one_limit_margin(tmp_path):
     # validate sweeps the deviation form's P, solve-riccati reads the least
-    # of the limit's alpha column: on every committed config they agree
+    # of the limit's alpha column and epsilon-sweep that of its law's limit
+    # gains: on every committed config they agree
     configs = os.path.join(os.path.dirname(__file__), "..", "configs")
     names = sorted(n for n in os.listdir(configs) if n.endswith(".json"))
     assert names
     for name in names:
         cfg = os.path.join(configs, name)
         margins = []
-        for sub in ("validate", "solve-riccati"):
+        for sub in ("validate", "solve-riccati", "epsilon-sweep"):
             out = tmp_path / name / sub
             assert run([sub, "--config", cfg, "--out-dir", str(out)]) == 0
             results = read_manifest(out)["results"]
             margins.append((results["convexity_margin"],
                             results["convexity_margin_t"]))
-        assert margins[0] == margins[1], name
+        assert margins[0] == margins[1] == margins[2], name
+
+
+def test_epsilon_sweep_sweeps_the_limit_P_once(tmp_path, monkeypatch):
+    # the law's limit gains give the convexity margin too
+    calls, sweep_P = [], riccati._sweep_P
+
+    def count(*args):
+        calls.append(args)
+        return sweep_P(*args)
+
+    monkeypatch.setattr(riccati, "_sweep_P", count)
+    cfg = make_config(tmp_path, experiments={
+        "epsilon_sweep": {"Ns": [2, 4], "reps": 2}})
+    assert run(["epsilon-sweep", "--config", cfg,
+                "--out-dir", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+def test_sizes_past_the_stream_key_exit_2_before_any_solve(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    # an agent's and a replication's index are 24 bits of its stream's key:
+    # a larger population or replication count exits 2, with a manifest,
+    # before any system is solved or any path stepped
+    def ran(*args, **kwargs):
+        raise AssertionError("ran before the sizes were checked")
+
+    for name in ("solve_limit", "solve_finite_N", "solve_mean_field"):
+        monkeypatch.setattr(experiments, name, ran)
+    monkeypatch.setattr(sim, "_step_tiles", ran)
+    cfg = make_config(tmp_path, grid={"T": 0.01, "M": 2})
+    big = str(2**24 + 1)
+    cases = []
+    for sub, size in (("epsilon-sweep", "--populations"),
+                      ("nash-gap", "--population"),
+                      ("simulate", "--population")):
+        cases += [(sub, [size, big, "--reps", "1"], "population size"),
+                  (sub, [size, "4", "--reps", big], "replication count")]
+    for k, (sub, flags, what) in enumerate(cases):
+        out = tmp_path / f"out{k}"
+        assert run([sub, "--config", cfg, "--out-dir", str(out)] + flags) == 2
+        message = f"{what} must be <= 2^24, got {big}"
+        assert message in capsys.readouterr().err
+        manifest = read_manifest(out)
+        assert (manifest["exit_code"], manifest["error"]) == (2, message)
+        assert os.listdir(out) == ["manifest.json"]
 
 
 def test_empty_population_list_exits_2_with_manifest(tmp_path, capsys):
@@ -776,6 +824,37 @@ def test_a_dead_pool_worker_exits_5_with_manifest(tmp_path, monkeypatch,
     assert "pool worker" in manifest["error"]
     assert manifest["outputs"] == []
     assert_tables_kept(out, tables)
+
+
+@pytest.mark.parametrize("scheduler", ("in-process", "pool"))
+def test_a_memory_error_exits_5_with_manifest(tmp_path, monkeypatch, capsys,
+                                              scheduler):
+    # numpy refuses an array larger than the machine can hold with a
+    # MemoryError, which a pool worker returns pickled; a bare MemoryError
+    # is reported as "out of memory"
+    from test_experiments import use_scheduler
+    use_scheduler(monkeypatch, scheduler)
+    cfg = make_config(tmp_path)
+
+    def refuse(*args):
+        assert _pool._in_worker == (scheduler == "pool")
+        return np.empty(1 << 58)    # 2 EiB: no address space holds it
+
+    def bare(*args):
+        raise MemoryError
+
+    for k, (fail, message) in enumerate(((refuse, "Unable to allocate 2.00 "
+                                                   "EiB for an array"),
+                                         (bare, "out of memory"))):
+        out = tmp_path / f"out{k}"
+        monkeypatch.setattr(riccati, "solve_finite_N", fail)
+        assert run(["solve-riccati", "--config", cfg, "--out-dir", str(out),
+                    "--population", "10"]) == 5
+        assert message in capsys.readouterr().err
+        manifest = read_manifest(out)
+        assert (manifest["exit_code"], manifest["outputs"]) == (5, [])
+        assert message in manifest["error"]
+        assert os.listdir(out) == ["manifest.json"]
 
 
 @pytest.mark.parametrize("scheduler", ("in-process", "pool"))

@@ -316,6 +316,14 @@ def test_population_config_validation():
         PopulationConfig(N=0, reps=1, master_seed=1, initial=law)
     with pytest.raises(ModelConfigError):
         PopulationConfig(N=1, reps=0, master_seed=1, initial=law)
+    # agent and replication indices are 24 bits of a stream's key
+    top = 1 << 24
+    PopulationConfig(N=top, reps=top, master_seed=1, initial=law)
+    for N, reps, what in ((top + 1, 1, "population size"),
+                          (1, top + 1, "replication count")):
+        with pytest.raises(ModelConfigError,
+                           match=f"{what} must be <= 2\\^24, got {top + 1}"):
+            PopulationConfig(N=N, reps=reps, master_seed=1, initial=law)
 
 
 def test_population_config_rejects_sizes_that_are_not_integers():
