@@ -3,22 +3,18 @@ tables solve-riccati writes where they are solved, and the Monte Carlo
 chunks.
 
 _pmap runs its tasks on one forked worker process per CPU of the process's
-affinity mask (taskset -c 0 gives a one-CPU run) when the estimated work
-pays for the pool, and in process otherwise; the output is byte-identical
-for any CPU count.  It is built on os.fork, os.pipe and pickle only, so
-importing it loads nothing the package does not already load.
+affinity mask (taskset -c 0 gives a one-CPU run), however small the work:
+forking and reaping two workers costs about 5 ms, a CLI start about 0.2 s
+(on a 2-CPU x86-64 machine).  It runs them in process with one CPU or one
+task, inside a worker, or without os.fork.  The output is byte-identical
+for any CPU count.  The pool is built on os.fork, os.pipe and pickle only,
+so importing it loads nothing the package does not already load.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-
-# Forking two workers from an 80 MB process and reaping them costs about
-# 4 ms on a 2-CPU x86-64 machine, and their results about 2.5 ms per MB.
-# Two CPUs save half the serial time, so a pool pays above about twice
-# that; below this much estimated serial work _pmap stays in process
-_POOL_MIN_SECONDS = 0.05
 
 # set in a worker, whose own _pmap calls run in process
 _in_worker = False
@@ -31,14 +27,12 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _workers(tasks: int, seconds: float) -> int:
-    """How many forked workers _pmap runs `tasks` tasks of estimated serial
-    time `seconds` on; 1 means in process."""
-    workers = min(_cpus(), tasks)
-    if (workers < 2 or seconds < _POOL_MIN_SECONDS or _in_worker
-            or not hasattr(os, "fork")):
+def _workers(tasks: int) -> int:
+    """How many forked workers _pmap runs `tasks` tasks on; 1 means in
+    process."""
+    if _in_worker or not hasattr(os, "fork"):
         return 1
-    return workers
+    return max(1, min(_cpus(), tasks))
 
 
 def _work(fn, tasks: list, fd: int) -> None:
@@ -73,11 +67,10 @@ def _load(fd: int):
         return None
 
 
-def _pmap(fn, tasks: list, seconds: float) -> list:
+def _pmap(fn, tasks: list) -> list:
     """[fn(*task) for task in tasks], in task order.
 
-    With several tasks, several CPUs, os.fork, and an estimated serial time
-    `seconds` of at least _POOL_MIN_SECONDS, the tasks run on
+    With several tasks, several CPUs and os.fork, the tasks run on
     w = min(CPUs, tasks) forked workers (_workers), worker i running
     tasks[i::w]; results and errors come back pickled, so fn may be a
     closure.  The first task, in order, that raises raises its own error; a
@@ -86,7 +79,7 @@ def _pmap(fn, tasks: list, seconds: float) -> list:
     that names its exit status.  An interrupted _pmap kills and reaps its
     workers.  Called inside a worker, _pmap runs in process.
     """
-    workers = _workers(len(tasks), seconds)
+    workers = _workers(len(tasks))
     if workers < 2:
         return [fn(*task) for task in tasks]
     pids, fds, outs = [], [], None

@@ -29,13 +29,13 @@ import numpy as np
 from . import __version__
 from .errors import (ModelConfigError, NonSolvableError,
                      SimulationDivergedError, SingularGainError)
-from .experiments import (_SECONDS_PER_CELL, DEFAULT_DEVIATIONS, _build_laws,
-                          _convexity, epsilon_sweep, figure_data, nash_gap,
-                          riccati_convergence, write_csv)
+from .experiments import (DEFAULT_DEVIATIONS, _build_laws, _convexity,
+                          _epsilon_sweep, _figure_files, epsilon_sweep,
+                          nash_gap, riccati_convergence, write_csv)
 from .model import (_COEFFICIENT_NAMES, _GRID_KEYS, _INITIAL_KEYS, _as_int,
-                    _number, _seed, canonical_fingerprint, load_config,
-                    parse_coefficients, parse_grid, parse_initial_law,
-                    validate)
+                    _number, _population_size, _seed, canonical_fingerprint,
+                    load_config, parse_coefficients, parse_grid,
+                    parse_initial_law, validate)
 from .riccati import _least_weight, convexity_margin, gains, solve_backward
 from .sim import PopulationConfig, costs_all_agents, simulate_reps
 
@@ -89,7 +89,8 @@ def _labels(value, what):
 # section: its keys with their defaults, where ... marks a key that must be
 # given.  A subcommand takes the flags of the section named after it.
 _KEYS = {
-    "N": (_as_int, "--population"),
+    "N": (lambda value, what: _population_size(_as_int(value, what)),
+          "--population"),
     "reps": (_as_int, "--reps"),
     "Ns": (_population_list, "--populations"),
     "law": (_law_kind, "--law"),
@@ -239,9 +240,7 @@ def _cmd_solve_riccati(args, cfg, coeffs, grid, initial, seed):
         return _least_weight(sched.alpha, grid)
 
     try:
-        margins = solve_backward(
-            coeffs, grid, populations, then=table,
-            then_seconds=8 * (grid.M + 1) * _SECONDS_PER_CELL)
+        margins = solve_backward(coeffs, grid, populations, then=table)
     except BaseException:
         for path in outputs:
             if os.path.exists(path + ".part"):
@@ -329,8 +328,10 @@ def _cmd_nash_gap(args, cfg, coeffs, grid, initial, seed):
 
 def _cmd_figures(args, cfg, coeffs, grid, initial, seed):
     s = _settings(args, cfg, "epsilon_sweep")
-    sweep = epsilon_sweep(coeffs, s["Ns"], s["reps"], seed, grid, initial)
-    files = figure_data(coeffs, grid, sweep, args.out_dir)
+    # the sweep's limit solution gives fig1's P and K without another solve
+    sweep, lim = _epsilon_sweep(coeffs, s["Ns"], s["reps"], seed, grid,
+                                initial)
+    files = _figure_files(lim, sweep, args.out_dir)
     return files, dict(sweep.metadata)
 
 

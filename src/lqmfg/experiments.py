@@ -87,7 +87,8 @@ def _build_laws(specs, coeffs: CoefficientSet, grid: TimeGrid,
         mf = solve_mean_field(coeffs, gl, initial.mean, grid)
     if "centralized" in kinds:
         gn = gains(solve_finite_N(coeffs, N, grid), coeffs)
-    return [_zero_law(grid) if kind == "zero"
+    # make_law refuses a theta given to the zero law before it reads gains
+    return [_zero_law(grid) if kind == "zero" and theta is None
             else make_law(kind, gn if kind == "centralized" else gl, xbar=mf,
                           theta=theta) for kind, theta in specs]
 
@@ -115,6 +116,13 @@ def epsilon_sweep(coeffs: CoefficientSet, Ns, reps: int, master_seed: int,
     population at max(Ns) is simulated, keeping only the sums of its first
     N states for every N.
     """
+    return _epsilon_sweep(coeffs, Ns, reps, master_seed, grid, initial)[0]
+
+
+def _epsilon_sweep(coeffs: CoefficientSet, Ns, reps: int, master_seed: int,
+                   grid: TimeGrid, initial: InitialLaw) -> tuple:
+    """epsilon_sweep's table and the limit solution its law is formed
+    from."""
     Ns = [_population_size(N, "population sizes") for N in Ns]
     if not Ns:
         raise ModelConfigError("population sizes must be >= 1, got []")
@@ -123,7 +131,8 @@ def epsilon_sweep(coeffs: CoefficientSet, Ns, reps: int, master_seed: int,
     cfg = PopulationConfig(N=Ns[-1], reps=reps, master_seed=master_seed,
                            initial=initial)
     # the limit gains give the law and the limit's convexity margin
-    gl = gains(solve_limit(coeffs, grid), coeffs)
+    lim = solve_limit(coeffs, grid)
+    gl = gains(lim, coeffs)
     law = make_law("decentralized", gl,
                    solve_mean_field(coeffs, gl, initial.mean, grid))
     # the prefix sums add the same rows in the same order as the mean of a
@@ -161,7 +170,7 @@ def epsilon_sweep(coeffs: CoefficientSet, Ns, reps: int, master_seed: int,
         md["slope_stderr"] = slope_se
     return ExperimentTable(experiment="epsilon-sweep",
                            columns=("N", "epsilon", "stderr"),
-                           rows=rows, metadata=md)
+                           rows=rows, metadata=md), lim
 
 
 def riccati_convergence(coeffs: CoefficientSet, Ns,
@@ -280,10 +289,6 @@ def _cell(v) -> str:
     return str(v)
 
 
-# a float64 cell's shortest repr, joined into its row and written, costs
-# about 0.8 us, the other cells less (0.65-1.3 us measured on the M = 50 000
-# gain tables, on a 2-CPU x86-64 machine)
-_SECONDS_PER_CELL = 0.8e-6
 # rows formatted and written at a time, about 0.6 MB of a gain table's text
 _BLOCK_ROWS = 4096
 
@@ -330,16 +335,19 @@ def figure_data(coeffs: CoefficientSet, grid: TimeGrid, sweep,
                 out_dir) -> list:
     """Write fig1.csv (t, P, K), fig2.csv (N, epsilon, stderr) and one
     gnuplot script per figure into out_dir; returns the written paths."""
-    import os
-
     if sweep is None or not getattr(sweep, "rows", ()):
         raise ModelConfigError("figure emission needs a nonempty sweep table")
-    lim = solve_limit(coeffs, grid)
+    return _figure_files(solve_limit(coeffs, grid), sweep, out_dir)
+
+
+def _figure_files(lim, sweep, out_dir) -> list:
+    """figure_data's files, fig1 from the limit solution lim."""
+    import os
 
     # the gnuplot scripts skip exactly one line, so these two files carry a
     # bare column header and no comment lines
     p1 = os.path.join(out_dir, "fig1.csv")
-    write_csv(p1, ("t", "P", "K"), (grid.nodes, lim.P, lim.K))
+    write_csv(p1, ("t", "P", "K"), (lim.grid.nodes, lim.P, lim.K))
     p2 = os.path.join(out_dir, "fig2.csv")
     write_csv(p2, sweep.columns, zip(*sweep.rows))
     written = [p1, p2]

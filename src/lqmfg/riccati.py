@@ -353,25 +353,19 @@ def solve_finite_N(coeffs: CoefficientSet, N: int,
 
 
 def solve_backward(coeffs: CoefficientSet, grid: TimeGrid, populations, *,
-                   then=None, then_seconds: float = 0.0) -> list:
+                   then=None) -> list:
     """solve_limit for each None of `populations` and solve_finite_N for
     each population size N, in order; given then, then(solution) in place
-    of each solution, run where that solve ran, and then_seconds its
-    estimated time.  The solves are independent, so _pmap runs them on one
-    forked worker per CPU when they take long enough to pay for it; the
-    first that fails, in order, raises its error."""
-    populations = list(populations)
-    # an RK4 step of the limit costs about 2.5 us, one of N players 2.7 us
-    # (2.3-3.4 and 2.6-3.5 us measured on a 2-CPU x86-64 machine)
-    seconds = sum(grid.M * (2.5e-6 if N is None else 2.7e-6) + then_seconds
-                  for N in populations)
+    of each solution, run where that solve ran.  The solves are
+    independent, so _pmap runs them on one forked worker per CPU; the first
+    that fails, in order, raises its error."""
 
     def solve(N):
         sol = (solve_limit(coeffs, grid) if N is None
                else solve_finite_N(coeffs, N, grid))
         return sol if then is None else then(sol)
 
-    return _pmap(solve, [(N,) for N in populations], seconds)
+    return _pmap(solve, [(N,) for N in populations])
 
 
 @np.errstate(over="ignore", invalid="ignore")

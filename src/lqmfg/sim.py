@@ -31,11 +31,6 @@ _TILE = 64     # kernel time steps per tile
 _BLOCK = 128   # paths per block of the increments' transpose
 _LANES = 2048  # paths per kernel call of the mean-only population path
 
-# Serial cost of one agent-step of _population_sums, draws included (25-30 ns
-# from N = 4 to N = 4096 on a 2-CPU x86-64 machine); it prices the work
-# handed to _pmap
-_SECONDS_PER_AGENT_STEP = 30e-9
-
 
 def _key(master_seed: int, purpose: int, rep: int, agent) -> np.ndarray:
     """Philox key of the (purpose, replication, agent) stream, two words on
@@ -340,8 +335,7 @@ def _population_chunks(coeffs: CoefficientSet, law: StrategyLaw,
         raise ModelConfigError("mean-only simulation needs a law with a "
                                "precomputed mean")
     reps = cfg.reps
-    seconds = reps * cfg.N * grid.M * _SECONDS_PER_AGENT_STEP
-    workers = _pool._workers(reps, seconds)
+    workers = _pool._workers(reps)
     calls = -(-reps // max(1, _LANES // cfg.N))
     calls = min(reps, -(-calls // workers) * workers)
     # the larger calls first: each worker's later calls then fit in the
@@ -350,7 +344,7 @@ def _population_chunks(coeffs: CoefficientSet, law: StrategyLaw,
     bounds = [i * q + min(i, rem) for i in range(calls + 1)]
     tasks = [(coeffs, law, cfg, grid, sizes, lo, hi - lo, then)
              for lo, hi in zip(bounds, bounds[1:])]
-    return _pool._pmap(_population_sums, tasks, seconds)
+    return _pool._pmap(_population_sums, tasks)
 
 
 def simulate(coeffs: CoefficientSet, law: StrategyLaw,

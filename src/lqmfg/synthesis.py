@@ -98,11 +98,15 @@ def make_law(kind: str, gains: GainSchedule,
 
     decentralized / scaled(theta) need limit gains plus a mean-field path on
     the gains' grid, and scaled a finite theta; centralized needs population
-    gains; zero and meanfield-informed need no mean-field path.  Mismatches
-    raise ModelConfigError.
+    gains; zero and meanfield-informed need no mean-field path.  Mismatches,
+    and a theta for any kind but scaled, raise ModelConfigError before the
+    gains are read.
     """
     if kind not in LAW_KINDS:
         raise ModelConfigError(f"unknown strategy kind {kind!r}")
+    if theta is not None and kind != "scaled":
+        raise ModelConfigError(f"only a scaled law takes a scaling factor "
+                               f"theta; the {kind} law got {theta!r}")
     grid = gains.grid
     if kind == "zero":
         return _zero_law(grid)

@@ -13,7 +13,8 @@ import pytest
 import lqmfg.experiments as experiments
 from lqmfg import _pool, riccati, sim
 from lqmfg.cli import _CONFIG, _KEYS, _SECTIONS, run
-from lqmfg.model import _INITIAL_KEYS, parse_coefficients, parse_grid
+from lqmfg.model import (_INITIAL_KEYS, parse_coefficients, parse_grid,
+                         parse_initial_law)
 
 ALL_ONES = {name: 1 for name in
             ("A", "B", "C", "D", "f", "g", "Q", "R", "Gamma", "eta", "H",
@@ -694,6 +695,71 @@ def test_epsilon_sweep_sweeps_the_limit_P_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_figures_sweeps_the_limit_P_once(tmp_path, monkeypatch):
+    # the sweep's limit solution gives fig1 too; the figures match those
+    # figure_data writes from its own limit solve
+    calls, sweep_P = [], riccati._sweep_P
+
+    def count(*args):
+        calls.append(args)
+        return sweep_P(*args)
+
+    monkeypatch.setattr(riccati, "_sweep_P", count)
+    sections = {"epsilon_sweep": {"Ns": [2, 4], "reps": 2}}
+    cfg = make_config(tmp_path, experiments=sections)
+    out = tmp_path / "out"
+    assert run(["figures", "--config", cfg, "--out-dir", str(out)]) == 0
+    assert len(calls) == 1
+    with open(cfg) as fh:
+        conf = json.load(fh)
+    grid = parse_grid(conf)
+    coeffs = parse_coefficients(conf, grid)
+    sweep = experiments.epsilon_sweep(coeffs, [2, 4], 2, 11, grid,
+                                      parse_initial_law(conf))
+    want = tmp_path / "want"
+    want.mkdir()
+    experiments.figure_data(coeffs, grid, sweep, want)
+    for name in ("fig1.csv", "fig2.csv"):
+        assert (out / name).read_bytes() == (want / name).read_bytes()
+
+
+def test_population_below_one_exits_2_before_any_solve(tmp_path,
+                                                       monkeypatch, capsys):
+    # from the flag and from the key: no system is solved, no part written
+    def ran(*args):
+        raise AssertionError("solved before the population was checked")
+
+    monkeypatch.setattr(riccati, "solve_limit", ran)
+    cases = [({}, ["--population", "0"]),
+             ({"solve_riccati": {"N": 0}}, [])]
+    for k, (sections, flags) in enumerate(cases):
+        cfg = make_config(tmp_path, name=f"cfg{k}.json",
+                          experiments=sections)
+        out = tmp_path / f"out{k}"
+        assert run(["solve-riccati", "--config", cfg, "--out-dir", str(out),
+                    "--grid-steps", "400000"] + flags) == 2
+        assert "population size must be >= 1, got 0" in capsys.readouterr().err
+        manifest = read_manifest(out)
+        assert (manifest["exit_code"], manifest["outputs"]) == (2, [])
+        assert os.listdir(out) == ["manifest.json"]
+
+
+def test_theta_for_a_law_but_scaled_exits_2(tmp_path, capsys):
+    # from the flag, and from the config key, whose zero law reads no gains
+    cases = [({"law": "decentralized"}, ["--theta", "0.5"]),
+             ({"law": "zero", "theta": 0.5}, [])]
+    for k, (extra, flags) in enumerate(cases):
+        cfg = make_config(tmp_path, name=f"cfg{k}.json", experiments={
+            "simulate": dict({"N": 3, "reps": 2}, **extra)})
+        out = tmp_path / f"out{k}"
+        assert run(["simulate", "--config", cfg, "--out-dir", str(out)]
+                   + flags) == 2
+        assert (f"the {extra['law']} law got 0.5"
+                in capsys.readouterr().err)
+        assert read_manifest(out)["exit_code"] == 2
+        assert not list(out.glob("*.csv"))
+
+
 def test_sizes_past_the_stream_key_exit_2_before_any_solve(tmp_path,
                                                             monkeypatch,
                                                             capsys):
@@ -775,7 +841,7 @@ def test_importing_the_cli_loads_no_multiprocessing():
     code = ("import os, sys, lqmfg.cli\n"
             "from lqmfg import _pool\n"
             "_pool._cpus = lambda: 2\n"
-            "assert len(set(_pool._pmap(os.getpid, [()] * 2, 1.0))) == 2\n"
+            "assert len(set(_pool._pmap(os.getpid, [()] * 2))) == 2\n"
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
     out = subprocess.run([sys.executable, "-c", code], check=True,

@@ -324,7 +324,9 @@ def test_population_sums_match_full_paths(fixture, monkeypatch):
     # a full tile, a one-step tail tile, many tiles) and lane batching: 5
     # replications are one call, or at 8 lanes as few calls of at most
     # 8 // N as hold them, the larger first and their sizes differing by
-    # at most one
+    # at most one.  One CPU keeps the call plan free of the workers'
+    # rounding
+    monkeypatch.setattr(_pool, "_cpus", lambda: 1)
     for M in (2, _TILE, _TILE + 1, 1000):
         cfg = fixture(M)
         grid = parse_grid(cfg)
@@ -409,14 +411,13 @@ def test_population_sums_refuse_a_realized_mean_law():
 
 def use_scheduler(patch, scheduler):
     """Make _pmap run in process, or on a pool of two forked workers
-    whatever the CPU count and the work."""
+    whatever the CPU count."""
     if scheduler == "in-process":
         patch.setattr(_pool, "_cpus", lambda: 1)
     else:
         if not hasattr(os, "fork"):
             pytest.skip("no os.fork on this platform")
         patch.setattr(_pool, "_cpus", lambda: 2)
-        patch.setattr(_pool, "_POOL_MIN_SECONDS", 0.0)
 
 
 SCHEDULERS = ("in-process", "pool")
@@ -425,9 +426,9 @@ SCHEDULERS = ("in-process", "pool")
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
 def test_pmap_runs_where_the_scheduler_says(scheduler, monkeypatch):
     use_scheduler(monkeypatch, scheduler)
-    pids = _pool._pmap(os.getpid, [()] * 3, 1.0)
+    pids = _pool._pmap(os.getpid, [()] * 3)
     assert (set(pids) == {os.getpid()}) == (scheduler == "in-process")
-    assert _pool._pmap(divmod, [(7, 2), (9, 4), (1, 1)], 1.0) \
+    assert _pool._pmap(divmod, [(7, 2), (9, 4), (1, 1)]) \
         == [(3, 1), (2, 1), (1, 0)]
 
 
@@ -453,7 +454,7 @@ def test_pmap_raises_the_first_failure_in_task_order(scheduler, monkeypatch,
     tasks = [(0, tmp_path), (-2, tmp_path), (-1, tmp_path)] + [
         (k, tmp_path) for k in range(3, 23)]
     with pytest.raises(SimulationDivergedError, match="task -2 failed") as exc:
-        _pool._pmap(fail_or_sleep, tasks, 1.0)
+        _pool._pmap(fail_or_sleep, tasks)
     assert exc.value.rep == 2
     assert len(os.listdir(tmp_path)) < (2 if scheduler == "in-process" else 12)
 
@@ -478,7 +479,7 @@ def test_pmap_names_a_dead_worker(monkeypatch, tmp_path):
     # worker 1 dies at task 1, after task 0 ran on worker 0
     use_scheduler(monkeypatch, "pool")
     with pytest.raises(ChildProcessError, match="exited with status -9"):
-        _pool._pmap(mark_and_kill, [(k, tmp_path) for k in range(4)], 1.0)
+        _pool._pmap(mark_and_kill, [(k, tmp_path) for k in range(4)])
     pids = [int(name) for name in os.listdir(tmp_path)]
     assert len(pids) == 2 and os.getpid() not in pids
     assert_reaped(pids)
@@ -499,7 +500,7 @@ def test_interrupted_pmap_kills_and_reaps_its_workers(monkeypatch, tmp_path):
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         _pool._pmap(lambda marks: mark_and_kill(0, marks) + time.sleep(60),
-                    [(tmp_path,)] * 2, 1.0)
+                    [(tmp_path,)] * 2)
     assert time.monotonic() - start < 30
     pids = [int(name) for name in os.listdir(tmp_path)]
     assert len(pids) == 2
@@ -522,6 +523,30 @@ def test_backward_solves_match_in_process_and_on_a_pool(monkeypatch):
     assert [s[0] for s in sols] == [None, 3, None, 40]
     assert sols[0][1] == solve_limit(ALL_ONES, grid).P.tobytes()
     assert [r[0] for r in tab.rows] == [3, 10, 40, math.inf]
+
+
+def test_tiny_studies_fork_on_two_cpus_and_match_one(monkeypatch):
+    # the pool reads no estimate of the work: on two CPUs a riccati-
+    # convergence at M = 10 (three solves) and an epsilon-sweep of 2
+    # replications (two calls) each fork two workers, and give the bits of
+    # the in-process run
+    grid = TimeGrid(T=1.0, M=10)
+    fork, forks, got = os.fork, [], {}
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    for scheduler in SCHEDULERS:
+        with monkeypatch.context() as patch:
+            use_scheduler(patch, scheduler)
+            got[scheduler] = (
+                riccati_convergence(ALL_ONES, [2, 5], grid),
+                epsilon_sweep(ALL_ONES, [2, 4], 2, 7, grid, UNIFORM),
+                len(forks))
+    assert got["in-process"][:2] == got["pool"][:2]
+    assert (got["in-process"][2], got["pool"][2]) == (0, 4)
 
 
 def test_write_csv_matches_one_piece_at_block_edges(tmp_path):
@@ -556,10 +581,10 @@ def test_studies_match_in_process_and_on_a_pool(monkeypatch):
     tables, plans = {}, {}
     pmap = _pool._pmap
 
-    def record(fn, tasks, seconds):
+    def record(fn, tasks):
         if fn is sim._population_sums:
             plans[cpus].append([task[6] for task in tasks])
-        return pmap(fn, tasks, seconds)
+        return pmap(fn, tasks)
 
     for scheduler, cpus in (("in-process", 1), ("pool", 2), ("pool", 3)):
         plans[cpus] = []

@@ -160,6 +160,11 @@ def test_law_construction_errors():
     fin_gains = gains(solve_finite_N(ALL_ONES, 5, grid), ALL_ONES)
     with pytest.raises(ModelConfigError):
         make_law("decentralized", fin_gains, xbar=mf)
+    # only the scaled law takes a theta
+    for kind, g in (("decentralized", gs), ("zero", gs),
+                    ("meanfield-informed", gs), ("centralized", fin_gains)):
+        with pytest.raises(ModelConfigError, match=f"the {kind} law got 0.5"):
+            make_law(kind, g, xbar=mf, theta=0.5)
     other = solve_mean_field(ALL_ONES, limit_gains(ALL_ONES, TimeGrid(T=10.0, M=50)),
                              10.0, TimeGrid(T=10.0, M=50))
     with pytest.raises(ModelConfigError):
