@@ -109,12 +109,12 @@ _SECTIONS = {
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
-        prog="lqmfg",
+        prog="lqmfg", allow_abbrev=False,
         description="Solvers, simulators, and experiments for scalar "
                     "linear-quadratic mean field games.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
         sp.add_argument("--config", required=True,
                         help="path to the JSON model/experiment config")
         sp.add_argument("--seed", type=int, default=None,
@@ -301,29 +301,24 @@ def _cmd_simulate(args, cfg, coeffs, grid, initial, seed):
                      "population_mean_cost": float(per_agent.mean())}
 
 
-def _cmd_epsilon_sweep(args, cfg, coeffs, grid, initial, seed):
-    s = _settings(args, cfg, "epsilon_sweep")
-    tab = epsilon_sweep(coeffs, s["Ns"], s["reps"], seed, grid, initial)
-    path = os.path.join(args.out_dir, "epsilon_sweep.csv")
+def _cmd_table(args, cfg, coeffs, grid, initial, seed):
+    s = _settings(args, cfg, args.command.replace("-", "_"))
+    tab = _STUDIES[args.command](s, coeffs, grid, initial, seed)
+    path = os.path.join(args.out_dir,
+                        tab.experiment.replace("-", "_") + ".csv")
     write_csv(path, tab.columns, zip(*tab.rows))
     return [path], dict(tab.metadata)
 
 
-def _cmd_riccati_convergence(args, cfg, coeffs, grid, initial, seed):
-    Ns = _settings(args, cfg, "riccati_convergence")["Ns"]
-    tab = riccati_convergence(coeffs, Ns, grid)
-    path = os.path.join(args.out_dir, "riccati_convergence.csv")
-    write_csv(path, tab.columns, zip(*tab.rows))
-    return [path], dict(tab.metadata)
-
-
-def _cmd_nash_gap(args, cfg, coeffs, grid, initial, seed):
-    s = _settings(args, cfg, "nash_gap")
-    tab = nash_gap(coeffs, s["N"], s["reps"], seed, grid, initial,
-                   s["deviations"])
-    path = os.path.join(args.out_dir, "nash_gap.csv")
-    write_csv(path, tab.columns, zip(*tab.rows))
-    return [path], dict(tab.metadata)
+# the studies _cmd_table runs, each looked up by its name here as it runs
+_STUDIES = {
+    "epsilon-sweep": lambda s, coeffs, grid, initial, seed: epsilon_sweep(
+        coeffs, s["Ns"], s["reps"], seed, grid, initial),
+    "riccati-convergence": lambda s, coeffs, grid, initial, seed:
+        riccati_convergence(coeffs, s["Ns"], grid),
+    "nash-gap": lambda s, coeffs, grid, initial, seed: nash_gap(
+        coeffs, s["N"], s["reps"], seed, grid, initial, s["deviations"]),
+}
 
 
 def _cmd_figures(args, cfg, coeffs, grid, initial, seed):
@@ -342,11 +337,9 @@ _COMMANDS = {
     "mean-field": ("integrate the decentralized mean path", _cmd_mean_field),
     "simulate": ("run the population Monte Carlo and report costs",
                  _cmd_simulate),
-    "epsilon-sweep": ("mean-field approximation error against N",
-                      _cmd_epsilon_sweep),
-    "riccati-convergence": ("population-vs-limit solver distance",
-                            _cmd_riccati_convergence),
-    "nash-gap": ("paired deviation study for the first agent", _cmd_nash_gap),
+    "epsilon-sweep": ("mean-field approximation error against N", _cmd_table),
+    "riccati-convergence": ("population-vs-limit solver distance", _cmd_table),
+    "nash-gap": ("paired deviation study for the first agent", _cmd_table),
     "figures": ("emit fig1/fig2 CSVs and gnuplot scripts", _cmd_figures),
 }
 

@@ -9,19 +9,19 @@ the coefficient set.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ModelConfigError, SimulationDivergedError
-from .model import (CoefficientSet, InitialLaw, TimeGrid, _number,
-                    _population_size, canonical_fingerprint)
+from .model import (CoefficientSet, InitialLaw, TimeGrid, _population_size,
+                    canonical_fingerprint)
 from .riccati import (_least_weight, convexity_margin, gains, solve_backward,
                       solve_finite_N, solve_limit)
 from .sim import (PopulationConfig, _costs, _population_chunks, _replay_lanes,
                   quadrature)
-from .synthesis import LAW_KINDS, _zero_law, make_law, solve_mean_field
+from .synthesis import (_READS, _parse_label, _spec, _zero_law, make_law,
+                        solve_mean_field)
 
 DEFAULT_DEVIATIONS = ("zero", "scaled(0.25)", "scaled(0.5)", "scaled(0.75)",
                       "scaled(1.25)", "scaled(1.5)", "meanfield-informed",
@@ -75,33 +75,22 @@ def _build_laws(specs, coeffs: CoefficientSet, grid: TimeGrid,
                 initial: InitialLaw, N=None) -> list:
     """One StrategyLaw per (kind, theta) spec.
 
-    The limit gains, the mean-field path and the N-player gains are each
-    solved once, and only if some requested kind needs them; the zero law
-    needs none.
+    Every spec is checked before anything is solved.  The limit gains, the
+    mean-field path and the N-player gains are each solved once, and only
+    if some requested kind reads them; the zero law reads none.
     """
-    kinds = {kind for kind, _ in specs}
+    specs = [_spec(kind, theta) for kind, theta in specs]
+    reads = {need for kind, _ in specs for need in _READS[kind]}
     gl = mf = gn = None
-    if kinds & {"decentralized", "scaled", "meanfield-informed"}:
+    if "limit" in reads:
         gl = gains(solve_limit(coeffs, grid), coeffs)
-    if kinds & {"decentralized", "scaled"}:
+    if "mean" in reads:
         mf = solve_mean_field(coeffs, gl, initial.mean, grid)
-    if "centralized" in kinds:
+    if "finite" in reads:
         gn = gains(solve_finite_N(coeffs, N, grid), coeffs)
-    # make_law refuses a theta given to the zero law before it reads gains
-    return [_zero_law(grid) if kind == "zero" and theta is None
-            else make_law(kind, gn if kind == "centralized" else gl, xbar=mf,
-                          theta=theta) for kind, theta in specs]
-
-
-def _parse_label(label: str):
-    """A deviation label is a law kind or scaled(theta), theta a decimal
-    number; returns its (kind, theta) spec."""
-    m = re.fullmatch(r"scaled\((-?[0-9.]*)\)", label)
-    if m:
-        return "scaled", _number(m.group(1), "scaling factor theta")
-    if label in LAW_KINDS:
-        return label, None
-    raise ModelConfigError(f"unknown deviation label {label!r}")
+    return [make_law(kind, gn if "finite" in _READS[kind] else gl, xbar=mf,
+                     theta=theta) if _READS[kind] else _zero_law(grid)
+            for kind, theta in specs]
 
 
 def epsilon_sweep(coeffs: CoefficientSet, Ns, reps: int, master_seed: int,
@@ -213,35 +202,35 @@ def nash_gap(coeffs: CoefficientSet, N: int, reps: int, master_seed: int,
              deviations=DEFAULT_DEVIATIONS) -> ExperimentTable:
     """Paired deviation study for the first agent.
 
-    All agents play the decentralized law; for each deviation the first
-    agent is replayed on the same noise and gap = J(base) - J(deviation) is
-    averaged with its paired standard error.  Each call of replications, in
-    its worker, runs its populations, replays them all under all laws in
-    one kernel call, and costs each replay against the mean (x + others) /
-    N, others the sum of its co-players.  scaled(1) replays the base law
-    bit for bit and J(base) is its cost, so its row is exactly zero and
-    calibrates the pairing; it is added unless the family already holds it
-    (as scaled(theta) with theta = 1, or as decentralized).  Two labels for one deviation, such as
-    scaled(.5) and scaled(0.5), are a ModelConfigError.
+    All agents play the decentralized law, as the family's scaled(1) law
+    (theta * x == x, so the two are one law bit for bit); for each deviation
+    the first agent is replayed on the same noise and gap = J(base) -
+    J(deviation) is averaged with its paired standard error.  Each call of
+    replications, in its worker, runs its populations, replays them all
+    under all laws in one kernel call, and costs each replay against the
+    mean (x + others) / N, others the sum of its co-players.  J(base) is
+    the cost of the scaled(1) replay, so its row is exactly zero and
+    calibrates the pairing; scaled(1) is added unless the family already
+    holds it (as scaled(theta) with theta = 1, or as decentralized).  Two
+    labels for one deviation, such as scaled(.5) and scaled(0.5), are a
+    ModelConfigError.
     """
     if not deviations:
         raise ModelConfigError("deviation family must be nonempty")
     labels = list(deviations)
-    specs = [_parse_label(label) for label in labels]
-    # a scaled law is its theta; decentralized is scaled(1)
-    same = [1.0 if kind == "decentralized" else theta if kind == "scaled"
-            else kind for kind, theta in specs]
-    if len(set(same)) < len(same):
+    one = ("scaled", 1.0)
+    specs = [one if spec[0] == "decentralized" else spec
+             for spec in map(_parse_label, labels)]
+    if len(set(specs)) < len(specs):
         raise ModelConfigError(f"deviation labels repeat a deviation: "
                                f"{labels!r}")
-    if 1.0 not in same:
+    if one not in specs:
         labels.append("scaled(1)")
-        specs.append(("scaled", 1.0))
-        same.append(1.0)
+        specs.append(one)
     cfg = PopulationConfig(N=N, reps=reps, master_seed=master_seed,
                            initial=initial)
-    dec, *laws = _build_laws([("decentralized", None)] + specs,
-                             coeffs, grid, initial, N)
+    laws = _build_laws(specs, coeffs, grid, initial, N)
+    base = specs.index(one)
 
     def replay_costs(first, sums, x0, dW):
         # agent 0's replays read its initial state and increments, and the
@@ -253,10 +242,10 @@ def nash_gap(coeffs: CoefficientSet, N: int, reps: int, master_seed: int,
         return _costs(states, controls, (states + others[:, None]) / N,
                       ids[:, None], coeffs, grid)
 
-    costs = np.concatenate(_population_chunks(coeffs, dec, cfg, grid, (1, N),
-                                              replay_costs))
+    costs = np.concatenate(_population_chunks(coeffs, laws[base], cfg, grid,
+                                              (1, N), replay_costs))
     # J(base) is the cost of the scaled(1) lane
-    gaps = costs[:, same.index(1.0)] - costs.T
+    gaps = costs[:, base] - costs.T
     rows = []
     for label in sorted(labels):
         d = gaps[labels.index(label)]

@@ -12,6 +12,7 @@ closures so they can be serialized, diffed, scaled, and replayed.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,26 @@ from .errors import ModelConfigError
 from .model import CoefficientSet, TimeGrid, _number, half_interp
 from .riccati import GainSchedule, _rk4_affine, _stage_rows
 
-LAW_KINDS = ("decentralized", "centralized", "zero", "scaled",
-             "meanfield-informed")
+# what each law kind reads: limit gains, their mean-field path, N-player gains
+_READS = {"decentralized": ("limit", "mean"), "centralized": ("finite",),
+          "zero": (), "scaled": ("limit", "mean"),
+          "meanfield-informed": ("limit",)}
+LAW_KINDS = tuple(_READS)
+
+
+def _spec(kind, theta) -> tuple:
+    """(kind, theta) checked: a known kind, with theta a finite number for
+    scaled (returned as a float) and None for every other kind."""
+    if kind not in _READS:
+        raise ModelConfigError(f"unknown strategy kind {kind!r}")
+    if kind != "scaled":
+        if theta is not None:
+            raise ModelConfigError(f"only a scaled law takes a scaling factor "
+                                   f"theta; the {kind} law got {theta!r}")
+        return kind, None
+    if theta is None:
+        raise ModelConfigError("a scaled law needs a scaling factor theta")
+    return kind, _number(theta, "scaling factor theta")
 
 
 @dataclass(frozen=True)
@@ -51,9 +70,22 @@ class StrategyLaw:
 
     @property
     def label(self) -> str:
-        if self.kind == "scaled":
-            return f"scaled({self.theta:g})"
-        return self.kind
+        """The kind, or scaled(theta) with theta in :g form if that reads
+        back exactly, else in full; _parse_label reads it back."""
+        if self.kind != "scaled":
+            return self.kind
+        short = f"{self.theta:g}"
+        return f"scaled({short if float(short) == self.theta else self.theta})"
+
+
+def _parse_label(label: str) -> tuple:
+    """The (kind, theta) spec a label names: a law kind, or scaled(theta)
+    with theta a float literal; _spec checks the spec itself."""
+    if m := re.fullmatch(r"scaled\(([-+.0-9eE]*)\)", label):
+        return "scaled", _number(m.group(1), "scaling factor theta")
+    if label in _READS:
+        return label, None
+    raise ModelConfigError(f"unknown deviation label {label!r}")
 
 
 def solve_mean_field(coeffs: CoefficientSet, gains: GainSchedule,
@@ -96,40 +128,25 @@ def make_law(kind: str, gains: GainSchedule,
              theta: float | None = None) -> StrategyLaw:
     """Build a strategy law from a gain schedule.
 
-    decentralized / scaled(theta) need limit gains plus a mean-field path on
-    the gains' grid, and scaled a finite theta; centralized needs population
-    gains; zero and meanfield-informed need no mean-field path.  Mismatches,
-    and a theta for any kind but scaled, raise ModelConfigError before the
+    _spec checks (kind, theta); the kind's _READS entry says whether gains
+    must be limit or population gains and whether xbar, on the gains' grid,
+    is read.  A bad spec or a mismatch raises ModelConfigError before the
     gains are read.
     """
-    if kind not in LAW_KINDS:
-        raise ModelConfigError(f"unknown strategy kind {kind!r}")
-    if theta is not None and kind != "scaled":
-        raise ModelConfigError(f"only a scaled law takes a scaling factor "
-                               f"theta; the {kind} law got {theta!r}")
-    grid = gains.grid
-    if kind == "zero":
+    kind, theta = _spec(kind, theta)
+    reads, grid = _READS[kind], gains.grid
+    if not reads:
         return _zero_law(grid)
-    if (kind == "centralized") != (gains.N is not None):
+    if ("finite" in reads) != (gains.N is not None):
         need = "limit" if gains.N is not None else "finite-population"
         raise ModelConfigError(f"{kind} law needs {need} gains")
-    k_self = -gains.beta / gains.alpha
-    k_mean = -gains.gamma / gains.alpha
-    k_const = -gains.delta / gains.alpha
-    if kind in ("centralized", "meanfield-informed"):
-        return StrategyLaw(kind=kind, grid=grid, k_self=k_self, k_mean=k_mean,
-                           k_const=k_const)
-
-    # decentralized and scaled both track the precomputed mean-field path
-    if xbar is None:
+    if "mean" in reads and xbar is None:
         raise ModelConfigError(f"{kind} law needs a mean-field path")
-    if xbar.grid != grid:
+    if "mean" in reads and xbar.grid != grid:
         raise ModelConfigError(f"mean-field path on {xbar.grid} does not "
                                f"match the gains' grid {grid}")
+    ks = [-x / gains.alpha for x in (gains.beta, gains.gamma, gains.delta)]
     if kind == "scaled":
-        th = _number(theta, "scaling factor theta")
-        return StrategyLaw(kind=kind, grid=grid, k_self=th * k_self,
-                           k_mean=th * k_mean, k_const=th * k_const,
-                           xbar=xbar.values, theta=th)
-    return StrategyLaw(kind="decentralized", grid=grid, k_self=k_self,
-                       k_mean=k_mean, k_const=k_const, xbar=xbar.values)
+        ks = [theta * k for k in ks]
+    return StrategyLaw(kind, grid, *ks, theta=theta,
+                       xbar=xbar.values if "mean" in reads else None)

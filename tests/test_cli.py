@@ -116,6 +116,42 @@ def test_simulate_flags_override_config(tmp_path):
     assert manifest["results"]["law"] == "scaled(0.5)"
 
 
+def test_simulate_reports_every_digit_of_theta(tmp_path):
+    cfg = make_config(tmp_path, experiments={"simulate": {
+        "N": 2, "reps": 1, "law": "scaled", "theta": 0.1234567}})
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
+    law = (out / "law.csv").read_text().splitlines()
+    assert law[0] == "# kind = scaled(0.1234567)"
+    assert read_manifest(out)["results"]["law"] == "scaled(0.1234567)"
+
+
+def test_nash_gap_reads_the_labels_the_library_writes(tmp_path):
+    # an exponent label, as StrategyLaw.label writes theta = 1e-5
+    cfg = make_config(tmp_path, experiments={"nash_gap": {
+        "N": 3, "reps": 2, "deviations": ["scaled(1e-05)", "scaled(+2.5E-1)"]}})
+    out = tmp_path / "out"
+    assert run(["nash-gap", "--config", cfg, "--out-dir", str(out)]) == 0
+    rows = (out / "nash_gap.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == [
+        "scaled(+2.5E-1)", "scaled(1)", "scaled(1e-05)"]
+
+
+def test_abbreviated_flags_exit_2(tmp_path, capsys, monkeypatch):
+    # each flag has one spelling: a unique prefix of it is not a second one
+    cfg = make_config(tmp_path, experiments={"simulate": {"N": 3, "reps": 1}})
+    monkeypatch.chdir(tmp_path)
+    for flags in (["--out", "x"], ["--pop", "3"], ["--grid", "20"]):
+        assert run(["simulate", "--config", cfg] + flags) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    # --out is not --out-dir, so x is never written to
+    assert not (tmp_path / "x").exists()
+    # a full name with an equals sign is still the one spelling
+    assert run(["simulate", "--config", cfg, "--out-dir=y",
+                "--population=2"]) == 0
+    assert read_manifest(tmp_path / "y")["results"]["N"] == 2
+
+
 def test_missing_config_exits_2_with_manifest(tmp_path, capsys):
     out = tmp_path / "out"
     code = run(["solve-riccati", "--config", str(tmp_path / "nope.json"),
@@ -637,6 +673,20 @@ def test_laws_solve_only_the_systems_they_need(tmp_path, monkeypatch):
             patch.setattr(experiments, name, unneeded)
             assert run(argv + ["--config", cfg,
                                "--out-dir", str(tmp_path / f"out{k}")]) == 0
+    # a spec no law takes solves nothing: it exits 2 before any solve
+    bad = ((["--law", "decentralized", "--theta", "0.5"], "law got 0.5"),
+           (["--law", "centralized", "--theta", "2"], "law got 2"),
+           (["--law", "scaled"], "a scaled law needs a scaling factor theta"))
+    for name in ("solve_limit", "solve_mean_field", "solve_finite_N"):
+        monkeypatch.setattr(experiments, name, unneeded)
+    for k, (flags, message) in enumerate(bad):
+        out = tmp_path / f"bad{k}"
+        assert run(["simulate", "--config", cfg, "--out-dir", str(out)]
+                   + flags) == 2
+        manifest = read_manifest(out)
+        assert (manifest["exit_code"], manifest["outputs"]) == (2, [])
+        assert message in manifest["error"]
+        assert os.listdir(out) == ["manifest.json"]
 
 
 def test_zero_law_runs_where_the_riccati_equation_blows_up(tmp_path, capsys):

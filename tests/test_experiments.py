@@ -13,15 +13,14 @@ from hypothesis import strategies as st
 from lqmfg import _pool, sim
 from lqmfg.errors import ModelConfigError, SimulationDivergedError
 from lqmfg.experiments import (_BLOCK_ROWS, DEFAULT_DEVIATIONS, _build_laws,
-                               _parse_label, epsilon_sweep, figure_data,
-                               loglog_slope, nash_gap, riccati_convergence,
-                               write_csv)
+                               epsilon_sweep, figure_data, loglog_slope,
+                               nash_gap, riccati_convergence, write_csv)
 from lqmfg.model import (CoefficientSet, InitialLaw, TimeGrid,
                          parse_coefficients, parse_grid, parse_initial_law)
 from lqmfg.riccati import gains, solve_backward, solve_limit
 from lqmfg.sim import (_TILE, PopulationConfig, quadrature, simulate,
                        simulate_reps)
-from lqmfg.synthesis import make_law, solve_mean_field
+from lqmfg.synthesis import _parse_label, make_law, solve_mean_field
 from oracles import cost_decomposition
 from test_acceptance import CLI_CONFIG, MIXED_CONFIG
 

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lqmfg.errors import ModelConfigError, NonSolvableError
 from lqmfg.model import CoefficientSet, TimeGrid
 from lqmfg.riccati import gains, solve_finite_N, solve_limit
-from lqmfg.synthesis import MeanFieldPath, StrategyLaw, make_law, solve_mean_field
+from lqmfg.synthesis import (LAW_KINDS, MeanFieldPath, StrategyLaw,
+                             _parse_label, make_law, solve_mean_field)
 
 ALL_ONES = CoefficientSet.from_constants(A=1, B=1, C=1, D=1, f=1, g=1,
                                          Q=1, R=1, Gamma=1, eta=1,
@@ -152,7 +155,7 @@ def test_law_construction_errors():
         make_law("bangbang", gs)
     with pytest.raises(ModelConfigError):
         make_law("decentralized", gs)  # no mean-field path
-    with pytest.raises(ModelConfigError):
+    with pytest.raises(ModelConfigError, match="needs a scaling factor"):
         make_law("scaled", gs, xbar=mf)  # no theta
     for theta in (float("nan"), float("inf")):
         with pytest.raises(ModelConfigError, match="must be finite"):
@@ -185,6 +188,28 @@ def test_laws_agree_when_mean_coupling_vanishes():
     assert np.max(np.abs(dec.k_self - cen.k_self)) <= 1e-9
     assert np.max(np.abs(dec.k_mean - cen.k_mean)) <= 1e-9
     assert np.max(np.abs(dec.k_const - cen.k_const)) <= 1e-9
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_every_label_parses_back_to_its_spec(theta):
+    # the short :g form where it reads back exactly, the full repr elsewhere
+    grid = TimeGrid(T=1.0, M=2)
+    z = np.zeros(3)
+    law = StrategyLaw("scaled", grid, z, z, z, xbar=z, theta=theta)
+    assert _parse_label(law.label) == ("scaled", theta)
+    for kind in LAW_KINDS:
+        assert _parse_label(kind) == (kind, None)
+
+
+def test_labels_keep_short_forms_and_every_digit():
+    grid = TimeGrid(T=1.0, M=2)
+    z = np.zeros(3)
+    labels = {theta: StrategyLaw("scaled", grid, z, z, z, theta=theta).label
+              for theta in (0.5, 1.0, 1e-05, -2.0, 0.1234567, 1 / 3)}
+    assert labels == {0.5: "scaled(0.5)", 1.0: "scaled(1)",
+                      1e-05: "scaled(1e-05)", -2.0: "scaled(-2)",
+                      0.1234567: "scaled(0.1234567)",
+                      1 / 3: "scaled(0.3333333333333333)"}
 
 
 def test_make_law_referentially_transparent():
