@@ -124,8 +124,8 @@ def _epsilon_sweep(coeffs: CoefficientSet, Ns, reps: int, master_seed: int,
     gl = gains(lim, coeffs)
     law = make_law("decentralized", gl,
                    solve_mean_field(coeffs, gl, initial.mean, grid))
-    # the prefix sums add the same rows in the same order as the mean of a
-    # fresh N-agent run, so every N's bytes match a separate simulation
+    # sim's population-sum rule adds N agents by a tree of N alone, so each
+    # N's prefix sums, and bytes, are those of a separate N-agent simulation
     chunks = _population_chunks(coeffs, law, cfg, grid, Ns)
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.array([[quadrature(grid.dt, (total / N - law.xbar) ** 2)

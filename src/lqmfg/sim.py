@@ -7,7 +7,12 @@ purpose, replication, agent), so replications can be scheduled in any order
 (or in parallel) without changing a single bit of output, and agent j's
 noise is identical across population sizes, giving common random numbers
 for the N-sweep experiments.  The mean-only studies map their chunks of
-replications with _pool._pmap.
+replications with _pool._pmap.  A population's sum at a node adds its
+agents pairwise (np.add.reduce) along the contiguous agent axis of the
+kernel's time-major tile, and its mean is that sum over N: np.mean of the
+node's states, the mean a realized-mean law is fed.  The tree depends only
+on the agent count, so a population's first n agents sum as a separate
+n-agent population does.
 """
 
 from __future__ import annotations
@@ -83,9 +88,9 @@ class PopulationConfig:
 @dataclass(frozen=True)
 class PathSet:
     """One replication of one population on `grid`: states (N, M+1),
-    controls and increments (N, M), population average (M+1).  A hand-built
-    path set may leave grid None; it is then checked against a grid by node
-    count only."""
+    controls and increments (N, M), population average (M+1) by the
+    module's rule.  A hand-built path set may leave grid None; it is then
+    checked against a grid by node count only."""
 
     rep: int
     states: np.ndarray
@@ -144,31 +149,32 @@ def _step_tiles(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
     broadcast to (w, *S); with k_mean, step k's kappa adds k_mean[k] times
     the mean of the states at node k (S is then one replication's paths).
     Each step is x' = alpha x + beta (_affine), two array operations.
-    Time is walked in tiles of _TILE steps on time-major buffers, so every
-    step reads and writes contiguous rows; alpha and beta are formed a tile
-    at a time (beta a step at a time with k_mean), and the increments come
-    in transposed in blocks of _BLOCK paths.  After a tile of w steps from
-    node k0, sink(k0, w, xs, e, kappa) reads it: rows 0..w of xs (_TILE+1,
-    n) are the states at nodes k0..k0+w, one column per path of x0.ravel().
-    Returns the end states, flat.
+    Time is walked in tiles of min(_TILE, M) steps on time-major buffers,
+    so every step reads and writes contiguous rows; alpha and beta are
+    formed a tile at a time (beta a step at a time with k_mean), and the
+    increments come in transposed in blocks of _BLOCK paths.  After a tile
+    of w steps from node k0, sink(k0, w, xs, e, kappa) reads it: rows 0..w
+    of xs (tile+1, n) are the states at nodes k0..k0+w, one column per path
+    of x0.ravel().  Returns the end states, flat.
     """
     n, M = x0.size, dW.shape[-1]
+    tile = min(_TILE, M)
     tm = {name: v.reshape(-1, *(1,) * x0.ndim) for name, v in nc.items()}
     increments = dW.reshape(-1, M)
-    xs = np.empty((_TILE + 1, n))
-    ws = np.empty((_TILE, increments.shape[0]))
+    xs = np.empty((tile + 1, n))
+    ws = np.empty((tile, increments.shape[0]))
     wv = ws.reshape(-1, *dW.shape[:-1])
-    beta = np.empty((_TILE, n))
+    beta = np.empty((tile, n))
     # alpha overwrites the increments once beta is formed, unless they
     # broadcast over the lanes or beta reads them a step at a time
     alpha = (ws if increments.shape[0] == n and k_mean is None
-             else np.empty((_TILE, n)))
+             else np.empty((tile, n)))
     av, bv = alpha.reshape(-1, *x0.shape), beta.reshape(-1, *x0.shape)
     xs[0] = x0.ravel()
     # overflow is an expected failure mode, reported as a typed error
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, M, _TILE):
-            w = min(_TILE, M - k0)
+        for k0 in range(0, M, tile):
+            w = min(tile, M - k0)
             for j in range(0, increments.shape[0], _BLOCK):
                 ws[:w, j:j + _BLOCK] = increments[j:j + _BLOCK, k0:k0 + w].T
             e, kappa = feedback(k0, w)
@@ -193,7 +199,8 @@ def _step_tiles(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
 def _euler_maruyama(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
                     feedback, rep, agent: int | None = None, k_mean=None):
     """Euler-Maruyama paths of a batch of states started at x0, of shape S:
-    states (S, M+1) and controls (S, M), stepped by _step_tiles.
+    states (S, M+1), controls (S, M) and the mean of each replication's
+    paths (S[:-1], M+1), stepped by _step_tiles.
 
     The last axis of S holds the paths of one replication and the other
     axes the replications, numbered by rep (broadcast to S).  A divergence
@@ -203,11 +210,12 @@ def _euler_maruyama(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
     axis).  The controls are formed a tile at a time as e x + kappa, and
     each tile goes out in one transposed copy.
     """
-    n, M = x0.size, dW.shape[-1]
+    n, M, width = x0.size, dW.shape[-1], x0.shape[-1]
     states = np.empty((n, M + 1))
     controls = np.empty((n, M))
+    sums = np.empty((M + 1, n // width))
     states[:, 0] = x0.ravel()
-    us = np.empty((_TILE, n))
+    us = np.empty((min(_TILE, M), n))
 
     def sink(k0, w, xs, e, kappa):
         uv = np.multiply(e, xs[:w].reshape(w, *x0.shape),
@@ -215,11 +223,12 @@ def _euler_maruyama(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
         np.add(uv, kappa, out=uv)
         states[:, k0 + 1:k0 + w + 1] = xs[1:w + 1].T
         controls[:, k0:k0 + w] = us[:w].T
+        np.add.reduce(xs[:w + 1].reshape(w + 1, -1, width), axis=-1,
+                      out=sums[k0:k0 + w + 1])
 
     end = _step_tiles(nc, dt, x0, dW, feedback, sink, k_mean)
     # a non-finite state stays non-finite, so checking the end state suffices
     if not np.all(np.isfinite(end)):
-        width = x0.shape[-1]
         r = int(np.argmin(np.isfinite(end).reshape(-1, width).all(axis=1)))
         bad = ~np.isfinite(states[r * width:(r + 1) * width])
         step = int(np.argmax(bad.any(axis=0)))
@@ -229,7 +238,8 @@ def _euler_maruyama(nc: dict, dt: float, x0: np.ndarray, dW: np.ndarray,
         raise SimulationDivergedError(
             f"agent {agent} diverged at step {step} of replication {rep}",
             rep=rep, agent=agent, step=step)
-    return states.reshape(*x0.shape, M + 1), controls.reshape(*x0.shape, M)
+    return (states.reshape(*x0.shape, M + 1), controls.reshape(*x0.shape, M),
+            (sums / width).T.reshape(*x0.shape[:-1], M + 1))
 
 
 def _draw(rng: np.random.Generator, cfg: PopulationConfig, rep: int,
@@ -261,10 +271,10 @@ def simulate_reps(coeffs: CoefficientSet, law: StrategyLaw,
         x0 = np.empty(cfg.N)
         dW = np.empty((cfg.N, grid.M))
         _draw(rng, cfg, rep, sqdt, x0, dW)
-        states, controls = _euler_maruyama(nc, grid.dt, x0, dW, feedback,
-                                           rep, k_mean=k_mean)
+        states, controls, mean = _euler_maruyama(nc, grid.dt, x0, dW,
+                                                 feedback, rep, k_mean=k_mean)
         yield PathSet(rep=rep, states=states, controls=controls,
-                      increments=dW, mean=states.mean(axis=0), grid=grid)
+                      increments=dW, mean=mean, grid=grid)
 
 
 def _population_sums(coeffs: CoefficientSet, law: StrategyLaw,
@@ -273,10 +283,10 @@ def _population_sums(coeffs: CoefficientSet, law: StrategyLaw,
     """Replications first..first+R-1 as the lanes of one kernel call.
 
     Returns sums (R, len(sizes), M+1), whose row [r, i] is the sum of the
-    first sizes[i] agents' states of replication first + r in agent order,
-    the bits of states[:sizes[i]].sum(axis=0); or, given then, what
-    then(first, sums, x0, dW) returns, x0 (R, N) and dW (R, N, M) the
-    initial states and increments as simulate_reps draws them.  No
+    first sizes[i] agents' states of replication first + r by the module's
+    rule, the bits of a separate sizes[i]-agent population's sum; or, given
+    then, what then(first, sums, x0, dW) returns, x0 (R, N) and dW (R, N, M)
+    the initial states and increments as simulate_reps draws them.  No
     (N, M+1) path array is built, so the law's mean must be precomputed
     and agents do not interact.  A divergence is reported as simulate_reps
     reports it.
@@ -287,23 +297,12 @@ def _population_sums(coeffs: CoefficientSet, law: StrategyLaw,
     x0 = np.empty((R, N))
     dW = np.empty((R, N, M))
     sums = np.empty((R, len(sizes), M + 1))
-    # a tile's states agent-major: reducing axis 0 adds the agents' rows one
-    # after another, in the order states[:n].sum(axis=0) adds them.  That
-    # holds while numpy's inner loop runs over the nodes, of which a tile
-    # has w + 1 >= 2; an inner loop over the agents would add them pairwise
-    rows = np.empty((N, R, _TILE + 1))
 
     def sink(k0, w, xs, e, kappa):
-        tile = rows[:, :, :w + 1]
-        tile[...] = xs[:w + 1].reshape(w + 1, R, N).T
-        start = 0
+        tile = xs[:w + 1].reshape(w + 1, R, N)
         for i, n in enumerate(sizes):
-            total = sums[:, i, k0:k0 + w + 1]
-            np.add.reduce(tile[start:n], axis=0, out=total)
-            # the next size's sum goes on from this one, written over the
-            # last row it added
-            start = n - 1
-            tile[start] = total
+            np.add.reduce(tile[..., :n], axis=-1,
+                          out=sums[:, i, k0:k0 + w + 1].T)
 
     feedback, _ = _law_feedback(law, 2)
     rng = np.random.Generator(np.random.Philox())
@@ -379,7 +378,7 @@ def _replay_lanes(agent: int, reps, x0, dW, others, N: int, laws,
     return _euler_maruyama(
         coeffs.node_values(grid), grid.dt,
         np.repeat(x0[:, None], len(laws), axis=1), dW[:, None], feedback,
-        np.reshape(reps, (-1, 1)), agent)
+        np.reshape(reps, (-1, 1)), agent)[:2]
 
 
 def quadrature(dt: float, nodes: np.ndarray, cells=None):

@@ -10,6 +10,8 @@ checks the first-order condition B p + D q + R u = 0 along centralized
 paths, and cost_decomposition the expansion of a deviating agent's cost
 into its base cost, a quadratic term and a cross term.  Each takes the
 inputs a test builds for it and checks nothing else about them.
+
+population_sum is the reference for lqmfg.sim's population-sum rule.
 """
 
 import math
@@ -25,6 +27,36 @@ from lqmfg.synthesis import StrategyLaw
 
 _PURPOSE_PROBE_CONTROL = 1
 _PURPOSE_PROBE_NOISE = 2
+
+
+def _pairwise(rows):
+    """numpy's pairwise summation tree over the rows, one elementwise add
+    at a time: under 8 rows a running total, up to 128 eight running
+    totals combined as a balanced tree and the rest added after, and above
+    that the two halves, split at a multiple of 8."""
+    n = len(rows)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise(rows[:half]) + _pairwise(rows[half:])
+    if n < 8:
+        acc, rest = 0.0, rows
+    else:
+        r = list(rows[:8])
+        for i in range(8, n - n % 8, 8):
+            r = [r[j] + rows[i + j] for j in range(8)]
+        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        rest = rows[n - n % 8:]
+    for row in rest:
+        acc = acc + row
+    return acc
+
+
+def population_sum(states: np.ndarray, n: int | None = None) -> np.ndarray:
+    """The population-sum rule: at every node, the first n agents' states
+    (all of them by default; states is (N, M+1)) added pairwise, in the
+    tree numpy's add.reduce forms along a contiguous axis, and from an
+    initial 0.0.  Its mean is this sum over n."""
+    return 0.0 + _pairwise(states[:n])
 
 
 @dataclass(frozen=True)
@@ -70,8 +102,8 @@ def convexity_probe(coeffs: CoefficientSet, N: int, grid: TimeGrid,
         u = stream(seed, _PURPOSE_PROBE_CONTROL, s, 0).standard_normal(M)
         dW = stream(seed, _PURPOSE_PROBE_NOISE, s, 0) \
             .standard_normal((inner_reps, M)) * sqdt
-        x, _ = _euler_maruyama(homogeneous, dt, np.zeros(inner_reps), dW,
-                               lambda k0, w: (0.0, u[k0:k0 + w, None]), s)
+        x, _, _ = _euler_maruyama(homogeneous, dt, np.zeros(inner_reps), dW,
+                                  lambda k0, w: (0.0, u[k0:k0 + w, None]), s)
         vals.append(quadrature(dt, qeff * x * x, nc["R"][:M] * u * u)
                     + heff * x[:, -1] * x[:, -1])
     vals = np.stack(vals)
@@ -190,7 +222,7 @@ def cost_decomposition(i: int, base_paths: list, law: StrategyLaw,
     reps = np.array([ps.rep for ps in base_paths])
     xb, ub, dW = (np.stack([getattr(ps, name)[i] for ps in base_paths])
                   for name in ("states", "controls", "increments"))
-    others = np.stack([ps.states.sum(axis=0) for ps in base_paths]) - xb
+    others = np.stack([population_sum(ps.states) for ps in base_paths]) - xb
     states, controls = _replay_lanes(i, reps, xb[:, 0], dW, others, N, [law],
                                      coeffs, grid)
     xd, ud = states[:, 0], controls[:, 0]

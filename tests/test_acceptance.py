@@ -232,15 +232,17 @@ def test_criterion_11_monte_carlo_csv_bytes_are_pinned(tmp_path):
     # They were re-pinned again when phi, phi_N and the mean-field path
     # became affine RK4 maps and (P_N, K_N) took completed-square form: the
     # gains under them moved at roundoff, and every value by under 3.5e-14
-    # relative (at most 7.6e-15 of its column's largest magnitude)
+    # relative (at most 7.6e-15 of its column's largest magnitude).  All
+    # three were re-pinned when every population sum became one pairwise
+    # add along the agent axis: every value moved by under 1.4e-15 relative
     pinned = {
-        "simulate": ("summary.csv", "1bb0bd17ec6998d1935564e7e4c83f95"
-                                    "ba8df3c599bfd5d9c289e939a9ea5d51"),
+        "simulate": ("summary.csv", "e9e0d55409c724e533104aecbbc44581"
+                                    "966148a778d1186ec091de14261e0fe3"),
         "epsilon-sweep": ("epsilon_sweep.csv",
-                          "8affc1488439b875586f1f0407dded94"
-                          "26ed5002f1ee6c2a7cf48cf27dc546e1"),
-        "nash-gap": ("nash_gap.csv", "cd7e95bc0a8b3c83646f00ca0fed149f"
-                                     "224469e01453700f932fe13a19de5612"),
+                          "82f4775b19dbcee8817d81b38471e486"
+                          "412fa784eb7d9997d9e3b6360a8ac5e8"),
+        "nash-gap": ("nash_gap.csv", "fea4ebddcca27b2afac54ebadb3a099a"
+                                     "dfbab68fa6dbfba97ce476f2665dcfd5"),
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(CLI_CONFIG))
@@ -273,7 +275,10 @@ def test_criterion_11_table_writer_bytes_are_pinned(tmp_path):
     # fig1.csv were re-pinned when phi, phi_N and the mean-field path became
     # affine RK4 maps and (P_N, K_N) took completed-square form: every value
     # moved by at most 1.3e-15 of its column's largest magnitude, and by
-    # 3.2e-13 relative at most, on entries of delta and k_const near zero
+    # 3.2e-13 relative at most, on entries of delta and k_const near zero.
+    # fig2.csv was re-pinned when every population sum became one pairwise
+    # add along the agent axis (under 5.6e-16 relative); the simulate
+    # tables, at N = 6, add their agents in the same order as before
     jobs = (
         ("solve-riccati", ["--population", "6"], {
             "riccati_limit.csv": "8408a807c7028c4a15571f700e36376e"
@@ -307,8 +312,8 @@ def test_criterion_11_table_writer_bytes_are_pinned(tmp_path):
         ("figures", [], {
             "fig1.csv": "1312e25a6c437f2bdaeafd63d1b209401"
                         "dd935c57c3c345ec7a374b13e91d999",
-            "fig2.csv": "85e133b69552da303350979ac9846e6e"
-                        "9334929db1c256513b414b75d78b7679"}),
+            "fig2.csv": "8ce75f01df93e1d8ff1f49df275c17db"
+                        "986a23ff0b38ad766ae3c5b9d853e5ab"}),
     )
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(MIXED_CONFIG))
@@ -334,16 +339,19 @@ def test_criterion_11_manifests_are_pinned(tmp_path):
     # validate, solve-riccati, epsilon-sweep, nash-gap and figures were
     # re-pinned when their results gained convexity_margin,
     # convexity_margin_t and convex, and validate again when it lost
-    # all_finite, which could not be False; no table byte moved
+    # all_finite, which could not be False; no table byte moved.
+    # epsilon-sweep and nash-gap were re-pinned when every population sum
+    # became one pairwise add along the agent axis: their slope and max_gap
+    # fields moved by under 1.4e-15 relative
     jobs = (
         (CLI_CONFIG, "validate", [], "6b825b127a329c16eee353e077361226"
                                      "67748c076933abb6c6ea78f6f2f32708"),
         (CLI_CONFIG, "simulate", [], "759f042e3d6235d25c23de07bd900a4e"
                                      "dee060a46357309acf3e78d2d38fa104"),
-        (CLI_CONFIG, "epsilon-sweep", [], "ae81f3e5457f243ec32250a017c2ffac"
-                                          "04af160e374579d8fe8863888aa4abe1"),
-        (CLI_CONFIG, "nash-gap", [], "2df911f34268cb5bd1320c3e66f1aa65"
-                                     "a33cb0c024e7fcbeee6d85a9697f8e4c"),
+        (CLI_CONFIG, "epsilon-sweep", [], "20d235ac54fd0ccedda725a2e8d529bc"
+                                          "175778915602e497dffb85f56d2d45c5"),
+        (CLI_CONFIG, "nash-gap", [], "9b0d4b21674ff23c571e702bd62d3294"
+                                     "35dea1dda71f175fe1d779a681237be2"),
         (MIXED_CONFIG, "validate", [], "5b01b51c8ea9ecf4e200381970458940"
                                        "51776b794cf5009829bc07e02cb869ac"),
         (MIXED_CONFIG, "solve-riccati", ["--population", "6"],

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lqmfg import _pool, sim
@@ -21,7 +21,7 @@ from lqmfg.riccati import gains, solve_backward, solve_limit
 from lqmfg.sim import (_TILE, PopulationConfig, quadrature, simulate,
                        simulate_reps)
 from lqmfg.synthesis import _parse_label, make_law, solve_mean_field
-from oracles import cost_decomposition
+from oracles import cost_decomposition, population_sum
 from test_acceptance import CLI_CONFIG, MIXED_CONFIG
 
 ALL_ONES = CoefficientSet.from_constants(A=1, B=1, C=1, D=1, f=1, g=1, Q=1,
@@ -318,13 +318,12 @@ def sampled_config(M):
     lambda M: dict(CLI_CONFIG, grid={"T": 1.0, "M": M}),
     sampled_config], ids=["allones", "criterion-11", "sampled"])
 def test_population_sums_match_full_paths(fixture, monkeypatch):
-    # the mean-only path draws what simulate draws and adds agents in the
-    # order states.sum(axis=0) adds them, for every tile layout (one step,
-    # a full tile, a one-step tail tile, many tiles) and lane batching: 5
-    # replications are one call, or at 8 lanes as few calls of at most
-    # 8 // N as hold them, the larger first and their sizes differing by
-    # at most one.  One CPU keeps the call plan free of the workers'
-    # rounding
+    # the mean-only path draws what simulate draws and adds agents by the
+    # population-sum rule, for every tile layout (one step, a full tile, a
+    # one-step tail tile, many tiles) and lane batching: 5 replications are
+    # one call, or at 8 lanes as few calls of at most 8 // N as hold them,
+    # the larger first and their sizes differing by at most one.  One CPU
+    # keeps the call plan free of the workers' rounding
     monkeypatch.setattr(_pool, "_cpus", lambda: 1)
     for M in (2, _TILE, _TILE + 1, 1000):
         cfg = fixture(M)
@@ -353,10 +352,9 @@ def test_population_sums_match_full_paths(fixture, monkeypatch):
                     assert np.array_equal(x0, ps.states[:, 0])
                     assert np.array_equal(dW, ps.increments)
                     for n, total in zip(sizes, sums):
-                        assert np.array_equal(total / n,
-                                              ps.states[:n].mean(axis=0))
-                    assert np.array_equal(sums[-1] - sums[0],
-                                          ps.states.sum(axis=0) - ps.states[0])
+                        assert np.array_equal(total,
+                                              population_sum(ps.states, n))
+                    assert np.array_equal(sums[-1] / N, ps.mean)
 
 
 @st.composite
@@ -369,10 +367,12 @@ def population_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(case=population_cases())
+@example(case=(10_000, [9_000, 10_000], 2, 2, sim._LANES, 2024))
 def test_population_sums_equal_full_path_sums(case):
-    # the agent-major row adds, each size chained from the one before it,
-    # repeated sizes included, give states[:n].sum(axis=0) bit for bit for
-    # every tile layout and every split of the replications into calls
+    # each size's sum, repeated sizes included, is the population-sum rule
+    # over the first n agents bit for bit, for every tile layout and every
+    # split of the replications into calls, and the first size's is a
+    # separate population's sum, at 9,000 of 10,000 agents too
     N, sizes, reps, M, lanes, seed = case
     grid = TimeGrid(T=M / 100, M=M)
     law, = _build_laws([("decentralized", None)], ALL_ONES, grid, UNIFORM)
@@ -380,9 +380,13 @@ def test_population_sums_equal_full_path_sums(case):
     with mock.patch.object(sim, "_LANES", lanes):
         chunks = sim._population_chunks(ALL_ONES, law, pop, grid, sizes)
     got = np.concatenate(chunks)
-    want = [[ps.states[:n].sum(axis=0) for n in sizes]
+    want = [[population_sum(ps.states, n) for n in sizes]
             for ps in simulate(ALL_ONES, law, pop, grid)]
     assert np.array_equal(got, want)
+    alone = PopulationConfig(N=sizes[0], reps=reps, master_seed=seed,
+                             initial=UNIFORM)
+    assert np.array_equal(got[:, 0] / sizes[0], [
+        ps.mean for ps in simulate(ALL_ONES, law, alone, grid)])
 
 
 def test_epsilon_sweep_rejects_sizes_that_are_not_integers():

@@ -429,8 +429,10 @@ def test_solver_peaks_hold_no_stage_stacks_or_profile_copies():
     # a constant profile's samples are a zero-stride view of its value, and
     # phi_N reads the stage points one stage at a time, so neither solver
     # holds a (4, M) stack of stage coefficients or points; the bounds are
-    # floats per grid step of tracemalloc's peak
-    grid = TimeGrid(T=1.0, M=10_000)
+    # floats per grid step of tracemalloc's peak.  At M = 2,000 the peaks
+    # are 39-52 floats per step, and the solvers that held those stacks
+    # reach 75-124
+    grid = TimeGrid(T=1.0, M=2_000)
     c = TimeProfile.constant(0.1 + 0.2)
     for got, size in ((c.node_values(grid), grid.M + 1),
                       (c.half_values(grid), 2 * grid.M + 1)):

@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lqmfg.errors import ModelConfigError, SimulationDivergedError
+from lqmfg.experiments import _build_laws
 from lqmfg.model import CoefficientSet, InitialLaw, TimeGrid, TimeProfile
 from lqmfg.riccati import gains, solve_finite_N, solve_limit
 from lqmfg.synthesis import make_law, solve_mean_field
@@ -26,7 +28,8 @@ from lqmfg.sim import (
     _replay_lanes,
 )
 from oracles import (AdjointCheckReport, convexity_probe,
-                     cost_decomposition, stationarity_residual)
+                     cost_decomposition, population_sum,
+                     stationarity_residual)
 
 ALL_ONES = CoefficientSet.from_constants(A=1, B=1, C=1, D=1, f=1, g=1,
                                          Q=1, R=1, Gamma=1, eta=1,
@@ -82,7 +85,7 @@ def replay(ps, i, laws, coeffs, grid):
     """Agent i of one replication replayed under every law by _replay_lanes:
     states (L, M+1), controls (L, M), and the sum of its co-players'
     states."""
-    others = ps.states.sum(axis=0) - ps.states[i]
+    others = population_sum(ps.states) - ps.states[i]
     (states,), (controls,) = _replay_lanes(
         i, [ps.rep], ps.states[i, :1], ps.increments[i, None], others[None],
         ps.states.shape[0], laws, coeffs, grid)
@@ -155,7 +158,40 @@ def test_simulate_matches_reference_loop_bit_for_bit(M, kind):
                 np.testing.assert_array_equal(ps.increments, dW)
                 np.testing.assert_array_equal(ps.states, states)
                 np.testing.assert_array_equal(ps.controls, controls)
-                np.testing.assert_array_equal(ps.mean, states.mean(axis=0))
+                np.testing.assert_array_equal(ps.mean,
+                                              population_sum(states) / N)
+
+
+def test_reported_mean_is_the_mean_each_law_was_fed():
+    # a realized-mean law is fed np.mean of each node's states; PathSet.mean
+    # is that value at every node, not a sum in another order
+    grid = TimeGrid(T=1.0, M=100)
+    initial = InitialLaw.uniform(0, 20)
+    cfg = PopulationConfig(N=50, reps=3, master_seed=2024, initial=initial)
+    for law in _build_laws([("centralized", None),
+                            ("meanfield-informed", None)],
+                           ALL_ONES, grid, initial, cfg.N):
+        for ps in simulate_reps(ALL_ONES, law, cfg, grid):
+            fed = [np.mean(ps.states[:, k].copy()) for k in range(grid.M + 1)]
+            assert ps.mean.tobytes() == np.array(fed).tobytes(), law.label
+
+
+def test_kernel_buffers_hold_no_more_steps_than_the_grid():
+    # the kernel's tiles are min(_TILE, M) steps long: at M = 2 a population
+    # of 10,000 peaks at 6-9 floats per agent-node under these laws, where
+    # 64-step tiles peaked at 88-110
+    grid = TimeGrid(T=1.0, M=2)
+    gl, _, dec = decentralized_setup(grid)
+    cfg = PopulationConfig(N=10_000, reps=1, master_seed=1,
+                           initial=InitialLaw.uniform(0, 20))
+    for law in (dec, make_law("meanfield-informed", gl), make_law("zero", gl)):
+        tracemalloc.start()
+        try:
+            simulate(ALL_ONES, law, cfg, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 8 * cfg.N * (grid.M + 1), law.label
 
 
 @pytest.mark.parametrize("M", [1, _TILE - 1, _TILE + 1, 3 * _TILE])
@@ -445,7 +481,7 @@ def test_pathset_invariants():
     cfg = PopulationConfig(N=16, reps=2, master_seed=8,
                            initial=InitialLaw.uniform(0, 20))
     for ps in simulate_reps(ALL_ONES, law, cfg, grid):
-        np.testing.assert_array_equal(ps.mean, ps.states.mean(axis=0))
+        np.testing.assert_array_equal(ps.mean, population_sum(ps.states) / 16)
         assert ps.states[:, 0].min() >= 0.0 and ps.states[:, 0].max() <= 20.0
         assert ps.states.shape == (16, 201)
         assert ps.controls.shape == (16, 200)
@@ -469,7 +505,7 @@ def test_common_random_numbers_across_population_sizes():
             np.testing.assert_array_equal(s.states, l.states[:5])
             np.testing.assert_array_equal(s.controls, l.controls[:5])
             np.testing.assert_array_equal(s.mean,
-                                          l.states[:5].mean(axis=0))
+                                          population_sum(l.states, 5) / 5)
 
 
 def test_simulation_is_bit_deterministic():
