@@ -3,8 +3,8 @@ feedback synthesis, population Monte Carlo, and packaged experiments."""
 
 from .errors import (LqmfgError, ModelConfigError, NonSolvableError,
                      SimulationDivergedError, SingularGainError)
-from .experiments import (ExperimentTable, epsilon_sweep, figure_data,
-                          nash_gap, riccati_convergence)
+from .experiments import (ExperimentTable, epsilon_sweep, nash_gap,
+                          riccati_convergence)
 from .model import (CoefficientSet, InitialLaw, TimeGrid, TimeProfile,
                     ValidationReport, canonical_fingerprint, load_config,
                     parse_coefficients, parse_grid, parse_initial_law,
@@ -24,8 +24,8 @@ __all__ = [
     "NonSolvableError", "PathSet", "PopulationConfig", "RiccatiSolution",
     "SimulationDivergedError", "SingularGainError", "StrategyLaw",
     "TimeGrid", "TimeProfile", "ValidationReport", "canonical_fingerprint",
-    "convexity_margin", "costs_all_agents", "epsilon_sweep", "figure_data",
-    "gains", "load_config", "make_law", "nash_gap", "parse_coefficients",
+    "convexity_margin", "costs_all_agents", "epsilon_sweep", "gains",
+    "load_config", "make_law", "nash_gap", "parse_coefficients",
     "parse_grid", "parse_initial_law", "riccati_convergence", "simulate",
     "simulate_reps", "solve_finite_N", "solve_limit", "solve_mean_field",
     "stream", "validate",

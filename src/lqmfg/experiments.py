@@ -40,7 +40,7 @@ class ExperimentTable:
 
 def _base_metadata(coeffs, grid, master_seed=None) -> dict:
     md = {"grid_T": grid.T, "grid_M": grid.M,
-          "config_fingerprint": canonical_fingerprint(
+          "model_fingerprint": canonical_fingerprint(
               {"coefficients": coeffs.to_dict(),
                "grid": {"T": grid.T, "M": grid.M}})}
     if master_seed is not None:
@@ -320,17 +320,10 @@ plot 'fig2.csv' skip 1 using 1:2:3 with yerrorlines lw 2 title 'epsilon(N)'
 """
 
 
-def figure_data(coeffs: CoefficientSet, grid: TimeGrid, sweep,
-                out_dir) -> list:
-    """Write fig1.csv (t, P, K), fig2.csv (N, epsilon, stderr) and one
-    gnuplot script per figure into out_dir; returns the written paths."""
-    if sweep is None or not getattr(sweep, "rows", ()):
-        raise ModelConfigError("figure emission needs a nonempty sweep table")
-    return _figure_files(solve_limit(coeffs, grid), sweep, out_dir)
-
-
 def _figure_files(lim, sweep, out_dir) -> list:
-    """figure_data's files, fig1 from the limit solution lim."""
+    """Write fig1.csv (t, P, K) from the limit solution lim, fig2.csv (N,
+    epsilon, stderr) from the sweep table and one gnuplot script per figure
+    into out_dir; returns the written paths."""
     import os
 
     # the gnuplot scripts skip exactly one line, so these two files carry a

@@ -218,15 +218,13 @@ class InitialLaw:
             return 0.5 * (self.a + self.b)
         return self.a  # gaussian mean / point value
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
+    def sample(self, rng: np.random.Generator) -> float:
         if self.kind == "uniform":
-            # the bits of rng.uniform(a, b, size), at half its call cost
-            return self.a + (self.b - self.a) * rng.random(size)
+            # the bits of rng.uniform(a, b), at half its call cost
+            return self.a + (self.b - self.a) * rng.random()
         if self.kind == "gaussian":
-            return self.a + math.sqrt(self.b) * rng.standard_normal(size=size)
-        if size is None:
-            return self.a
-        return np.full(size, self.a)
+            return self.a + math.sqrt(self.b) * rng.standard_normal()
+        return self.a
 
 
 _PROFILE_NAMES = ("A", "B", "C", "D", "f", "g", "Q", "R", "Gamma", "eta")

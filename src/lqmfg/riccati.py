@@ -117,7 +117,8 @@ def _rk4_affine(v: np.ndarray, u: np.ndarray, y0: float, grid: TimeGrid,
     or t=0, returning y at the nodes; v and u are any four rows each, as
     _stage_rows gives them.  With stage slopes k_i = c_i y + d_i a step is
     exactly y <- a y + b, and a and b are formed for all steps at once.
-    Raises NonSolvableError at the first node where y leaves (-bound, bound).
+    Raises NonSolvableError at the first node where y leaves (-bound, bound),
+    backward from y0 itself.
     """
     M, dt = grid.M, grid.dt
     h = -dt if backward else dt
@@ -135,10 +136,11 @@ def _rk4_affine(v: np.ndarray, u: np.ndarray, y0: float, grid: TimeGrid,
         y = ak * y + bk
         out.append(y)
     out = np.asarray(out)
-    bad = np.flatnonzero(~(np.abs(out[1:]) < bound))
+    first = 0 if backward else 1
+    bad = np.flatnonzero(~(np.abs(out[first:]) < bound))
     if bad.size:
-        k = M - 1 - int(bad[0]) if backward else int(bad[0]) + 1
-        raise _blow_up(name, k * dt, bound)
+        k = first + int(bad[0])
+        raise _blow_up(name, (M - k if backward else k) * dt, bound)
     return out[::-1].copy() if backward else out
 
 
@@ -172,6 +174,8 @@ def _sweep_P(hc: dict, Q: np.ndarray, H: float, grid: TimeGrid) -> tuple:
     # tests size and sign; a NaN goes on to the bound check
     den = float(hc["R"][-1]) + d * d * y
     _check_weight(np.array([den]), np.array([M * dt]))
+    if not -bound < y < bound:
+        raise _blow_up("P", M * dt)
     sign = math.copysign(1.0, den)
     for k, (l0, q0, n0, r0, e0, l1, q1, n1, r1, e1,
             l2, q2, n2, r2, e2) in zip(range(M - 1, -1, -1), steps):
@@ -221,6 +225,8 @@ def solve_limit(coeffs: CoefficientSet, grid: TimeGrid) -> RiccatiSolution:
                    2.0 * (hc["B"] * beta_h / alpha_h - hc["A"]),
                    hc["B"] ** 2 / alpha_h)
     y = -coeffs.H * coeffs.Gamma0
+    if not -bound < y < bound:
+        raise _blow_up("K", M * dt)
     K = [math.nan] * M + [y]
     for k, (u0, v0, w0, u1, v1, w1, u2, v2, w2) in zip(range(M - 1, -1, -1),
                                                        steps):
@@ -296,6 +302,8 @@ def solve_finite_N(coeffs: CoefficientSet, N: int,
     K = array("d", [math.nan] * M + [k])
     alpha = float(cols[0][-1]) + float(cols[1][-1]) * (p + k * inv_n)
     _check_weight(np.array([alpha]), np.array([M * dt]))
+    if not (-bound < p < bound and -bound < k < bound):
+        raise _blow_up("(P_N, K_N)", M * dt)
     sign = math.copysign(1.0, alpha)
     for step, (r0, e0, b0, x0, a0, c0, q0, g0, r1, e1, b1, x1, a1, c1, q1, g1,
                r2, e2, b2, x2, a2, c2, q2, g2) in zip(range(M - 1, -1, -1),

@@ -88,29 +88,21 @@ class PopulationConfig:
 @dataclass(frozen=True)
 class PathSet:
     """One replication of one population on `grid`: states (N, M+1),
-    controls and increments (N, M), population average (M+1) by the
-    module's rule.  A hand-built path set may leave grid None; it is then
-    checked against a grid by node count only."""
+    controls (N, M), population average (M+1) by the module's rule.  Agent
+    j's increments are not kept: stream(master_seed, 0, rep, j) draws its
+    initial state, then its M standard normals, each times sqrt(dt)."""
 
     rep: int
     states: np.ndarray
     controls: np.ndarray
-    increments: np.ndarray
     mean: np.ndarray
-    grid: TimeGrid | None = None
+    grid: TimeGrid
 
 
-def _check_law_grid(law: StrategyLaw, grid: TimeGrid) -> None:
-    if law.grid != grid:
-        raise ModelConfigError(f"strategy law on {law.grid} does not match "
-                               f"the simulation grid {grid}")
-
-
-def _check_paths_grid(ps: PathSet, grid: TimeGrid) -> None:
-    if ps.grid not in (None, grid) or ps.states.shape[-1] != grid.M + 1:
-        raise ModelConfigError(f"path set on {ps.grid} with "
-                               f"{ps.states.shape[-1]} nodes does not match "
-                               f"the grid {grid}")
+def _check_grid(what: str, own: TimeGrid, grid: TimeGrid) -> None:
+    if own != grid:
+        raise ModelConfigError(f"{what} on {own} does not match the grid "
+                               f"{grid}")
 
 
 def _reads_mean(law: StrategyLaw) -> bool:
@@ -261,20 +253,21 @@ def _draw(rng: np.random.Generator, cfg: PopulationConfig, rep: int,
 def simulate_reps(coeffs: CoefficientSet, law: StrategyLaw,
                   cfg: PopulationConfig, grid: TimeGrid):
     """Yield one PathSet per replication, in replication order."""
-    _check_law_grid(law, grid)
+    _check_grid("strategy law", law.grid, grid)
     sqdt = math.sqrt(grid.dt)
     nc = coeffs.node_values(grid)
     feedback, k_mean = _law_feedback(law, 1)
     # one generator, restarted on each agent's stream
     rng = np.random.Generator(np.random.Philox())
     for rep in range(cfg.reps):
-        x0 = np.empty(cfg.N)
-        dW = np.empty((cfg.N, grid.M))
+        x0, dW = np.empty(cfg.N), np.empty((cfg.N, grid.M))
         _draw(rng, cfg, rep, sqdt, x0, dW)
         states, controls, mean = _euler_maruyama(nc, grid.dt, x0, dW,
                                                  feedback, rep, k_mean=k_mean)
-        yield PathSet(rep=rep, states=states, controls=controls,
-                      increments=dW, mean=mean, grid=grid)
+        # the draws go before the caller reads the paths: stream redraws them
+        del x0, dW
+        yield PathSet(rep=rep, states=states, controls=controls, mean=mean,
+                      grid=grid)
 
 
 def _population_sums(coeffs: CoefficientSet, law: StrategyLaw,
@@ -329,7 +322,7 @@ def _population_chunks(coeffs: CoefficientSet, law: StrategyLaw,
     as few as that allows, rounded up to a multiple of the workers _pmap
     will use (but no more than the replications), and their sizes differ
     by at most one, the larger first, so every worker gets an even share."""
-    _check_law_grid(law, grid)
+    _check_grid("strategy law", law.grid, grid)
     if law.xbar is None:
         raise ModelConfigError("mean-only simulation needs a law with a "
                                "precomputed mean")
@@ -415,5 +408,5 @@ def costs_all_agents(ps: PathSet, coeffs: CoefficientSet,
     R u^2, plus terminal H (x(T) - Gamma0 x^(N)(T) - eta0)^2.  Finite paths
     whose cost overflows raise SimulationDivergedError.
     """
-    _check_paths_grid(ps, grid)
+    _check_grid("path set", ps.grid, grid)
     return _costs(ps.states, ps.controls, ps.mean, ps.rep, coeffs, grid)

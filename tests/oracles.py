@@ -11,7 +11,8 @@ paths, and cost_decomposition the expansion of a deviating agent's cost
 into its base cost, a quadratic term and a cross term.  Each takes the
 inputs a test builds for it and checks nothing else about them.
 
-population_sum is the reference for lqmfg.sim's population-sum rule.
+population_sum is the reference for lqmfg.sim's population-sum rule, and
+draws redraws the initial states and increments a PathSet does not keep.
 """
 
 import math
@@ -21,8 +22,8 @@ import numpy as np
 
 from lqmfg.model import CoefficientSet, TimeGrid, _population_size
 from lqmfg.riccati import RiccatiSolution
-from lqmfg.sim import (_costs, _euler_maruyama, _replay_lanes, quadrature,
-                       stream)
+from lqmfg.sim import (PopulationConfig, _costs, _draw, _euler_maruyama,
+                       _replay_lanes, quadrature, stream)
 from lqmfg.synthesis import StrategyLaw
 
 _PURPOSE_PROBE_CONTROL = 1
@@ -57,6 +58,15 @@ def population_sum(states: np.ndarray, n: int | None = None) -> np.ndarray:
     tree numpy's add.reduce forms along a contiguous axis, and from an
     initial 0.0.  Its mean is this sum over n."""
     return 0.0 + _pairwise(states[:n])
+
+
+def draws(cfg: PopulationConfig, rep: int, grid: TimeGrid) -> tuple:
+    """Replication rep's initial states (N,) and increments (N, M), drawn
+    by sim._draw on the streams simulate_reps keys."""
+    x0, dW = np.empty(cfg.N), np.empty((cfg.N, grid.M))
+    _draw(np.random.Generator(np.random.Philox()), cfg, rep,
+          math.sqrt(grid.dt), x0, dW)
+    return x0, dW
 
 
 @dataclass(frozen=True)
@@ -205,23 +215,24 @@ class DecompositionReport:
                             - self.i_cross).max())
 
 
-def cost_decomposition(i: int, base_paths: list, law: StrategyLaw,
-                       coeffs: CoefficientSet,
+def cost_decomposition(i: int, base_paths: list, cfg: PopulationConfig,
+                       law: StrategyLaw, coeffs: CoefficientSet,
                        grid: TimeGrid) -> DecompositionReport:
     """Split agent i's cost under a deviation law against frozen co-players.
 
-    Agent i of every base replication (one population size, on grid) is
-    replayed under `law` on the same noise, in one _replay_lanes call, and
-    both of its costs are taken against the mean (x + others) / N, others
-    the sum of its co-players' states, as nash_gap takes them.  The
-    quadratic and cross pieces use the deviation increments
-    x_tilde = x_dev - x_base, u_tilde = u_dev - u_base and the undeviated
-    paths; the identity holds pathwise per replication.
+    Agent i of every base replication (of the population cfg, on grid) is
+    replayed under `law` on the same noise, redrawn by draws, in one
+    _replay_lanes call, and both of its costs are taken against the mean
+    (x + others) / N, others the sum of its co-players' states, as nash_gap
+    takes them.  The quadratic and cross pieces use the deviation
+    increments x_tilde = x_dev - x_base, u_tilde = u_dev - u_base and the
+    undeviated paths; the identity holds pathwise per replication.
     """
-    N = base_paths[0].states.shape[0]
+    N = cfg.N
     reps = np.array([ps.rep for ps in base_paths])
-    xb, ub, dW = (np.stack([getattr(ps, name)[i] for ps in base_paths])
-                  for name in ("states", "controls", "increments"))
+    xb, ub = (np.stack([getattr(ps, name)[i] for ps in base_paths])
+              for name in ("states", "controls"))
+    dW = np.stack([draws(cfg, ps.rep, grid)[1][i] for ps in base_paths])
     others = np.stack([population_sum(ps.states) for ps in base_paths]) - xb
     states, controls = _replay_lanes(i, reps, xb[:, 0], dW, others, N, [law],
                                      coeffs, grid)

@@ -124,7 +124,7 @@ def test_criterion_07_cost_decomposition_identity():
         base = simulate(ALL_ONES, dec, cfg, grid)
         for theta in thetas:
             law = make_law("scaled", gl, xbar=mf, theta=float(theta))
-            report = cost_decomposition(0, base, law, ALL_ONES, grid)
+            report = cost_decomposition(0, base, cfg, law, ALL_ONES, grid)
             assert report.max_residual <= C * grid.dt
 
 
@@ -342,16 +342,19 @@ def test_criterion_11_manifests_are_pinned(tmp_path):
     # all_finite, which could not be False; no table byte moved.
     # epsilon-sweep and nash-gap were re-pinned when every population sum
     # became one pairwise add along the agent axis: their slope and max_gap
-    # fields moved by under 1.4e-15 relative
+    # fields moved by under 1.4e-15 relative.  epsilon-sweep, nash-gap,
+    # riccati-convergence and figures were re-pinned when the study key
+    # config_fingerprint, a hash of the coefficients and grid alone, became
+    # model_fingerprint; no other field moved
     jobs = (
         (CLI_CONFIG, "validate", [], "6b825b127a329c16eee353e077361226"
                                      "67748c076933abb6c6ea78f6f2f32708"),
         (CLI_CONFIG, "simulate", [], "759f042e3d6235d25c23de07bd900a4e"
                                      "dee060a46357309acf3e78d2d38fa104"),
-        (CLI_CONFIG, "epsilon-sweep", [], "20d235ac54fd0ccedda725a2e8d529bc"
-                                          "175778915602e497dffb85f56d2d45c5"),
-        (CLI_CONFIG, "nash-gap", [], "9b0d4b21674ff23c571e702bd62d3294"
-                                     "35dea1dda71f175fe1d779a681237be2"),
+        (CLI_CONFIG, "epsilon-sweep", [], "5d238189a7c38238537808a0cd4a2ddd"
+                                          "7b76a72b587e484770c705501fcfef37"),
+        (CLI_CONFIG, "nash-gap", [], "15c3788d6dada753193e27099b7594ae"
+                                     "842bd3dab76ad4203d71ca7c9192696c"),
         (MIXED_CONFIG, "validate", [], "5b01b51c8ea9ecf4e200381970458940"
                                        "51776b794cf5009829bc07e02cb869ac"),
         (MIXED_CONFIG, "solve-riccati", ["--population", "6"],
@@ -364,9 +367,9 @@ def test_criterion_11_manifests_are_pinned(tmp_path):
         (MIXED_CONFIG, "simulate", ["--law", "centralized", "--paths"],
          "af0bf2ec6c8795329f0b0c8b4e071127d50322cbb7fb3091f573622fc668b90e"),
         (MIXED_CONFIG, "riccati-convergence", [],
-         "c76a58af1526282cc9d3ca7dab650711905e699f2b7bb0b5ab67448bbc575668"),
-        (MIXED_CONFIG, "figures", [], "cdca7e67719182fc8e798734e6a0c552"
-                                      "0b903459ea8537dfd9228510a55df673"),
+         "d21cc347046dbddb217e67c5af23833be132567ffed761668a19ecf44c5ff916"),
+        (MIXED_CONFIG, "figures", [], "f3a2a46f241794a66406ee38255648b5"
+                                      "a2028b9a7f680d8c573927ae982eb45c"),
     )
     for k, (cfg, sub, extra, digest) in enumerate(jobs):
         cfg_path = tmp_path / f"cfg{k}.json"

@@ -235,6 +235,20 @@ def test_validate_and_solve_riccati_agree_on_a_weight_that_is_not_finite(
         assert manifest["outputs"] == []
 
 
+@pytest.mark.parametrize("H", [1e9, 1e100, 1e155, 1e200])
+def test_validate_reads_a_terminal_value_past_the_bound_at_T(tmp_path, H):
+    # P(T) = H is past the solvers' bound, so the sweep has no regular
+    # solution: the margin is min(0, R + D^2 H) = 0 at t = T.  Past
+    # H = 1e154 validate once exited 3 on a weight it called not finite
+    cfg = make_config(tmp_path, coefficients=dict(ALL_ONES, H=H),
+                      grid={"T": 10.0, "M": 1000})
+    out = tmp_path / "out"
+    assert run(["validate", "--config", cfg, "--out-dir", str(out)]) == 0
+    results = read_manifest(out)["results"]
+    assert (results["convexity_margin"], results["convexity_margin_t"],
+            results["convex"]) == (0.0, 10.0, False)
+
+
 def test_simulate_keeps_one_replication_of_paths(tmp_path):
     # 16 replications of 256 agents on 100 steps hold 9.8 MB of states,
     # controls and increments; simulate costs each replication as it
@@ -747,7 +761,7 @@ def test_epsilon_sweep_sweeps_the_limit_P_once(tmp_path, monkeypatch):
 
 def test_figures_sweeps_the_limit_P_once(tmp_path, monkeypatch):
     # the sweep's limit solution gives fig1 too; the figures match those
-    # figure_data writes from its own limit solve
+    # written from a limit solve of their own
     calls, sweep_P = [], riccati._sweep_P
 
     def count(*args):
@@ -768,7 +782,7 @@ def test_figures_sweeps_the_limit_P_once(tmp_path, monkeypatch):
                                       parse_initial_law(conf))
     want = tmp_path / "want"
     want.mkdir()
-    experiments.figure_data(coeffs, grid, sweep, want)
+    experiments._figure_files(riccati.solve_limit(coeffs, grid), sweep, want)
     for name in ("fig1.csv", "fig2.csv"):
         assert (out / name).read_bytes() == (want / name).read_bytes()
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from lqmfg import _pool, sim
 from lqmfg.errors import ModelConfigError, SimulationDivergedError
 from lqmfg.experiments import (_BLOCK_ROWS, DEFAULT_DEVIATIONS, _build_laws,
-                               epsilon_sweep, figure_data, loglog_slope,
+                               _figure_files, epsilon_sweep, loglog_slope,
                                nash_gap, riccati_convergence, write_csv)
 from lqmfg.model import (CoefficientSet, InitialLaw, TimeGrid,
                          parse_coefficients, parse_grid, parse_initial_law)
@@ -21,7 +21,7 @@ from lqmfg.riccati import gains, solve_backward, solve_limit
 from lqmfg.sim import (_TILE, PopulationConfig, quadrature, simulate,
                        simulate_reps)
 from lqmfg.synthesis import _parse_label, make_law, solve_mean_field
-from oracles import cost_decomposition, population_sum
+from oracles import cost_decomposition, draws, population_sum
 from test_acceptance import CLI_CONFIG, MIXED_CONFIG
 
 ALL_ONES = CoefficientSet.from_constants(A=1, B=1, C=1, D=1, f=1, g=1, Q=1,
@@ -47,7 +47,7 @@ def test_epsilon_sweep_rows_and_metadata():
     assert all(e > 0 and s > 0 for _, e, s in tab.rows)
     assert tab.metadata["master_seed"] == 99
     assert tab.metadata["grid_M"] == 200
-    assert len(tab.metadata["config_fingerprint"]) == 64
+    assert len(tab.metadata["model_fingerprint"]) == 64
     assert "slope" in tab.metadata
 
 
@@ -243,7 +243,7 @@ def reference_nash_gap(coeffs, N, reps, master_seed, grid, initial):
     base = simulate(coeffs, dec, cfg, grid)
     out = {}
     for label, law in zip(labels, laws):
-        report = cost_decomposition(0, base, law, coeffs, grid)
+        report = cost_decomposition(0, base, cfg, law, coeffs, grid)
         d = report.j_base - report.j_dev
         out[label] = (float(d.mean()), float(d.std(ddof=1)) / math.sqrt(reps))
     return out
@@ -292,7 +292,7 @@ def test_nash_gap_names_the_replication_that_fails():
         seen = []
         for ps in simulate(coeffs, dec, cfg, grid):
             try:
-                cost_decomposition(0, [ps], zero, coeffs, grid)
+                cost_decomposition(0, [ps], cfg, zero, coeffs, grid)
             except SimulationDivergedError as exc:
                 seen.append((exc.rep, exc.step))
         assert seen == failures
@@ -350,7 +350,7 @@ def test_population_sums_match_full_paths(fixture, monkeypatch):
                 assert len(got) == 5
                 for ps, (sums, x0, dW) in zip(want, got):
                     assert np.array_equal(x0, ps.states[:, 0])
-                    assert np.array_equal(dW, ps.increments)
+                    assert np.array_equal(dW, draws(pop, ps.rep, grid)[1])
                     for n, total in zip(sizes, sums):
                         assert np.array_equal(total,
                                               population_sum(ps.states, n))
@@ -695,7 +695,7 @@ def test_figure_data_writes_expected_files(tmp_path):
     grid = TimeGrid(T=10.0, M=400)
     sweep = epsilon_sweep(ALL_ONES, [4, 8], reps=2, master_seed=3,
                           grid=TimeGrid(T=1.0, M=100), initial=UNIFORM)
-    paths = figure_data(ALL_ONES, grid, sweep, tmp_path)
+    paths = _figure_files(solve_limit(ALL_ONES, grid), sweep, tmp_path)
     names = sorted(os.path.basename(p) for p in paths)
     assert names == ["fig1.csv", "fig1.gp", "fig2.csv", "fig2.gp"]
     last = open(os.path.join(tmp_path, "fig1.csv")).read().splitlines()[-1]
@@ -713,13 +713,7 @@ def test_figure_data_is_byte_identical_across_runs(tmp_path):
     d2 = tmp_path / "b"
     d1.mkdir()
     d2.mkdir()
-    figure_data(ALL_ONES, grid, sweep, d1)
-    figure_data(ALL_ONES, grid, sweep, d2)
+    _figure_files(solve_limit(ALL_ONES, grid), sweep, d1)
+    _figure_files(solve_limit(ALL_ONES, grid), sweep, d2)
     for name in ("fig1.csv", "fig2.csv", "fig1.gp", "fig2.gp"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
-
-
-def test_figure_data_refuses_empty_sweep(tmp_path):
-    grid = TimeGrid(T=1.0, M=50)
-    with pytest.raises(ModelConfigError):
-        figure_data(ALL_ONES, grid, None, tmp_path)

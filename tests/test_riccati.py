@@ -675,6 +675,46 @@ def test_K_blow_up_is_reported_while_P_stays_bounded():
     assert np.all((0.5 <= P) & (P <= 1.0))
 
 
+def test_a_weight_failure_at_a_start_node_is_reported_there():
+    # the weight R + D^2 P first changes sign at the node t = 0.5, which
+    # only the second step's first stage checks: without that check its
+    # later stages report it at t = 0.25 (alpha about -0.111)
+    grid = TimeGrid(T=1.0, M=2)
+    coeffs = CoefficientSet.from_constants(B=0.5, C=0.5, D=0.5, Q=1.0,
+                                           R=-0.2, H=5.0)
+    for solve in (lambda: solve_limit(coeffs, grid),
+                  lambda: solve_finite_N(coeffs, 3, grid)):
+        with pytest.raises(SingularGainError,
+                           match="changes sign near t=0.5$") as exc:
+            solve()
+        assert exc.value.t == 0.5
+
+
+@pytest.mark.parametrize("terminal, limit_name, finite_name", [
+    *((dict(H=H), "P", "(P_N, K_N)") for H in (1e9, 1e100, 1e155, 1e200)),
+    (dict(Gamma0=1e9), "K", "(P_N, K_N)"),
+    (dict(eta0=1e9), "phi", "phi_N")])
+def test_a_terminal_value_past_the_bound_is_a_blow_up_at_T(
+        terminal, limit_name, finite_name):
+    # every backward sweep holds its terminal value to the bound of its
+    # nodes.  The sweeps once named their first node, t = 9.99, and past
+    # H = 1e154 the limit's first stage overflowed: it reported the weight
+    # 1 + H, which is finite, as not finite at t = 9.995, and so did
+    # convexity_margin
+    grid = TimeGrid(T=10.0, M=1000)
+    coeffs = dataclasses.replace(ALL_ONES, **terminal)
+    for solve, name in ((lambda: solve_limit(coeffs, grid), limit_name),
+                        (lambda: solve_finite_N(coeffs, 80, grid),
+                         finite_name)):
+        with pytest.raises(NonSolvableError, match=re.escape(
+                f"{name} left [-1e+08, 1e+08] near t=10") + "$") as exc:
+            solve()
+        assert exc.value.t == 10.0
+    if "H" in terminal:
+        assert convexity_margin(coeffs, grid) == (0.0, 10.0)
+        assert convexity_margin(coeffs, grid, 80) == (0.0, 10.0)
+
+
 SIGN_CHANGE = dict(D=1.0, Q=1.0, R=-1.5, H=1.0)
 
 

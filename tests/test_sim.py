@@ -28,7 +28,7 @@ from lqmfg.sim import (
     _replay_lanes,
 )
 from oracles import (AdjointCheckReport, convexity_probe,
-                     cost_decomposition, population_sum,
+                     cost_decomposition, draws, population_sum,
                      stationarity_residual)
 
 ALL_ONES = CoefficientSet.from_constants(A=1, B=1, C=1, D=1, f=1, g=1,
@@ -81,14 +81,14 @@ def law_feedback(law):
             lambda k, x: law.k_mean[k] * law.xbar[k] + law.k_const[k])
 
 
-def replay(ps, i, laws, coeffs, grid):
-    """Agent i of one replication replayed under every law by _replay_lanes:
-    states (L, M+1), controls (L, M), and the sum of its co-players'
-    states."""
+def replay(ps, cfg, i, laws, coeffs, grid):
+    """Agent i of one replication of the population cfg replayed under
+    every law by _replay_lanes: states (L, M+1), controls (L, M), and the
+    sum of its co-players' states."""
     others = population_sum(ps.states) - ps.states[i]
     (states,), (controls,) = _replay_lanes(
-        i, [ps.rep], ps.states[i, :1], ps.increments[i, None], others[None],
-        ps.states.shape[0], laws, coeffs, grid)
+        i, [ps.rep], ps.states[i, :1], draws(cfg, ps.rep, grid)[1][i, None],
+        others[None], cfg.N, laws, coeffs, grid)
     return states, controls, others
 
 
@@ -155,7 +155,7 @@ def test_simulate_matches_reference_loop_bit_for_bit(M, kind):
                                for rng in rngs])
                 states, controls = reference_paths(nc, grid.dt, x0, dW,
                                                    *law_feedback(law))
-                np.testing.assert_array_equal(ps.increments, dW)
+                np.testing.assert_array_equal(draws(cfg, ps.rep, grid)[1], dW)
                 np.testing.assert_array_equal(ps.states, states)
                 np.testing.assert_array_equal(ps.controls, controls)
                 np.testing.assert_array_equal(ps.mean,
@@ -192,6 +192,26 @@ def test_kernel_buffers_hold_no_more_steps_than_the_grid():
         finally:
             tracemalloc.stop()
         assert peak <= 12 * 8 * cfg.N * (grid.M + 1), law.label
+
+
+def test_costed_replications_hold_no_draws():
+    # each replication is costed as it arrives.  The peak, 5.2-5.3 arrays
+    # of N x (M+1) floats, is the caller's last paths (states, controls),
+    # the next replication's draws, states and controls, and the kernel's
+    # tiles; while path sets kept their draws it was 6.2
+    grid = TimeGrid(T=1.0, M=2000)
+    gl, _, dec = decentralized_setup(grid)
+    cfg = PopulationConfig(N=500, reps=3, master_seed=1,
+                           initial=InitialLaw.uniform(0, 20))
+    for law in (dec, make_law("meanfield-informed", gl)):
+        tracemalloc.start()
+        try:
+            for ps in simulate_reps(ALL_ONES, law, cfg, grid):
+                costs_all_agents(ps, ALL_ONES, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.6 * 8 * cfg.N * (grid.M + 1), law.label
 
 
 @pytest.mark.parametrize("M", [1, _TILE - 1, _TILE + 1, 3 * _TILE])
@@ -239,12 +259,13 @@ def test_replay_rows_match_reference_loop_bit_for_bit(M):
         cfg = PopulationConfig(N=N, reps=1, master_seed=17,
                                initial=InitialLaw.gaussian(5.0, 2.0))
         ps = simulate(ALL_ONES, law, cfg, grid)[0]
+        dW = draws(cfg, ps.rep, grid)[1]
         for i in (0, N - 1):
-            batch_states, batch_controls, others = replay(ps, i, laws,
+            batch_states, batch_controls, others = replay(ps, cfg, i, laws,
                                                           ALL_ONES, grid)
             for row, one_law in enumerate(laws):
                 states, controls = reference_paths(
-                    nc, grid.dt, ps.states[i, :1], ps.increments[i],
+                    nc, grid.dt, ps.states[i, :1], dW[i],
                     *replay_feedback(one_law, others, N))
                 np.testing.assert_array_equal(batch_states[row], states[0])
                 np.testing.assert_array_equal(batch_controls[row],
@@ -284,19 +305,20 @@ def test_kernel_matches_left_endpoint_loop_to_roundoff(coefficients):
 
     for law in laws:
         for ps in simulate(coeffs, law, cfg, grid):
+            dW = draws(cfg, ps.rep, grid)[1]
             states, controls = left_endpoint_paths(
-                nc, grid.dt, ps.states[:, 0], ps.increments, law.k_self,
+                nc, grid.dt, ps.states[:, 0], dW, law.k_self,
                 law.k_mean, law.k_const, law_mean(law))
             close(ps.states, states)
             close(ps.controls, controls)
-            batch_states, batch_controls, others = replay(ps, 1, laws,
+            batch_states, batch_controls, others = replay(ps, cfg, 1, laws,
                                                           coeffs, grid)
             for row, one_law in enumerate(laws):
                 mean = law_mean(one_law)
                 if one_law.xbar is None:
                     mean = lambda k, x: (others[k] + x) / N  # noqa: E731
                 states, controls = left_endpoint_paths(
-                    nc, grid.dt, ps.states[1, :1], ps.increments[1],
+                    nc, grid.dt, ps.states[1, :1], dW[1],
                     one_law.k_self, one_law.k_mean, one_law.k_const, mean)
                 close(batch_states[row], states[0])
                 close(batch_controls[row], controls[0])
@@ -420,10 +442,9 @@ def test_uniform_initial_law_draws_what_generator_uniform_draws(a, b):
     for _ in range(200):
         x, want = law.sample(mine), ref.uniform(a, b)
         assert type(x) is float and x == want
-    np.testing.assert_array_equal(law.sample(mine, 1000),
+    # one draw at a time draws what one call of size 1000 draws
+    np.testing.assert_array_equal([law.sample(mine) for _ in range(1000)],
                                   ref.uniform(a, b, size=1000))
-    np.testing.assert_array_equal(law.sample(mine, (3, 4)),
-                                  ref.uniform(a, b, size=(3, 4)))
 
 
 def test_simulate_and_replay_compare_grids_not_lengths():
@@ -458,7 +479,6 @@ def test_noise_free_single_agent_is_euler():
     law = make_law("zero", gains(solve_limit(coeffs, grid), coeffs))
     cfg = PopulationConfig(N=1, reps=1, master_seed=1, initial=InitialLaw.point(1.0))
     ps = simulate(coeffs, law, cfg, grid)[0]
-    assert ps.increments.shape == (1, 100)  # draws are recorded even if unused
     err = np.max(np.abs(ps.states[0] - np.exp(grid.nodes)))
     assert 1e-3 <= err <= 3e-2  # genuinely first order, not better or worse
 
@@ -485,7 +505,6 @@ def test_pathset_invariants():
         assert ps.states[:, 0].min() >= 0.0 and ps.states[:, 0].max() <= 20.0
         assert ps.states.shape == (16, 201)
         assert ps.controls.shape == (16, 200)
-        assert ps.increments.shape == (16, 200)
 
 
 def test_common_random_numbers_across_population_sizes():
@@ -501,7 +520,8 @@ def test_common_random_numbers_across_population_sizes():
         ps_small = simulate(ALL_ONES, law, small, grid)
         ps_large = simulate(ALL_ONES, law, large, grid)
         for s, l in zip(ps_small, ps_large):
-            np.testing.assert_array_equal(s.increments, l.increments[:5])
+            np.testing.assert_array_equal(draws(small, s.rep, grid)[1],
+                                          draws(large, l.rep, grid)[1][:5])
             np.testing.assert_array_equal(s.states, l.states[:5])
             np.testing.assert_array_equal(s.controls, l.controls[:5])
             np.testing.assert_array_equal(s.mean,
@@ -533,13 +553,9 @@ def test_population_average_tracks_mean_field():
 
 def test_increment_sample_means_are_martingale_small():
     grid = TimeGrid(T=1.0, M=50)
-    coeffs = CoefficientSet.from_constants(g=1.0)
-    helper = CoefficientSet.from_constants(Q=1.0, R=1.0)
-    law = make_law("zero", gains(solve_limit(helper, grid), helper))
     cfg = PopulationConfig(N=8, reps=40, master_seed=3,
                            initial=InitialLaw.point(0.0))
-    incs = np.stack([ps.increments
-                     for ps in simulate_reps(coeffs, law, cfg, grid)])
+    incs = np.stack([draws(cfg, rep, grid)[1] for rep in range(cfg.reps)])
     bound = 4.0 * math.sqrt(grid.dt) / math.sqrt(40)
     assert np.abs(incs.mean(axis=0)).max() <= bound
 
@@ -581,8 +597,8 @@ def test_cost_quadrature_oracle():
     grid = TimeGrid(T=1.0, M=1000)
     coeffs = CoefficientSet.from_constants(Q=1.0)
     x = np.exp(grid.nodes)[None, :]
-    ps = PathSet(rep=0, states=x, controls=np.zeros((1, 1000)),
-                 increments=np.zeros((1, 1000)), mean=x[0])
+    ps = PathSet(rep=0, states=x, controls=np.zeros((1, 1000)), mean=x[0],
+                 grid=grid)
     assert abs(costs_all_agents(ps, coeffs, grid)[0]
                - (math.e**2 - 1.0) / 4.0) <= 1e-5
 
@@ -630,7 +646,8 @@ def test_resimulate_same_law_is_bit_identical():
     paths = simulate(ALL_ONES, law, cfg, grid)
     replay_law = make_law("scaled", gl, xbar=mf, theta=1.0)
     for ps in paths:
-        states, controls, _ = replay(ps, 3, [replay_law], ALL_ONES, grid)
+        states, controls, _ = replay(ps, cfg, 3, [replay_law], ALL_ONES,
+                                     grid)
         np.testing.assert_array_equal(states[0], ps.states[3])
         np.testing.assert_array_equal(controls[0], ps.controls[3])
 
@@ -646,7 +663,7 @@ def test_resimulate_realized_mean_consistency():
     cfg = PopulationConfig(N=N, reps=1, master_seed=4,
                            initial=InitialLaw.uniform(0, 20))
     ps = simulate(ALL_ONES, law, cfg, grid)[0]
-    states, _, _ = replay(ps, 0, [law], ALL_ONES, grid)
+    states, _, _ = replay(ps, cfg, 0, [law], ALL_ONES, grid)
     np.testing.assert_allclose(states[0], ps.states[0], rtol=1e-9, atol=1e-9)
 
 
@@ -666,11 +683,13 @@ def test_batched_replay_rows_match_single_law_replays():
                            initial=InitialLaw.uniform(0, 20))
     for ps in simulate(ALL_ONES, law, cfg, grid):
         for i in (0, 5):
-            states, controls, others = replay(ps, i, laws, ALL_ONES, grid)
+            states, controls, others = replay(ps, cfg, i, laws, ALL_ONES,
+                                              grid)
             costs = _costs(states, controls, (states + others) / N, ps.rep,
                            ALL_ONES, grid)
             for row, one_law in enumerate(laws):
-                alone, alone_u, _ = replay(ps, i, [one_law], ALL_ONES, grid)
+                alone, alone_u, _ = replay(ps, cfg, i, [one_law], ALL_ONES,
+                                           grid)
                 np.testing.assert_array_equal(states[row], alone[0])
                 np.testing.assert_array_equal(controls[row], alone_u[0])
                 assert costs[row] == _costs(alone, alone_u,
@@ -686,12 +705,12 @@ def test_cost_decomposition_identity():
     base = simulate(ALL_ONES, law, cfg, grid)
     for theta in (0.5, 1.3):
         dev_law = make_law("scaled", gl, xbar=mf, theta=theta)
-        report = cost_decomposition(0, base, dev_law, ALL_ONES, grid)
+        report = cost_decomposition(0, base, cfg, dev_law, ALL_ONES, grid)
         assert report.max_residual <= 1e-8
         assert np.all(report.j_quad >= 0.0)  # here Q,R,H >= 0
 
     same = make_law("scaled", gl, xbar=mf, theta=1.0)
-    report = cost_decomposition(0, base, same, ALL_ONES, grid)
+    report = cost_decomposition(0, base, cfg, same, ALL_ONES, grid)
     assert report.max_residual == 0.0
     assert np.all(report.j_quad == 0.0)
     assert np.all(report.i_cross == 0.0)
