@@ -183,13 +183,17 @@ def riccati_convergence(coeffs: CoefficientSet, Ns,
              float(np.max(np.abs(fin.phi - lim.phi))))
             for N, fin in zip(finite, fins)]
     md = _base_metadata(coeffs, grid)
-    # through-origin fit err ~ C/N gives the leading constant per column
-    inv = np.array([1.0 / N for N in finite])
-    denom = float(np.dot(inv, inv))
-    if denom > 0.0:
-        for j, name in enumerate(("P", "K", "phi"), start=1):
-            errs = np.array([r[j] for r in rows])
-            md[f"rate_constant_{name}"] = float(np.dot(errs, inv) / denom)
+    # a least-squares fit err ~ c/N + d/N^2 gives each column's leading
+    # constant c (err ~ c/N alone reads it low); one row gives c = N err.
+    # The basis columns are scaled to unit norm, so lstsq keeps the 1/N^2 one
+    if rows:
+        inv = np.array([1.0 / N for N in finite])
+        basis = np.column_stack([inv, inv * inv][:len(rows)])
+        scale = np.linalg.norm(basis, axis=0)
+        fit = np.linalg.lstsq(basis / scale, np.array(rows)[:, 1:],
+                              rcond=None)[0]
+        for name, c in zip(("P", "K", "phi"), fit[0] / scale[0]):
+            md[f"rate_constant_{name}"] = float(c)
     if len(finite) < len(Ns):
         rows.append((float("inf"), 0.0, 0.0, 0.0))
     return ExperimentTable(experiment="riccati-convergence",

@@ -25,11 +25,11 @@ from .errors import ModelConfigError
 
 
 def _number(value, what: str) -> float:
-    """value as a finite float: numbers and numeric strings pass.  A bool
-    (JSON true and false are not 1 and 0), anything else float() rejects,
-    an integer too large for a float and a nan or infinity are each a
-    ModelConfigError naming `what`."""
-    if isinstance(value, bool):
+    """value as a finite float: numbers and numeric strings pass.  A bool or
+    numpy bool (JSON true and false are not 1 and 0), anything else float()
+    rejects, an integer too large for a float and a nan or infinity are each
+    a ModelConfigError naming `what`."""
+    if isinstance(value, (bool, np.bool_)):
         raise ModelConfigError(f"{what} must be a number, got {value!r}")
     try:
         x = float(value)
@@ -43,13 +43,13 @@ def _number(value, what: str) -> float:
 
 
 def _as_int(value, what: str) -> int:
-    """value as an int: integral numbers and integer strings pass; a bool, a
-    fraction or anything else is a ModelConfigError."""
+    """value as an int: integral numbers and integer strings pass; a bool or
+    numpy bool, a fraction or anything else is a ModelConfigError."""
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
-    if n is None or isinstance(value, bool) or (
+    if n is None or isinstance(value, (bool, np.bool_)) or (
             not isinstance(value, str) and n != value):
         raise ModelConfigError(f"{what} must be an integer, got {value!r}")
     return n
@@ -99,16 +99,16 @@ class TimeGrid:
         return np.linspace(0.0, self.T, self.M + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeProfile:
-    """A scalar function of time: constant, or sampled at grid nodes.
-
-    Sampled profiles interpolate linearly between nodes and reproduce the
-    stored values exactly at the nodes.
-    """
+    """A scalar function of time: TimeProfile(value) is constant, and
+    TimeProfile(values=..., grid=grid) holds its M+1 node samples as one
+    read-only float64 array, linear in between.  An integer or floating
+    array is checked whole, other samples one by one as _number reads them.
+    Profiles compare by identity."""
 
     value: float = 0.0               # constant profile
-    values: tuple = ()               # sampled profile, length M+1
+    values: np.ndarray = ()          # sampled profile, length M+1
     grid: TimeGrid | None = None     # sampled profile; None when constant
 
     def __post_init__(self):
@@ -119,36 +119,32 @@ class TimeProfile:
                                _number(self.value, "constant coefficient"))
             return
         values = self.values
-        if isinstance(values, (list, tuple)):
-            values = [_number(v, "sampled profile value") for v in values]
-        arr = np.asarray(values, dtype=float)
+        if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+            items = np.asarray(values, dtype=object)
+            values = np.reshape([_number(v, "sampled profile value")
+                                 for v in items.flat], items.shape)
+        arr = np.array(values, dtype=float)  # a copy no caller holds
         if arr.ndim != 1 or arr.size != self.grid.M + 1:
             raise ModelConfigError(
                 f"sampled profile needs M+1={self.grid.M + 1} values, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ModelConfigError("sampled profile contains non-finite values")
-        object.__setattr__(self, "values", tuple(arr.tolist()))
-
-    @staticmethod
-    def constant(value: float) -> "TimeProfile":
-        return TimeProfile(value=value)
-
-    @staticmethod
-    def sampled(values, grid: TimeGrid) -> "TimeProfile":
-        return TimeProfile(values=values, grid=grid)
+        arr.flags.writeable = False
+        object.__setattr__(self, "values", arr)
 
     @property
     def is_constant(self) -> bool:
         return self.grid is None
 
     def node_values(self, grid: TimeGrid) -> np.ndarray:
-        """Values at the M+1 nodes of `grid` (must match the sampling grid);
-        a constant profile's are a read-only view of its one value."""
+        """Values at the M+1 nodes of `grid` (must match the sampling grid),
+        read-only: a sampled profile's own array, a constant's a view of its
+        one value."""
         if self.is_constant:
             return np.broadcast_to(self.value, grid.M + 1)
         if self.grid != grid:
             raise ModelConfigError("sampled profile is not aligned to the requested grid")
-        return np.asarray(self.values, dtype=float)
+        return self.values
 
     def half_values(self, grid: TimeGrid) -> np.ndarray:
         """Values at the 2M+1 half-grid points t_j = j*dt/2, a read-only
@@ -258,7 +254,7 @@ class CoefficientSet:
     def from_constants(*, A=0.0, B=0.0, C=0.0, D=0.0, f=0.0, g=0.0,
                        Q=0.0, R=0.0, Gamma=0.0, eta=0.0,
                        H=0.0, Gamma0=0.0, eta0=0.0) -> "CoefficientSet":
-        c = TimeProfile.constant
+        c = TimeProfile
         return CoefficientSet(A=c(A), B=c(B), C=c(C), D=c(D), f=c(f), g=c(g),
                               Q=c(Q), R=c(R), Gamma=c(Gamma), eta=c(eta),
                               H=H, Gamma0=Gamma0, eta0=eta0)
@@ -268,7 +264,7 @@ class CoefficientSet:
         out = {name: getattr(self, name) for name in _TERMINAL_NAMES}
         for name in _PROFILE_NAMES:
             p: TimeProfile = getattr(self, name)
-            out[name] = p.value if p.is_constant else list(p.values)
+            out[name] = p.value if p.is_constant else p.values.tolist()
         return out
 
     def node_values(self, grid: TimeGrid) -> dict:
@@ -354,9 +350,9 @@ def parse_coefficients(cfg: dict, grid: TimeGrid) -> CoefficientSet:
         if name not in _PROFILE_NAMES:
             kwargs[name] = _number(raw, what)
         elif isinstance(raw, (list, tuple)):
-            # an array, so that sampled reads each value once
-            kwargs[name] = TimeProfile.sampled(
-                np.array([_number(v, what) for v in raw]), grid)
+            # an array, so that the profile reads each value once
+            kwargs[name] = TimeProfile(
+                values=np.array([_number(v, what) for v in raw]), grid=grid)
         else:
             kwargs[name] = TimeProfile(value=_number(raw, what))
     return CoefficientSet(**kwargs)

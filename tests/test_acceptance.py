@@ -345,7 +345,9 @@ def test_criterion_11_manifests_are_pinned(tmp_path):
     # fields moved by under 1.4e-15 relative.  epsilon-sweep, nash-gap,
     # riccati-convergence and figures were re-pinned when the study key
     # config_fingerprint, a hash of the coefficients and grid alone, became
-    # model_fingerprint; no other field moved
+    # model_fingerprint; no other field moved.  riccati-convergence was
+    # re-pinned when its rate_constant_* became the c of a least-squares
+    # fit c/N + d/N^2 in place of c/N alone; no other field moved
     jobs = (
         (CLI_CONFIG, "validate", [], "6b825b127a329c16eee353e077361226"
                                      "67748c076933abb6c6ea78f6f2f32708"),
@@ -367,7 +369,7 @@ def test_criterion_11_manifests_are_pinned(tmp_path):
         (MIXED_CONFIG, "simulate", ["--law", "centralized", "--paths"],
          "af0bf2ec6c8795329f0b0c8b4e071127d50322cbb7fb3091f573622fc668b90e"),
         (MIXED_CONFIG, "riccati-convergence", [],
-         "d21cc347046dbddb217e67c5af23833be132567ffed761668a19ecf44c5ff916"),
+         "2097b20e9bd8836796fbd89878742856cba6f581e36ccc74d6defdbbc59e6d02"),
         (MIXED_CONFIG, "figures", [], "f3a2a46f241794a66406ee38255648b5"
                                       "a2028b9a7f680d8c573927ae982eb45c"),
     )

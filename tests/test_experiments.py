@@ -145,6 +145,22 @@ def test_riccati_convergence_rows_shrink_like_one_over_N():
     assert tab.metadata["rate_constant_P"] > 0
 
 
+def test_riccati_convergence_rate_constants_read_the_settled_N_err():
+    # a fit of err = c/N alone read 1.7740, 1.4917 and 3.0942 on all-ones
+    # through N = 10..80, 2-3 % below N err at N = 640; the c of a fit
+    # c/N + d/N^2 lies within 0.05 % of it for P and 0.5 % for K and phi
+    grid = TimeGrid(T=10.0, M=1000)
+    fit = riccati_convergence(ALL_ONES, [10, 20, 40, 80], grid).metadata
+    far = riccati_convergence(ALL_ONES, [640], grid)
+    for j, (name, rtol) in enumerate((("P", 5e-4), ("K", 5e-3),
+                                      ("phi", 5e-3)), start=1):
+        settled = 640 * far.rows[0][j]
+        assert abs(fit[f"rate_constant_{name}"] - settled) <= rtol * settled
+        # one row gives c = N err
+        assert far.metadata[f"rate_constant_{name}"] == pytest.approx(
+            settled, rel=1e-15)
+
+
 def test_riccati_convergence_rejects_repeated_population_sizes():
     grid = TimeGrid(T=1.0, M=50)
     for Ns in ([10, 10, 20], [10, math.inf, math.inf]):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from lqmfg.errors import ModelConfigError
 from lqmfg.model import (
     CoefficientSet,
+    _as_int,
     InitialLaw,
     TimeGrid,
     TimeProfile,
@@ -62,7 +64,7 @@ def test_grid_rejects_bad_parameters():
 
 def test_constant_profile_everywhere():
     grid = TimeGrid(T=1.0, M=3)
-    p = TimeProfile.constant(3.5)
+    p = TimeProfile(3.5)
     np.testing.assert_array_equal(p.node_values(grid), np.full(4, 3.5))
     np.testing.assert_array_equal(p.half_values(grid), np.full(7, 3.5))
 
@@ -70,7 +72,7 @@ def test_constant_profile_everywhere():
 def test_sampled_profile_exact_at_nodes_linear_between():
     grid = TimeGrid(T=1.0, M=4)
     vals = [0.0, 1.0, 4.0, 9.0, 16.0]
-    p = TimeProfile.sampled(vals, grid)
+    p = TimeProfile(values=vals, grid=grid)
     np.testing.assert_array_equal(p.node_values(grid), vals)
     # midpoint of [0.25, 0.5] is the average of the endpoints
     assert p.half_values(grid)[3] == pytest.approx(2.5, rel=1e-15)
@@ -79,20 +81,25 @@ def test_sampled_profile_exact_at_nodes_linear_between():
 def test_sampled_profile_wrong_length():
     grid = TimeGrid(T=1.0, M=4)
     with pytest.raises(ModelConfigError):
-        TimeProfile.sampled([1.0, 2.0], grid)
+        TimeProfile(values=[1.0, 2.0], grid=grid)
 
 
 def test_sampled_profile_rejects_bools():
+    # a bool array, once stored as 1, 0, 1, is read as its list is
     grid = TimeGrid(T=1.0, M=2)
-    with pytest.raises(ModelConfigError, match="must be a number, got True"):
-        TimeProfile.sampled([1.0, True, 1.0], grid)
+    for values, got in (([1.0, True, 1.0], "True"),
+                        (np.array([True, False, True]), "True"),
+                        ([1.0, np.True_, 1.0], "np.True_")):
+        with pytest.raises(ModelConfigError,
+                           match=f"must be a number, got {re.escape(got)}"):
+            TimeProfile(values=values, grid=grid)
 
 
 def test_library_constructors_read_numbers_as_the_config_does():
     # a bool is not a number here either, and numeric strings still pass
     with pytest.raises(ModelConfigError,
                        match="constant coefficient must be a number, got True"):
-        TimeProfile.constant(True)
+        TimeProfile(True)
     with pytest.raises(ModelConfigError, match="must be a number, got True"):
         CoefficientSet.from_constants(A=True)
     with pytest.raises(ModelConfigError,
@@ -100,7 +107,62 @@ def test_library_constructors_read_numbers_as_the_config_does():
         CoefficientSet.from_constants(H=False)
     with pytest.raises(ModelConfigError, match="must be finite, got nan"):
         InitialLaw.point(float("nan"))
-    assert TimeProfile.constant("2.5").value == 2.5
+    assert TimeProfile("2.5").value == 2.5
+
+
+def test_number_readers_reject_numpy_bools():
+    # np.True_ once read as 1.0: A = 1, T = 1, the support [0, 1] and M = 1
+    for call, message in (
+            (lambda: CoefficientSet.from_constants(A=np.True_),
+             "constant coefficient must be a number, got np.True_"),
+            (lambda: TimeGrid(T=np.True_, M=2),
+             "horizon T must be a number, got np.True_"),
+            (lambda: InitialLaw.uniform(np.False_, np.True_),
+             "uniform support bound must be a number, got np.False_"),
+            (lambda: _as_int(np.True_, "grid M"),
+             "grid M must be an integer, got np.True_")):
+        with pytest.raises(ModelConfigError, match=re.escape(message)):
+            call()
+    # numpy numbers still pass
+    assert CoefficientSet.from_constants(A=np.float64(0.5)).A.value == 0.5
+    assert TimeGrid(T=np.int64(3), M=2).T == 3.0
+    assert InitialLaw.uniform(np.int64(0), np.float64(1.5)).b == 1.5
+    assert _as_int(np.int64(7), "grid M") == 7
+
+
+def test_sampled_profile_holds_one_read_only_array():
+    grid = TimeGrid(T=1.0, M=4)
+    given = np.arange(5.0)
+    p = TimeProfile(values=given, grid=grid)
+    given[0] = 99.0  # the profile holds its own copy
+    assert p.values.dtype == np.float64 and not p.values.flags.writeable
+    assert p.node_values(grid) is p.values
+    np.testing.assert_array_equal(p.values, np.arange(5.0))
+    with pytest.raises(ValueError):
+        p.values[0] = 1.0
+    # integer arrays, lists and numeric strings read as the same floats
+    for values in (np.arange(5), list(range(5)), ("0", "1", "2", "3", "4"),
+                   np.array(["0", "1", "2", "3", "4"])):
+        np.testing.assert_array_equal(
+            TimeProfile(values=values, grid=grid).values, np.arange(5.0))
+    # profiles compare by identity
+    assert p != TimeProfile(values=np.arange(5.0), grid=grid) and p == p
+
+
+def test_sampled_profile_reads_other_arrays_as_their_lists():
+    # a complex, object or string array is read value by value, and a
+    # sample array of another shape is refused whatever its values
+    grid = TimeGrid(T=1.0, M=2)
+    for values, message in (
+            (np.array([1.0, 2.0, 3.0 + 0j]), "is not numeric: (1+0j)"),
+            (np.array([1.0, None, 1.0]), "is not numeric: None"),
+            (np.array(["1", "x", "1"]), "is not numeric: 'x'")):
+        with pytest.raises(ModelConfigError, match=re.escape(
+                "sampled profile value " + message)):
+            TimeProfile(values=values, grid=grid)
+    for values in (np.ones((3, 1)), [[1.0], [1.0], [1.0]], 1.0, "111"):
+        with pytest.raises(ModelConfigError):
+            TimeProfile(values=values, grid=grid)
 
 
 def solve_with_A(profile):
@@ -123,7 +185,7 @@ def test_profile_constructor_reads_a_numeric_string():
     # "3" once raised a raw numpy UFuncTypeError in the solver
     profile = TimeProfile(value="3")
     assert profile.value == 3.0
-    assert solve_with_A(profile) == solve_with_A(TimeProfile.constant(3.0))
+    assert solve_with_A(profile) == solve_with_A(TimeProfile(3.0))
 
 
 def test_profile_constructor_rejects_none():
@@ -141,7 +203,8 @@ def test_profile_constructor_rejects_nan():
     # an array of samples is checked whole, not value by value
     with pytest.raises(ModelConfigError,
                        match="sampled profile contains non-finite values"):
-        TimeProfile.sampled(np.array([1.0, np.inf, 1.0]), TimeGrid(1.0, 2))
+        TimeProfile(values=np.array([1.0, np.inf, 1.0]),
+                    grid=TimeGrid(1.0, 2))
 
 
 def test_profile_constructor_checks_the_sample_count():
@@ -173,20 +236,20 @@ def test_coefficient_set_stores_terminal_scalars_as_floats():
 def test_half_values_interleave_nodes_and_midpoints():
     grid = TimeGrid(T=2.0, M=4)
     vals = np.array([1.0, 3.0, -1.0, 0.0, 5.0])
-    p = TimeProfile.sampled(vals, grid)
+    p = TimeProfile(values=vals, grid=grid)
     hv = p.half_values(grid)
     assert hv.shape == (9,)
     np.testing.assert_array_equal(hv[0::2], vals)
     np.testing.assert_allclose(hv[1::2], 0.5 * (vals[:-1] + vals[1:]))
 
-    c = TimeProfile.constant(2.0)
+    c = TimeProfile(2.0)
     np.testing.assert_array_equal(c.half_values(grid), np.full(9, 2.0))
 
 
 def test_profile_grid_alignment_enforced():
     grid = TimeGrid(T=1.0, M=4)
     other = TimeGrid(T=1.0, M=8)
-    p = TimeProfile.sampled(np.ones(5), grid)
+    p = TimeProfile(values=np.ones(5), grid=grid)
     with pytest.raises(ModelConfigError):
         p.node_values(other)
 

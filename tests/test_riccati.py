@@ -1,7 +1,6 @@
 """Backward solver behaviour: oracles, orders, degeneracies, errors."""
 
 import dataclasses
-import json
 import math
 import os
 import re
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 
 from lqmfg.errors import ModelConfigError, NonSolvableError, SingularGainError
 from lqmfg.model import (CoefficientSet, TimeGrid, TimeProfile, half_interp,
-                         parse_coefficients)
+                         load_config, parse_coefficients)
 from lqmfg.riccati import (
     GainSchedule,
     RiccatiSolution,
@@ -36,6 +35,9 @@ ALL_ONES = CoefficientSet.from_constants(A=1, B=1, C=1, D=1, f=1, g=1,
 MIXED = CoefficientSet.from_constants(A=0.5, B=1.0, C=0.3, D=0.4, f=0.1,
                                       g=0.2, Q=2.0, R=1.0, Gamma=0.0,
                                       eta=0.5, H=1.5, Gamma0=0.0, eta0=0.7)
+
+INDEFINITE_PATH = os.path.join(os.path.dirname(__file__), "..", "configs",
+                               "indefinite.json")
 
 
 def test_tanh_closed_form():
@@ -142,6 +144,23 @@ def test_finite_N_huge_population_matches_limit():
     lim = solve_limit(ALL_ONES, grid)
     fin = solve_finite_N(ALL_ONES, 10**6, grid)
     assert np.max(np.abs(fin.P - lim.P)) <= 1e-5
+
+
+@pytest.mark.parametrize("M", [250, 1000])
+@pytest.mark.parametrize("model", ["allones", "indefinite", "time_varying"])
+def test_limit_P_is_the_N_player_P_as_N_grows(model, M):
+    # the limit's P stepper and the N-player one agree at N = 10^15, where
+    # 1/N is below roundoff: measured at most 1.01e-15 relative
+    if model == "allones":
+        grid, coeffs = TimeGrid(T=10.0, M=M), ALL_ONES
+    elif model == "indefinite":
+        grid = TimeGrid(T=1.0, M=M)
+        coeffs = parse_coefficients(load_config(INDEFINITE_PATH), grid)
+    else:
+        grid = TimeGrid(T=2.0, M=M)
+        coeffs = time_varying(grid)
+    np.testing.assert_allclose(solve_finite_N(coeffs, 10**15, grid).P,
+                               solve_limit(coeffs, grid).P, rtol=1e-13)
 
 
 def test_finite_N_rejects_sizes_that_are_not_integers():
@@ -389,8 +408,8 @@ def sampled_coeffs(grid):
         CoefficientSet.from_constants(B=1.2, C=0.3, D=2.0, f=0.2, Q=1.0,
                                       R=-0.2, Gamma=0.8, eta=1.0, H=1.0,
                                       Gamma0=0.6, eta0=0.5),
-        A=TimeProfile.sampled(np.sin(j / 7.0), grid),
-        g=TimeProfile.sampled(np.cos(j / 5.0), grid))
+        A=TimeProfile(values=np.sin(j / 7.0), grid=grid),
+        g=TimeProfile(values=np.cos(j / 5.0), grid=grid))
 
 
 SAMPLED_GRID = TimeGrid(T=1.0, M=300)
@@ -433,7 +452,7 @@ def test_solver_peaks_hold_no_stage_stacks_or_profile_copies():
     # are 39-52 floats per step, and the solvers that held those stacks
     # reach 75-124
     grid = TimeGrid(T=1.0, M=2_000)
-    c = TimeProfile.constant(0.1 + 0.2)
+    c = TimeProfile(0.1 + 0.2)
     for got, size in ((c.node_values(grid), grid.M + 1),
                       (c.half_values(grid), 2 * grid.M + 1)):
         assert got.strides == (0,) and not got.flags.writeable
@@ -484,10 +503,10 @@ def coefficient_cases(draw):
         if varying and (name == "A" or draw(st.booleans())):
             a = draw(st.floats(0.0, 1.0)) * min(c - lo, hi - c)
             w, p = draw(st.floats(0.5, 20.0)), draw(st.floats(0.0, 6.3))
-            profiles[name] = TimeProfile.sampled(
-                c + a * np.sin(w * grid.nodes + p), grid)
+            profiles[name] = TimeProfile(
+                values=c + a * np.sin(w * grid.nodes + p), grid=grid)
         else:
-            profiles[name] = TimeProfile.constant(c)
+            profiles[name] = TimeProfile(c)
     coeffs = CoefficientSet(**profiles, H=draw(st.floats(0.2, 2.0)),
                             Gamma0=draw(st.floats(*small)),
                             eta0=draw(st.floats(*small)))
@@ -592,7 +611,7 @@ def test_errors_match_the_reference_steppers(R, kind):
     grid = TimeGrid(T=2.0, M=200)
     constant = CoefficientSet.from_constants(B=1.0, Q=1.0, R=R, H=1.0)
     for coeffs in (constant, dataclasses.replace(
-            constant, A=TimeProfile.sampled(SAMPLED_A, grid))):
+            constant, A=TimeProfile(values=SAMPLED_A, grid=grid))):
         for solve, ref in ((lambda: solve_limit(coeffs, grid),
                             lambda: reference_limit(coeffs, grid)),
                            (lambda: solve_finite_N(coeffs, 5, grid),
@@ -784,9 +803,9 @@ def time_varying(grid):
                                          g=1.0, eta=1.0, H=0.5, Gamma0=0.5,
                                          eta0=1.0)
     return dataclasses.replace(
-        base, R=TimeProfile.sampled(0.2 + 0.5 * (t - 0.4) ** 2, grid),
-        Q=TimeProfile.sampled(1.0 + 0.5 * np.sin(4.0 * t), grid),
-        Gamma=TimeProfile.sampled(0.5 + 0.3 * np.cos(2.0 * t), grid))
+        base, R=TimeProfile(values=0.2 + 0.5 * (t - 0.4) ** 2, grid=grid),
+        Q=TimeProfile(values=1.0 + 0.5 * np.sin(4.0 * t), grid=grid),
+        Gamma=TimeProfile(values=0.5 + 0.3 * np.cos(2.0 * t), grid=grid))
 
 
 @pytest.mark.parametrize("N", [None, 5])
@@ -814,10 +833,10 @@ def deviation_form_margin(coeffs, grid, N=None):
     if N is not None:
         inv_n = 1.0 / N
         nv = coeffs.node_values(grid)
-        Q = TimeProfile.sampled(nv["Q"] * (1.0 - nv["Gamma"] * inv_n) ** 2,
-                                grid)
+        Q = TimeProfile(values=nv["Q"] * (1.0 - nv["Gamma"] * inv_n) ** 2,
+                        grid=grid)
         H = H * (1.0 - coeffs.Gamma0 * inv_n) ** 2
-    zero = TimeProfile.constant(0.0)
+    zero = TimeProfile(0.0)
     form = dataclasses.replace(coeffs, Q=Q, H=H, f=zero, g=zero, eta=zero,
                                Gamma=zero, eta0=0.0, Gamma0=0.0)
     try:
@@ -843,10 +862,7 @@ def test_margin_is_the_deviation_form_margin_bit_for_bit():
     # and the blow-up fail their sweeps, D = 1e200 fails on an infinite
     # weight
     grid = TimeGrid(T=2.0, M=200)
-    path = os.path.join(os.path.dirname(__file__), "..", "configs",
-                        "indefinite.json")
-    with open(path) as fh:
-        indefinite = parse_coefficients(json.load(fh), grid)
+    indefinite = parse_coefficients(load_config(INDEFINITE_PATH), grid)
     c = CoefficientSet.from_constants
     models = (ALL_ONES, indefinite, time_varying(grid), c(**SIGN_CHANGE),
               c(B=1.0, Q=1.0, R=-1.0, H=1.0),

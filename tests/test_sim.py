@@ -278,8 +278,8 @@ def mixed_coefficients(grid):
         CoefficientSet.from_constants(B=1, C=0.3, D=2, f=0.2, g=0.5, Q=1,
                                       R=-0.2, Gamma=0.8, eta=1, H=1,
                                       Gamma0=0.6, eta0=0.5),
-        A=TimeProfile.sampled([(k % 7 - 3) / 4 for k in range(grid.M + 1)],
-                              grid))
+        A=TimeProfile(values=[(k % 7 - 3) / 4 for k in range(grid.M + 1)],
+                      grid=grid))
 
 
 @pytest.mark.parametrize("coefficients", ["allones", "mixed"])
