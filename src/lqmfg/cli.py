@@ -30,8 +30,9 @@ from . import __version__
 from .errors import (ModelConfigError, NonSolvableError,
                      SimulationDivergedError, SingularGainError)
 from .experiments import (DEFAULT_DEVIATIONS, _build_laws, _convexity,
-                          _epsilon_sweep, _figure_files, epsilon_sweep,
-                          nash_gap, riccati_convergence, write_csv)
+                          _epsilon_sweep, _figure_files, _mean_stderr,
+                          epsilon_sweep, nash_gap, riccati_convergence,
+                          write_csv)
 from .model import (_COEFFICIENT_NAMES, _GRID_KEYS, _INITIAL_KEYS, _as_int,
                     _number, _population_size, _seed, canonical_fingerprint,
                     load_config, parse_coefficients, parse_grid,
@@ -290,15 +291,15 @@ def _cmd_simulate(args, cfg, coeffs, grid, initial, seed):
     if overflow is not None:
         raise overflow
     per_agent = np.stack(costs)
-    means = per_agent.mean(axis=0)
-    ses = (per_agent.std(axis=0, ddof=1) / math.sqrt(reps) if reps > 1
-           else np.zeros(N))
+    means, ses = _mean_stderr(per_agent, reps, "the costs")
+    # the mean over every agent and replication, as one row
+    total = _mean_stderr(per_agent.ravel(), 1, "the costs")[0]
     summary = os.path.join(args.out_dir, "summary.csv")
     write_csv(summary, ("agent", "mean_cost", "stderr"),
               (range(N), means, ses))
     outputs.append(summary)
     return outputs, {"N": N, "reps": reps, "law": law.label,
-                     "population_mean_cost": float(per_agent.mean())}
+                     "population_mean_cost": float(total)}
 
 
 def _cmd_table(args, cfg, coeffs, grid, initial, seed):

@@ -71,6 +71,21 @@ def loglog_slope(xs, ys):
     return slope, math.sqrt(s2 / sxx)
 
 
+def _mean_stderr(samples, reps: int, what: str):
+    """The mean of samples along axis 0, one row per replication, and the
+    standard error of that mean (0 for one replication).  A mean or an
+    error that overflows, as finite samples near the largest float may,
+    raises SimulationDivergedError naming `what`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = samples.mean(axis=0)
+        se = (samples.std(axis=0, ddof=1) / math.sqrt(reps) if reps > 1
+              else np.zeros_like(mean))
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(se))):
+        raise SimulationDivergedError(f"the mean or standard error of "
+                                      f"{what} overflowed")
+    return mean, se
+
+
 def _build_laws(specs, coeffs: CoefficientSet, grid: TimeGrid,
                 initial: InitialLaw, N=None) -> list:
     """One StrategyLaw per (kind, theta) spec.
@@ -137,14 +152,12 @@ def _epsilon_sweep(coeffs: CoefficientSet, Ns, reps: int, master_seed: int,
             f"the mean-field gap overflowed in replication {rep}", rep=rep)
 
     def point(N, col):
-        mean_sq = float(col.mean())
+        mean_sq, se = map(float, _mean_stderr(col, reps, "the mean-field gap"))
         eps = math.sqrt(mean_sq)
         # equal samples have no spread, however their mean rounds
-        if reps > 1 and mean_sq > 0.0 and np.ptp(col) > 0.0:
-            se = float(col.std(ddof=1)) / math.sqrt(reps) / (2.0 * eps)
-        else:
-            se = 0.0
-        return (N, eps, se)
+        if mean_sq > 0.0 and np.ptp(col) > 0.0:
+            return (N, eps, se / (2.0 * eps))
+        return (N, eps, 0.0)
 
     rows = tuple(point(N, col) for N, col in zip(Ns, sq.T))
     md = _base_metadata(coeffs, grid, master_seed)
@@ -248,13 +261,15 @@ def nash_gap(coeffs: CoefficientSet, N: int, reps: int, master_seed: int,
 
     costs = np.concatenate(_population_chunks(coeffs, laws[base], cfg, grid,
                                               (1, N), replay_costs))
-    # J(base) is the cost of the scaled(1) lane
-    gaps = costs[:, base] - costs.T
+    # J(base) is the cost of the scaled(1) lane; costs of both signs may
+    # overflow their difference, which _mean_stderr then reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = costs[:, base] - costs.T
     rows = []
     for label in sorted(labels):
-        d = gaps[labels.index(label)]
-        se = float(d.std(ddof=1)) / math.sqrt(reps) if reps > 1 else 0.0
-        rows.append((label, float(d.mean()), se))
+        gap, se = _mean_stderr(gaps[labels.index(label)], reps,
+                               f"the {label} gap")
+        rows.append((label, float(gap), float(se)))
     md = _base_metadata(coeffs, grid, master_seed)
     md["N"] = N
     md["reps"] = reps

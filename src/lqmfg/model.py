@@ -24,12 +24,17 @@ import numpy as np
 from .errors import ModelConfigError
 
 
+# not numbers, though float() and int() read them: JSON true and false are
+# not 1 and 0, and a datetime or timedelta is a count of its time unit
+_NOT_NUMBERS = (bool, np.bool_, np.datetime64, np.timedelta64)
+
+
 def _number(value, what: str) -> float:
-    """value as a finite float: numbers and numeric strings pass.  A bool or
-    numpy bool (JSON true and false are not 1 and 0), anything else float()
-    rejects, an integer too large for a float and a nan or infinity are each
-    a ModelConfigError naming `what`."""
-    if isinstance(value, (bool, np.bool_)):
+    """value as a finite float: numbers and numeric strings pass.  One of
+    _NOT_NUMBERS, anything else float() rejects, an integer too large for a
+    float and a nan or infinity are each a ModelConfigError naming
+    `what`."""
+    if isinstance(value, _NOT_NUMBERS):
         raise ModelConfigError(f"{what} must be a number, got {value!r}")
     try:
         x = float(value)
@@ -43,32 +48,43 @@ def _number(value, what: str) -> float:
 
 
 def _as_int(value, what: str) -> int:
-    """value as an int: integral numbers and integer strings pass; a bool or
-    numpy bool, a fraction or anything else is a ModelConfigError."""
+    """value as an int: integral numbers and integer strings pass; one of
+    _NOT_NUMBERS, a fraction or anything else is a ModelConfigError."""
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
-    if n is None or isinstance(value, (bool, np.bool_)) or (
+    if n is None or isinstance(value, _NOT_NUMBERS) or (
             not isinstance(value, str) and n != value):
         raise ModelConfigError(f"{what} must be an integer, got {value!r}")
     return n
 
 
-def _population_size(N, what: str = "population size", least: int = 1) -> int:
-    """N as an int if it is an integer >= least, not a bool; otherwise a
-    ModelConfigError that names it as `what`."""
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
+# the largest population size and replication count, whose indices are 24
+# bits of a stream's key (sim._key); the step count M takes the same bound,
+# so that a grid too large to allocate exits as a bad config
+_MAX_INDEX = 1 << 24
+
+
+def _population_size(N, what: str = "population size", least: int = 1,
+                     bounded: bool = False) -> int:
+    """N as an int if it is an integer >= least, not one of _NOT_NUMBERS,
+    and, if bounded, <= _MAX_INDEX; otherwise a ModelConfigError that names
+    it as `what`."""
+    if isinstance(N, _NOT_NUMBERS) or not isinstance(N, (int, np.integer)):
         raise ModelConfigError(f"{what} must be an integer, got {N!r}")
     if N < least:
         raise ModelConfigError(f"{what} must be >= {least}, got {N!r}")
+    if bounded and N > _MAX_INDEX:
+        raise ModelConfigError(f"{what} must be <= 2^24, got {N!r}")
     return int(N)
 
 
 def _seed(seed) -> int:
     """seed as an int if it keys a 64-bit Philox stream: an integer in
-    [0, 2^64), not a bool; otherwise a ModelConfigError."""
-    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+    [0, 2^64), not one of _NOT_NUMBERS; otherwise a ModelConfigError."""
+    if (isinstance(seed, _NOT_NUMBERS)
+            or not isinstance(seed, (int, np.integer))
             or not 0 <= int(seed) < 2 ** 64):
         raise ModelConfigError(f"seed must be an integer in [0, 2^64), "
                                f"got {seed!r}")
@@ -86,8 +102,8 @@ class TimeGrid:
         object.__setattr__(self, "T", _number(self.T, "horizon T"))
         if not self.T > 0.0:
             raise ModelConfigError(f"horizon T must be finite and positive, got {self.T}")
-        object.__setattr__(self, "M",
-                           _population_size(self.M, "step count M", 2))
+        object.__setattr__(self, "M", _population_size(
+            self.M, "step count M", 2, bounded=True))
 
     @property
     def dt(self) -> float:
@@ -104,8 +120,9 @@ class TimeProfile:
     """A scalar function of time: TimeProfile(value) is constant, and
     TimeProfile(values=..., grid=grid) holds its M+1 node samples as one
     read-only float64 array, linear in between.  An integer or floating
-    array is checked whole, other samples one by one as _number reads them.
-    Profiles compare by identity."""
+    array is checked whole, other samples one by one as _number reads them;
+    datetime and timedelta arrays are no numbers.  Profiles compare by
+    identity."""
 
     value: float = 0.0               # constant profile
     values: np.ndarray = ()          # sampled profile, length M+1
@@ -119,6 +136,10 @@ class TimeProfile:
                                _number(self.value, "constant coefficient"))
             return
         values = self.values
+        if isinstance(values, np.ndarray) and values.dtype.kind in "mM":
+            # a datetime array converts to floats of its time unit
+            raise ModelConfigError(f"sampled profile value must be a number, "
+                                   f"got dtype {values.dtype}")
         if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
             items = np.asarray(values, dtype=object)
             values = np.reshape([_number(v, "sampled profile value")

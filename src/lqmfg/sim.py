@@ -24,13 +24,11 @@ import numpy as np
 
 from . import _pool
 from .errors import ModelConfigError, SimulationDivergedError
-from .model import (CoefficientSet, InitialLaw, TimeGrid, _population_size,
-                    _seed)
+from .model import (_MAX_INDEX, CoefficientSet, InitialLaw, TimeGrid,
+                    _population_size, _seed)
 from .synthesis import StrategyLaw
 
 _PURPOSE_AGENT = 0
-
-_MAX_INDEX = 1 << 24
 
 _TILE = 64     # kernel time steps per tile
 _BLOCK = 128   # paths per block of the increments' transpose
@@ -80,8 +78,7 @@ class PopulationConfig:
         # agent and replication indices key the streams (_key)
         for n, what in ((self.N, "population size"),
                         (self.reps, "replication count")):
-            if _population_size(n, what) > _MAX_INDEX:
-                raise ModelConfigError(f"{what} must be <= 2^24, got {n!r}")
+            _population_size(n, what, bounded=True)
         _seed(self.master_seed)
 
 
@@ -105,22 +102,39 @@ def _check_grid(what: str, own: TimeGrid, grid: TimeGrid) -> None:
                                f"{grid}")
 
 
-def _reads_mean(law: StrategyLaw) -> bool:
-    """Whether a population under law feeds back its realized mean.  A law
-    whose k_mean is 0 reads none, so that an overflowing sum (0 inf = nan)
-    does not reach its agents."""
-    return law.xbar is None and bool(np.any(law.k_mean))
+def _feedback(laws, ndim: int, N: int = 1, others=None):
+    """_step_tiles' feedback and k_mean for lanes of ndim axes, laws[l] on
+    lane l of the last axis (one law broadcasts).  A precomputed mean gives
+    e = k_self, kappa = k_mean xbar + k_const.  A realized-mean lane given
+    others, its co-players' state sums (time last), sees the mean
+    (others + x) / N: e = k_self + k_mean / N, kappa = k_mean (others / N)
+    + k_const.  A realized-mean population (one law) keeps kappa = k_const
+    as it is and returns k_mean, whose product with the population's mean
+    _step_tiles adds.  A law whose k_mean is 0 reads no mean, so that an
+    overflowing sum (0 inf = nan) does not reach its agents.  e and kappa
+    are formed a tile at a time, inside _step_tiles' errstate."""
+    realized = np.array([law.xbar is None and bool(np.any(law.k_mean))
+                         for law in laws])
+    reads = np.array([law.xbar is not None for law in laws])
+    # time-major lanes; a zero stands in for a mean no lane's kappa reads
+    rows = [(law.k_self, law.k_mean, law.k_const,
+             np.zeros_like(law.k_const) if law.xbar is None else law.xbar)
+            for law in laws]
+    lanes = (-1, *(1,) * (ndim - 1), len(laws))
+    ks, km, kc, xbar = (np.stack(col, -1).reshape(lanes) for col in zip(*rows))
+    if others is not None:
+        others, reads = np.moveaxis(others, -1, 0)[..., None], reads | realized
 
+    def feedback(k0, w):
+        t = slice(k0, k0 + w)
+        e, mean = ks[t], xbar[t]
+        if others is not None:
+            e = np.where(realized, e + km[t] / N, e)
+            mean = np.where(realized, others[t] / N, mean)
+        return e, np.where(reads, km[t] * mean + kc[t], kc[t])
 
-def _law_feedback(law: StrategyLaw, ndim: int):
-    """_step_tiles' feedback and k_mean for a population under one law, on
-    lanes of ndim axes: a precomputed mean folds into the offset
-    k_mean xbar + k_const, a realized one is left to k_mean (_reads_mean)."""
-    kappa = law.k_const if law.xbar is None else \
-        law.k_mean * law.xbar + law.k_const
-    k_mean = law.k_mean if _reads_mean(law) else None
-    e, kappa = (v.reshape(-1, *(1,) * ndim) for v in (law.k_self, kappa))
-    return (lambda k0, w: (e[k0:k0 + w], kappa[k0:k0 + w])), k_mean
+    return feedback, (laws[0].k_mean if others is None and realized.any()
+                      else None)
 
 
 def _affine(nc: dict, dt: float, k, e, kappa):
@@ -256,7 +270,7 @@ def simulate_reps(coeffs: CoefficientSet, law: StrategyLaw,
     _check_grid("strategy law", law.grid, grid)
     sqdt = math.sqrt(grid.dt)
     nc = coeffs.node_values(grid)
-    feedback, k_mean = _law_feedback(law, 1)
+    feedback, k_mean = _feedback([law], 1)
     # one generator, restarted on each agent's stream
     rng = np.random.Generator(np.random.Philox())
     for rep in range(cfg.reps):
@@ -297,7 +311,7 @@ def _population_sums(coeffs: CoefficientSet, law: StrategyLaw,
             np.add.reduce(tile[..., :n], axis=-1,
                           out=sums[:, i, k0:k0 + w + 1].T)
 
-    feedback, _ = _law_feedback(law, 2)
+    feedback, _ = _feedback([law], 2)
     rng = np.random.Generator(np.random.Philox())
     for r in range(R):
         _draw(rng, cfg, first + r, sqdt, x0[r], dW[r])
@@ -349,29 +363,13 @@ def _replay_lanes(agent: int, reps, x0, dW, others, N: int, laws,
                   coeffs: CoefficientSet, grid: TimeGrid):
     """Replay `agent` of replications reps (initial states x0, increments
     dW, co-player state sums others) under every law in one kernel call.
-    Lane [r, l] is replication reps[r] under laws[l]; a realized-mean lane
-    sees the mean (others[r, k] + x) / N, so its control is
-    (k_self + k_mean / N) x + (k_mean (others / N) + k_const).  Returns
-    states (R, L, M+1), controls (R, L, M)."""
-    realized = np.array([_reads_mean(law) for law in laws])
-    # without a precomputed mean, xbar is a zero that a realized-mean lane
-    # never selects and a lane whose k_mean is 0 multiplies by 0
-    rows = [(law.k_self, law.k_mean, law.k_const,
-             np.zeros_like(law.k_const) if law.xbar is None else law.xbar)
-            for law in laws]
-    # time-major, (M+1, 1, L)
-    ks, km, kc, xbar = (np.stack(col).T[:, None] for col in zip(*rows))
-    e = np.where(realized, ks + km / N, ks)
-    share = others.T[:, :, None] / N
-
-    def feedback(k0, w):
-        t = slice(k0, k0 + w)
-        return e[t], km[t] * np.where(realized, share[t], xbar[t]) + kc[t]
-
+    Lane [r, l] is replication reps[r] under laws[l], folded by _feedback.
+    Returns states (R, L, M+1), controls (R, L, M)."""
     return _euler_maruyama(
         coeffs.node_values(grid), grid.dt,
-        np.repeat(x0[:, None], len(laws), axis=1), dW[:, None], feedback,
-        np.reshape(reps, (-1, 1)), agent)[:2]
+        np.repeat(x0[:, None], len(laws), axis=1), dW[:, None],
+        _feedback(laws, 2, N, others)[0], np.reshape(reps, (-1, 1)),
+        agent)[:2]
 
 
 def quadrature(dt: float, nodes: np.ndarray, cells=None):

@@ -131,7 +131,7 @@ def make_law(kind: str, gains: GainSchedule,
     _spec checks (kind, theta); the kind's _READS entry says whether gains
     must be limit or population gains and whether xbar, on the gains' grid,
     is read.  A bad spec or a mismatch raises ModelConfigError before the
-    gains are read.
+    gains are read, and so does a scaled law whose gains overflow.
     """
     kind, theta = _spec(kind, theta)
     reads, grid = _READS[kind], gains.grid
@@ -147,6 +147,10 @@ def make_law(kind: str, gains: GainSchedule,
                                f"match the gains' grid {grid}")
     ks = [-x / gains.alpha for x in (gains.beta, gains.gamma, gains.delta)]
     if kind == "scaled":
-        ks = [theta * k for k in ks]
+        with np.errstate(over="ignore"):
+            ks = [theta * k for k in ks]
+        if not all(np.all(np.isfinite(k)) for k in ks):
+            raise ModelConfigError(f"scaling factor theta={theta!r} makes the "
+                                   f"law's gains overflow")
     return StrategyLaw(kind, grid, *ks, theta=theta,
                        xbar=xbar.values if "mean" in reads else None)

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lqmfg.cli as cli
 import lqmfg.experiments as experiments
 from lqmfg import _pool, riccati, sim
 from lqmfg.cli import _CONFIG, _KEYS, _SECTIONS, run
@@ -19,6 +20,10 @@ from lqmfg.model import (_INITIAL_KEYS, parse_coefficients, parse_grid,
 ALL_ONES = {name: 1 for name in
             ("A", "B", "C", "D", "f", "g", "Q", "R", "Gamma", "eta", "H",
              "Gamma0", "eta0")}
+
+
+ALLONES_PATH = os.path.join(os.path.dirname(__file__), "..", "configs",
+                            "allones.json")
 
 
 def make_config(tmp_path, name="cfg.json", coefficients=None, grid=None,
@@ -637,6 +642,60 @@ def test_non_finite_theta_exits_2_with_manifest(tmp_path, capsys):
         assert not list(out.glob("*.csv"))
 
 
+def test_theta_whose_gains_overflow_exits_2_before_any_path(tmp_path,
+                                                          monkeypatch, capsys):
+    # theta k once overflowed with a RuntimeWarning, a traceback under the
+    # suite's warning filter, and else ran infinite gains into the kernel
+    def ran(*args, **kwargs):
+        raise AssertionError("stepped a path under an overflowing law")
+
+    monkeypatch.setattr(sim, "_step_tiles", ran)
+    with open(ALLONES_PATH, encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["experiments"]["nash_gap"]["deviations"] = ["scaled(1.7e308)"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    message = "scaling factor theta=1.7e+308 makes the law's gains overflow"
+    for k, argv in enumerate((["simulate", "--law", "scaled",
+                               "--theta", "1.7e308"], ["nash-gap"])):
+        out = tmp_path / f"out{k}"
+        assert run(argv + ["--config", str(path), "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert read_manifest(out)["error"] == message
+        assert os.listdir(out) == ["manifest.json"]
+
+
+def test_scaled_law_whose_offsets_overflow_exits_4(tmp_path, capsys):
+    # finite gains whose offset k_mean xbar + k_const overflows: the
+    # kernel forms it under its overflow guard and names the divergence
+    out = tmp_path / "out"
+    assert run(["simulate", "--law", "scaled", "--theta", "1e308",
+                "--grid-steps", "20", "--config", ALLONES_PATH,
+                "--out-dir", str(out)]) == 4
+    message = "agent 0 diverged at step 1 of replication 0"
+    assert message in capsys.readouterr().err
+    assert (read_manifest(out)["exit_code"], read_manifest(out)["error"]) \
+        == (4, message)
+
+
+def test_finite_costs_whose_statistics_overflow_exit_4(tmp_path, capsys):
+    # a tiny B gives tiny gains, which theta = 1e307 scales to controls
+    # near 1e132: the costs are finite, but their squared spread is not
+    coefficients = dict.fromkeys(ALL_ONES, 0.0)
+    coefficients.update(B=5.7e-175, R=1.0, H=1.0)
+    cfg = make_config(tmp_path, coefficients=coefficients, grid={
+        "T": 1.0, "M": 2}, experiments={
+            "simulate": {"N": 3, "reps": 2, "law": "scaled", "theta": 1e307},
+            "nash_gap": {"N": 3, "reps": 2, "deviations": ["scaled(1e307)"]}})
+    for sub, what in (("simulate", "the costs"),
+                      ("nash-gap", "the scaled(1e307) gap")):
+        out = tmp_path / sub
+        assert run([sub, "--config", cfg, "--out-dir", str(out)]) == 4
+        message = f"the mean or standard error of {what} overflowed"
+        assert message in capsys.readouterr().err
+        assert read_manifest(out)["error"] == message
+
+
 def _no_constants(name):
     raise ValueError(f"manifest holds {name}, which is not JSON")
 
@@ -829,12 +888,16 @@ def test_sizes_past_the_stream_key_exit_2_before_any_solve(tmp_path,
                                                             capsys):
     # an agent's and a replication's index are 24 bits of its stream's key:
     # a larger population or replication count exits 2, with a manifest,
-    # before any system is solved or any path stepped
+    # before any system is solved or any path stepped.  A step count takes
+    # the same bound: past it, a grid ended in numpy's "Maximum allowed
+    # dimension exceeded" or "array is too big", with no manifest
     def ran(*args, **kwargs):
         raise AssertionError("ran before the sizes were checked")
 
     for name in ("solve_limit", "solve_finite_N", "solve_mean_field"):
         monkeypatch.setattr(experiments, name, ran)
+    for name in ("solve_backward", "convexity_margin", "validate"):
+        monkeypatch.setattr(cli, name, ran)
     monkeypatch.setattr(sim, "_step_tiles", ran)
     cfg = make_config(tmp_path, grid={"T": 0.01, "M": 2})
     big = str(2**24 + 1)
@@ -842,12 +905,15 @@ def test_sizes_past_the_stream_key_exit_2_before_any_solve(tmp_path,
     for sub, size in (("epsilon-sweep", "--populations"),
                       ("nash-gap", "--population"),
                       ("simulate", "--population")):
-        cases += [(sub, [size, big, "--reps", "1"], "population size"),
-                  (sub, [size, "4", "--reps", big], "replication count")]
-    for k, (sub, flags, what) in enumerate(cases):
+        cases += [(sub, [size, big, "--reps", "1"], "population size", big),
+                  (sub, [size, "4", "--reps", big], "replication count", big)]
+    for sub in ("validate", "solve-riccati", "mean-field"):
+        cases += [(sub, ["--grid-steps", M], "step count M", M)
+                  for M in (big, str(10**20))]
+    for k, (sub, flags, what, size) in enumerate(cases):
         out = tmp_path / f"out{k}"
         assert run([sub, "--config", cfg, "--out-dir", str(out)] + flags) == 2
-        message = f"{what} must be <= 2^24, got {big}"
+        message = f"{what} must be <= 2^24, got {size}"
         assert message in capsys.readouterr().err
         manifest = read_manifest(out)
         assert (manifest["exit_code"], manifest["error"]) == (2, message)

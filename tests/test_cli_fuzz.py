@@ -4,8 +4,10 @@ Whatever the config holds, a run ends with an exit code in {0, 2, 3, 4, 5},
 writes manifest.json with that exit code as strict JSON (no NaN or
 Infinity), and never raises; a misspelled key exits 2 and is named.  Sizes
 (M, N, reps, population lists) are bounded so that every example runs in
-milliseconds; other keys may take null, booleans, any float, strings, lists
-or objects.  Raise `max_examples` for a longer campaign.
+milliseconds, but for step counts past M's 2^24 bound, which exit 2 before
+anything is allocated; other keys may take null, booleans, any float,
+strings, lists or objects, and scaling factors also draw magnitudes near
+the largest float.  Raise `max_examples` for a longer campaign.
 """
 
 import contextlib
@@ -34,13 +36,19 @@ small_junk = st.one_of(st.integers(-2, 40), st.floats(-2.0, 40.0),
                        junk.filter(lambda v: not isinstance(v, float)))
 small_junk = st.one_of(small_junk, st.lists(small_junk, max_size=3))
 SIZE_KEYS = {"M", "N", "reps", "Ns"}
-# deviation labels: valid ones, near misses, and scaled(...) around short
-# strings of '-', '.' and '1', many of which are no number
+# step counts past the 2^24 bound
+huge_steps = st.sampled_from([2**24 + 1, 2**62, 10**20])
+# scaling factors near the largest float, whose gains or offsets overflow
+huge_theta = st.floats(1e307, 1.7976931348623157e308).flatmap(
+    lambda x: st.sampled_from([x, -x]))
+# deviation labels: valid ones, near misses, scaled(...) around short
+# strings of '-', '.' and '1', many of which are no number, and huge factors
 label = st.one_of(
     st.sampled_from(["zero", "centralized", "meanfield-informed",
                      "decentralized", "scaled", "scaled(0.5)", "scaled(-1)",
                      "scaled(.5)", "scaled(1.)", "hedged"]),
-    st.text("-.1", max_size=5).map("scaled({})".format))
+    st.text("-.1", max_size=5).map("scaled({})".format),
+    huge_theta.map("scaled({!r})".format))
 # the experiments section each subcommand reads
 SECTIONS = {"validate": None, "mean-field": None,
             "solve-riccati": "solve_riccati", "simulate": "simulate",
@@ -51,7 +59,7 @@ FLAGS = {
     "solve-riccati": {"--population": st.integers(-2, 12)},
     "simulate": {"--population": st.integers(-2, 12), "--reps": st.integers(-2, 3),
                  "--law": st.sampled_from(["zero", "scaled", "centralized", "x"]),
-                 "--theta": st.floats()},
+                 "--theta": st.one_of(st.floats(), huge_theta)},
     "epsilon-sweep": {"--populations": st.sampled_from(
                           ["4,8", "8,4", "2.5,8", "inf", "", "a", "0,4"]),
                       "--reps": st.integers(-2, 3)},
@@ -140,6 +148,8 @@ def cases(draw):
         expect = misspell(draw, cfg)
     elif mutation == 0:
         del node[key]
+    elif key == "M":
+        node[key] = draw(st.one_of(small_junk, huge_steps))
     elif key in SIZE_KEYS:
         node[key] = draw(small_junk)
     elif key == "seed":
@@ -149,7 +159,8 @@ def cases(draw):
 
     argv = [sub]
     flags = {"--seed": st.integers(-2**65, 2**66),
-             "--grid-steps": st.integers(-2, 40), **FLAGS.get(sub, {})}
+             "--grid-steps": st.one_of(st.integers(-2, 40), huge_steps),
+             **FLAGS.get(sub, {})}
     flag = draw(st.one_of(st.none(), st.sampled_from(sorted(flags))))
     if flag is not None:
         argv.append(f"{flag}={draw(flags[flag])}")

@@ -631,7 +631,7 @@ def divergence_steps(coeffs, law, cfg, grid):
         sim._draw(rng, cfg, rep, math.sqrt(grid.dt), x0, dW)
         try:
             sim._euler_maruyama(nc, grid.dt, x0, dW,
-                                sim._law_feedback(law, 1)[0], rep)
+                                sim._feedback([law], 1)[0], rep)
             steps.append(None)
         except SimulationDivergedError as exc:
             steps.append(exc.step)

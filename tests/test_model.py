@@ -56,6 +56,12 @@ def test_grid_rejects_bad_parameters():
                           (float("inf"), 10, "horizon T must be finite")):
         with pytest.raises(ModelConfigError, match=message):
             TimeGrid(T=T, M=M)
+    # M is at most 2^24, the bound of a population size
+    assert TimeGrid(T=1.0, M=2**24).M == 2**24
+    for M in (2**24 + 1, 10**20):
+        with pytest.raises(ModelConfigError,
+                           match=f"step count M must be <= 2\\^24, got {M}"):
+            TimeGrid(T=1.0, M=M)
     grid = TimeGrid(T=np.float32(2.0), M=np.int64(10))
     assert (type(grid.T), type(grid.M)) == (float, int)
     assert grid == TimeGrid(T=2, M=10)
@@ -163,6 +169,27 @@ def test_sampled_profile_reads_other_arrays_as_their_lists():
     for values in (np.ones((3, 1)), [[1.0], [1.0], [1.0]], 1.0, "111"):
         with pytest.raises(ModelConfigError):
             TimeProfile(values=values, grid=grid)
+
+
+def test_datetimes_are_no_numbers():
+    # a datetime or timedelta was read as a count of its time unit:
+    # [1, 2, 3] nanoseconds as the profile [1., 2., 3.], 5 ns as M = 5
+    grid = TimeGrid(T=1.0, M=2)
+    for values, got in (
+            (np.array([1, 2, 3], dtype="M8[ns]"), "dtype datetime64[ns]"),
+            (np.array([1, 2, 3], dtype="m8[ns]"), "dtype timedelta64[ns]"),
+            ([1.0, np.timedelta64(2, "ns"), 3.0], "np.timedelta64(2,'ns')")):
+        with pytest.raises(ModelConfigError, match=re.escape(
+                f"sampled profile value must be a number, got {got}")):
+            TimeProfile(values=values, grid=grid)
+    five = np.timedelta64(5, "ns")
+    for call, message in (
+            (lambda: TimeGrid(T=1.0, M=five), "step count M must be an "
+                                              "integer"),
+            (lambda: _as_int(five, "grid M"), "grid M must be an integer"),
+            (lambda: InitialLaw.point(five), "point mass must be a number")):
+        with pytest.raises(ModelConfigError, match=message):
+            call()
 
 
 def solve_with_A(profile):
